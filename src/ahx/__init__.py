@@ -9,21 +9,21 @@ hyperbolic models available as cross-checks.
 """
 
 from .metric import (
-    BoundaryMetricFamily, Chart, MetricError, ScalarMetric1D, TrigPoly,
+    BoundaryMetricFamily, Chart, MetricError, TrigPoly,
     christoffel_symbols, disc_family, eval_metric, gauss_curvature,
     halfplane_family, make_family, perturbed_family, product_family,
     radial_power_family, taylor1d_family,
 )
 from .flow import (
     BoundaryCovector, BPhasePoint, ChartExitError, CollarExitError,
-    FlowError, GeodesicTrajectory, ShortGeodesicResult, TrappedOrSlowError,
+    FlowError, GeodesicTrajectory, TrappedOrSlowError,
     barX_eval, constraint_residual, delta_max, flip_state,
-    scattering_jacobian, scattering_map, short_geodesic, trace_from_state,
+    scattering_jacobian, scattering_map, trace_from_state,
     trace_geodesic,
 )
 from .renorm import (
-    BoundaryDistanceResult, MellinLength, RenormLength, boundary_distance,
-    conformal_shift, deformation_derivative, mellin_length,
+    BoundaryDistanceResult, MellinLength, RenormLength, ShootingError,
+    boundary_distance, conformal_shift, deformation_derivative, mellin_length,
     renormalized_length, scattering_from_distance_check,
 )
 from .xray import (

@@ -8,7 +8,9 @@ optional ``seed``.  Outputs are CSV (RFC 4180 payload preceded by one
 ``# config_hash=...`` comment line), JSON, and plain SVG line charts.
 Runs are deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 2 trapped/slow geodesic, 3 configuration error.
+Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
+the collar), 2 trapped/slow geodesic, 3 configuration error (including a
+metric whose boundary is not 1-dimensional).
 """
 from __future__ import annotations
 
@@ -56,9 +58,14 @@ class ExperimentConfig:
 
     def family(self) -> BoundaryMetricFamily:
         try:
-            return make_family(self.metric)
+            fam = make_family(self.metric)
         except (MetricError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad metric spec: {exc}") from exc
+        if fam.n != 1:
+            # the row readers and writers hold one y and one eta per row
+            raise ConfigError("the CLI handles 1-dimensional boundaries, "
+                              f"got n={fam.n}")
+        return fam
 
     def opt(self, key, default=None):
         return self.params.get(key, default)

@@ -35,11 +35,11 @@ integration step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .metric import BoundaryMetricFamily, eval_metric
@@ -48,9 +48,9 @@ from .quadrature import composite_gauss, panel_gauss
 __all__ = [
     "FlowError", "TrappedOrSlowError", "ChartExitError", "CollarExitError",
     "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory",
-    "ShortGeodesicResult", "barX_eval", "trace_geodesic", "trace_from_state",
+    "barX_eval", "trace_geodesic", "trace_from_state",
     "scattering_map", "scattering_jacobian", "ScatteringJacobian",
-    "short_geodesic", "delta_max", "flip_state", "constraint_residual",
+    "delta_max", "flip_state", "constraint_residual",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -145,45 +145,27 @@ def _gate_over_rho(rho: np.ndarray) -> np.ndarray:
 
 
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
-    """Flow RHS on the state [rho, y, xi_b, eta]."""
+    """Flow RHS on the state [rho, y, xi_b, eta].
+
+    With u_k = eta_k / h_kk: |eta|_h^2 = sum u_k eta_k, its rho-derivative
+    is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.
+    """
     n = fam.n
-    if fam.scalar is not None:
-        h_f, dhr_f, dhy_f = fam.scalar.h, fam.scalar.dh_drho, fam.scalar.dh_dy
-
-        def rhs(tau, s):
-            rho, y, xi, eta = s[0], s[1], s[2], s[3]
-            h = h_f(rho, y)
-            hi = 1.0 / h
-            ee = eta * eta
-            e2 = hi * ee
-            de2_dr = -hi * hi * dhr_f(rho, y) * ee
-            de2_dy = -hi * hi * dhy_f(rho, y) * ee
-            return np.array([
-                xi,
-                rho * hi * eta,
-                -(rho * e2 + 0.5 * rho * rho * de2_dr),
-                -0.5 * rho * de2_dy,
-            ])
-
-        return rhs
+    profiles = fam.profiles
 
     def rhs(tau, s):
         rho = s[0]
-        y = s[1:1 + n]
-        xi = s[1 + n]
-        eta = s[2 + n:2 + 2 * n]
-        h = fam.h(rho, y)
-        hi = np.linalg.solve(h, np.eye(n))
-        hie = hi @ eta
-        e2 = float(eta @ hie)
-        de2_dr = -float(hie @ fam.dh_drho(rho, y) @ hie)
-        dhy = fam.dh_dy(rho, y)
-        de2_dy = np.array([-float(hie @ dhy[k] @ hie) for k in range(n)])
         out = np.empty(2 * n + 2)
-        out[0] = xi
-        out[1:1 + n] = rho * hie
-        out[1 + n] = -(rho * e2 + 0.5 * rho * rho * de2_dr)
-        out[2 + n:2 + 2 * n] = -0.5 * rho * de2_dy
+        dxi = 0.0
+        for k, prof in enumerate(profiles):
+            h, dh_r, dh_y = prof(rho, s[1 + k])
+            eta = s[2 + n + k]
+            u = eta / h
+            out[1 + k] = rho * u
+            out[2 + n + k] = 0.5 * rho * u * u * dh_y
+            dxi -= rho * u * eta - 0.5 * rho * rho * u * u * dh_r
+        out[0] = s[1 + n]
+        out[1 + n] = dxi
         return out
 
     return rhs
@@ -205,11 +187,7 @@ def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int) -> np.ndarray
     rho = s[0]
     xi = s[1 + n]
     eta = s[2 + n:2 + 2 * n]
-    if fam.scalar is not None:
-        e2 = eta[0] * eta[0] / fam.scalar.h(rho, s[1])
-    else:
-        hm = fam.h(rho, s[1:1 + n])
-        e2 = float(eta @ np.linalg.solve(hm, eta))
+    e2 = fam.eta_normsq(rho, s[1:1 + n], eta)
     norm2 = xi * xi + rho * rho * e2
     if norm2 <= 0.0:
         return s
@@ -600,140 +578,15 @@ def scattering_jacobian(fam: BoundaryMetricFamily, z, step: float = 1e-5,
                               symplectic_residual=resid)
 
 
-# ---------------------------------------------------------------------------
-# short geodesics in the blown-up chart
-
-
-@dataclass(frozen=True)
-class ShortGeodesicResult:
-    """Solution of the rescaled short-geodesic system up to theta = pi."""
-
-    y0: np.ndarray
-    omega0: np.ndarray
-    delta: float
-    s0: float
-    y_end: np.ndarray
-    omega_end: np.ndarray
-    samples: list  # (s, theta, u, omega)
-
-
-def _rho_from_constraint(fam, y, omega, target, rho_guess):
-    """Solve rho |omega|_{h_rho} = target by Newton, small positive root."""
-    rho = max(rho_guess, 0.0)
-    for _ in range(30):
-        if fam.scalar is not None:
-            h = fam.scalar.h(rho, float(y[0]))
-            nrm = abs(float(omega[0])) / math.sqrt(h)
-            dh = fam.scalar.dh_drho(rho, float(y[0]))
-            dnrm = -abs(float(omega[0])) * dh / (2.0 * h ** 1.5)
-        else:
-            hm = fam.h(rho, y)
-            hi = np.linalg.solve(hm, np.eye(fam.n))
-            hio = hi @ omega
-            nrm = math.sqrt(float(omega @ hio))
-            dnrm = -float(hio @ fam.dh_drho(rho, y) @ hio) / (2.0 * nrm)
-        f = rho * nrm - target
-        fp = nrm + rho * dnrm
-        if fp <= 0.0:
-            raise FlowError("short-geodesic rho solve lost monotonicity "
-                            "(delta too large)")
-        rho_new = rho - f / fp
-        if rho_new < 0.0:
-            rho_new = 0.5 * rho
-        if abs(rho_new - rho) < 1e-15 * (1.0 + rho):
-            return rho_new
-        rho = rho_new
-    raise FlowError("short-geodesic rho solve did not converge")
-
-
-def short_geodesic(fam: BoundaryMetricFamily, y0, omega0, delta: float,
-                   tol: float = 1e-11) -> ShortGeodesicResult:
-    """Integrate the blown-up short-geodesic system from theta=0 to theta=pi.
-
-    The state is (theta, u, omega) with y = y0 + delta*u and rho recovered
-    from rho |omega|_{h_rho} = delta sin(theta) at every evaluation.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
-    n = fam.n
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-
-    def rhs(s, st):
-        theta = st[0]
-        u = st[1:1 + n]
-        om = st[1 + n:1 + 2 * n]
-        y = y0 + delta * u
-        sin_t = math.sin(theta)
-        target = delta * abs(sin_t)
-        rho = _rho_from_constraint(fam, y, om, target, target)
-        if fam.scalar is not None:
-            yv = float(y[0])
-            h = fam.scalar.h(rho, yv)
-            dh_r = fam.scalar.dh_drho(rho, yv)
-            dh_y = fam.scalar.dh_dy(rho, yv)
-            omv = float(om[0])
-            qt = -sin_t * dh_r / (2.0 * math.sqrt(h) * abs(omv))
-            du = np.array([sin_t / omv])
-            dom = np.array([delta * sin_t * dh_y / (2.0 * h)])
-        else:
-            hm = fam.h(rho, y)
-            hi = np.linalg.solve(hm, np.eye(n))
-            hio = hi @ om
-            n2 = float(om @ hio)
-            nrm = math.sqrt(n2)
-            dP = -float(hio @ fam.dh_drho(rho, y) @ hio)  # d|om|^2_h / drho
-            qt = sin_t * dP / (2.0 * nrm ** 3)
-            du = sin_t * hio / n2
-            dhy = fam.dh_dy(rho, y)
-            dom = np.array([delta * sin_t * float(hio @ dhy[k] @ hio) / (2.0 * n2)
-                            for k in range(n)])
-        out = np.empty(1 + 2 * n)
-        out[0] = 1.0 + delta * qt
-        out[1:1 + n] = du
-        out[1 + n:] = dom
-        return out
-
-    def hit_pi(s, st):
-        return st[0] - math.pi
-    hit_pi.terminal = True
-    hit_pi.direction = 1
-
-    st0 = np.concatenate(([0.0], np.zeros(n), omega0))
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), st0, method="DOP853",
-                    rtol=tol, atol=tol, events=hit_pi, dense_output=False)
-    if not sol.t_events[0].size:
-        raise FlowError("short geodesic did not reach theta = pi "
-                        "(delta too large or non-monotone angle)")
-    # monotone angle check on the accepted steps
-    dth = np.diff(sol.y[0])
-    if np.any(dth <= 0.0):
-        raise FlowError("short-geodesic angle lost monotonicity")
-    s0 = float(sol.t_events[0][0])
-    fin = sol.y_events[0][0]
-    u_end = fin[1:1 + n]
-    om_end = fin[1 + n:1 + 2 * n]
-    samples = [(float(s), float(row[0]), row[1:1 + n].copy(),
-                row[1 + n:1 + 2 * n].copy())
-               for s, row in zip(sol.t, sol.y.T)]
-    if math.isfinite(fam.rho_max):
-        # the blown-up system never queries eval_metric, so enforce the
-        # collar on the accepted steps after the fact
-        for _, theta, u, om in samples:
-            target = delta * abs(math.sin(theta))
-            rho = _rho_from_constraint(fam, y0 + delta * u, om, target,
-                                       target)
-            if rho > fam.rho_max:
-                raise CollarExitError(
-                    f"short geodesic tops out at rho={rho:.4g}, outside "
-                    f"the collar [0, {fam.rho_max}]")
-    return ShortGeodesicResult(y0=y0, omega0=omega0, delta=delta, s0=s0,
-                               y_end=y0 + delta * u_end,
-                               omega_end=om_end.copy(), samples=samples)
-
-
 def delta_max(fam: BoundaryMetricFamily, y0, omega0, cap: float = 0.2) -> float:
-    """Largest safe delta: angle monotone on the frozen solution, 50% margin."""
+    """Largest safe size delta of a short geodesic from y0 along omega0.
+
+    In the blown-up chart rho |omega|_h = delta sin(theta), the angle theta
+    advances at the rate 1 + delta Q, where at rho = 0 the size of Q is at
+    most |d|omega|_h^2/drho| / (2 |omega|_h^3).  The returned delta stays a
+    factor 1.5 below the size at which that rate could vanish, and at most
+    ``cap``.
+    """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     ev = eval_metric(fam, 0.0, y0)

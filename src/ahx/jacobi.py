@@ -363,10 +363,7 @@ def vertical_seed_basis(fam: BoundaryMetricFamily,
     """
     n = state.y.size
     dim = 2 * n + 2
-    if fam.scalar is not None:
-        hin_eta = state.eta / fam.scalar.h(state.rho, float(state.y[0]))
-    else:
-        hin_eta = np.linalg.solve(fam.h(state.rho, state.y), state.eta)
+    hin_eta = state.eta / fam.diag(state.rho, state.y)[0]
     # linearized constraint restricted to the fiber block (dxi_b, deta)
     row = np.empty((1, n + 1))
     row[0, 0] = state.xi_b

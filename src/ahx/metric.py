@@ -2,9 +2,12 @@
 
 A family describes g = (d rho**2 + h_rho) / rho**2 near (or on all of) a
 manifold-with-boundary through the rho-dependent boundary metric h_rho and
-its first derivatives in rho and y.  Everything downstream consumes only
-h, dh/drho and dh/dy; second derivatives, where needed, are obtained by
-central differences of the supplied first derivatives.
+its first derivatives in rho and y.  Every family is diagonal, with h_kk a
+function of (rho, y_k) only, and is given by one profile per coordinate
+returning h_kk, dh_kk/drho and dh_kk/dy_k (:class:`BoundaryMetricFamily`).
+Everything downstream consumes only those; second derivatives, where
+needed, are obtained by central differences of the supplied first
+derivatives.  :func:`eval_metric` gives the matrix view.
 
 Built-in families:
 
@@ -16,9 +19,10 @@ Built-in families:
   polynomials a, b; collar domain [0, rho_max].
 * ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, used as the forward
   model of jet fitting.
-* ``product``        n=2, block-diagonal combination of two n=1 families.
+* ``product``        n=2, h = h1(rho, y1) dy1**2 + h2(rho, y2) dy2**2 from
+  two n=1 families.
 
-Any n=1 family accepts an optional multiplicative interior bump, supported
+``perturbed`` accepts an optional multiplicative interior bump, supported
 away from the boundary, for gauge-insensitivity experiments.
 """
 
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import zip_longest
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .quadrature import poly_bump, poly_bump_dt
 __all__ = [
     "MetricError",
     "Chart",
-    "ScalarMetric1D",
     "BoundaryMetricFamily",
     "MetricEval",
     "make_family",
@@ -94,43 +98,49 @@ class Chart:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarMetric1D:
-    """Fast scalar path for n=1: h11 and first derivatives as plain floats."""
-
-    h: Callable[[float, float], float]
-    dh_drho: Callable[[float, float], float]
-    dh_dy: Callable[[float, float], float]
-
-
-@dataclass(frozen=True, eq=False)
 class BoundaryMetricFamily:
-    """h_rho(y) together with first derivatives on a stated domain."""
+    """Diagonal h_rho(y) through one profile per boundary coordinate.
 
-    dim_boundary: int
+    ``profiles[k](rho, y_k)`` returns (h_kk, dh_kk/drho, dh_kk/dy_k); h_kk
+    depends on rho and y_k only, and the boundary dimension n is the number
+    of profiles.  Profiles take floats or arrays, and their outputs
+    broadcast against rho and y_k (a constant may come back as a float).
+    """
+
     chart: Chart
-    h: Callable[[float, np.ndarray], np.ndarray]
-    dh_drho: Callable[[float, np.ndarray], np.ndarray]
-    dh_dy: Callable[[float, np.ndarray], np.ndarray]  # shape (n, n, n), [k] = d/dy^k
+    profiles: tuple
     rho_max: float
     open_at_max: bool = False  # domain is [0, rho_max) when True
-    scalar: Optional[ScalarMetric1D] = None
     name: str = ""
     params: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.dim_boundary
+        return len(self.profiles)
 
     def spec(self) -> dict:
         """JSON-serializable document that reconstructs this family."""
         return {"family": self.name, "params": dict(self.params)}
 
+    def diag(self, rho, y) -> np.ndarray:
+        """h_kk, dh_kk/drho and dh_kk/dy_k at (rho, y), shape (3, ..., n).
+
+        ``y`` has a last axis of length n; rho broadcasts against the other
+        axes of y.
+        """
+        y = np.asarray(y, dtype=float)
+        out = np.empty((3,) + np.broadcast(rho, y[..., 0]).shape + (self.n,))
+        for k, prof in enumerate(self.profiles):
+            for i, v in enumerate(prof(rho, y[..., k])):
+                out[i, ..., k] = v
+        return out
+
     def eta_normsq(self, rho: float, y: np.ndarray, eta: np.ndarray) -> float:
         """|eta|^2 with respect to h_rho, i.e. the inverse-metric form."""
-        if self.scalar is not None:
-            return float(eta[0]) ** 2 / self.scalar.h(rho, float(y[0]))
-        hm = self.h(rho, y)
-        return float(eta @ np.linalg.solve(hm, eta))
+        e2 = 0.0
+        for k, prof in enumerate(self.profiles):
+            e2 += eta[k] * eta[k] / prof(rho, y[k])[0]
+        return float(e2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,31 +164,35 @@ class MetricEval:
 
 
 class TrigPoly:
-    """c[k]*cos(k y) + s[k]*sin(k y) with finitely many coefficients."""
+    """c[k]*cos(k y) + s[k]*sin(k y) with finitely many coefficients.
+
+    Takes a float or an array.
+    """
 
     def __init__(self, cos_coeffs=(), sin_coeffs=()):
         self.c = tuple(float(v) for v in cos_coeffs)
         self.s = tuple(float(v) for v in sin_coeffs)
+        # nonconstant harmonics (k, c[k], s[k]) with a nonzero coefficient
+        self._harmonics = [
+            (k, c, s_) for k, (c, s_)
+            in enumerate(zip_longest(self.c, self.s, fillvalue=0.0))
+            if k and (c or s_)]
 
-    def __call__(self, y: float) -> float:
-        out = 0.0
-        for k, v in enumerate(self.c):
-            if v:
-                out += v * math.cos(k * y)
-        for k, v in enumerate(self.s):
-            if v:
-                out += v * math.sin(k * y)
-        return out
+    def value_and_deriv(self, y):
+        """(value, d/dy) at y, with one cos and one sin per harmonic."""
+        val = self.c[0] if self.c else 0.0
+        der = 0.0
+        for k, c, s_ in self._harmonics:
+            cos, sin = np.cos(k * y), np.sin(k * y)
+            val = val + c * cos + s_ * sin
+            der = der + k * (s_ * cos - c * sin)
+        return val, der
 
-    def deriv(self, y: float) -> float:
-        out = 0.0
-        for k, v in enumerate(self.c):
-            if v and k:
-                out -= v * k * math.sin(k * y)
-        for k, v in enumerate(self.s):
-            if v and k:
-                out += v * k * math.cos(k * y)
-        return out
+    def __call__(self, y):
+        return self.value_and_deriv(y)[0]
+
+    def deriv(self, y):
+        return self.value_and_deriv(y)[1]
 
     def is_zero(self) -> bool:
         return not any(self.c) and not any(self.s)
@@ -188,72 +202,50 @@ class TrigPoly:
 # family constructors
 
 
-def _family_from_scalar(scalar: ScalarMetric1D, chart: Chart, rho_max: float,
-                        name: str, params: dict, open_at_max: bool = False,
-                        validate: bool = True) -> BoundaryMetricFamily:
-    def h(rho, y):
-        return np.array([[scalar.h(rho, float(y[0]))]])
-
-    def dh_drho(rho, y):
-        return np.array([[scalar.dh_drho(rho, float(y[0]))]])
-
-    def dh_dy(rho, y):
-        return np.array([[[scalar.dh_dy(rho, float(y[0]))]]])
-
-    fam = BoundaryMetricFamily(
-        dim_boundary=1, chart=chart, h=h, dh_drho=dh_drho, dh_dy=dh_dy,
-        rho_max=rho_max, open_at_max=open_at_max, scalar=scalar,
-        name=name, params=params)
-    if validate:
-        _validate_family(fam)
+def _family(profiles, chart: Chart, rho_max: float, name: str, params: dict,
+            open_at_max: bool = False) -> BoundaryMetricFamily:
+    fam = BoundaryMetricFamily(chart=chart, profiles=tuple(profiles),
+                               rho_max=rho_max, open_at_max=open_at_max,
+                               name=name, params=params)
+    _validate_family(fam)
     return fam
 
 
-def _apply_bump(scalar: ScalarMetric1D, amplitude: float, rho_lo: float,
-                rho_hi: float) -> ScalarMetric1D:
+def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
     """Multiply h by 1 + amplitude * bump(rho), supported in [rho_lo, rho_hi]."""
     if rho_hi <= rho_lo:
         raise MetricError("interior bump needs rho_lo < rho_hi")
     width = rho_hi - rho_lo
 
-    def factor(rho):
-        return 1.0 + amplitude * poly_bump((rho - rho_lo) / width)
+    def bumped(rho, y):
+        h, dh_r, dh_y = profile(rho, y)
+        t = (rho - rho_lo) / width
+        f = 1.0 + amplitude * poly_bump(t)
+        df = amplitude * poly_bump_dt(t) / width
+        return h * f, dh_r * f + h * df, dh_y * f
 
-    def dfactor(rho):
-        return amplitude * poly_bump_dt((rho - rho_lo) / width) / width
-
-    base_h, base_dr, base_dy = scalar.h, scalar.dh_drho, scalar.dh_dy
-    return ScalarMetric1D(
-        h=lambda rho, y: base_h(rho, y) * factor(rho),
-        dh_drho=lambda rho, y: base_dr(rho, y) * factor(rho) + base_h(rho, y) * dfactor(rho),
-        dh_dy=lambda rho, y: base_dy(rho, y) * factor(rho),
-    )
+    return bumped
 
 
 def halfplane_family(y_bounds=None, rho_max: float = math.inf) -> BoundaryMetricFamily:
-    scalar = ScalarMetric1D(
-        h=lambda rho, y: 1.0,
-        dh_drho=lambda rho, y: 0.0,
-        dh_dy=lambda rho, y: 0.0,
-    )
     chart = Chart("affine", y_bounds=y_bounds)
     params = {}
     if y_bounds is not None:
         params["y_bounds"] = [list(b) for b in y_bounds]
     if math.isfinite(rho_max):
         params["rho_max"] = rho_max
-    return _family_from_scalar(scalar, chart, rho_max, "half-plane", params)
+    return _family([lambda rho, y: (1.0, 0.0, 0.0)], chart, rho_max,
+                   "half-plane", params)
 
 
 def disc_family() -> BoundaryMetricFamily:
     # global normal form of the hyperbolic disc; rho = 2 is the centre
-    scalar = ScalarMetric1D(
-        h=lambda rho, y: (1.0 - 0.25 * rho * rho) ** 2,
-        dh_drho=lambda rho, y: -rho * (1.0 - 0.25 * rho * rho),
-        dh_dy=lambda rho, y: 0.0,
-    )
-    return _family_from_scalar(scalar, Chart("periodic"), 2.0,
-                               "disc-normal", {}, open_at_max=True)
+    def profile(rho, y):
+        q = 1.0 - 0.25 * rho * rho
+        return q * q, -rho * q, 0.0
+
+    return _family([profile], Chart("periodic"), 2.0, "disc-normal", {},
+                   open_at_max=True)
 
 
 def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
@@ -262,23 +254,20 @@ def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
     a = TrigPoly(a_cos, a_sin)
     b = TrigPoly(b_cos, b_sin)
 
-    def h(rho, y):
-        return math.exp(2.0 * rho * (a(y) + rho * b(y)))
+    def profile(rho, y):
+        av, da = a.value_and_deriv(y)
+        bv, db = b.value_and_deriv(y)
+        h = np.exp(2.0 * rho * (av + rho * bv))
+        return (h, h * (2.0 * av + 4.0 * rho * bv),
+                h * (2.0 * rho * da + 2.0 * rho * rho * db))
 
-    def dh_drho(rho, y):
-        return h(rho, y) * (2.0 * a(y) + 4.0 * rho * b(y))
-
-    def dh_dy(rho, y):
-        return h(rho, y) * (2.0 * rho * a.deriv(y) + 2.0 * rho * rho * b.deriv(y))
-
-    scalar = ScalarMetric1D(h=h, dh_drho=dh_drho, dh_dy=dh_dy)
     params = {"a_cos": list(a.c), "a_sin": list(a.s),
               "b_cos": list(b.c), "b_sin": list(b.s), "rho_max": rho_max}
     if bump is not None:
-        scalar = _apply_bump(scalar, bump["amplitude"], bump["rho_lo"], bump["rho_hi"])
+        profile = _apply_bump(profile, bump["amplitude"], bump["rho_lo"],
+                              bump["rho_hi"])
         params["bump"] = dict(bump)
-    return _family_from_scalar(scalar, Chart("periodic"), rho_max,
-                               "perturbed", params)
+    return _family([profile], Chart("periodic"), rho_max, "perturbed", params)
 
 
 def radial_power_family(amp: float, power: int,
@@ -292,61 +281,35 @@ def radial_power_family(amp: float, power: int,
     if p < 1:
         raise MetricError("radial power must be a positive integer")
 
-    scalar = ScalarMetric1D(
-        h=lambda rho, y: 1.0 + amp * rho ** p,
-        dh_drho=lambda rho, y: amp * p * rho ** (p - 1),
-        dh_dy=lambda rho, y: 0.0,
-    )
     params = {"amp": amp, "power": p}
     if math.isfinite(rho_max):
         params["rho_max"] = rho_max
-    return _family_from_scalar(scalar, Chart("affine"), rho_max,
-                               "radial-power", params)
+    return _family(
+        [lambda rho, y: (1.0 + amp * rho ** p, amp * p * rho ** (p - 1), 0.0)],
+        Chart("affine"), rho_max, "radial-power", params)
 
 
 def taylor1d_family(h0: float, c1: float, c2: float,
                     rho_max: float = 0.25) -> BoundaryMetricFamily:
     """Truncated radial Taylor model h = h0 + c1 rho + c2 rho**2 / 2."""
-    scalar = ScalarMetric1D(
-        h=lambda rho, y: h0 + c1 * rho + 0.5 * c2 * rho * rho,
-        dh_drho=lambda rho, y: c1 + c2 * rho,
-        dh_dy=lambda rho, y: 0.0,
-    )
     params = {"h0": h0, "c1": c1, "c2": c2, "rho_max": rho_max}
-    return _family_from_scalar(scalar, Chart("periodic"), rho_max,
-                               "taylor1d", params)
+    return _family(
+        [lambda rho, y: (h0 + c1 * rho + 0.5 * c2 * rho * rho, c1 + c2 * rho,
+                         0.0)],
+        Chart("periodic"), rho_max, "taylor1d", params)
 
 
 def product_family(fam1: BoundaryMetricFamily,
                    fam2: BoundaryMetricFamily) -> BoundaryMetricFamily:
-    """Block-diagonal n=2 family from two n=1 factors (shared rho)."""
+    """Diagonal n=2 family from two n=1 factors (shared rho)."""
     if fam1.n != 1 or fam2.n != 1:
         raise MetricError("product factors must have n=1")
     if fam1.chart.kind != fam2.chart.kind:
         raise MetricError("product factors must share chart kind")
-    s1, s2 = fam1.scalar, fam2.scalar
-
-    def h(rho, y):
-        return np.diag([s1.h(rho, float(y[0])), s2.h(rho, float(y[1]))])
-
-    def dh_drho(rho, y):
-        return np.diag([s1.dh_drho(rho, float(y[0])), s2.dh_drho(rho, float(y[1]))])
-
-    def dh_dy(rho, y):
-        out = np.zeros((2, 2, 2))
-        out[0, 0, 0] = s1.dh_dy(rho, float(y[0]))
-        out[1, 1, 1] = s2.dh_dy(rho, float(y[1]))
-        return out
-
-    chart = Chart(fam1.chart.kind)
-    rho_max = min(fam1.rho_max, fam2.rho_max)
-    fam = BoundaryMetricFamily(
-        dim_boundary=2, chart=chart, h=h, dh_drho=dh_drho, dh_dy=dh_dy,
-        rho_max=rho_max, open_at_max=fam1.open_at_max or fam2.open_at_max,
-        scalar=None, name="product",
-        params={"factors": [fam1.spec(), fam2.spec()]})
-    _validate_family(fam)
-    return fam
+    return _family(fam1.profiles + fam2.profiles, Chart(fam1.chart.kind),
+                   min(fam1.rho_max, fam2.rho_max), "product",
+                   {"factors": [fam1.spec(), fam2.spec()]},
+                   open_at_max=fam1.open_at_max or fam2.open_at_max)
 
 
 def make_family(spec: dict) -> BoundaryMetricFamily:
@@ -403,33 +366,30 @@ def _validation_grid(fam: BoundaryMetricFamily):
 
 
 def _validate_family(fam: BoundaryMetricFamily) -> None:
+    """h positive and the supplied first derivatives consistent with h
+    (scaled central differences) on the validation grid, every y_k at the
+    grid's y."""
     rhos, ys = _validation_grid(fam)
     step = 1e-6
-    for rho in rhos:
-        for y0 in ys:
-            y = np.full(fam.n, y0)
-            hm = fam.h(rho, y)
-            if not np.allclose(hm, hm.T, atol=1e-14):
-                raise MetricError("h is not symmetric on the validation grid")
-            try:
-                np.linalg.cholesky(hm)
-            except np.linalg.LinAlgError:
-                raise MetricError(
-                    f"h not positive definite at rho={rho:.4g}, y={y0:.4g}")
-            # consistency of supplied first derivatives (scaled central FD)
-            hr = step * max(1.0, abs(rho))
-            fd_r = (fam.h(rho + hr, y) - fam.h(rho - hr, y)) / (2 * hr)
-            an_r = fam.dh_drho(rho, y)
-            if not np.allclose(fd_r, an_r, rtol=2e-6, atol=2e-6):
-                raise MetricError("dh_drho inconsistent with h")
-            an_y = fam.dh_dy(rho, y)
-            for k in range(fam.n):
-                yp, ym = y.copy(), y.copy()
-                yp[k] += step
-                ym[k] -= step
-                fd_y = (fam.h(rho, yp) - fam.h(rho, ym)) / (2 * step)
-                if not np.allclose(fd_y, an_y[k], rtol=2e-6, atol=2e-6):
-                    raise MetricError("dh_dy inconsistent with h")
+    rho = rhos[:, None]
+    y = np.repeat(ys[None, :, None], fam.n, axis=2)
+    h, an_r, an_y = fam.diag(rho, y)        # each (rho, y, k)
+    bad = np.argwhere(~(h > 0.0))
+    if bad.size:
+        i, j = bad[0][:2]
+        raise MetricError(
+            f"h not positive definite at rho={rhos[i]:.4g}, y={ys[j]:.4g}")
+    hr = step * np.maximum(1.0, np.abs(rho))
+    fd_r = (fam.diag(rho + hr, y)[0] - fam.diag(rho - hr, y)[0]) \
+        / (2 * hr[..., None])
+    if not np.allclose(fd_r, an_r, rtol=2e-6, atol=2e-6):
+        raise MetricError("dh_drho inconsistent with h")
+    # h_kk depends on y_k only, so shifting every y_k at once gives each
+    # d h_kk / d y_k
+    fd_y = (fam.diag(rho, y + step)[0] - fam.diag(rho, y - step)[0]) \
+        / (2 * step)
+    if not np.allclose(fd_y, an_y, rtol=2e-6, atol=2e-6):
+        raise MetricError("dh_dy inconsistent with h")
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +410,14 @@ def eval_metric(fam: BoundaryMetricFamily, rho: float, y) -> MetricEval:
     """Evaluate h_rho, its inverse and first derivatives at (rho, y)."""
     _check_domain(fam, rho)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    hm = fam.h(rho, y)
-    try:
-        h_inv = np.linalg.solve(hm, np.eye(fam.n))
-    except np.linalg.LinAlgError:
+    h, dh_r, dh_y = fam.diag(rho, y)
+    if not h.all():
         raise MetricError(f"singular h at rho={rho}, y={y}")
-    return MetricEval(rho=rho, y=y, h_mat=hm, h_inv=h_inv,
-                      dh_drho_mat=fam.dh_drho(rho, y),
-                      dh_dy_mats=fam.dh_dy(rho, y))
+    k = np.arange(fam.n)
+    dh_dy_mats = np.zeros((fam.n,) * 3)
+    dh_dy_mats[k, k, k] = dh_y
+    return MetricEval(rho=rho, y=y, h_mat=np.diag(h), h_inv=np.diag(1.0 / h),
+                      dh_drho_mat=np.diag(dh_r), dh_dy_mats=dh_dy_mats)
 
 
 def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:
@@ -472,49 +432,34 @@ def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:
         raise MetricError("gauss_curvature requires a 1-dimensional boundary")
     if rho <= 0.0:
         raise MetricError("gauss_curvature needs rho > 0")
-    yv = float(np.atleast_1d(y)[0])
-    if fam.scalar is not None:
-        h_of = fam.scalar.h
-        dh_of = fam.scalar.dh_drho
-    else:
-        h_of = lambda r, yy: float(fam.h(r, np.array([yy]))[0, 0])
-        dh_of = lambda r, yy: float(fam.dh_drho(r, np.array([yy]))[0, 0])
-    h = h_of(rho, yv)
-    dh = dh_of(rho, yv)
-    d2h = (dh_of(rho + FD2_STEP, yv) - dh_of(rho - FD2_STEP, yv)) \
+    prof = fam.profiles[0]
+    yv = np.atleast_1d(y)[0]
+    h, dh, _ = prof(rho, yv)
+    d2h = (prof(rho + FD2_STEP, yv)[1] - prof(rho - FD2_STEP, yv)[1]) \
         / (2.0 * FD2_STEP)
-    return (-1.0 + rho * dh / (2.0 * h)
-            - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h)))
+    return float(-1.0 + rho * dh / (2.0 * h)
+                 - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h)))
 
 
 def christoffel_symbols(fam: BoundaryMetricFamily, rho: float, y) -> np.ndarray:
     """Christoffel symbols Gamma[c, a, b] of g at (rho, y), rho > 0.
 
-    Index 0 is rho, indices 1..n are the y coordinates.
+    Index 0 is rho, indices 1..n are the y coordinates.  With h diagonal and
+    h_kk depending on (rho, y_k) only, the only tangential symbols are
+    Gamma^k_kk = d_k h_kk / (2 h_kk).
     """
     if rho <= 0.0:
         raise MetricError("christoffel_symbols needs rho > 0")
-    ev = eval_metric(fam, rho, y)
+    _check_domain(fam, rho)
+    h, dh_r, dh_y = fam.diag(rho, np.atleast_1d(np.asarray(y, dtype=float)))
     n = fam.n
-    dim = n + 1
-    G = np.zeros((dim, dim, dim))
-    h, hi, dhr, dhy = ev.h_mat, ev.h_inv, ev.dh_drho_mat, ev.dh_dy_mats
+    k = np.arange(1, n + 1)
     inv_rho = 1.0 / rho
-
+    G = np.zeros((n + 1,) * 3)
     G[0, 0, 0] = -inv_rho
-    # Gamma^0_ij = -1/2 dh_ij/drho + h_ij / rho
-    G[0, 1:, 1:] = -0.5 * dhr + h * inv_rho
-    # Gamma^k_0i = 1/2 (h^-1 dh/drho)^k_i - delta^k_i / rho
-    mixed = 0.5 * (hi @ dhr) - inv_rho * np.eye(n)
-    G[1:, 0, 1:] = mixed
-    G[1:, 1:, 0] = mixed  # symmetric in the lower index pair
-    # tangential Christoffels of h_rho at fixed rho
-    # Gamma^k_ij = 1/2 h^{kl} (d_i h_lj + d_j h_li - d_l h_ij)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += hi[k, l] * (dhy[i, l, j] + dhy[j, l, i] - dhy[l, i, j])
-                G[1 + k, 1 + i, 1 + j] = 0.5 * s
+    # Gamma^0_kk = -1/2 dh_kk/drho + h_kk / rho
+    G[0, k, k] = -0.5 * dh_r + h * inv_rho
+    # Gamma^k_0k = Gamma^k_k0 = 1/2 dh_kk/drho / h_kk - 1 / rho
+    G[k, 0, k] = G[k, k, 0] = 0.5 * dh_r / h - inv_rho
+    G[k, k, k] = 0.5 * dh_y / h
     return G

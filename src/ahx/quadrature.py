@@ -81,14 +81,20 @@ def smoothstep(t: float) -> float:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def poly_bump(t: float) -> float:
-    """C2 bump on [0, 1], vanishing to third order at both ends, peak 1."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return (4.0 * t * (1.0 - t)) ** 3
+def _bump_base(t):
+    """4 t (1 - t) on [0, 1] and 0 outside, for floats or arrays."""
+    q = 4.0 * t * (1.0 - t)
+    return 0.5 * (q + abs(q))   # max(q, 0), exact, for floats and arrays
 
 
-def poly_bump_dt(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return 3.0 * (4.0 * t * (1.0 - t)) ** 2 * 4.0 * (1.0 - 2.0 * t)
+def poly_bump(t):
+    """C2 bump on [0, 1], vanishing to third order at both ends, peak 1.
+
+    Takes a float or an array.
+    """
+    return _bump_base(t) ** 3
+
+
+def poly_bump_dt(t):
+    q = _bump_base(t)
+    return 12.0 * q * q * (1.0 - 2.0 * t)

@@ -22,13 +22,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flow import (BoundaryCovector, GeodesicTrajectory, trace_geodesic)
+from .flow import (BoundaryCovector, FlowError, GeodesicTrajectory,
+                   trace_geodesic)
 from .metric import BoundaryMetricFamily, eval_metric
 from .quadrature import composite_gauss, gauss_jacobi_left
 
 __all__ = [
     "RenormLength", "MellinLength", "BoundaryDistanceResult",
-    "ScatteringDistanceCheck", "DEFAULT_LAMBDA_GRID",
+    "ScatteringDistanceCheck", "ShootingError", "DEFAULT_LAMBDA_GRID",
     "renormalized_length", "mellin_length", "conformal_shift",
     "boundary_distance", "scattering_from_distance_check",
     "deformation_derivative",
@@ -37,6 +38,10 @@ __all__ = [
 # grid kept narrow so the quartic fit leaves sub-1e-7 model bias in c0 even
 # when the Laurent coefficients grow like powers of log|eta|
 DEFAULT_LAMBDA_GRID = (0.002, 0.0035, 0.005, 0.0075, 0.010, 0.012)
+
+
+class ShootingError(FlowError):
+    """Boundary-distance shooting stalled or met a singular Jacobian."""
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,7 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     while np.max(np.abs(r)) > tol:
         it += 1
         if it > max_iter:
-            raise RuntimeError(
+            raise ShootingError(
                 f"boundary-distance shooting stalled, residual {np.max(np.abs(r)):.3e}")
         J = np.empty((n, n))
         for k in range(n):
@@ -260,7 +265,7 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
-            raise RuntimeError("singular shooting Jacobian")
+            raise ShootingError("singular shooting Jacobian") from None
         eta_pred = eta - step
         nrm = np.linalg.norm(eta_pred)
         if nrm <= ETA_SNAP:
@@ -369,11 +374,10 @@ def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
     def gdot_components(rho, y):
         # s-derivative of g = (drho^2 + h_s)/rho^2: only the yy block moves
         comp = np.zeros((n + 1, n + 1))
-        dh = (fam_p.h(rho, y) - fam_m.h(rho, y)) / (2.0 * fd_step)
-        if rho > 0.0:
-            comp[1:, 1:] = dh / rho ** 2
-        else:
-            comp[1:, 1:] = 0.0  # fixtures decay like rho^2 relative to g
+        if rho > 0.0:  # fixtures decay like rho^2 relative to g
+            dh = (fam_p.diag(rho, y)[0] - fam_m.diag(rho, y)[0]) \
+                / (2.0 * fd_step)
+            comp[1:, 1:] = np.diag(dh) / rho ** 2
         return comp
 
     gdot = SymmetricTensorField(rank=2, weight=0, components=gdot_components)

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .flow import (DEFAULT_TOL, BoundaryCovector, BPhasePoint,
                    GeodesicTrajectory, flip_state, trace_from_state,
                    trace_geodesic)
-from .metric import BoundaryMetricFamily, christoffel_symbols, eval_metric
+from .metric import BoundaryMetricFamily, christoffel_symbols
 from .quadrature import gauss_nodes, panel_gauss, smoothstep
 
 __all__ = [
@@ -107,44 +107,29 @@ class SymmetricTensorField:
 
 
 def _unit_tangent(fam: BoundaryMetricFamily, rho, y, xi_b, eta) -> np.ndarray:
-    """Components of the metric-unit tangent vector in (rho, y) coordinates."""
-    n = fam.n
-    V = np.empty(n + 1)
-    V[0] = rho * xi_b
-    if fam.scalar is not None:
-        V[1] = rho * rho * eta[0] / fam.scalar.h(rho, float(y[0]))
-    else:
-        V[1:] = rho * rho * np.linalg.solve(fam.h(rho, y), eta)
-    return V
+    """Components of the metric-unit tangent vector in (rho, y) coordinates.
+
+    Takes one state or arrays of states (y and eta with a last axis of
+    length n); the components run along the last axis of the result.
+    """
+    rho = np.asarray(rho, dtype=float)
+    h = fam.diag(rho, y)[0]
+    return np.concatenate(((rho * xi_b)[..., None],
+                           rho[..., None] ** 2 * eta / h), axis=-1)
 
 
-def lift_tensor(field: SymmetricTensorField, fam: BoundaryMetricFamily,
-                state: BPhasePoint) -> float:
-    """Contraction of the field with m copies of the unit tangent."""
-    if field.rank == 0:
-        return float(field.comp(state.rho, state.y))
-    V = _unit_tangent(fam, state.rho, state.y, state.xi_b, state.eta)
-    c = field.comp(state.rho, state.y)
+def _lift(field: SymmetricTensorField, rho, y, V) -> float:
+    c = field.comp(rho, y)
     for _ in range(field.rank):
         c = c @ V
     return float(c)
 
 
-def _integrand_over_rho(field, fam, row, n):
-    rho = row[0]
-    y = row[1:1 + n]
-    if rho <= 0.0:
-        if field.weight + field.rank >= 1:
-            return 0.0
-        raise ValueError("transform integrand is singular at the boundary "
-                         "for this weight")
-    if field.rank == 0:
-        return float(field.comp(rho, y)) / rho
-    V = _unit_tangent(fam, rho, y, row[1 + n], row[2 + n:2 + 2 * n])
-    c = field.comp(rho, y)
-    for _ in range(field.rank):
-        c = c @ V
-    return float(c) / rho
+def lift_tensor(field: SymmetricTensorField, fam: BoundaryMetricFamily,
+                state: BPhasePoint) -> float:
+    """Contraction of the field with m copies of the unit tangent."""
+    V = _unit_tangent(fam, state.rho, state.y, state.xi_b, state.eta)
+    return _lift(field, state.rho, state.y, V)
 
 
 def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
@@ -158,11 +143,15 @@ def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
         raise ValueError(
             f"rank-{field.rank} transform needs weight >= {1 - field.rank}, "
             f"got {field.weight}")
-    fam = traj.family
     n = traj.n
     taus, w = traj.quad_nodes(0.0, traj.tau_plus, npts, rho_breaks=rho_breaks)
     rows = traj.eval_many(taus)
-    vals = np.array([_integrand_over_rho(field, fam, row, n) for row in rows])
+    rho, ys = rows[:, 0], rows[:, 1:1 + n]
+    V = _unit_tangent(traj.family, rho, ys, rows[:, 1 + n], rows[:, 2 + n:])
+    # with weight + rank >= 1 the integrand vanishes at the boundary
+    vals = np.zeros(rho.size)
+    for i in np.flatnonzero(rho > 0.0):
+        vals[i] = _lift(field, rho[i], ys[i], V[i]) / rho[i]
     return float(w @ vals)
 
 
@@ -178,7 +167,6 @@ def sym_derivative(field: SymmetricTensorField,
     collar Christoffel symbols; the result is assembled on demand.
     """
     m = field.rank
-    n_dim = None  # bound at call time through fam
 
     def components(rho, y):
         n = fam.n
@@ -331,19 +319,17 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
         q0_surf = _PeriodicSurface(q0_vals, rho_grid, ys)
 
         # q1: (rho^2/h) q1 = int 2 s^2 (f_ry - dy q0 / 2) / h ds
+        h_of = fam.profiles[0]
         def integrand(v, y):
             yv = float(y[0])
             fr = float(field.comp(v, y)[0, 1])
             fr -= 0.5 * q0_surf(v, yv, dy=1)
-            return 2.0 * v * v * fr / fam.scalar.h(v, yv)
+            return 2.0 * v * v * fr / h_of(v, yv)[0]
 
         i_ry = _cumulative_integrals(integrand, rho_grid, ys, n_quad)
         q1_vals = np.zeros_like(i_ry)
-        for i, rho in enumerate(rho_grid):
-            if rho <= 0.0:
-                continue
-            hs = np.array([fam.scalar.h(rho, yv) for yv in ys])
-            q1_vals[i] = hs / rho ** 2 * i_ry[i]
+        hs = fam.diag(rho_grid[1:, None], ys[:, None])[0, ..., 0]
+        q1_vals[1:] = hs / rho_grid[1:, None] ** 2 * i_ry[1:]
         q1_surf = _PeriodicSurface(q1_vals, rho_grid, ys)
 
         def q_comp(rho, y):
@@ -404,8 +390,7 @@ def backward_boundary_point(fam: BoundaryMetricFamily, state: BPhasePoint,
 
 
 def _fiber_state(fam, rho, yv, theta):
-    h = fam.scalar.h(rho, yv) if fam.scalar is not None \
-        else float(fam.h(rho, np.array([yv]))[0, 0])
+    h = fam.profiles[0](rho, yv)[0]
     eta = math.sin(theta) * math.sqrt(h) / rho
     return BPhasePoint.make(rho, yv, math.cos(theta), eta)
 
@@ -423,13 +408,14 @@ def grazing_eta(fam: BoundaryMetricFamily, rho_lo: float) -> float:
     from scipy.optimize import brentq
 
     hi = min(fam.rho_max * 0.999, 1e3)
+    h_of = fam.profiles[0]
 
     def graze(eta):
         # deepest turning point over boundary positions, minus the target
         best = -1e9
         for yv in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
             def fn(rr):
-                return rr * abs(eta) - math.sqrt(fam.scalar.h(rr, yv))
+                return rr * abs(eta) - math.sqrt(h_of(rr, yv)[0])
             r = hi if fn(hi) <= 0.0 else brentq(fn, 1e-12, hi)
             best = max(best, r - rho_lo)
         return best
@@ -483,7 +469,7 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     wy = 2.0 * math.pi / ny_lhs
     acc = 0.0
     for rho, w in zip(xr, wr):
-        hrow = np.array([fam.scalar.h(rho, yv) for yv in ys])
+        hrow = fam.diag(rho, ys[:, None])[0, :, 0]
         frow = np.array([float(f.comp(rho, np.array([yv]))) for yv in ys])
         acc += w * wy * float(np.sum(frow * np.sqrt(hrow) / rho ** 2))
     lhs = 2.0 * math.pi * acc
@@ -561,7 +547,7 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
             fv = float(f.comp(rho, np.array([yv])))
             if fv == 0.0:
                 continue
-            dens = math.sqrt(fam.scalar.h(rho, yv)) / rho ** 2
+            dens = math.sqrt(fam.profiles[0](rho, yv)[0]) / rho ** 2
             for th in thetas:
                 state = _fiber_state(fam, rho, yv, th)
                 zin = backward_boundary_point(fam, state, tol=trace_tol)

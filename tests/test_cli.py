@@ -272,6 +272,10 @@ def test_collar_exit_exits_1(tmp_path):
      "grid": {"y": [0.0], "eta": [0.0]}},                # grazing covector
     {"metric": {"family": "half-plane"},
      "z": {"y": 0.0, "eta": 1.0}, "samples": 1},         # degenerate sampling
+    {"metric": {"family": "product",
+                "params": {"factors": [{"family": "half-plane"},
+                                       {"family": "half-plane"}]}},
+     "grid": {"y": [0.0], "eta": [1.0]}},                # n = 2 metric
 ])
 def test_config_errors_exit_3(tmp_path, payload):
     command = "scatter" if "grid" in payload else "trace"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ahx import (BoundaryCovector, BPhasePoint, CollarExitError,
                  TrappedOrSlowError, constraint_residual, delta_max,
-                 flip_state, scattering_jacobian, scattering_map,
-                 short_geodesic, trace_from_state, trace_geodesic)
+                 eval_metric, flip_state, product_family, scattering_jacobian,
+                 scattering_map, trace_from_state, trace_geodesic)
 from ahx.flow import barX_eval
 
 
@@ -23,6 +23,18 @@ def test_halfplane_scattering_grid(halfplane):
             out = scattering_map(halfplane, (y, eta))
             assert out.y[0] == pytest.approx(y + 2.0 / eta, abs=1e-9)
             assert out.eta[0] == pytest.approx(eta, abs=1e-9)
+
+
+def test_halfspace_scattering_grid(halfplane):
+    # the product of two half-plane factors is hyperbolic half-space: the
+    # geodesic is a half-circle of diameter 2/|eta| in the direction of eta
+    space = product_family(halfplane, halfplane)
+    y = np.array([0.3, -0.5])
+    for eta in ([1.2, 0.7], [-0.4, 2.5], [3.0, -1.0], [0.0, 1.5]):
+        eta = np.array(eta)
+        out = scattering_map(space, (y, eta))
+        assert np.max(np.abs(out.y - (y + 2.0 * eta / (eta @ eta)))) < 1e-10
+        assert np.max(np.abs(out.eta - eta)) < 1e-10
 
 
 def test_halfplane_trajectory_profile(halfplane):
@@ -60,7 +72,8 @@ def test_arrival_step_that_stops_short_by_rounding(disc):
     # the retaken arrival step of this orbit ends an ulp short of the
     # arrival time; the endpoint must not come from that remnant
     rho, yv, theta = 0.375, 1.0, 31.5 * 2.0 * math.pi / 32.0
-    eta = math.sin(theta) * math.sqrt(disc.scalar.h(rho, yv)) / rho
+    eta = math.sin(theta) * math.sqrt(eval_metric(disc, rho, yv).h_mat[0, 0]) \
+        / rho
     state = BPhasePoint.make(rho, yv, -math.cos(theta), -eta)
     loose = trace_from_state(disc, state, tol=1e-9)
     tight = trace_from_state(disc, state, tol=1e-12)
@@ -191,36 +204,7 @@ def test_zero_eta_never_returns(halfplane):
 
 
 # ---------------------------------------------------------------------------
-# short geodesics
-
-
-def test_short_geodesic_halfplane_diameter(halfplane):
-    res = short_geodesic(halfplane, [0.5], [1.0], 0.05)
-    assert res.y_end[0] == pytest.approx(0.6, abs=1e-10)
-    assert res.omega_end[0] == pytest.approx(1.0, abs=1e-9)
-    assert res.s0 == pytest.approx(math.pi, abs=1e-9)
-
-
-def test_short_geodesic_direction_scaling(halfplane):
-    # delta is measured against the direction covector: scaling the
-    # covector by c shrinks the footprint by 1/c
-    a = short_geodesic(halfplane, [0.0], [1.0], 0.05)
-    b = short_geodesic(halfplane, [0.0], [7.0], 0.05)
-    assert a.y_end[0] == pytest.approx(0.1, abs=1e-10)
-    assert b.y_end[0] == pytest.approx(0.1 / 7.0, abs=1e-10)
-
-
-def test_short_geodesic_matches_full_trace(jet_family):
-    # the same arc seen from the incoming boundary covector: eta from the
-    # delta = rho-peak relation on the half-plane is only approximate off
-    # the model space, so compare through the scattering endpoint instead
-    delta = 0.04
-    res = short_geodesic(jet_family, [1.0], [1.0], delta)
-    # recover the chord with the full tracer by shooting: match endpoints
-    from ahx import boundary_distance
-    dist = boundary_distance(jet_family, 1.0, float(res.y_end[0]))
-    full_end = scattering_map(jet_family, (1.0, float(dist.eta[0])))
-    assert full_end.y[0] == pytest.approx(float(res.y_end[0]), abs=1e-8)
+# short-geodesic size cap
 
 
 def test_delta_max_is_capped(halfplane, jet_family):
@@ -228,7 +212,3 @@ def test_delta_max_is_capped(halfplane, jet_family):
     dm = delta_max(jet_family, [1.0], [1.0])
     assert 0.0 < dm <= 0.2
 
-
-def test_short_geodesic_too_large_delta_exits_collar(jet_family):
-    with pytest.raises(CollarExitError):
-        short_geodesic(jet_family, [1.0], [1.0], 0.6)

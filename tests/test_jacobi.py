@@ -31,6 +31,7 @@ from ahx import (
     conjugate_points,
     curvature_decay_fit,
     decay_fit,
+    eval_metric,
     halfplane_family,
     jacobi_solve,
     jacobi_system,
@@ -165,7 +166,7 @@ def test_bump_conjugate_point_against_neighbouring_traces(bump_family):
         b = system_pert.state_at_time(t)
         drho = (b.rho - a.rho) / eps
         dy = (float(b.y[0]) - float(a.y[0])) / eps
-        sh = math.sqrt(fam.scalar.h(a.rho, float(a.y[0])))
+        sh = math.sqrt(eval_metric(fam, a.rho, a.y).h_mat[0, 0])
         return (-float(a.eta[0]) * drho / sh
                 + sh * a.xi_b * dy / a.rho)
 
@@ -262,7 +263,7 @@ def test_vertical_seed_basis_spans_fiber_kernel(perturbed):
     seeds = vertical_seed_basis(perturbed, state)
     assert seeds.shape == (1, 4)
     assert np.all(seeds[:, :2] == 0.0)
-    h = perturbed.scalar.h(state.rho, float(state.y[0]))
+    h = eval_metric(perturbed, state.rho, state.y).h_mat[0, 0]
     resid = (state.xi_b * seeds[0, 2]
              + state.rho ** 2 * float(state.eta[0]) / h * seeds[0, 3])
     assert abs(resid) < 1e-12

@@ -185,8 +185,9 @@ def test_spec_round_trip(builder):
     for _ in range(8):
         rho = float(rng.uniform(0.0, min(fam.rho_max, 2.0) * 0.99))
         y = np.array([float(rng.uniform(0.0, 6.0))])
-        assert np.allclose(fam.h(rho, y), clone.h(rho, y), rtol=1e-15)
-        assert np.allclose(fam.dh_drho(rho, y), clone.dh_drho(rho, y),
+        ev, ev_clone = eval_metric(fam, rho, y), eval_metric(clone, rho, y)
+        assert np.allclose(ev.h_mat, ev_clone.h_mat, rtol=1e-15)
+        assert np.allclose(ev.dh_drho_mat, ev_clone.dh_drho_mat,
                            rtol=1e-15)
 
 
@@ -207,12 +208,12 @@ def test_product_family_block_structure():
     prod = product_family(f1, f2)
     assert prod.n == 2
     y = np.array([0.5, 1.5])
-    h = prod.h(0.2, y)
+    h = eval_metric(prod, 0.2, y).h_mat
     assert h[0, 1] == 0.0 and h[1, 0] == 0.0
-    assert h[0, 0] == pytest.approx(f1.h(0.2, y[:1])[0, 0])
-    assert h[1, 1] == pytest.approx(f2.h(0.2, y[1:])[0, 0])
+    assert h[0, 0] == pytest.approx(eval_metric(f1, 0.2, y[:1]).h_mat[0, 0])
+    assert h[1, 1] == pytest.approx(eval_metric(f2, 0.2, y[1:]).h_mat[0, 0])
     clone = make_family(prod.spec())
-    assert np.allclose(clone.h(0.2, y), h)
+    assert np.allclose(eval_metric(clone, 0.2, y).h_mat, h)
 
 
 def test_product_rejects_mixed_charts():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahx import (boundary_distance, conformal_shift, deformation_derivative,
-                 mellin_length, perturbed_family, renormalized_length,
-                 scattering_from_distance_check, trace_geodesic)
+from ahx import (FlowError, ShootingError, boundary_distance, conformal_shift,
+                 deformation_derivative, mellin_length, perturbed_family,
+                 renormalized_length, scattering_from_distance_check,
+                 trace_geodesic)
 
 
 def hp_length(eta: float) -> float:
@@ -69,6 +70,12 @@ def test_disc_distance_closed_form(disc, theta):
     res = boundary_distance(disc, 0.0, theta)
     assert res.value == pytest.approx(disc_distance(theta), abs=1e-6)
     assert res.iterations < 50
+
+
+def test_stalled_shooting_raises_typed_flow_error(disc):
+    with pytest.raises(ShootingError):
+        boundary_distance(disc, 0.0, 3.0, max_iter=1)
+    assert issubclass(ShootingError, FlowError)
 
 
 def test_disc_distance_shoots_the_connecting_geodesic(disc):
