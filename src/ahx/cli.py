@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -47,6 +48,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _floats(values) -> List[float]:
+    return [float(v) for v in values]
+
+
+def _float_pairs(pairs) -> List[tuple]:
+    return [(float(p[0]), float(p[1])) for p in pairs]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment configuration: metric spec, parameters, seed."""
@@ -70,13 +79,24 @@ class ExperimentConfig:
     def opt(self, key, default=None):
         return self.params.get(key, default)
 
-    def require(self, key):
-        if key not in self.params:
+    def value(self, key, parse: Callable, default=None):
+        """``parse`` applied to the value under ``key``, or to ``default``
+        when the key is absent (required if there is no default); a value
+        that ``parse`` rejects is a ConfigError."""
+        if default is None and key not in self.params:
             raise ConfigError(f"config is missing required key {key!r}")
-        return self.params[key]
+        raw = self.params.get(key, default)
+        try:
+            return parse(raw)
+        except ConfigError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ConfigError(f"bad {key!r} value {raw!r}: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
     def tolerance(self, key: str, default: float) -> float:
-        val = float(self.params.get(key, default))
+        val = self.value(key, float, default)
         if val <= 0.0:
             raise ConfigError(f"{key} must be positive, got {val}")
         return val
@@ -194,13 +214,10 @@ def _map_rows(worker: Callable, rows: Sequence, jobs: int) -> List:
 
 def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
     if "points" in cfg.params:
-        pts = cfg.params["points"]
-        rows = [(float(p[0]), float(p[1])) for p in pts]
+        rows = cfg.value("points", _float_pairs)
     elif "grid" in cfg.params:
-        grid = cfg.params["grid"]
-        ys = [float(v) for v in grid["y"]]
-        etas = [float(v) for v in grid["eta"]]
-        rows = [(y, e) for y in ys for e in etas]
+        rows = cfg.value("grid", lambda g: list(itertools.product(
+            _floats(g["y"]), _floats(g["eta"]))))
     else:
         raise ConfigError("need 'points' or 'grid' in config")
     for _, eta in rows:
@@ -211,14 +228,10 @@ def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
 
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    z = cfg.require("z")
-    try:
-        y0, eta0 = float(z["y"]), float(z["eta"])
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"bad 'z' entry: {exc}") from exc
+    y0, eta0 = cfg.value("z", lambda z: (float(z["y"]), float(z["eta"])))
     tol = cfg.tolerance("tol", 1e-10)
     t_max = cfg.tolerance("t_max", 60.0)
-    n_samples = int(cfg.opt("samples", 200))
+    n_samples = cfg.value("samples", int, 200)
     if n_samples < 2:
         raise ConfigError("samples must be at least 2")
     traj = trace_geodesic(fam, (y0, eta0), tol=tol, t_max=t_max)
@@ -300,7 +313,7 @@ def cmd_length(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", 1e-9)
-    pairs = [(float(p[0]), float(p[1])) for p in cfg.require("pairs")]
+    pairs = cfg.value("pairs", _float_pairs)
 
     def worker(pair):
         ym, yp = pair
@@ -321,7 +334,8 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def _field_from_spec(spec: dict) -> SymmetricTensorField:
+def _field_from_spec(spec: dict) -> tuple:
+    """The configured field and its support (rho_lo, rho_hi)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("field spec must be a dict with a 'kind' key")
     kind = spec["kind"]
@@ -338,23 +352,24 @@ def _field_from_spec(spec: dict) -> SymmetricTensorField:
 
         def comp(rho, y):
             prof = amp * poly_bump((rho - lo) / width)
-            return prof * (1.0 + cos_amp * math.cos(harmonic * float(y[0])))
+            return prof * (1.0 + cos_amp * np.cos(harmonic * y[..., 0]))
 
-        return SymmetricTensorField(rank=0, weight=1, components=comp)
+        return (SymmetricTensorField(rank=0, weight=1, components=comp),
+                (lo, hi))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", 1e-10)
-    fld = _field_from_spec(cfg.require("field"))
+    fld, supp = cfg.value("field", _field_from_spec)
     rows = _covector_rows(cfg)
 
     def worker(z):
         y, eta = z
         try:
             traj = trace_geodesic(fam, (y, eta), tol=tol)
-            val = xray_transform(fld, traj)
+            val = xray_transform(fld, traj, rho_breaks=supp)
             return {"y": y, "eta": eta, "integral": val, "status": "ok"}
         except FlowError as exc:
             return {"y": y, "eta": eta, "integral": "",
@@ -369,19 +384,20 @@ def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", 1e-12)
-    y0s = [float(v) for v in cfg.require("y0s")]
-    directions = cfg.opt("directions", [[1.0]])
-    deltas = [float(d) for d in cfg.opt(
-        "deltas", [0.2 / 2 ** k for k in range(7)])]
+    y0s = cfg.value("y0s", _floats)
+    directions = cfg.value(
+        "directions", lambda d: np.atleast_2d(np.asarray(d, dtype=float)),
+        [[1.0]])
+    deltas = cfg.value("deltas", _floats, [0.2 / 2 ** k for k in range(7)])
     if any(d <= 0.0 for d in deltas):
         raise ConfigError("deltas must be positive")
-    noise = float(cfg.opt("noise", 0.0))
+    noise = cfg.value("noise", float, 0.0)
     if noise < 0.0:
         raise ConfigError("noise amplitude must be nonnegative")
     route = cfg.opt("route", "both")
     if route not in ("asymptotic", "fit", "both"):
         raise ConfigError(f"unknown recovery route {route!r}")
-    period = cfg.opt("period", 2.0 * math.pi)
+    period = cfg.value("period", float, 2.0 * math.pi)
 
     def worker(y0):
         return synthesize_samples(fam, y0, directions, deltas, tol=tol,

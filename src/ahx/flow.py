@@ -43,7 +43,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .metric import BoundaryMetricFamily, eval_metric
-from .quadrature import composite_gauss, panel_gauss
+from .quadrature import composite_gauss, panel_gauss, smoothstep
 
 __all__ = [
     "FlowError", "TrappedOrSlowError", "ChartExitError", "CollarExitError",
@@ -138,10 +138,8 @@ def constraint_residual(fam: BoundaryMetricFamily, p: BPhasePoint) -> float:
 def _gate_over_rho(rho: np.ndarray) -> np.ndarray:
     """Arclength integrand gate(rho)/rho: zero below RHO_GATE_LO, exact 1/rho
     above RHO_GATE_HI, joined by the quintic C2 smoothstep."""
-    rho = np.asarray(rho, dtype=float)
-    t = np.clip((rho - RHO_GATE_LO) / (RHO_GATE_HI - RHO_GATE_LO), 0.0, 1.0)
-    g = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-    return np.where(t > 0.0, g / np.maximum(rho, RHO_GATE_LO), 0.0)
+    g = smoothstep((rho - RHO_GATE_LO) / (RHO_GATE_HI - RHO_GATE_LO))
+    return np.where(rho > RHO_GATE_LO, g / np.maximum(rho, RHO_GATE_LO), 0.0)
 
 
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
@@ -271,12 +269,6 @@ class GeodesicTrajectory:
         self._arc_cum = np.asarray(arc_cum)
         self.t_acc = float(self._arc_cum[-1])
 
-    # layout helpers
-    def _split(self, vec):
-        n = self.n
-        return BPhasePoint.make(vec[0], vec[1:1 + n], vec[1 + n],
-                                vec[2 + n:2 + 2 * n])
-
     def _segment_index(self, tau: float) -> int:
         i = int(np.searchsorted(self._breaks, tau, side="right")) - 1
         return min(max(i, 0), len(self._segments) - 1)
@@ -288,8 +280,8 @@ class GeodesicTrajectory:
         return np.asarray(self._segments[self._segment_index(tau)](tau))
 
     def state_at(self, tau: float) -> BPhasePoint:
-        vec = _project_vec(self.family, self.eval_raw(tau), self.n)
-        return self._split(vec)
+        return _split_vec(self.n, _project_vec(self.family,
+                                               self.eval_raw(tau), self.n))
 
     def eval_many(self, taus: np.ndarray) -> np.ndarray:
         """Dense states at the given taus, shape (len(taus), dim).
@@ -363,12 +355,6 @@ class GeodesicTrajectory:
                     * (vals[j - 1] - vals[j + 1]) / denom
                 return float(tau), float(self.eval_raw(tau)[0])
         return float(grid[j]), float(vals[j])
-
-    def to_rows(self):
-        rows = []
-        for tau, p in self.samples:
-            rows.append([tau, p.rho, *p.y.tolist(), p.xi_b, *p.eta.tolist()])
-        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -441,25 +441,28 @@ def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:
                  - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h)))
 
 
-def christoffel_symbols(fam: BoundaryMetricFamily, rho: float, y) -> np.ndarray:
-    """Christoffel symbols Gamma[c, a, b] of g at (rho, y), rho > 0.
+def christoffel_symbols(fam: BoundaryMetricFamily, rho, y) -> np.ndarray:
+    """Christoffel symbols Gamma[..., c, a, b] of g at (rho, y), rho > 0.
 
+    ``rho`` has a batch shape S and ``y`` the shape S + (n,); the result
+    has the shape S + (n+1, n+1, n+1), so a scalar rho gives one table.
     Index 0 is rho, indices 1..n are the y coordinates.  With h diagonal and
     h_kk depending on (rho, y_k) only, the only tangential symbols are
     Gamma^k_kk = d_k h_kk / (2 h_kk).
     """
-    if rho <= 0.0:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho > 0.0):
         raise MetricError("christoffel_symbols needs rho > 0")
-    _check_domain(fam, rho)
+    _check_domain(fam, np.max(rho, initial=0.0))
     h, dh_r, dh_y = fam.diag(rho, np.atleast_1d(np.asarray(y, dtype=float)))
     n = fam.n
     k = np.arange(1, n + 1)
     inv_rho = 1.0 / rho
-    G = np.zeros((n + 1,) * 3)
-    G[0, 0, 0] = -inv_rho
+    G = np.zeros(h.shape[:-1] + (n + 1,) * 3)
+    G[..., 0, 0, 0] = -inv_rho
     # Gamma^0_kk = -1/2 dh_kk/drho + h_kk / rho
-    G[0, k, k] = -0.5 * dh_r + h * inv_rho
+    G[..., 0, k, k] = -0.5 * dh_r + h * inv_rho[..., None]
     # Gamma^k_0k = Gamma^k_k0 = 1/2 dh_kk/drho / h_kk - 1 / rho
-    G[k, 0, k] = G[k, k, 0] = 0.5 * dh_r / h - inv_rho
-    G[k, k, k] = 0.5 * dh_y / h
+    G[..., k, 0, k] = G[..., k, k, 0] = 0.5 * dh_r / h - inv_rho[..., None]
+    G[..., k, k, k] = 0.5 * dh_y / h
     return G

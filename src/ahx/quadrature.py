@@ -72,12 +72,10 @@ def gauss_jacobi_left(length: float, lam: float, n: int = 24):
     return u, w * half**lam
 
 
-def smoothstep(t: float) -> float:
-    """Quintic C2 step: 0 for t <= 0, 1 for t >= 1."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
+def smoothstep(t):
+    """Quintic C2 step: 0 for t <= 0, 1 for t >= 1.  Takes a float or an
+    array."""
+    t = np.clip(t, 0.0, 1.0)
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 

@@ -373,11 +373,12 @@ def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
 
     def gdot_components(rho, y):
         # s-derivative of g = (drho^2 + h_s)/rho^2: only the yy block moves
-        comp = np.zeros((n + 1, n + 1))
-        if rho > 0.0:  # fixtures decay like rho^2 relative to g
-            dh = (fam_p.diag(rho, y)[0] - fam_m.diag(rho, y)[0]) \
-                / (2.0 * fd_step)
-            comp[1:, 1:] = np.diag(dh) / rho ** 2
+        dh = (fam_p.diag(rho, y)[0] - fam_m.diag(rho, y)[0]) / (2.0 * fd_step)
+        # 0 at rho = 0: fixtures decay like rho^2 relative to g
+        rho_sq = np.where(rho > 0.0, rho, np.inf)[..., None] ** 2
+        comp = np.zeros(rho.shape + (n + 1, n + 1))
+        k = np.arange(1, n + 1)
+        comp[..., k, k] = dh / rho_sq
         return comp
 
     gdot = SymmetricTensorField(rank=2, weight=0, components=gdot_components)

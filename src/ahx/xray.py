@@ -1,11 +1,20 @@
 """Symmetric tensor fields, X-ray transforms, and flow resolvents.
 
 Rank-m symmetric tensors on the collar are stored through their component
-callables in the coordinate frame (d rho, dy^i).  The transform of a rank-m
-field integrates its contraction with m copies of the unit tangent over a
-boundary-to-boundary geodesic in hyperbolic arclength; in the rescaled time
-this is int lift(f) / rho dtau, which converges whenever the declared
-weight satisfies w >= 1 - m.
+callables in the coordinate frame (d rho, dy^i).  The callables take
+arrays: ``components(rho, y)`` gets ``rho`` of a batch shape S and ``y`` of
+shape S + (n,), and returns an array that broadcasts to S + (n+1,)*m; a
+scalar call is the case S = ().  The optional exact derivatives follow the
+same rule: ``d_rho`` returns the component shape S + (n+1,)*m and ``d_y``
+returns S + (n,) + (n+1,)*m, the y-direction axis right after the batch
+axes.  :meth:`SymmetricTensorField.comp` is the one reader of
+``components``, so transforms, derivatives and checks evaluate a field on
+all their nodes in one call.
+
+The transform of a rank-m field integrates its contraction with m copies of
+the unit tangent over a boundary-to-boundary geodesic in hyperbolic
+arclength; in the rescaled time this is int lift(f) / rho dtau, which
+converges whenever the declared weight satisfies w >= 1 - m.
 
 Also here: the symmetrized covariant derivative and its gauge-reduction
 inverse near the boundary, invariant-measure quadrature comparing interior
@@ -43,12 +52,15 @@ FD_Y = 1e-6
 class SymmetricTensorField:
     """Symmetric covariant tensor of rank m in the (d rho, dy) frame.
 
-    ``components(rho, y)`` returns a scalar for rank 0 and a symmetric
-    array of shape (n+1, ..., n+1) otherwise.  ``weight`` declares the
-    boundary decay: components are rho^weight times a function smooth up to
-    rho = 0.  Optional ``d_rho``/``d_y`` provide exact partial derivatives
-    (d_y returns an array indexed by the y-direction first); finite
-    differences are used otherwise.
+    ``components(rho, y)`` takes ``rho`` of a batch shape S and ``y`` of
+    shape S + (n,), and returns an array that broadcasts to S + (n+1,)*m:
+    a value per point for rank 0, a symmetric (n+1, ..., n+1) block per
+    point otherwise.  A constant such as ``np.array([0.0, 1.0])`` is valid.
+    ``weight`` declares the boundary decay: components are rho^weight times
+    a function smooth up to rho = 0.  Optional ``d_rho``/``d_y`` provide
+    exact partial derivatives, of shapes S + (n+1,)*m and
+    S + (n,) + (n+1,)*m (the y-direction axis right after the batch axes);
+    finite differences are used otherwise.
     """
 
     rank: int
@@ -57,27 +69,45 @@ class SymmetricTensorField:
     d_rho: Optional[Callable] = None
     d_y: Optional[Callable] = None
 
-    def comp(self, rho: float, y) -> np.ndarray:
-        c = self.components(rho, np.atleast_1d(np.asarray(y, dtype=float)))
-        return np.asarray(c, dtype=float)
-
-    def partial_rho(self, rho: float, y) -> np.ndarray:
-        if self.d_rho is not None:
-            return np.asarray(self.d_rho(rho, np.atleast_1d(y)), dtype=float)
-        h = FD_RHO * max(1.0, abs(rho))
-        return (self.comp(rho + h, y) - self.comp(rho - h, y)) / (2.0 * h)
-
-    def partial_y(self, rho: float, y, n: int) -> np.ndarray:
-        if self.d_y is not None:
-            return np.asarray(self.d_y(rho, np.atleast_1d(y)), dtype=float)
+    def _call(self, fn, rho, y, lead=()):
+        """fn on the broadcast points, as an array of shape
+        S + lead + (n+1,)*rank; a result of another shape is an error."""
+        rho = np.asarray(rho, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        outs = []
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = FD_Y
-            outs.append((self.comp(rho, y + e) - self.comp(rho, y - e))
-                        / (2.0 * FD_Y))
-        return np.stack(outs)
+        batch = np.broadcast_shapes(rho.shape, y.shape[:-1])
+        n = y.shape[-1]
+        out = np.asarray(fn(np.broadcast_to(rho, batch),
+                            np.broadcast_to(y, batch + (n,))), dtype=float)
+        want = batch + lead + (n + 1,) * self.rank
+        try:
+            return np.broadcast_to(out, want)
+        except ValueError:
+            raise ValueError(
+                f"rank-{self.rank} field gave shape {out.shape} on points "
+                f"of shape {batch}; expected {want}") from None
+
+    def comp(self, rho, y) -> np.ndarray:
+        """Components at (rho, y), shape S + (n+1,)*rank."""
+        return self._call(self.components, rho, y)
+
+    def partial_rho(self, rho, y) -> np.ndarray:
+        """rho-derivatives, shape S + (n+1,)*rank."""
+        if self.d_rho is not None:
+            return self._call(self.d_rho, rho, y)
+        rho = np.asarray(rho, dtype=float)
+        h = FD_RHO * np.maximum(1.0, np.abs(rho))
+        diff = self.comp(rho + h, y) - self.comp(rho - h, y)
+        return diff / (2.0 * h[(...,) + (None,) * self.rank])
+
+    def partial_y(self, rho, y) -> np.ndarray:
+        """y-derivatives, shape S + (n,) + (n+1,)*rank."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        n = y.shape[-1]
+        if self.d_y is not None:
+            return self._call(self.d_y, rho, y, lead=(n,))
+        outs = [(self.comp(rho, y + e) - self.comp(rho, y - e)) / (2.0 * FD_Y)
+                for e in FD_Y * np.eye(n)]
+        return np.stack(outs, axis=outs[0].ndim - self.rank)
 
     def validate(self, fam: BoundaryMetricFamily, rho_grid=None, y_grid=None,
                  sym_tol: float = 1e-10) -> None:
@@ -88,20 +118,19 @@ class SymmetricTensorField:
             rho_grid = np.linspace(hi / 16, hi * 0.9, 5)
         if y_grid is None:
             y_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-        for rho in rho_grid:
-            for yv in y_grid:
-                y = np.full(n, float(yv))
-                c = self.comp(float(rho), y)
-                if self.rank >= 2:
-                    for ax in range(self.rank - 1):
-                        if not np.allclose(c, np.swapaxes(c, ax, ax + 1),
-                                           atol=sym_tol * (1 + np.max(np.abs(c)))):
-                            raise ValueError("tensor components are not symmetric")
+        y = np.repeat(np.asarray(y_grid, dtype=float)[:, None], n, axis=1)
+        c = self.comp(np.asarray(rho_grid, dtype=float)[:, None], y)
+        # per point, the tolerance scales with its largest component
+        atol = sym_tol * (1 + np.max(np.abs(c), axis=tuple(range(2, c.ndim)),
+                                     keepdims=True))
+        for ax in range(2, c.ndim - 1):
+            if not np.allclose(c, np.swapaxes(c, ax, ax + 1), atol=atol):
+                raise ValueError("tensor components are not symmetric")
         if self.weight > 0:
             # components must decay like rho^weight toward the boundary
-            y = np.zeros(n)
-            c1 = np.max(np.abs(np.atleast_1d(self.comp(1e-3, y))))
-            c2 = np.max(np.abs(np.atleast_1d(self.comp(1e-6, y))))
+            c1, c2 = np.max(np.abs(self.comp(np.array([1e-3, 1e-6]),
+                                             np.zeros(n))).reshape(2, -1),
+                            axis=1)
             if c1 > 0 and c2 > c1 * 10.0 ** (-1.5 * self.weight):
                 raise ValueError("components do not match the declared weight")
 
@@ -118,18 +147,22 @@ def _unit_tangent(fam: BoundaryMetricFamily, rho, y, xi_b, eta) -> np.ndarray:
                            rho[..., None] ** 2 * eta / h), axis=-1)
 
 
-def _lift(field: SymmetricTensorField, rho, y, V) -> float:
+def _lift(field: SymmetricTensorField, rho, y, V) -> np.ndarray:
+    """Contraction of the components with rank copies of V at every point;
+    V has the shape S + (n+1,)."""
     c = field.comp(rho, y)
-    for _ in range(field.rank):
-        c = c @ V
-    return float(c)
+    for m in range(field.rank, 0, -1):
+        # V lines up with the last slot, past the m - 1 slots before it
+        c = np.sum(c * V.reshape(V.shape[:-1] + (1,) * (m - 1)
+                                 + V.shape[-1:]), axis=-1)
+    return c
 
 
 def lift_tensor(field: SymmetricTensorField, fam: BoundaryMetricFamily,
                 state: BPhasePoint) -> float:
     """Contraction of the field with m copies of the unit tangent."""
     V = _unit_tangent(fam, state.rho, state.y, state.xi_b, state.eta)
-    return _lift(field, state.rho, state.y, V)
+    return float(_lift(field, state.rho, state.y, V))
 
 
 def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
@@ -146,13 +179,12 @@ def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
     n = traj.n
     taus, w = traj.quad_nodes(0.0, traj.tau_plus, npts, rho_breaks=rho_breaks)
     rows = traj.eval_many(taus)
+    # with weight + rank >= 1 the integrand vanishes at the boundary
+    inside = rows[:, 0] > 0.0
+    rows = rows[inside]
     rho, ys = rows[:, 0], rows[:, 1:1 + n]
     V = _unit_tangent(traj.family, rho, ys, rows[:, 1 + n], rows[:, 2 + n:])
-    # with weight + rank >= 1 the integrand vanishes at the boundary
-    vals = np.zeros(rho.size)
-    for i in np.flatnonzero(rho > 0.0):
-        vals[i] = _lift(field, rho[i], ys[i], V[i]) / rho[i]
-    return float(w @ vals)
+    return float(w[inside] @ (_lift(field, rho, ys, V) / rho))
 
 
 # ---------------------------------------------------------------------------
@@ -167,37 +199,23 @@ def sym_derivative(field: SymmetricTensorField,
     collar Christoffel symbols; the result is assembled on demand.
     """
     m = field.rank
+    slots = "bcdefghijk"[:m]
 
     def components(rho, y):
-        n = fam.n
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        nb = rho.ndim
         G = christoffel_symbols(fam, rho, y)
-        dr = field.partial_rho(rho, y)
-        dy = field.partial_y(rho, y, n)
         q = field.comp(rho, y)
-        # grad[a, B] = nabla_a q_B
-        if m == 0:
-            grad = np.empty(n + 1)
-            grad[0] = dr
-            grad[1:] = dy
-            return grad
-        shape = (n + 1,) * (m + 1)
-        grad = np.zeros(shape)
-        for a in range(n + 1):
-            part = dr if a == 0 else dy[a - 1]
-            term = np.array(part, dtype=float, copy=True)
-            # subtract Gamma^c_{a b_s} q_{... c ...} for each slot s
-            for s in range(m):
-                qc = np.tensordot(G[:, a, :], q, axes=([0], [s]))
-                # tensordot puts the contracted slot first; restore order
-                qc = np.moveaxis(qc, 0, s)
-                term = term - qc
-            grad[a] = term
+        # grad[..., a, B] = nabla_a q_B: the partial derivative d_a q_B ...
+        grad = np.concatenate((np.expand_dims(field.partial_rho(rho, y), nb),
+                               field.partial_y(rho, y)), axis=nb)
+        # ... minus Gamma^c_{a b_s} q_{... c ...} for each slot s
+        for s in range(m):
+            q_slots = slots[:s] + "z" + slots[s + 1:]
+            grad = grad - np.einsum(
+                f"...za{slots[s]},...{q_slots}->...a{slots}", G, q)
         # average the derivative slot over all positions
-        out = np.zeros(shape)
-        for i in range(m + 1):
-            out += np.moveaxis(grad, 0, i)
-        return out / (m + 1)
+        return sum(np.moveaxis(grad, nb, nb + i) for i in range(m + 1)) \
+            / (m + 1)
 
     return SymmetricTensorField(rank=m + 1, weight=field.weight - 1,
                                 components=components)
@@ -217,15 +235,12 @@ class GaugeResult:
 def _chi_factory(rho_c: float):
     lo, hi = 0.35 * rho_c, 0.85 * rho_c
 
-    def chi(rho: float) -> float:
+    def chi(rho):
         return 1.0 - smoothstep((rho - lo) / (hi - lo))
 
-    def chi_prime(rho: float) -> float:
-        t = (rho - lo) / (hi - lo)
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
-        dsmooth = 30.0 * t * t * (1.0 - t) * (1.0 - t)
-        return -dsmooth / (hi - lo)
+    def chi_prime(rho):
+        t = np.clip((rho - lo) / (hi - lo), 0.0, 1.0)
+        return -30.0 * t * t * (1.0 - t) * (1.0 - t) / (hi - lo)
 
     return chi, chi_prime, lo
 
@@ -236,7 +251,6 @@ class _PeriodicSurface:
     def __init__(self, values, rho_grid, y_grid):
         from scipy.interpolate import RectBivariateSpline
         pad = 5
-        ny = len(y_grid)
         period = 2.0 * math.pi
         y_ext = np.concatenate((y_grid[-pad:] - period, y_grid,
                                 y_grid[:pad] + period))
@@ -246,25 +260,23 @@ class _PeriodicSurface:
         self._period = period
 
     def __call__(self, rho, y, dx=0, dy=0):
-        return float(self._sp(rho, y % self._period, dx=dx, dy=dy)[0, 0])
+        """Values at the points (rho, y), broadcast against each other."""
+        return self._sp(rho, np.mod(y, self._period), dx=dx, dy=dy,
+                        grid=False)
 
 
 def _cumulative_integrals(fun, rho_grid, ys, n_quad):
-    """fun(s, y) integrated over [0, rho] for every grid rho and y column."""
+    """fun(s, y) integrated over [0, rho] for every grid rho and y column.
+
+    ``rho_grid`` starts at 0.  ``fun`` takes arrays: s of shape
+    (len(rho_grid) - 1, n_quad, 1) and y of shape (len(ys), 1).
+    """
     gx, gw = gauss_nodes(0.0, 1.0, n_quad)
+    width = np.diff(rho_grid)
+    s = rho_grid[:-1, None] + gx * width[:, None]
     out = np.zeros((len(rho_grid), len(ys)))
-    for j, yv in enumerate(ys):
-        y = np.array([yv])
-        prev_edge, prev_val = 0.0, 0.0
-        for i, rho in enumerate(rho_grid):
-            # integrate the new slice [prev_edge, rho] and accumulate
-            width = rho - prev_edge
-            if width > 0.0:
-                s = prev_edge + gx * width
-                prev_val += width * float(
-                    gw @ np.array([fun(v, y) for v in s]))
-            prev_edge = rho
-            out[i, j] = prev_val
+    out[1:] = np.cumsum(width[:, None] * (gw @ fun(s[..., None], ys[:, None])),
+                        axis=0)
     return out
 
 
@@ -290,79 +302,58 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
     ys = np.linspace(0.0, 2.0 * math.pi, n_y, endpoint=False)
 
     if field.rank == 1:
-        vals = _cumulative_integrals(
-            lambda v, y: float(field.comp(v, y)[0]), rho_grid, ys, n_quad)
-        surf = _PeriodicSurface(vals, rho_grid, ys)
-
-        def q_comp(rho, y):
-            return chi(rho) * surf(rho, float(y[0]))
-
-        def q_drho(rho, y):
-            yv = float(y[0])
-            return (chi_prime(rho) * surf(rho, yv)
-                    + chi(rho) * surf(rho, yv, dx=1))
-
-        def q_dy(rho, y):
-            return np.array([chi(rho) * surf(rho, float(y[0]), dy=1)])
-
-        q = SymmetricTensorField(rank=0, weight=1, components=q_comp,
-                                 d_rho=q_drho, d_y=q_dy)
+        surfs = [_PeriodicSurface(_cumulative_integrals(
+            lambda v, y: field.comp(v, y)[..., 0], rho_grid, ys, n_quad),
+            rho_grid, ys)]
     else:
         # q0: rho q0 = int_0^rho s f_rr ds
         i_rr = _cumulative_integrals(
-            lambda v, y: v * float(field.comp(v, y)[0, 0]),
-            rho_grid, ys, n_quad)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q0_vals = np.where(rho_grid[:, None] > 0.0,
-                               i_rr / np.where(rho_grid[:, None] > 0.0,
-                                               rho_grid[:, None], 1.0), 0.0)
+            lambda v, y: v * field.comp(v, y)[..., 0, 0], rho_grid, ys, n_quad)
+        q0_vals = np.zeros_like(i_rr)
+        q0_vals[1:] = i_rr[1:] / rho_grid[1:, None]
         q0_surf = _PeriodicSurface(q0_vals, rho_grid, ys)
 
         # q1: (rho^2/h) q1 = int 2 s^2 (f_ry - dy q0 / 2) / h ds
         h_of = fam.profiles[0]
+
         def integrand(v, y):
-            yv = float(y[0])
-            fr = float(field.comp(v, y)[0, 1])
-            fr -= 0.5 * q0_surf(v, yv, dy=1)
+            yv = y[..., 0]
+            fr = field.comp(v, y)[..., 0, 1] - 0.5 * q0_surf(v, yv, dy=1)
             return 2.0 * v * v * fr / h_of(v, yv)[0]
 
         i_ry = _cumulative_integrals(integrand, rho_grid, ys, n_quad)
         q1_vals = np.zeros_like(i_ry)
         hs = fam.diag(rho_grid[1:, None], ys[:, None])[0, ..., 0]
         q1_vals[1:] = hs / rho_grid[1:, None] ** 2 * i_ry[1:]
-        q1_surf = _PeriodicSurface(q1_vals, rho_grid, ys)
+        surfs = [q0_surf, _PeriodicSurface(q1_vals, rho_grid, ys)]
 
-        def q_comp(rho, y):
-            yv = float(y[0])
-            c = chi(rho)
-            return np.array([c * q0_surf(rho, yv), c * q1_surf(rho, yv)])
+    # the potential's components are chi times the surfaces: one for a
+    # scalar potential, (q0, q1) for a one-form
+    slot = (...,) + (None,) * (field.rank - 1)
 
-        def q_drho(rho, y):
-            yv = float(y[0])
-            c, cp = chi(rho), chi_prime(rho)
-            return np.array([
-                cp * q0_surf(rho, yv) + c * q0_surf(rho, yv, dx=1),
-                cp * q1_surf(rho, yv) + c * q1_surf(rho, yv, dx=1)])
+    def values(rho, y, dx=0, dy=0):
+        v = np.stack([s(rho, y[..., 0], dx=dx, dy=dy) for s in surfs], axis=-1)
+        return v if field.rank == 2 else v[..., 0]
 
-        def q_dy(rho, y):
-            yv = float(y[0])
-            c = chi(rho)
-            return np.array([[c * q0_surf(rho, yv, dy=1),
-                              c * q1_surf(rho, yv, dy=1)]])
+    def q_comp(rho, y):
+        return chi(rho)[slot] * values(rho, y)
 
-        q = SymmetricTensorField(rank=1, weight=1, components=q_comp,
-                                 d_rho=q_drho, d_y=q_dy)
+    def q_drho(rho, y):
+        return (chi_prime(rho)[slot] * values(rho, y)
+                + chi(rho)[slot] * values(rho, y, dx=1))
+
+    def q_dy(rho, y):
+        return np.expand_dims(chi(rho)[slot] * values(rho, y, dy=1), rho.ndim)
+
+    q = SymmetricTensorField(rank=field.rank - 1, weight=1, components=q_comp,
+                             d_rho=q_drho, d_y=q_dy)
 
     # residual: d rho contraction of f - D q where chi == 1
     dq = sym_derivative(q, fam)
-    resid = 0.0
-    rhos = np.linspace(plateau / grid, plateau * 0.999, grid)
-    y_check = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    for rho in rhos:
-        for yv in y_check:
-            y = np.array([yv])
-            diff = field.comp(rho, y) - dq.comp(rho, y)
-            resid = max(resid, float(np.max(np.abs(np.atleast_1d(diff)[0]))))
+    rhos = np.linspace(plateau / grid, plateau * 0.999, grid)[:, None]
+    y_check = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)[:, None]
+    diff = field.comp(rhos, y_check) - dq.comp(rhos, y_check)
+    resid = float(np.max(np.abs(diff[:, :, 0])))
     return GaugeResult(potential=q, residual=resid, chi_plateau=plateau)
 
 
@@ -446,6 +437,22 @@ def _boundary_quad_grid(fam, rho_supp, eta_hi, ny, n_panel):
     return ys, wy, etas.ravel(), weta.ravel()
 
 
+def _transform_table(fam, f, rho_supp, ys, etas, trace_tol):
+    """Transforms of f along the geodesics entering at each covector of the
+    grid ys x etas, shape (len(ys), len(etas))."""
+    return np.array([[xray_transform(f, trace_geodesic(fam, (yv, eta),
+                                                       tol=trace_tol),
+                                     rho_breaks=rho_supp)
+                      for eta in etas] for yv in ys])
+
+
+def _interior_density(fam, f, rhos, ys):
+    """f sqrt(h) / rho^2 on the grid rhos x ys, shape (len(rhos), len(ys)):
+    the Liouville density of the lifted function per unit fiber angle."""
+    R, Y = rhos[:, None], ys[:, None]
+    return f.comp(R, Y) * np.sqrt(fam.diag(R, Y)[0, ..., 0]) / R ** 2
+
+
 def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
                   rho_supp: tuple, ny_levels=(12, 24, 48),
                   n_panel_levels=(4, 8, 16), n_rho: int = 60,
@@ -467,12 +474,8 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     xr, wr = gauss_nodes(rho_lo, rho_hi, n_rho)
     ys = np.linspace(0.0, 2.0 * math.pi, ny_lhs, endpoint=False)
     wy = 2.0 * math.pi / ny_lhs
-    acc = 0.0
-    for rho, w in zip(xr, wr):
-        hrow = fam.diag(rho, ys[:, None])[0, :, 0]
-        frow = np.array([float(f.comp(rho, np.array([yv]))) for yv in ys])
-        acc += w * wy * float(np.sum(frow * np.sqrt(hrow) / rho ** 2))
-    lhs = 2.0 * math.pi * acc
+    lhs = 2.0 * math.pi * wy * float(
+        wr @ _interior_density(fam, f, xr, ys).sum(axis=1))
 
     eta_hi = grazing_eta(fam, rho_lo)
 
@@ -480,13 +483,8 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     for ny, npnl in zip(ny_levels, n_panel_levels):
         ys_b, wy_b, etas, weta = _boundary_quad_grid(fam, rho_supp, eta_hi,
                                                      ny, npnl)
-        total = 0.0
-        for yv in ys_b:
-            for eta, we in zip(etas, weta):
-                traj = trace_geodesic(fam, (yv, eta), tol=trace_tol)
-                total += wy_b * we * xray_transform(f, traj,
-                                                    rho_breaks=rho_supp)
-        rhs_levels.append(total)
+        table = _transform_table(fam, f, rho_supp, ys_b, etas, trace_tol)
+        rhs_levels.append(wy_b * float(np.sum(table @ weta)))
 
     rel = tuple(abs(r - lhs) / abs(lhs) for r in rhs_levels)
     orders = tuple(math.log2(rel[i] / rel[i + 1]) if rel[i + 1] > 0 else
@@ -526,12 +524,9 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
         eta_hi = grazing_eta(fam, rho_supp[0])
     ys_b, wy_b, etas, weta = _boundary_quad_grid(fam, rho_supp, eta_hi, ny,
                                                  n_panel)
-    lhs = 0.0
-    for yv in ys_b:
-        for eta, we in zip(etas, weta):
-            traj = trace_geodesic(fam, (yv, eta), tol=trace_tol)
-            lhs += wy_b * we * omega(yv, eta) \
-                * xray_transform(f, traj, rho_breaks=rho_supp)
+    table = _transform_table(fam, f, rho_supp, ys_b, etas, trace_tol)
+    om = np.array([[omega(yv, eta) for eta in etas] for yv in ys_b])
+    lhs = wy_b * float(np.sum(om * table @ weta))
 
     rho_lo, rho_hi = rho_supp
     xr, wr = gauss_nodes(rho_lo, rho_hi, n_rho)
@@ -541,18 +536,14 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     # normal-form chart (it runs through the deep interior)
     wth = 2.0 * math.pi / n_theta
     thetas = (np.arange(n_theta) + 0.5) * wth
+    dens = _interior_density(fam, f, xr, ys)
     rhs = 0.0
-    for rho, w in zip(xr, wr):
-        for yv in ys:
-            fv = float(f.comp(rho, np.array([yv])))
-            if fv == 0.0:
-                continue
-            dens = math.sqrt(fam.profiles[0](rho, yv)[0]) / rho ** 2
-            for th in thetas:
-                state = _fiber_state(fam, rho, yv, th)
-                zin = backward_boundary_point(fam, state, tol=trace_tol)
-                rhs += w * wy * wth * fv * dens * omega(
-                    float(zin.y[0]), float(zin.eta[0]))
+    for i, j in zip(*np.nonzero(dens)):
+        for th in thetas:
+            state = _fiber_state(fam, xr[i], ys[j], th)
+            zin = backward_boundary_point(fam, state, tol=trace_tol)
+            rhs += wr[i] * wy * wth * dens[i, j] * omega(
+                float(zin.y[0]), float(zin.eta[0]))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return AdjointnessResult(boundary_pairing=lhs, bundle_pairing=rhs,
                              rel_error=rel)

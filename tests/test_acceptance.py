@@ -160,9 +160,9 @@ def _gaussian_bump_field():
     lo, hi = 0.3, 0.45
 
     def comp(rho, y):
-        gauss = math.exp(-((rho - 0.375) / 0.06) ** 2)
+        gauss = np.exp(-((rho - 0.375) / 0.06) ** 2)
         return gauss * poly_bump((rho - lo) / (hi - lo)) \
-            * (1.0 + 0.3 * math.cos(float(y[0])))
+            * (1.0 + 0.3 * np.cos(y[..., 0]))
 
     return SymmetricTensorField(rank=0, weight=1, components=comp), (lo, hi)
 
@@ -206,26 +206,28 @@ def test_criterion_08_potential_kernel(capsys, disc):
 
     q_a = SymmetricTensorField(
         rank=0, weight=2,
-        components=lambda r, y: r * r * math.exp(-r)
-        * (1.0 + 0.3 * math.cos(float(y[0]))))
+        components=lambda r, y: r * r * np.exp(-r)
+        * (1.0 + 0.3 * np.cos(y[..., 0])))
     q_b = SymmetricTensorField(
         rank=0, weight=2,
-        components=lambda r, y: r * r * math.sin(2.0 * float(y[0]))
+        components=lambda r, y: r * r * np.sin(2.0 * y[..., 0])
         / (1.0 + r * r))
 
     def one_form(r, y):
-        return np.array([r * r * math.cos(float(y[0])),
-                         r * r * (1.0 + 0.5 * math.sin(float(y[0])))])
+        return np.stack([r * r * np.cos(y[..., 0]),
+                         r * r * (1.0 + 0.5 * np.sin(y[..., 0]))], axis=-1)
 
     q_c = SymmetricTensorField(rank=1, weight=2, components=one_form)
 
+    # q_a in the dy (rank 1) and dy dy (rank 2) slots, zero elsewhere
     ref1 = SymmetricTensorField(
         rank=1, weight=2,
-        components=lambda r, y: np.array([0.0, q_a.components(r, y)]))
+        components=lambda r, y: q_a.comp(r, y)[..., None]
+        * np.array([0.0, 1.0]))
     ref2 = SymmetricTensorField(
         rank=2, weight=2,
-        components=lambda r, y: np.array([[0.0, 0.0],
-                                          [0.0, q_a.components(r, y)]]))
+        components=lambda r, y: q_a.comp(r, y)[..., None, None]
+        * np.array([[0.0, 0.0], [0.0, 1.0]]))
 
     fields = [(sym_derivative(q_a, disc), ref1),
               (sym_derivative(q_b, disc), ref1),

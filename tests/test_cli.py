@@ -199,15 +199,17 @@ def test_xray_command_matches_library(tmp_path, disc):
 
     def comp(rho, y):
         prof = spec["amplitude"] * poly_bump((rho - spec["rho_lo"]) / width)
-        return prof * (1.0 + spec["cos_amp"] * math.cos(float(y[0])))
+        return prof * (1.0 + spec["cos_amp"] * np.cos(y[..., 0]))
 
     fld = SymmetricTensorField(rank=0, weight=1, components=comp)
     _, rows = read_csv(tmp_path / "xray.csv")
     for row in rows:
         traj = trace_geodesic(disc, (float(row["y"]), float(row["eta"])),
                               tol=1e-10)
-        want = xray_transform(fld, traj)
-        assert float(row["integral"]) == pytest.approx(want, rel=1e-10)
+        # the command cuts the quadrature at the edges of the support
+        want = xray_transform(fld, traj,
+                              rho_breaks=(spec["rho_lo"], spec["rho_hi"]))
+        assert float(row["integral"]) == pytest.approx(want, rel=1e-12)
         assert float(row["integral"]) > 0.0
 
 
@@ -264,22 +266,36 @@ def test_collar_exit_exits_1(tmp_path):
     assert run("trace", cfg, tmp_path) == 1
 
 
+HALF = {"family": "half-plane"}
+DISC = {"family": "disc-normal"}
+
+
+# each case is (command, config)
 @pytest.mark.parametrize("payload", [
-    {"metric": {"family": "nonesuch"},
-     "z": {"y": 0.0, "eta": 1.0}},                       # unknown family
-    {"metric": {"family": "half-plane"}},                # missing z
-    {"metric": {"family": "half-plane"},
-     "grid": {"y": [0.0], "eta": [0.0]}},                # grazing covector
-    {"metric": {"family": "half-plane"},
-     "z": {"y": 0.0, "eta": 1.0}, "samples": 1},         # degenerate sampling
-    {"metric": {"family": "product",
-                "params": {"factors": [{"family": "half-plane"},
-                                       {"family": "half-plane"}]}},
-     "grid": {"y": [0.0], "eta": [1.0]}},                # n = 2 metric
+    ("trace", {"metric": {"family": "nonesuch"},
+               "z": {"y": 0.0, "eta": 1.0}}),            # unknown family
+    ("trace", {"metric": HALF}),                          # missing z
+    ("scatter", {"metric": HALF,
+                 "grid": {"y": [0.0], "eta": [0.0]}}),    # grazing covector
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0},
+               "samples": 1}),                            # degenerate sampling
+    ("scatter", {"metric": {"family": "product",
+                            "params": {"factors": [HALF, HALF]}},
+                 "grid": {"y": [0.0], "eta": [1.0]}}),    # n = 2 metric
+    # malformed values
+    ("scatter", {"metric": HALF, "grid": {"y": [0.0]}}),
+    ("scatter", {"metric": HALF, "points": [["a", 1.0]]}),
+    ("distance", {"metric": DISC, "pairs": [[0.0]]}),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0},
+               "samples": "many"}),
+    ("scatter", {"metric": HALF, "points": [[0.0, 1.0]], "tol": "tight"}),
+    ("xray", {"metric": DISC, "points": [[0.0, 1.0]],
+              "field": {"kind": "bump", "params": {"amplitude": "x"}}}),
+    ("recover", {"metric": HALF, "y0s": [0.0], "directions": [["x"]]}),
 ])
 def test_config_errors_exit_3(tmp_path, payload):
-    command = "scatter" if "grid" in payload else "trace"
-    cfg = write_config(tmp_path, "c.json", payload)
+    command, config = payload
+    cfg = write_config(tmp_path, "c.json", config)
     assert run(command, cfg, tmp_path) == 3
 
 

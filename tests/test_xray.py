@@ -75,16 +75,16 @@ def test_field_validation_flags_asymmetric_components(halfplane):
 
 def scalar_potential():
     def comp(rho, y):
-        return rho * rho * math.exp(-rho) * (1.0 + 0.3 * math.cos(y[0]))
+        return rho * rho * np.exp(-rho) * (1.0 + 0.3 * np.cos(y[..., 0]))
 
     return SymmetricTensorField(rank=0, weight=2, components=comp)
 
 
 def one_form_potential():
     def comp(rho, y):
-        c = rho * rho * math.exp(-rho)
-        return np.array([c * (1.0 + 0.2 * math.sin(y[0])),
-                         c * 0.5 * math.cos(y[0])])
+        c = rho * rho * np.exp(-rho)
+        return np.stack([c * (1.0 + 0.2 * np.sin(y[..., 0])),
+                         c * 0.5 * np.cos(y[..., 0])], axis=-1)
 
     return SymmetricTensorField(rank=1, weight=2, components=comp)
 
@@ -123,18 +123,58 @@ def test_derivative_lift_is_flow_derivative(disc):
 # gauge reduction
 
 
-def test_gauge_normalize_removes_radial_component(disc):
+def gauge_field():
     def comp(rho, y):
         c = rho * poly_bump(rho / 0.8)
-        return np.array([c * (1.0 + 0.3 * math.cos(y[0])),
-                         0.2 * c * math.sin(y[0])])
+        return np.stack([c * (1.0 + 0.3 * np.cos(y[..., 0])),
+                         0.2 * c * np.sin(y[..., 0])], axis=-1)
 
-    f = SymmetricTensorField(rank=1, weight=1, components=comp)
-    res = gauge_normalize(f, disc)
+    return SymmetricTensorField(rank=1, weight=1, components=comp)
+
+
+def test_gauge_normalize_removes_radial_component(disc):
+    res = gauge_normalize(gauge_field(), disc)
     assert res.residual < 1e-6
     assert res.chi_plateau > 0.0
     # the potential vanishes at the boundary
     assert abs(res.potential.comp(1e-8, np.array([0.5]))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# array calling convention
+
+
+def test_array_calls_match_stacked_point_calls(disc):
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.05, 0.8, 64)
+    y = rng.uniform(0.0, 2.0 * math.pi, (64, 1))
+    d_scalar = sym_derivative(scalar_potential(), disc)
+    d_one_form = sym_derivative(one_form_potential(), disc)
+    fields = [d_scalar, d_one_form,
+              gauge_normalize(gauge_field(), disc).potential, bump_field()]
+    for f in fields:
+        batch = f.comp(rho, y)
+        stacked = np.array([f.comp(r, yv) for r, yv in zip(rho, y)])
+        assert batch.shape == stacked.shape == (64,) + (2,) * f.rank
+        np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=0.0)
+
+    # the transform against a per-node sum of single-point lifts
+    traj = trace_geodesic(disc, (1.0, 1.3), tol=1e-12)
+    taus, w = traj.quad_nodes(0.0, traj.tau_plus)
+    rows = traj.eval_many(taus)
+    for f in (d_scalar, d_one_form, one_form_potential()):
+        per_node = sum(
+            wk * lift_tensor(f, disc, BPhasePoint.make(r[0], r[1:2], r[2],
+                                                       r[3:])) / r[0]
+            for wk, r in zip(w, rows) if r[0] > 0.0)
+        assert xray_transform(f, traj) == pytest.approx(per_node, abs=1e-12)
+
+
+def test_field_of_wrong_shape_is_rejected():
+    bad = SymmetricTensorField(rank=1, weight=0,
+                               components=lambda rho, y: np.zeros(3))
+    with pytest.raises(ValueError):
+        bad.comp(np.full(4, 0.5), np.zeros((4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +201,9 @@ def bump_field(lo=0.15, hi=0.55, cos_amp=0.3):
     width = hi - lo
 
     def comp(rho, y):
-        if rho <= lo or rho >= hi:
-            return 0.0
+        # poly_bump is 0 outside [0, 1], so the field is 0 off (lo, hi)
         return poly_bump((rho - lo) / width) \
-            * (1.0 + cos_amp * math.cos(float(np.atleast_1d(y)[0])))
+            * (1.0 + cos_amp * np.cos(y[..., 0]))
 
     return SymmetricTensorField(rank=0, weight=1, components=comp)
 
