@@ -56,6 +56,13 @@ def _float_pairs(pairs) -> List[tuple]:
     return [(float(p[0]), float(p[1])) for p in pairs]
 
 
+def _integer(value) -> int:
+    """A JSON integer: floats and bools (a Python int) are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment configuration: metric spec, parameters, seed."""
@@ -113,9 +120,10 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict) or "metric" not in doc:
         raise ConfigError("config must be a JSON object with a 'metric' key")
     params = {k: v for k, v in doc.items() if k not in ("metric", "seed")}
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    try:
+        seed = _integer(doc.get("seed", 0))
+    except TypeError as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from None
     return ExperimentConfig(metric=doc["metric"], params=params, seed=seed,
                             raw=doc)
 
@@ -159,9 +167,10 @@ def write_json(path: Path, payload: str) -> None:
 
 
 def write_svg(path: Path, xs: Sequence[float], ys: Sequence[float],
-              cfg_hash: str, width: int = 640, height: int = 480,
-              pad: int = 40) -> None:
-    """Minimal static SVG polyline chart of ys against xs."""
+              cfg_hash: str) -> None:
+    """Minimal static SVG polyline chart of ys against xs, 640 x 480 pixels
+    with a 40-pixel margin."""
+    width, height, pad = 640, 480, 40
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -231,7 +240,7 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     y0, eta0 = cfg.value("z", lambda z: (float(z["y"]), float(z["eta"])))
     tol = cfg.tolerance("tol", 1e-10)
     t_max = cfg.tolerance("t_max", 60.0)
-    n_samples = cfg.value("samples", int, 200)
+    n_samples = cfg.value("samples", _integer, 200)
     if n_samples < 2:
         raise ConfigError("samples must be at least 2")
     traj = trace_geodesic(fam, (y0, eta0), tol=tol, t_max=t_max)
@@ -314,6 +323,9 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", 1e-9)
     pairs = cfg.value("pairs", _float_pairs)
+    for ym, yp in pairs:       # the separation test of boundary_distance
+        if abs(fam.chart.wrapped_diff(yp, ym)) < 1e-12:
+            raise ConfigError(f"distance pair {[ym, yp]} has equal endpoints")
 
     def worker(pair):
         ym, yp = pair
@@ -322,7 +334,7 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             return {"y_minus": ym, "y_plus": yp, "distance": res.value,
                     "eta_incoming": float(res.eta[0]),
                     "iterations": res.iterations, "status": "ok"}
-        except (FlowError, ValueError) as exc:
+        except FlowError as exc:
             return {"y_minus": ym, "y_plus": yp, "distance": "",
                     "eta_incoming": "", "iterations": "",
                     "status": type(exc).__name__}
@@ -345,7 +357,7 @@ def _field_from_spec(spec: dict) -> tuple:
         lo = float(p.get("rho_lo", 0.1))
         hi = float(p.get("rho_hi", 0.4))
         cos_amp = float(p.get("cos_amp", 0.0))
-        harmonic = int(p.get("harmonic", 1))
+        harmonic = _integer(p.get("harmonic", 1))
         if hi <= lo:
             raise ConfigError("field bump needs rho_hi > rho_lo")
         width = hi - lo

@@ -62,6 +62,7 @@ QUAD_PANELS = 4      # sub-panels per step in quad_nodes
 _ARC_GRID = np.linspace(0.0, 1.0, 9)   # per-step rho samples for crossings
 RHO_CEILING = 1.0e7
 MAX_STEPS = 250_000
+DELTA_CAP = 0.2
 
 
 class FlowError(RuntimeError):
@@ -362,7 +363,7 @@ class GeodesicTrajectory:
 
 
 def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
-           t_max: float, max_steps: int = MAX_STEPS) -> tuple:
+           t_max: float) -> tuple:
     """Integrate until the boundary-arrival event; project every step.
 
     Gated arclength is accumulated per accepted step (:func:`_arc_panels`)
@@ -385,8 +386,8 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     steps = 0
     while True:
         steps += 1
-        if steps > max_steps:
-            raise FlowError(f"step limit {max_steps} exceeded at tau={solver.t}")
+        if steps > MAX_STEPS:
+            raise FlowError(f"step limit {MAX_STEPS} exceeded at tau={solver.t}")
         msg = solver.step()
         if solver.status == "failed":
             raise FlowError(f"integrator failure: {msg}")
@@ -499,18 +500,29 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
 
 
 def trace_from_state(fam: BoundaryMetricFamily, state: BPhasePoint,
-                     tol: float = DEFAULT_TOL,
-                     t_max: float = DEFAULT_T_MAX) -> GeodesicTrajectory:
+                     tol: float = DEFAULT_TOL) -> GeodesicTrajectory:
     """Trace the forward orbit of an interior phase point to the boundary."""
     s0 = _project_vec(fam, state.as_vector(), fam.n)
-    return _finish_trajectory(fam, _drive(fam, s0, tol=tol, t_max=t_max),
-                              None)
+    return _finish_trajectory(
+        fam, _drive(fam, s0, tol=tol, t_max=DEFAULT_T_MAX), None)
 
 
-def scattering_map(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
-                   t_max: float = DEFAULT_T_MAX) -> BoundaryCovector:
+def scattering_map(fam: BoundaryMetricFamily, z,
+                   tol: float = DEFAULT_TOL) -> BoundaryCovector:
     """Outgoing boundary covector of the geodesic entering at z."""
-    return trace_geodesic(fam, z, tol=tol, t_max=t_max).z_out
+    return trace_geodesic(fam, z, tol=tol).z_out
+
+
+def _central_diff(f: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central differences (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k),
+    coordinate k along the last axis of the result."""
+    cols = []
+    for k in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h[k]
+        xm[k] -= h[k]
+        cols.append((f(xp) - f(xm)) / (2.0 * h[k]))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -522,38 +534,26 @@ class ScatteringJacobian:
     symplectic_residual: float
 
 
-def scattering_jacobian(fam: BoundaryMetricFamily, z, step: float = 1e-5,
-                        tol: float = 1e-12,
-                        t_max: float = DEFAULT_T_MAX) -> ScatteringJacobian:
+def scattering_jacobian(fam: BoundaryMetricFamily, z) -> ScatteringJacobian:
     """Central finite differences of the scattering map.
 
-    Uses unwrapped outgoing coordinates so periodic charts do not introduce
-    jumps between neighbouring traces.
+    Each coordinate of (y, eta) moves by +-1e-5 * max(1, |coordinate|);
+    traces run at ``DEFAULT_TOL`` (1e-12), far below the step, which keeps
+    |det - 1| below 1e-10 on the acceptance grids.  Uses unwrapped outgoing
+    coordinates so periodic charts do not introduce jumps between
+    neighbouring traces.
     """
     if not isinstance(z, BoundaryCovector):
         z = BoundaryCovector.make(*z, side="incoming")
     n = fam.n
 
-    def out_vec(y, eta):
-        traj = trace_geodesic(fam, BoundaryCovector.make(y, eta), tol=tol,
-                              t_max=t_max)
+    def out_vec(x):
+        traj = trace_geodesic(fam, BoundaryCovector.make(x[:n], x[n:]))
         p = traj.samples[-1][1]
         return np.concatenate((p.y, p.eta))
 
-    cols = []
-    for k in range(n):
-        hstep = step * max(1.0, abs(z.y[k]))
-        yp, ym = z.y.copy(), z.y.copy()
-        yp[k] += hstep
-        ym[k] -= hstep
-        cols.append((out_vec(yp, z.eta) - out_vec(ym, z.eta)) / (2 * hstep))
-    for k in range(n):
-        hstep = step * max(1.0, abs(z.eta[k]))
-        ep, em = z.eta.copy(), z.eta.copy()
-        ep[k] += hstep
-        em[k] -= hstep
-        cols.append((out_vec(z.y, ep) - out_vec(z.y, em)) / (2 * hstep))
-    M = np.column_stack(cols)
+    x = np.concatenate((z.y, z.eta))
+    M = _central_diff(out_vec, x, 1e-5 * np.maximum(1.0, np.abs(x)))
 
     J = np.zeros((2 * n, 2 * n))
     for i in range(n):
@@ -564,14 +564,14 @@ def scattering_jacobian(fam: BoundaryMetricFamily, z, step: float = 1e-5,
                               symplectic_residual=resid)
 
 
-def delta_max(fam: BoundaryMetricFamily, y0, omega0, cap: float = 0.2) -> float:
+def delta_max(fam: BoundaryMetricFamily, y0, omega0) -> float:
     """Largest safe size delta of a short geodesic from y0 along omega0.
 
     In the blown-up chart rho |omega|_h = delta sin(theta), the angle theta
     advances at the rate 1 + delta Q, where at rho = 0 the size of Q is at
     most |d|omega|_h^2/drho| / (2 |omega|_h^3).  The returned delta stays a
     factor 1.5 below the size at which that rate could vanish, and at most
-    ``cap``.
+    ``DELTA_CAP`` (0.2, the largest scale of ``recover.DELTA_GRID``).
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
@@ -581,5 +581,5 @@ def delta_max(fam: BoundaryMetricFamily, y0, omega0, cap: float = 0.2) -> float:
     dP = -float(hio @ ev.dh_drho_mat @ hio)
     qt_max = abs(dP) / (2.0 * n2 ** 1.5)  # max over s of |Q| on theta = s
     if qt_max == 0.0:
-        return cap
-    return min(cap, 1.0 / qt_max / 1.5)
+        return DELTA_CAP
+    return min(DELTA_CAP, 1.0 / qt_max / 1.5)

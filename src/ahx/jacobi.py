@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -108,9 +108,10 @@ class JacobiSolution:
 
 
 def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
-                 t_span: Tuple[float, float], rtol: float = SOLVE_TOL,
+                 t_span: Tuple[float, float],
                  atol: float = SOLVE_TOL) -> JacobiSolution:
-    """Integrate ydd + K(t) y = 0 along the base geodesic over t_span.
+    """Integrate ydd + K(t) y = 0 along the base geodesic over t_span, with
+    DOP853 at rtol ``SOLVE_TOL``.
 
     t_span may run in either direction; both endpoints must lie inside the
     system's mapped time range.  Growth over the admissible spans stays many
@@ -124,7 +125,7 @@ def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
         return (s[1], -system.curvature(t) * s[0])
 
     sol = solve_ivp(rhs, t_span, [y0, ydot0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=SOLVE_TOL, atol=atol, dense_output=True)
     if not sol.success:
         raise FlowError("Jacobi integration failed: %s" % sol.message)
     return JacobiSolution(ts=sol.t, y=sol.y[0], ydot=sol.y[1], _sol=sol.sol)
@@ -223,36 +224,32 @@ class DecayFit:
     growth_const: float
 
 
-def decay_fit(frame: BundleFrame, t_lo: float = 2.0,
-              t_hi: Optional[float] = None, nu_ref: float = 0.95,
-              ns: int = 160) -> DecayFit:
+def decay_fit(frame: BundleFrame) -> DecayFit:
     """Measured decay of the stable solution in the |y| + |ydot| norm.
 
-    nu is the least-squares slope of the log-norm over [t_lo, t_hi];
-    growth_const is the smallest C with norm(t) <= C e^{-nu_ref (t-s)}
-    norm(s) over all sampled pairs s < t.
+    It is sampled at 160 times in [2, T_asym], which leaves out the anchor
+    t = 0, where the curvature is furthest from its boundary value -1, and
+    ends at the seeding time.  nu is the least-squares slope of the
+    log-norm; growth_const is the smallest C with norm(t) <= C
+    e^{-0.95 (t-s)} norm(s) over all sampled pairs s < t (0.95: just below
+    the boundary rate 1).
     """
-    if t_hi is None:
-        t_hi = frame.T_asym
-    ts = np.linspace(t_lo, t_hi, ns)
-    logm = np.empty(ns)
+    ts = np.linspace(2.0, frame.T_asym, 160)
+    logm = np.empty(ts.size)
     for i, t in enumerate(ts):
         y, v = frame.stable_sol.at(t)
         logm[i] = math.log(abs(y) + abs(v))
     nu = -float(np.polyfit(ts, logm, 1)[0])
-    r = logm + nu_ref * ts
+    r = logm + 0.95 * ts
     run_min = np.minimum.accumulate(r)
     c = float(np.max(r[1:] - run_min[:-1]))
     return DecayFit(nu=nu, growth_const=math.exp(max(c, 0.0)))
 
 
-def curvature_decay_fit(system: JacobiSystem, t_lo: float = 1.0,
-                        t_hi: Optional[float] = None,
-                        ns: int = 121) -> float:
-    """Smallest C with |K(t)+1| <= C e^{-|t|} over the sampled range."""
-    if t_hi is None:
-        t_hi = system.t_range - 1.0
-    ts = np.linspace(t_lo, t_hi, ns)
+def curvature_decay_fit(system: JacobiSystem) -> float:
+    """Smallest C with |K(t)+1| <= C e^{-|t|} over the sampled range: 121
+    times |t| in [1, t_range - 1], one unit inside the mapped range."""
+    ts = np.linspace(1.0, system.t_range - 1.0, 121)
     c = 0.0
     for t in ts:
         for s in (t, -t):
@@ -273,21 +270,19 @@ class RateBracket:
     lower_margin: float
 
 
-def boundary_rate_bracket(traj: GeodesicTrajectory,
-                          rho_floor: float = 0.012,
-                          rho_enter: Optional[float] = None,
-                          ns: int = 600) -> RateBracket:
+def boundary_rate_bracket(traj: GeodesicTrajectory) -> RateBracket:
     """Measure rho(t) against e^{-t} decay on both escaping tails.
 
-    The window starts once rho has dropped to rho_enter (default half the
-    peak, capped at 0.25) and stops at rho_floor, above the arclength gate
-    so differences of :meth:`GeodesicTrajectory.arclength_at` are exact
+    rho is sampled at 600 equally spaced flow parameters.  The window
+    starts once rho has dropped to half the peak, capped at 0.25, and stops
+    at rho = 0.012, above the arclength gate ``flow.RHO_GATE_HI`` so
+    differences of :meth:`GeodesicTrajectory.arclength_at` are exact
     arclength.
     """
     tau_peak, rho_pk = traj.rho_peak()
-    if rho_enter is None:
-        rho_enter = min(0.25, 0.5 * rho_pk)
-    taus = np.linspace(0.0, traj.tau_plus, ns)
+    rho_enter = min(0.25, 0.5 * rho_pk)
+    rho_floor = 0.012
+    taus = np.linspace(0.0, traj.tau_plus, 600)
     rho = traj.eval_many(taus)[:, 0]
     t_acc = traj.arclength_at(taus)
     hi, lo = -np.inf, np.inf
@@ -315,14 +310,14 @@ def boundary_rate_bracket(traj: GeodesicTrajectory,
 
 
 def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
-                    dz0: np.ndarray, taus: np.ndarray,
-                    eps: float = 1e-7) -> np.ndarray:
+                    dz0: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Evolve tangent vectors of the rescaled flow along a trajectory.
 
     dz0 has shape (k, 2n+2) in (rho, y, xi_b, eta) order; returns the
     evolved vectors at the requested flow parameters, shape
     (len(taus), k, 2n+2).  The Jacobian action is a centered directional
-    difference of the flow's right-hand side about the dense base orbit.
+    difference of the flow's right-hand side about the dense base orbit,
+    with a step of 1e-7 * max(1, |base state|) along each direction.
     """
     n = traj.n
     dim = 2 * n + 2
@@ -339,7 +334,7 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
             if nrm == 0.0:
                 out[j * dim:(j + 1) * dim] = 0.0
                 continue
-            step = eps * max(1.0, np.linalg.norm(base)) / nrm
+            step = 1e-7 * max(1.0, np.linalg.norm(base)) / nrm
             out[j * dim:(j + 1) * dim] = \
                 (rhs(tau, base + step * d) - rhs(tau, base - step * d)) \
                 / (2.0 * step)

@@ -54,19 +54,20 @@ def composite_gauss(breaks, a: float, b: float, n: int):
 
 
 @lru_cache(maxsize=256)
-def _gj_rule(n: int, beta: float):
-    # weight (1+x)**beta on [-1, 1], alpha = 0
-    x, w = roots_jacobi(n, 0.0, beta)
+def _gj_rule(beta: float):
+    # 24 nodes, weight (1+x)**beta on [-1, 1], alpha = 0
+    x, w = roots_jacobi(24, 0.0, beta)
     return x, w
 
 
-def gauss_jacobi_left(length: float, lam: float, n: int = 24):
-    """Rule for integrals of u**(lam-1) * F(u) over [0, length], F smooth.
+def gauss_jacobi_left(length: float, lam: float):
+    """24-point rule for integrals of u**(lam-1) * F(u) over [0, length],
+    F smooth.
 
     Returns (nodes u_i, weights w_i) such that the integral is
     sum_i w_i F(u_i); the singular factor is absorbed exactly.
     """
-    x, w = _gj_rule(n, lam - 1.0)
+    x, w = _gj_rule(lam - 1.0)
     half = 0.5 * length
     u = half * (1.0 + x)
     return u, w * half**lam

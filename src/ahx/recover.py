@@ -170,13 +170,14 @@ class H0Recovery:
     fit_residual: float        # worst per-direction extrapolation residual
 
 
-def recover_h0(samples: LengthSampleSet, fit_order: int = 2) -> H0Recovery:
+def recover_h0(samples: LengthSampleSet) -> H0Recovery:
     """Extrapolate L - 2 log(2 delta) to delta = 0 and polarize.
 
-    The constant term c0 of the per-direction fit gives
-    |omega|^2_{h_0} = e^{-c0}; the quadratic form values over all
-    directions determine the inverse boundary metric, whose inverse is
-    h_0.
+    Per direction, a quadratic in delta is fitted by least squares: only
+    its constant term c0 is used, and the two higher powers absorb the
+    O(delta) remainder.  c0 gives |omega|^2_{h_0} = e^{-c0}; the quadratic
+    form values over all directions determine the inverse boundary metric,
+    whose inverse is h_0.
     """
     samples.validate()
     dd = samples.deltas
@@ -184,8 +185,8 @@ def recover_h0(samples: LengthSampleSet, fit_order: int = 2) -> H0Recovery:
     worst = 0.0
     for j in range(samples.directions.shape[0]):
         f = samples.lengths[j] - 2.0 * np.log(2.0 * dd)
-        coef = _poly_coeffs(dd, f, fit_order)
-        van = np.vander(dd, fit_order + 1, increasing=True)
+        coef = _poly_coeffs(dd, f, 2)
+        van = np.vander(dd, 3, increasing=True)
         worst = max(worst, float(np.max(np.abs(van @ coef - f))))
         qvals[j] = math.exp(-coef[0])
     h0_inv = _polarize(samples.directions, qvals)
@@ -253,15 +254,15 @@ def _uniform_spacing(y0s: np.ndarray, period: Optional[float]) -> float:
 
 
 def recover_first_jet(sample_sets: Sequence[LengthSampleSet],
-                      h0_results: Optional[Sequence[H0Recovery]] = None,
-                      fit_order: int = 3,
                       period: Optional[float] = 2.0 * math.pi
                       ) -> JetEstimate:
     """First radial derivative of h at each sample point.
 
-    Normalizing each direction by its recovered boundary norm turns the
-    sample table into values of the smooth remainder
-    F(d) = L - 2 log(2 d); its slope at d = 0 equals
+    h_0 at each point comes from :func:`recover_h0`.  Normalizing each
+    direction by its recovered boundary norm turns the sample table into
+    values of the smooth remainder F(d) = L - 2 log(2 d), fitted by a cubic
+    in d (one power more than :func:`recover_h0`, since the slope is
+    wanted here); its slope at d = 0 equals
 
         -(w^sharp)^k T_k - h0(w', w) - (pi/2) * drho(h^{ij}) w_i w_j
 
@@ -282,10 +283,7 @@ def recover_first_jet(sample_sets: Sequence[LengthSampleSet],
     if n != 1:
         raise NotImplementedError("first-jet extraction is implemented "
                                   "for one boundary dimension")
-    if h0_results is None:
-        h0_results = [recover_h0(s) for s in sample_sets]
-    if len(h0_results) != len(sample_sets):
-        raise RecoveryError("one h0 result per sample set required")
+    h0_results = [recover_h0(s) for s in sample_sets]
     m = len(sample_sets)
     ys = np.array([float(s.y0[0]) for s in sample_sets])
     step = _uniform_spacing(ys, period)
@@ -303,8 +301,8 @@ def recover_first_jet(sample_sets: Sequence[LengthSampleSet],
             w_hat = om / rec.norms[j]
             d_hat = samp.deltas / rec.norms[j]
             f = samp.lengths[j] - 2.0 * np.log(2.0 * d_hat)
-            coef = _poly_coeffs(d_hat, f, fit_order)
-            van = np.vander(d_hat, fit_order + 1, increasing=True)
+            coef = _poly_coeffs(d_hat, f, 3)
+            van = np.vander(d_hat, 4, increasing=True)
             worst = max(worst, float(np.max(np.abs(van @ coef - f))))
             fprime = coef[1]
             # tangential derivative of the inverse form at fixed w_hat,
@@ -337,28 +335,31 @@ def recover_first_jet(sample_sets: Sequence[LengthSampleSet],
 
 
 def _forward_lengths(y0, dirs: np.ndarray, deltas: np.ndarray,
-                     params: np.ndarray, rho_cap: float,
-                     tol: float) -> np.ndarray:
+                     params: np.ndarray) -> np.ndarray:
     h0, c1, c2 = params
-    fam = taylor1d_family(h0, c1, c2, rho_max=rho_cap)
+    fam = taylor1d_family(h0, c1, c2, rho_max=0.35)
     out = np.empty((dirs.shape[0], deltas.size))
     for j, om in enumerate(dirs):
         for k, d in enumerate(deltas):
-            traj = trace_geodesic(fam, (y0, om / d), tol=tol)
+            traj = trace_geodesic(fam, (y0, om / d))
             out[j, k] = renormalized_length(traj).value
     return out
 
 
-def recover_jet_fit(sample_sets: Sequence[LengthSampleSet], k_max: int = 2,
-                    tol: float = 1e-12, rho_cap: float = 0.35,
-                    rank_tol: float = 1e-4) -> JetEstimate:
+def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
+                    k_max: int = 2) -> JetEstimate:
     """Levenberg-Marquardt fit of a truncated radial Taylor model.
 
     Per sample point, the parameters (h0, first and second radial
     derivative) of a radially-truncated family are adjusted until its
     simulated length table matches the samples in least squares.  The
-    final Jacobian's singular values are reported; a near-null direction
-    flags coefficients the delta-range cannot resolve.
+    model families are defined for rho <= 0.35 and traced at
+    ``flow.DEFAULT_TOL`` (1e-12), the default tolerance of
+    :func:`synthesize_samples`; a trace that fails scores as a large
+    misfit.  The final Jacobian's singular values are reported; a
+    direction whose singular value is below 1e-4 times the largest is
+    returned as ``unresolved``, coefficients the delta-range cannot
+    resolve.
     """
     if k_max not in (1, 2):
         raise RecoveryError("k_max must be 1 or 2")
@@ -383,7 +384,7 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet], k_max: int = 2,
             full = np.array([p[0], p[1], p[2] if k_max >= 2 else 0.0])
             try:
                 sim = _forward_lengths(samp.y0, samp.directions,
-                                       samp.deltas, full, rho_cap, tol)
+                                       samp.deltas, full)
             except (MetricError, FlowError):
                 return np.full(target.size, 1e3)
             return sim.ravel() - target
@@ -402,7 +403,7 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet], k_max: int = 2,
         resid[i] = float(np.linalg.norm(res.fun))
         u, s, vt = np.linalg.svd(res.jac)
         svs[i] = s
-        if s[-1] < rank_tol * s[0]:
+        if s[-1] < 1e-4 * s[0]:
             unresolved[i] = vt[-1]
     est = JetEstimate(y0s=y0s, h0=h0_out, drho_h=drho_out,
                       order=k_max, fit_residuals=resid,

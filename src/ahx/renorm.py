@@ -10,20 +10,23 @@ at lambda = 0.  Two independent evaluations are provided:
   I0 = c_{-1}/lambda + c0 + c1 lambda + c2 lambda^2, returning c0 as the
   length and c_{-1} as the residue (equal to 2 for every geodesic).
 
-Both want trajectories traced at tol <= 1e-12; the limiting error is the
-uncertainty of tau_plus entering the endpoint factors.
+Both use fixed rules (12 Gauss nodes per panel of
+:meth:`GeodesicTrajectory.quad_nodes`, 24-point Gauss-Jacobi ends for the
+Mellin integrals, ``DEFAULT_LAMBDA_GRID``) and want traces at tol <= 1e-12,
+the ``flow.DEFAULT_TOL`` of every length here; the limiting error is then
+the uncertainty of tau_plus entering the endpoint factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .flow import (BoundaryCovector, FlowError, GeodesicTrajectory,
-                   trace_geodesic)
+                   _central_diff, trace_geodesic)
 from .metric import BoundaryMetricFamily, eval_metric
 from .quadrature import composite_gauss, gauss_jacobi_left
 
@@ -59,13 +62,14 @@ def _endpoint_normsq(traj: GeodesicTrajectory, at_end: bool) -> float:
     return traj.family.eta_normsq(0.0, p.y, p.eta)
 
 
-def renormalized_length(traj: GeodesicTrajectory, npts: int = 12) -> RenormLength:
+def renormalized_length(traj: GeodesicTrajectory) -> RenormLength:
     """Regularized-integral renormalized length of a boundary-to-boundary
     trajectory.
 
     Evaluates int_0^{tau+} [1/rho - 1/tau - 1/(tau+ - tau)] dtau
     + 2 log tau+, grouping the pole subtraction with 1/rho on the near half
-    so each piece is a smooth integrand.
+    so each piece is a smooth integrand.  The value uses 12 Gauss nodes per
+    quadrature panel; ``err_est`` is its difference from the 8-node rule.
     """
     tp = traj.tau_plus
     mid = 0.5 * tp
@@ -80,8 +84,8 @@ def renormalized_length(traj: GeodesicTrajectory, npts: int = 12) -> RenormLengt
         fr = (sig - rr) / (rr * sig) - 1.0 / tr
         return float(wl @ fl + wr @ fr)
 
-    main = half_value(npts)
-    coarse = half_value(max(npts - 4, 4))
+    main = half_value(12)
+    coarse = half_value(8)
     value = main + 2.0 * math.log(tp)
     return RenormLength(value=value, err_est=abs(main - coarse))
 
@@ -90,14 +94,15 @@ def renormalized_length(traj: GeodesicTrajectory, npts: int = 12) -> RenormLengt
 # Mellin route
 
 
-def _mellin_i0(traj: GeodesicTrajectory, lam: float, n_end: int,
-               npts_mid: int, extra: Optional[Callable] = None) -> float:
+def _mellin_i0(traj: GeodesicTrajectory, lam: float,
+               extra: Optional[Callable] = None) -> float:
     """int_0^{tau+} rho^{lam-1} W dtau with W = extra(lam, y) or 1.
 
-    Endpoint thirds use a Gauss rule with exact u^{lam-1} weight; the
-    remaining smooth factor (rho/u)^{lam-1} is evaluated from dense output,
-    switching to a local Taylor expansion of rho below u_cut where the
-    tau_plus uncertainty would otherwise be amplified.
+    Endpoint thirds use a 24-point Gauss rule with exact u^{lam-1} weight;
+    the remaining smooth factor (rho/u)^{lam-1} is evaluated from dense
+    output, switching to a local Taylor expansion of rho below u_cut where
+    the tau_plus uncertainty would otherwise be amplified.  The middle
+    third uses 12 Gauss nodes per quadrature panel.
     """
     tp = traj.tau_plus
     m = tp / 3.0
@@ -107,7 +112,7 @@ def _mellin_i0(traj: GeodesicTrajectory, lam: float, n_end: int,
 
     total = 0.0
     for from_end, e2 in ((False, e2_in), (True, e2_out)):
-        u, w = gauss_jacobi_left(m, lam, n_end)
+        u, w = gauss_jacobi_left(m, lam)
         taus = (tp - u) if from_end else u
         states = traj.eval_many(taus)
         rho = states[:, 0]
@@ -121,7 +126,7 @@ def _mellin_i0(traj: GeodesicTrajectory, lam: float, n_end: int,
             f = f * extra(lam, ys)
         total += float(w @ f)
 
-    tm, wm = traj.quad_nodes(m, tp - m, npts_mid)
+    tm, wm = traj.quad_nodes(m, tp - m)
     states = traj.eval_many(tm)
     f = states[:, 0] ** (lam - 1.0)
     if extra is not None:
@@ -140,12 +145,11 @@ class MellinLength:
     i0_values: tuple
 
 
-def mellin_length(traj: GeodesicTrajectory,
-                  lam_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-                  n_end: int = 24, npts_mid: int = 12) -> MellinLength:
-    """Renormalized length from a Laurent fit of the Mellin family I0."""
-    lam = np.asarray(lam_grid, dtype=float)
-    i0 = np.array([_mellin_i0(traj, lv, n_end, npts_mid) for lv in lam])
+def mellin_length(traj: GeodesicTrajectory) -> MellinLength:
+    """Renormalized length from a Laurent fit of the Mellin family I0 on
+    ``DEFAULT_LAMBDA_GRID``."""
+    lam = np.asarray(DEFAULT_LAMBDA_GRID, dtype=float)
+    i0 = np.array([_mellin_i0(traj, lv) for lv in lam])
     scale = lam.max()
     x = lam / scale
     # one spare power beyond the reported model keeps truncation bias low
@@ -158,17 +162,17 @@ def mellin_length(traj: GeodesicTrajectory,
                         i0_values=tuple(i0.tolist()))
 
 
-def conformal_shift(traj: GeodesicTrajectory, omega: Callable,
-                    lam_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) -> float:
+def conformal_shift(traj: GeodesicTrajectory, omega: Callable) -> float:
     """Change of renormalized length under the boundary representative
     e^{2 omega} h_0.
 
     Recomputes the regularization with defining function rho e^{omega(y)}
     (extended independently of rho) and fits the analytic difference
-    D(lambda) = int rho^{lambda-1} (e^{lambda omega(y)} - 1) dtau on the
-    lambda grid; returns D(0), which equals omega(y_in) + omega(y_out).
+    D(lambda) = int rho^{lambda-1} (e^{lambda omega(y)} - 1) dtau on
+    ``DEFAULT_LAMBDA_GRID``; returns D(0), which equals
+    omega(y_in) + omega(y_out).
     """
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = np.asarray(DEFAULT_LAMBDA_GRID, dtype=float)
 
     def extra(lv, ys):
         if ys.shape[1] == 1:
@@ -177,7 +181,7 @@ def conformal_shift(traj: GeodesicTrajectory, omega: Callable,
             vals = np.array([omega(y) for y in ys])
         return np.expm1(lv * vals)
 
-    d = np.array([_mellin_i0(traj, lv, 24, 12, extra=extra) for lv in lam])
+    d = np.array([_mellin_i0(traj, lv, extra=extra) for lv in lam])
     scale = lam.max()
     A = np.vander(lam / scale, 4, increasing=True)
     coef, *_ = np.linalg.lstsq(A, d, rcond=None)
@@ -196,14 +200,6 @@ class BoundaryDistanceResult:
     trajectory: GeodesicTrajectory
 
 
-def _shoot_residual(fam, y_minus, y_plus, eta, trace_tol, t_max):
-    traj = trace_geodesic(fam, BoundaryCovector.make(y_minus, eta),
-                          tol=trace_tol, t_max=t_max)
-    y_out = traj.samples[-1][1].y
-    r = np.array([fam.chart.wrapped_diff(float(a), float(b))
-                  for a, b in zip(y_out, np.atleast_1d(y_plus))])
-    return r, traj
-
 # Near-diametral geodesics need |eta| -> 0, where the integrator cannot
 # resolve the turn past the deepest point (endpoint noise ~1e-7, seconds per
 # trace).  Since the distance is stationary in eta there, iterates predicted
@@ -212,18 +208,22 @@ def _shoot_residual(fam, y_minus, y_plus, eta, trace_tol, t_max):
 # intermediate steps.
 ETA_SNAP = 1e-6
 ETA_FLOOR = 1e-8
+# Shooting traces run one order below the default endpoint tolerance 1e-9
+# of boundary_distance; only the converged geodesic, whose length is
+# reported, is traced again at DEFAULT_TOL.
+SHOOT_TOL = 1e-10
 
 
 def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
                       eta0=None, tol: float = 1e-9,
-                      trace_tol: float = 1e-12, max_iter: int = 50,
-                      t_max: float = 60.0) -> BoundaryDistanceResult:
+                      max_iter: int = 50) -> BoundaryDistanceResult:
     """Renormalized distance between distinct boundary points by shooting.
 
     Newton iteration on the incoming covector with a finite-difference
     Jacobian of the endpoint map and step halving; the first guess is the
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
-    vector dy.
+    vector dy.  Shooting traces run at ``SHOOT_TOL``; the converged
+    geodesic is traced again at ``DEFAULT_TOL`` for its length.
     """
     ym = np.atleast_1d(np.asarray(y_minus, dtype=float))
     yp = np.atleast_1d(np.asarray(y_plus, dtype=float))
@@ -244,24 +244,22 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             return ETA_FLOOR * d
         return e
 
-    shoot_tol = max(trace_tol, 1e-10)
+    def residual(e):
+        """Endpoint miss of the geodesic entering at (ym, e)."""
+        traj = trace_geodesic(fam, BoundaryCovector.make(ym, e), tol=SHOOT_TOL)
+        y_out = traj.samples[-1][1].y
+        return np.array([fam.chart.wrapped_diff(float(a), float(b))
+                         for a, b in zip(y_out, yp)])
+
     eta = clamp(eta)
-    r, traj = _shoot_residual(fam, ym, yp, eta, shoot_tol, t_max)
+    r = residual(eta)
     it = 0
     while np.max(np.abs(r)) > tol:
         it += 1
         if it > max_iter:
             raise ShootingError(
                 f"boundary-distance shooting stalled, residual {np.max(np.abs(r)):.3e}")
-        J = np.empty((n, n))
-        for k in range(n):
-            hk = 1e-6 * max(1.0, abs(eta[k]))
-            ep, em = eta.copy(), eta.copy()
-            ep[k] += hk
-            em[k] -= hk
-            rp, _ = _shoot_residual(fam, ym, yp, ep, shoot_tol, t_max)
-            rm, _ = _shoot_residual(fam, ym, yp, em, shoot_tol, t_max)
-            J[:, k] = (rp - rm) / (2.0 * hk)
+        J = _central_diff(residual, eta, 1e-6 * np.maximum(1.0, np.abs(eta)))
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -273,20 +271,16 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             # distance by O(ETA_SNAP^2)
             d = eta_pred / nrm if nrm > 0 else dy / np.linalg.norm(dy)
             eta = ETA_SNAP * d
-            r, traj = _shoot_residual(fam, ym, yp, eta, shoot_tol, t_max)
             break
         lam = 1.0
         for _ in range(8):
             eta_new = clamp(eta - lam * step)
-            r_new, traj_new = _shoot_residual(fam, ym, yp, eta_new,
-                                              shoot_tol, t_max)
+            r_new = residual(eta_new)
             if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                 break
             lam *= 0.5
-        eta, r, traj = eta_new, r_new, traj_new
-    if trace_tol < shoot_tol:
-        traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta),
-                              tol=trace_tol, t_max=t_max)
+        eta, r = eta_new, r_new
+    traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
     value = renormalized_length(traj).value
     return BoundaryDistanceResult(value=value, eta=eta, iterations=it,
                                   trajectory=traj)
@@ -301,15 +295,16 @@ class ScatteringDistanceCheck:
     eta_out: np.ndarray
 
 
-def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus, y_plus,
-                                   fd_step: float = 1e-3,
-                                   t_max: float = 60.0) -> ScatteringDistanceCheck:
+def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus,
+                                   y_plus) -> ScatteringDistanceCheck:
     """Recover the scattering map from distance gradients and compare.
 
     The incoming covector is minus the y_minus-gradient of the renormalized
     distance; tracing it must land at y_plus with outgoing covector equal to
     the y_plus-gradient.  The returned residual is the larger of the two
-    mismatches.
+    mismatches.  The gradients are central differences with step 1e-3,
+    whose O(step^2) truncation error sets the residual (6.1e-7 on the disc
+    and perturbed fixtures of the acceptance test).
     """
     ym = np.atleast_1d(np.asarray(y_minus, dtype=float))
     yp = np.atleast_1d(np.asarray(y_plus, dtype=float))
@@ -319,17 +314,12 @@ def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus, y_plus,
     def dist(a, b):
         return boundary_distance(fam, a, b, eta0=center.eta).value
 
-    grad_m = np.empty(n)
-    grad_p = np.empty(n)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = fd_step
-        grad_m[k] = (dist(ym + e, yp) - dist(ym - e, yp)) / (2 * fd_step)
-        grad_p[k] = (dist(ym, yp + e) - dist(ym, yp - e)) / (2 * fd_step)
+    step = np.full(n, 1e-3)
+    grad_m = _central_diff(lambda a: dist(a, yp), ym, step)
+    grad_p = _central_diff(lambda b: dist(ym, b), yp, step)
 
     eta_in = -grad_m
-    traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta_in), tol=1e-12,
-                          t_max=t_max)
+    traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta_in))
     y_out = traj.samples[-1][1].y
     eta_out = traj.samples[-1][1].eta
     mis_y = max(abs(fam.chart.wrapped_diff(float(a), float(b)))
@@ -345,15 +335,15 @@ def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus, y_plus,
 
 
 def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
-                           z, fd_step: float = 1e-4,
-                           trace_tol: float = 1e-12):
+                           z):
     """Compare d/ds of the renormalized length with the tensor transform.
 
     ``family_path(s)`` must give the metric family at deformation parameter
-    s.  Returns (dL_ds, i2_value): the central difference of the length of
-    the geodesic entering at z, and the rank-2 transform of the metric
-    s-derivative along the s = 0 geodesic.  The two agree when the
-    deformation decays at the boundary.
+    s.  Returns (dL_ds, i2_value): the central difference, with step 1e-4
+    in s, of the length of the geodesic entering at z, and the rank-2
+    transform of the metric s-derivative (the same difference) along the
+    s = 0 geodesic.  Every trace runs at ``DEFAULT_TOL``.  The two agree
+    when the deformation decays at the boundary.
     """
     from .xray import SymmetricTensorField, xray_transform
 
@@ -363,17 +353,18 @@ def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
     n = fam0.n
 
     def length_at(s):
-        traj = trace_geodesic(family_path(s), z, tol=trace_tol)
+        traj = trace_geodesic(family_path(s), z)
         return renormalized_length(traj).value
 
-    dl_ds = (length_at(fd_step) - length_at(-fd_step)) / (2.0 * fd_step)
+    ds = 1e-4
+    dl_ds = (length_at(ds) - length_at(-ds)) / (2.0 * ds)
 
-    fam_p = family_path(fd_step)
-    fam_m = family_path(-fd_step)
+    fam_p = family_path(ds)
+    fam_m = family_path(-ds)
 
     def gdot_components(rho, y):
         # s-derivative of g = (drho^2 + h_s)/rho^2: only the yy block moves
-        dh = (fam_p.diag(rho, y)[0] - fam_m.diag(rho, y)[0]) / (2.0 * fd_step)
+        dh = (fam_p.diag(rho, y)[0] - fam_m.diag(rho, y)[0]) / (2.0 * ds)
         # 0 at rho = 0: fixtures decay like rho^2 relative to g
         rho_sq = np.where(rho > 0.0, rho, np.inf)[..., None] ** 2
         comp = np.zeros(rho.shape + (n + 1, n + 1))
@@ -382,6 +373,6 @@ def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
         return comp
 
     gdot = SymmetricTensorField(rank=2, weight=0, components=gdot_components)
-    traj0 = trace_geodesic(fam0, z, tol=trace_tol)
+    traj0 = trace_geodesic(fam0, z)
     i2 = xray_transform(gdot, traj0)
     return float(dl_ds), float(i2)

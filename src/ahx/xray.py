@@ -109,20 +109,18 @@ class SymmetricTensorField:
                 for e in FD_Y * np.eye(n)]
         return np.stack(outs, axis=outs[0].ndim - self.rank)
 
-    def validate(self, fam: BoundaryMetricFamily, rho_grid=None, y_grid=None,
-                 sym_tol: float = 1e-10) -> None:
-        """Sample symmetry and the declared weight on a small grid."""
+    def validate(self, fam: BoundaryMetricFamily) -> None:
+        """Sample symmetry (to 1e-10 times 1 + the largest component at each
+        point) and the declared weight on a 5 x 5 grid: rho in
+        [hi/16, 0.9 hi] with hi = min(rho_max, 1), all y_k in [0, 2 pi)."""
+        hi = min(fam.rho_max, 1.0)
+        rho_grid = np.linspace(hi / 16, hi * 0.9, 5)
+        y_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
         n = fam.n
-        if rho_grid is None:
-            hi = min(fam.rho_max, 1.0)
-            rho_grid = np.linspace(hi / 16, hi * 0.9, 5)
-        if y_grid is None:
-            y_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-        y = np.repeat(np.asarray(y_grid, dtype=float)[:, None], n, axis=1)
-        c = self.comp(np.asarray(rho_grid, dtype=float)[:, None], y)
+        c = self.comp(rho_grid[:, None], np.repeat(y_grid[:, None], n, axis=1))
         # per point, the tolerance scales with its largest component
-        atol = sym_tol * (1 + np.max(np.abs(c), axis=tuple(range(2, c.ndim)),
-                                     keepdims=True))
+        atol = 1e-10 * (1 + np.max(np.abs(c), axis=tuple(range(2, c.ndim)),
+                                   keepdims=True))
         for ax in range(2, c.ndim - 1):
             if not np.allclose(c, np.swapaxes(c, ax, ax + 1), atol=atol):
                 raise ValueError("tensor components are not symmetric")
@@ -166,18 +164,19 @@ def lift_tensor(field: SymmetricTensorField, fam: BoundaryMetricFamily,
 
 
 def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
-                   npts: int = 12, rho_breaks=()) -> float:
+                   rho_breaks=()) -> float:
     """Arclength integral of the lifted field along the trajectory.
 
-    ``rho_breaks`` are rho levels where the field is not smooth, such as
-    the edges of its support; see :meth:`GeodesicTrajectory.quad_nodes`.
+    The rule is :meth:`GeodesicTrajectory.quad_nodes` with its default 12
+    nodes per panel.  ``rho_breaks`` are rho levels where the field is not
+    smooth, such as the edges of its support, where the rule is also cut.
     """
     if field.weight < 1 - field.rank:
         raise ValueError(
             f"rank-{field.rank} transform needs weight >= {1 - field.rank}, "
             f"got {field.weight}")
     n = traj.n
-    taus, w = traj.quad_nodes(0.0, traj.tau_plus, npts, rho_breaks=rho_breaks)
+    taus, w = traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=rho_breaks)
     rows = traj.eval_many(taus)
     # with weight + rank >= 1 the integrand vanishes at the boundary
     inside = rows[:, 0] > 0.0
@@ -265,13 +264,14 @@ class _PeriodicSurface:
                         grid=False)
 
 
-def _cumulative_integrals(fun, rho_grid, ys, n_quad):
-    """fun(s, y) integrated over [0, rho] for every grid rho and y column.
+def _cumulative_integrals(fun, rho_grid, ys):
+    """fun(s, y) integrated over [0, rho] for every grid rho and y column,
+    with a 24-point Gauss rule between consecutive grid levels.
 
     ``rho_grid`` starts at 0.  ``fun`` takes arrays: s of shape
-    (len(rho_grid) - 1, n_quad, 1) and y of shape (len(ys), 1).
+    (len(rho_grid) - 1, 24, 1) and y of shape (len(ys), 1).
     """
-    gx, gw = gauss_nodes(0.0, 1.0, n_quad)
+    gx, gw = gauss_nodes(0.0, 1.0, 24)
     width = np.diff(rho_grid)
     s = rho_grid[:-1, None] + gx * width[:, None]
     out = np.zeros((len(rho_grid), len(ys)))
@@ -280,16 +280,17 @@ def _cumulative_integrals(fun, rho_grid, ys, n_quad):
     return out
 
 
-def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
-                    n_quad: int = 24, n_rho: int = 61, n_y: int = 64,
-                    grid: int = 9) -> GaugeResult:
+def gauge_normalize(field: SymmetricTensorField,
+                    fam: BoundaryMetricFamily) -> GaugeResult:
     """Solve the radial gauge ODEs so f - D q has no d rho components near
     the boundary (n = 1, rank 1 or 2).
 
     The potential vanishes at rho = 0, is cut off by a plateau function chi
     before the outer edge of the collar, and is returned with spline-backed
     partial derivatives so repeated covariant differentiation stays cheap.
-    The residual samples the d rho contraction of f - D q where chi is one.
+    Its splines interpolate 61 rho levels on [0, 0.85 rho_c] against 64
+    equally spaced y.  The residual samples the d rho contraction of
+    f - D q on a 9 x 9 grid where chi is one.
     """
     if fam.n != 1:
         raise NotImplementedError("gauge reduction is implemented for n = 1")
@@ -298,17 +299,17 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
     rho_c = min(fam.rho_max, 1.0)
     chi, chi_prime, plateau = _chi_factory(rho_c)
     rho_edge = 0.85 * rho_c
-    rho_grid = np.linspace(0.0, rho_edge, n_rho)
-    ys = np.linspace(0.0, 2.0 * math.pi, n_y, endpoint=False)
+    rho_grid = np.linspace(0.0, rho_edge, 61)
+    ys = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
     if field.rank == 1:
         surfs = [_PeriodicSurface(_cumulative_integrals(
-            lambda v, y: field.comp(v, y)[..., 0], rho_grid, ys, n_quad),
+            lambda v, y: field.comp(v, y)[..., 0], rho_grid, ys),
             rho_grid, ys)]
     else:
         # q0: rho q0 = int_0^rho s f_rr ds
         i_rr = _cumulative_integrals(
-            lambda v, y: v * field.comp(v, y)[..., 0, 0], rho_grid, ys, n_quad)
+            lambda v, y: v * field.comp(v, y)[..., 0, 0], rho_grid, ys)
         q0_vals = np.zeros_like(i_rr)
         q0_vals[1:] = i_rr[1:] / rho_grid[1:, None]
         q0_surf = _PeriodicSurface(q0_vals, rho_grid, ys)
@@ -321,7 +322,7 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
             fr = field.comp(v, y)[..., 0, 1] - 0.5 * q0_surf(v, yv, dy=1)
             return 2.0 * v * v * fr / h_of(v, yv)[0]
 
-        i_ry = _cumulative_integrals(integrand, rho_grid, ys, n_quad)
+        i_ry = _cumulative_integrals(integrand, rho_grid, ys)
         q1_vals = np.zeros_like(i_ry)
         hs = fam.diag(rho_grid[1:, None], ys[:, None])[0, ..., 0]
         q1_vals[1:] = hs / rho_grid[1:, None] ** 2 * i_ry[1:]
@@ -350,8 +351,8 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
 
     # residual: d rho contraction of f - D q where chi == 1
     dq = sym_derivative(q, fam)
-    rhos = np.linspace(plateau / grid, plateau * 0.999, grid)[:, None]
-    y_check = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)[:, None]
+    rhos = np.linspace(plateau / 9, plateau * 0.999, 9)[:, None]
+    y_check = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)[:, None]
     diff = field.comp(rhos, y_check) - dq.comp(rhos, y_check)
     resid = float(np.max(np.abs(diff[:, :, 0])))
     return GaugeResult(potential=q, residual=resid, chi_plateau=plateau)
@@ -361,18 +362,17 @@ def gauge_normalize(field: SymmetricTensorField, fam: BoundaryMetricFamily,
 # orbit endpoints
 
 
-def forward_boundary_point(fam: BoundaryMetricFamily, state: BPhasePoint,
-                           tol: float = DEFAULT_TOL,
-                           t_max: float = 60.0) -> BoundaryCovector:
-    """Outgoing boundary covector of the orbit through an interior point."""
-    return trace_from_state(fam, state, tol=tol, t_max=t_max).z_out
+def forward_boundary_point(fam: BoundaryMetricFamily,
+                           state: BPhasePoint) -> BoundaryCovector:
+    """Outgoing boundary covector of the orbit through an interior point,
+    traced at ``DEFAULT_TOL``."""
+    return trace_from_state(fam, state).z_out
 
 
 def backward_boundary_point(fam: BoundaryMetricFamily, state: BPhasePoint,
-                            tol: float = DEFAULT_TOL,
-                            t_max: float = 60.0) -> BoundaryCovector:
+                            tol: float = DEFAULT_TOL) -> BoundaryCovector:
     """Incoming boundary covector of the orbit, via time reversal."""
-    out = trace_from_state(fam, flip_state(state), tol=tol, t_max=t_max).z_out
+    out = trace_from_state(fam, flip_state(state), tol=tol).z_out
     return BoundaryCovector.make(out.y, -out.eta, "incoming")
 
 
@@ -501,9 +501,8 @@ class AdjointnessResult:
 
 
 def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
-                      omega: Callable, rho_supp: tuple,
-                      eta_hi: Optional[float] = None,
-                      ny: int = 24, n_panel: int = 10, n_rho: int = 12,
+                      omega: Callable, rho_supp: tuple, ny: int = 24,
+                      n_panel: int = 10, n_rho: int = 12,
                       ny_i: int = 12, n_theta: int = 32,
                       trace_tol: float = 1e-9) -> AdjointnessResult:
     """Pair the transform with a boundary weight both ways (n = 1).
@@ -519,11 +518,8 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
-    if eta_hi is None:
-        # align the outer panel edge with the support edge of the transform
-        eta_hi = grazing_eta(fam, rho_supp[0])
-    ys_b, wy_b, etas, weta = _boundary_quad_grid(fam, rho_supp, eta_hi, ny,
-                                                 n_panel)
+    ys_b, wy_b, etas, weta = _boundary_quad_grid(
+        fam, rho_supp, grazing_eta(fam, rho_supp[0]), ny, n_panel)
     table = _transform_table(fam, f, rho_supp, ys_b, etas, trace_tol)
     om = np.array([[omega(yv, eta) for eta in etas] for yv in ys_b])
     lhs = wy_b * float(np.sum(om * table @ weta))
@@ -554,26 +550,26 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
 
 
 def resolvent_zero(fam: BoundaryMetricFamily, func: Callable,
-                   state: BPhasePoint, sign: int = +1,
-                   tol: float = DEFAULT_TOL, t_max: float = 60.0,
-                   npts: int = 12) -> float:
+                   state: BPhasePoint, sign: int = +1) -> float:
     """Resolvent of the rescaled generator at zero energy.
 
     sign=+1: integral over the forward orbit of (func - func at the forward
     boundary limit) in arclength; sign=-1: the reversed-orbit counterpart
-    with the opposite grouping.  ``func`` takes a BPhasePoint.
+    with the opposite grouping.  ``func`` takes a BPhasePoint.  The orbit
+    is traced at ``DEFAULT_TOL`` and integrated with the default rule of
+    :meth:`GeodesicTrajectory.quad_nodes`.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     base = state if sign == +1 else flip_state(state)
-    traj = trace_from_state(fam, base, tol=tol, t_max=t_max)
+    traj = trace_from_state(fam, base)
     n = traj.n
     endpoint = traj.samples[-1][1]
     if sign == +1:
         f_end = func(endpoint)
     else:
         f_end = func(flip_state(endpoint))
-    taus, w = traj.quad_nodes(0.0, traj.tau_plus, npts)
+    taus, w = traj.quad_nodes(0.0, traj.tau_plus)
     rows = traj.eval_many(taus)
     vals = np.empty(taus.size)
     for i, row in enumerate(rows):

@@ -292,6 +292,14 @@ DISC = {"family": "disc-normal"}
     ("xray", {"metric": DISC, "points": [[0.0, 1.0]],
               "field": {"kind": "bump", "params": {"amplitude": "x"}}}),
     ("recover", {"metric": HALF, "y0s": [0.0], "directions": [["x"]]}),
+    # integers are not truncated, and a bool is not an integer
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0},
+               "samples": 2.9}),
+    ("xray", {"metric": DISC, "points": [[0.0, 1.0]],
+              "field": {"kind": "bump", "params": {"harmonic": 1.5}}}),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "seed": True}),
+    # endpoints that coincide on the circle
+    ("distance", {"metric": DISC, "pairs": [[0.0, 6.283185307179586]]}),
 ])
 def test_config_errors_exit_3(tmp_path, payload):
     command, config = payload
