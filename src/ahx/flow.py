@@ -15,11 +15,15 @@ the full redundant state is integrated and re-projected onto the constraint
 after every accepted step.
 
 Hyperbolic arclength is not part of the integrated state, so it does not
-take part in step-size control.  After every accepted step the gated
-integrand gate(rho)/rho, with a C2 gate that switches on between
-``RHO_GATE_LO`` and ``RHO_GATE_HI`` (from the boundary the exact arclength
-diverges), is integrated over the step's dense output by panel Gauss
-quadrature; exceeding ``t_max`` raises :class:`TrappedOrSlowError`.
+take part in step-size control, and a trace computes it only when it is
+read.  The gated integrand gate(rho)/rho, with a C2 gate that switches on
+between ``RHO_GATE_LO`` and ``RHO_GATE_HI`` (from the boundary the exact
+arclength diverges), is integrated over each step's dense output by panel
+Gauss quadrature the first time :meth:`GeodesicTrajectory.arclength_at` or
+``t_acc`` is read, and kept.  The ``t_max`` guard adds a closed-form upper
+bound of each step's arclength; only once that bound passes ``t_max`` does
+it integrate the steps exactly, and it raises :class:`TrappedOrSlowError`
+when the exact arclength does.
 Quadrature along a trajectory states its resolution explicitly: a number of
 Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
@@ -35,7 +39,9 @@ integration step.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,7 +53,7 @@ from .quadrature import composite_gauss, panel_gauss, smoothstep
 
 __all__ = [
     "FlowError", "TrappedOrSlowError", "ChartExitError", "CollarExitError",
-    "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory",
+    "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory", "TraceStats",
     "barX_eval", "trace_geodesic", "trace_from_state",
     "scattering_map", "scattering_jacobian", "ScatteringJacobian",
     "delta_max", "flip_state", "constraint_residual",
@@ -66,7 +72,13 @@ DELTA_CAP = 0.2
 
 
 class FlowError(RuntimeError):
-    """Integration of the rescaled flow failed."""
+    """Integration of the rescaled flow failed.
+
+    ``stats`` is the :class:`TraceStats` of the trace up to the failure when
+    the tracing driver raised it, else None.
+    """
+
+    stats = None
 
 
 class TrappedOrSlowError(FlowError):
@@ -101,7 +113,13 @@ class BPhasePoint:
                    float(xi_b), np.atleast_1d(np.asarray(eta, dtype=float)))
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.rho], self.y, [self.xi_b], self.eta))
+        n = self.y.size
+        out = np.empty(2 * n + 2)
+        out[0] = self.rho
+        out[1:1 + n] = self.y
+        out[1 + n] = self.xi_b
+        out[2 + n:] = self.eta
+        return out
 
 
 @dataclass(frozen=True)
@@ -143,21 +161,35 @@ def _gate_over_rho(rho: np.ndarray) -> np.ndarray:
     return np.where(rho > RHO_GATE_LO, g / np.maximum(rho, RHO_GATE_LO), 0.0)
 
 
+# sup of gate(rho)/rho (about 105.25, near rho = 0.0092), with room for the
+# sampling error of the grid
+_GATE_SUP = 1.001 * float(np.max(_gate_over_rho(
+    np.linspace(RHO_GATE_LO, RHO_GATE_HI, 1001))))
+
+# one RHS closure per family; the closure holds the profiles, not the family
+_RHS = weakref.WeakKeyDictionary()
+
+
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
-    """Flow RHS on the state [rho, y, xi_b, eta].
+    """Flow RHS on the state [rho, y, xi_b, eta], built once per family.
 
     With u_k = eta_k / h_kk: |eta|_h^2 = sum u_k eta_k, its rho-derivative
     is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.
+    ``rhs(tau, s, vals)`` takes the profile values at (rho, y) of s
+    (:func:`_profile_values`) when the caller already has them.
     """
+    rhs = _RHS.get(fam)
+    if rhs is not None:
+        return rhs
     n = fam.n
     profiles = fam.profiles
 
-    def rhs(tau, s):
+    def rhs(tau, s, vals=None):
         rho = s[0]
         out = np.empty(2 * n + 2)
         dxi = 0.0
         for k, prof in enumerate(profiles):
-            h, dh_r, dh_y = prof(rho, s[1 + k])
+            h, dh_r, dh_y = prof(rho, s[1 + k]) if vals is None else vals[k]
             eta = s[2 + n + k]
             u = eta / h
             out[1 + k] = rho * u
@@ -167,6 +199,7 @@ def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
         out[1 + n] = dxi
         return out
 
+    _RHS[fam] = rhs
     return rhs
 
 
@@ -177,17 +210,32 @@ def barX_eval(fam: BoundaryMetricFamily, state: BPhasePoint):
     """
     n = fam.n
     v = _make_rhs(fam)(0.0, state.as_vector())
-    return (float(v[0]), np.atleast_1d(v[1:1 + n]).copy(), float(v[1 + n]),
-            np.atleast_1d(v[2 + n:2 + 2 * n]).copy())
+    return float(v[0]), v[1:1 + n], float(v[1 + n]), v[2 + n:]
 
 
-def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int) -> np.ndarray:
-    """Rescale (xi_b, eta) jointly onto the unit cosphere."""
+def _profile_values(fam: BoundaryMetricFamily, s: np.ndarray) -> list:
+    """(h_kk, dh_kk/drho, dh_kk/dy_k) of each coordinate at the (rho, y) of
+    the state s."""
+    return [prof(s[0], s[1 + k]) for k, prof in enumerate(fam.profiles)]
+
+
+def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
+                 vals=None) -> np.ndarray:
+    """Rescale (xi_b, eta) jointly onto the unit cosphere.
+
+    ``vals`` are the profile values at s (:func:`_profile_values`) when the
+    caller already has them; the projection keeps rho and y, so they also
+    hold at the projected state.
+    """
+    if vals is None:
+        vals = _profile_values(fam, s)
     rho = s[0]
     xi = s[1 + n]
     eta = s[2 + n:2 + 2 * n]
-    e2 = fam.eta_normsq(rho, s[1:1 + n], eta)
-    norm2 = xi * xi + rho * rho * e2
+    e2 = 0.0
+    for k, v in enumerate(vals):
+        e2 += eta[k] * eta[k] / v[0]
+    norm2 = xi * xi + rho * rho * float(e2)
     if norm2 <= 0.0:
         return s
     c = 1.0 / math.sqrt(norm2)
@@ -215,32 +263,112 @@ def _level_crossings(taus: np.ndarray, rho: np.ndarray, levels) -> np.ndarray:
     return np.sort(t0 + (t1 - t0) * d0 / (d0 - d1))
 
 
-def _arc_panels(seg, t_lo: float, t_hi: float):
+def _rho_samples(seg):
+    """rho at the ``_ARC_GRID`` points of one step: (taus, rho)."""
+    grid = seg.t_old + (seg.t - seg.t_old) * _ARC_GRID
+    return grid, np.asarray(seg(grid))[0]
+
+
+def _arc_panels(seg, grid, rho):
     """Gated arclength of one step, integrated panel by panel.
 
-    rho is sampled at the ``_ARC_GRID`` points of the step.  Panel edges sit
-    where it crosses a gate edge or a level of the doubling ladder
+    ``grid`` and ``rho`` are the step's :func:`_rho_samples`.  Panel edges
+    sit where rho crosses a gate edge or a level of the doubling ladder
     ``RHO_GATE_HI * 2**k``: the C2 corners of the gate thus lie on panel
     edges, and 1/rho changes by at most about a factor two across a panel,
     which keeps the pole of 1/rho far outside each Gauss rule.  Returns
-    (sample taus, rho samples, right panel edges, arclength of each panel).
+    (right panel edges, arclength of each panel).
     """
-    grid = t_lo + (t_hi - t_lo) * _ARC_GRID
-    rho = np.asarray(seg(grid))[0]
+    t_lo, t_hi = seg.t_old, seg.t
     top = float(np.max(rho))
     if top <= RHO_GATE_LO:
-        return grid, rho, np.array([t_hi]), np.zeros(1)
+        return np.array([t_hi]), np.zeros(1)
     n_up = max(0, math.ceil(math.log2(top / RHO_GATE_HI)))
     levels = np.append(RHO_GATE_LO, RHO_GATE_HI * 2.0 ** np.arange(n_up))
     cuts = _level_crossings(grid[None], rho[None], levels)
     edges = np.concatenate(([t_lo], cuts, [t_hi]))
     nodes, w = panel_gauss(edges[:-1], edges[1:], ARC_NODES)
     vals = _gate_over_rho(np.asarray(seg(nodes.ravel()))[0]).reshape(nodes.shape)
-    return grid, rho, edges[1:], np.sum(w * vals, axis=1)
+    return edges[1:], np.sum(w * vals, axis=1)
+
+
+# bound on |drho/dtau| = |xi_b| <= 1 along a step's dense output, with room
+# for its drift off the cosphere
+_RHO_SLOPE = 1.01
+
+
+def _arc_cdf(r: float) -> float:
+    """Integral of min(M, 1/x) over x in [0, r], with M = ``_GATE_SUP``.
+
+    It is M r up to r = 1/M and continues as M r below 0, which charges
+    the cap M wherever a lower bound of rho reaches 0.
+    """
+    m = _GATE_SUP
+    return m * r if m * r <= 1.0 else 1.0 + math.log(m * r)
+
+
+def _arc_bound(rho_lo: float, rho_hi: float, h: float) -> float:
+    """Closed-form upper bound of the gated arclength of one step.
+
+    The step starts at rho_lo and ends at rho_hi after h.  As rho moves at
+    most at the rate L = ``_RHO_SLOPE``, it stays above r(s) = max(rho_lo -
+    L s, rho_hi - L (h - s), 0) at the time s since the step's start, and
+    gate(rho)/rho <= min(M, 1/rho).  The bound is the integral of
+    min(M, 1/r) over the step: r falls from rho_lo to its minimum at s_min,
+    then rises to rho_hi, each piece at the rate L.
+    """
+    slope = _RHO_SLOPE
+    s_min = min(max((rho_lo - rho_hi + slope * h) / (2.0 * slope), 0.0), h)
+    return (_arc_cdf(rho_lo) - _arc_cdf(rho_lo - slope * s_min)
+            + _arc_cdf(rho_hi) - _arc_cdf(rho_hi - slope * (h - s_min))) / slope
+
+
+class _StepArc:
+    """Per-step rho samples and arclength panels of a trace's segments.
+
+    Each list is extended to every stored step when asked for and is kept,
+    so the ``t_max`` guard and the trajectory share what either built.
+    """
+
+    def __init__(self, segments: list):
+        self.segments = segments
+        self.rho = []      # _rho_samples of steps 0, 1, ...
+        self.panels = []   # _arc_panels of steps 0, 1, ...
+
+    def extend_rho(self):
+        for seg in self.segments[len(self.rho):]:
+            self.rho.append(_rho_samples(seg))
+
+    def extend_panels(self):
+        self.extend_rho()
+        for i in range(len(self.panels), len(self.segments)):
+            self.panels.append(_arc_panels(self.segments[i], *self.rho[i]))
 
 
 # ---------------------------------------------------------------------------
 # trajectory container
+
+
+@dataclass(frozen=True)
+class TraceStats:
+    """Counters of one trace.
+
+    ``n_accepted`` and ``n_rejected`` count the step attempts the DOP853
+    integrators accepted and rejected, the arrival step and its exact
+    retake both included; ``n_rhs`` is their number of right-hand-side calls
+    (``nfev``).  ``max_constraint_drift`` is the largest |proj - y| that
+    the cosphere projection after an accepted step removed.  ``guard``
+    names the check that stopped a failed trace: "t_max", "collar",
+    "chart", "step_limit", "integrator" or "half_space" (the arrival search
+    found no rho > 0 on an overshooting step); it is None for a trace that
+    arrived.
+    """
+
+    n_accepted: int
+    n_rejected: int
+    n_rhs: int
+    max_constraint_drift: float
+    guard: str | None
 
 
 class GeodesicTrajectory:
@@ -251,10 +379,14 @@ class GeodesicTrajectory:
     :meth:`state_at` (single point, projected) and :meth:`eval_many` (batch,
     raw dense output).  The gated hyperbolic arclength accumulated from
     tau = 0 is :meth:`arclength_at`; ``t_acc`` is its value at tau_plus.
+    Arclength panels and per-step rho samples are built from the stored
+    steps on first read and kept; a trace that never reads them, e.g. one
+    whose transforms cut at no rho level, never builds them.  ``stats`` holds
+    the trace's :class:`TraceStats`.
     """
 
     def __init__(self, fam, segments, breaks, tau_plus, samples,
-                 z_in, z_out, rho_taus, rho_grid, arc_edges, arc_cum):
+                 z_in, z_out, arc, stats):
         self.family = fam
         self.n = fam.n
         self._segments = segments
@@ -263,12 +395,29 @@ class GeodesicTrajectory:
         self.samples = samples
         self.z_in = z_in
         self.z_out = z_out
-        # rho sampled at the _ARC_GRID points of each step, and those taus
-        self._rho_taus = rho_taus
-        self._rho_grid = rho_grid
-        self._arc_edges = np.asarray(arc_edges)
-        self._arc_cum = np.asarray(arc_cum)
-        self.t_acc = float(self._arc_cum[-1])
+        self._arc = arc
+        self.stats = stats
+
+    @cached_property
+    def _rho_table(self):
+        """rho sampled at the _ARC_GRID points of each step, and those taus,
+        both of shape (steps, len(_ARC_GRID))."""
+        self._arc.extend_rho()
+        taus, rho = zip(*self._arc.rho)
+        return np.array(taus), np.array(rho)
+
+    @cached_property
+    def _arc_table(self):
+        """Right edges of every arclength panel, and the arclength
+        accumulated up to each edge."""
+        self._arc.extend_panels()
+        edges, incr = zip(*self._arc.panels)
+        return np.concatenate(edges), np.cumsum(np.concatenate(incr))
+
+    @property
+    def t_acc(self) -> float:
+        """Gated arclength of the whole trajectory."""
+        return float(self._arc_table[1][-1])
 
     def _segment_index(self, tau: float) -> int:
         i = int(np.searchsorted(self._breaks, tau, side="right")) - 1
@@ -313,8 +462,7 @@ class GeodesicTrajectory:
         cuts = np.append(b_[:-1, None] + np.diff(b_)[:, None]
                          * (np.arange(QUAD_PANELS) / QUAD_PANELS), b_[-1])
         if len(rho_breaks):
-            cross = _level_crossings(self._rho_taus, self._rho_grid,
-                                     rho_breaks)
+            cross = _level_crossings(*self._rho_table, rho_breaks)
             cuts = np.sort(np.concatenate((cuts, cross)))
         return composite_gauss(cuts, a, b, npts)
 
@@ -329,10 +477,11 @@ class GeodesicTrajectory:
         if np.any(taus < -1e-12) or np.any(taus > self.tau_plus + 1e-12):
             raise ValueError(f"tau outside [0, {self.tau_plus}]")
         flat = np.clip(taus.ravel(), 0.0, self.tau_plus)
-        edges = np.concatenate(([0.0], self._arc_edges))
+        arc_edges, arc_cum = self._arc_table
+        edges = np.concatenate(([0.0], arc_edges))
         j = np.clip(np.searchsorted(edges, flat, side="right") - 1,
                     0, edges.size - 2)
-        cum = np.concatenate(([0.0], self._arc_cum))[j]
+        cum = np.concatenate(([0.0], arc_cum))[j]
         # the piece [edge_j, tau] lies inside one arclength panel
         nodes, w = panel_gauss(edges[j], flat, ARC_NODES)
         rho = self.eval_many(nodes.ravel())[:, 0].reshape(nodes.shape)
@@ -362,35 +511,75 @@ class GeodesicTrajectory:
 # tracing driver
 
 
+class _CountingDOP853(DOP853):
+    """scipy's DOP853, counting the step attempts it accepts and rejects.
+
+    The step controller computes one error norm per attempt and accepts the
+    attempt exactly when the norm is below 1.
+    """
+
+    n_accepted = 0
+    n_rejected = 0
+
+    def _estimate_error_norm(self, K, h, scale):
+        norm = super()._estimate_error_norm(K, h, scale)
+        if norm < 1:
+            self.n_accepted += 1
+        else:
+            self.n_rejected += 1
+        return norm
+
+
 def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
            t_max: float) -> tuple:
     """Integrate until the boundary-arrival event; project every step.
 
-    Gated arclength is accumulated per accepted step (:func:`_arc_panels`)
-    outside the integrated state.  Returns (segments, breaks, tau_plus,
-    samples, endpoint_vec, rho_taus, rho_grid, arc_edges, arc_cum): rho
-    sampled on each step with its taus, the arclength panel edges and the
-    arclength accumulated up to each edge.
+    The ``t_max`` guard adds the closed-form bound :func:`_arc_bound` of
+    each accepted step's arclength.  Once that running bound passes
+    ``t_max``, the exact panels (:func:`_arc_panels`) of the steps not yet
+    integrated are computed and their sums added step by step to the exact
+    running arclength, which raises :class:`TrappedOrSlowError` above
+    ``t_max``; a trace whose bound stays below ``t_max`` computes no panel.
+    Every :class:`FlowError` raised here carries the trace's
+    :class:`TraceStats` so far as ``stats``.  Returns (segments, breaks,
+    tau_plus, samples, endpoint_vec, arc, stats), with ``arc`` the
+    :class:`_StepArc` of the segments, holding the panels the guard built.
     """
     n = fam.n
     rhs = _make_rhs(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
     chart = fam.chart
-    solver = DOP853(rhs, 0.0, s0, t_bound=math.inf, rtol=tol, atol=tol)
+    solver = _CountingDOP853(rhs, 0.0, s0, t_bound=math.inf, rtol=tol,
+                             atol=tol)
+    solvers = [solver]
     segments, breaks = [], [0.0]
+    arc = _StepArc(segments)
     p0 = _project_vec(fam, s0, n)
     samples = [(0.0, p0)]
     rho_prev = s0[0]
-    arc = []        # (taus, rho samples, panel edges, arclength) per step
-    t_acc = 0.0
-    steps = 0
+    bound = 0.0     # running upper bound of the arclength
+    t_acc = 0.0     # exact arclength of the steps in arc.panels
+    drift = 0.0
+
+    def stats(guard=None):
+        return TraceStats(
+            n_accepted=sum(s.n_accepted for s in solvers),
+            n_rejected=sum(s.n_rejected for s in solvers),
+            n_rhs=sum(s.nfev for s in solvers),
+            max_constraint_drift=drift, guard=guard)
+
+    def fail(exc, guard):
+        exc.stats = stats(guard)
+        return exc
+
     while True:
-        steps += 1
-        if steps > MAX_STEPS:
-            raise FlowError(f"step limit {MAX_STEPS} exceeded at tau={solver.t}")
+        if solver.n_accepted >= MAX_STEPS:
+            raise fail(FlowError(
+                f"step limit {MAX_STEPS} exceeded at tau={solver.t}"),
+                "step_limit")
         msg = solver.step()
         if solver.status == "failed":
-            raise FlowError(f"integrator failure: {msg}")
+            raise fail(FlowError(f"integrator failure: {msg}"), "integrator")
         seg = solver.dense_output()
         t_lo, t_hi = seg.t_old, seg.t
         segments.append(seg)
@@ -405,57 +594,66 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 rg = np.asarray(seg(grid))[0]
                 imax = int(np.argmax(rg))
                 if rg[imax] <= 0.0:
-                    raise FlowError("trajectory left the rho > 0 half-space")
+                    raise fail(FlowError(
+                        "trajectory left the rho > 0 half-space"), "half_space")
                 lo = float(grid[imax])
             tau_star = brentq(lambda s: float(seg(s)[0]), lo, t_hi,
                               xtol=1e-14, rtol=8.9e-16)
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
             segments.pop()
-            last = DOP853(rhs, t_lo, solver.y_old, t_bound=tau_star,
-                          rtol=tol, atol=tol, first_step=tau_star - t_lo)
+            last = _CountingDOP853(rhs, t_lo, solver.y_old, t_bound=tau_star,
+                                   rtol=tol, atol=tol,
+                                   first_step=tau_star - t_lo)
+            solvers.append(last)
             while True:
                 msg = last.step()
                 if last.status == "failed":
-                    raise FlowError(f"integrator failure: {msg}")
+                    raise fail(FlowError(f"integrator failure: {msg}"),
+                               "integrator")
                 seg = last.dense_output()
                 segments.append(seg)
                 breaks.append(seg.t)
-                arc.append(_arc_panels(seg, seg.t_old, seg.t))
                 # t_lo + h may fall short of tau_star by rounding
                 if tau_star - last.t <= 4.0 * math.ulp(tau_star):
                     break
             tau_star = last.t
             end = np.asarray(last.y)
             if abs(end[1 + n]) > 1e-8:
-                # one Newton polish using drho/dtau = xi_b
+                # one Newton polish using drho/dtau = xi_b; the arclength
+                # panels of this step end at seg.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
                 end = np.asarray(seg(tau_star))
                 breaks[-1] = tau_star
-            rho_taus, rho_grid, edges, incr = zip(*arc)
-            return (segments, breaks, tau_star, samples, end,
-                    np.array(rho_taus), np.array(rho_grid),
-                    np.concatenate(edges), np.cumsum(np.concatenate(incr)))
+            return segments, breaks, tau_star, samples, end, arc, stats()
 
         if math.isfinite(rho_limit) and rho_new >= rho_limit:
-            raise CollarExitError(
-                f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}")
+            raise fail(CollarExitError(
+                f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
+                "collar")
         if chart.kind == "affine" and chart.y_bounds is not None:
             if not chart.contains(solver.y[1:1 + n]):
-                raise ChartExitError(
-                    f"y={solver.y[1:1 + n]} left the affine chart at tau={solver.t:.6g}")
-        arc.append(_arc_panels(seg, t_lo, t_hi))
-        t_acc += float(np.sum(arc[-1][3]))
-        if t_acc > t_max:
-            raise TrappedOrSlowError(
-                f"interior arclength exceeded t_max={t_max:.6g} at tau={solver.t:.6g}"
-                " (trapped or nearly trapped trajectory)",
-                tau=float(solver.t), t_acc=t_acc)
+                raise fail(ChartExitError(
+                    f"y={solver.y[1:1 + n]} left the affine chart at tau={solver.t:.6g}"),
+                    "chart")
+        bound += _arc_bound(rho_prev, rho_new, t_hi - t_lo)
+        if bound > t_max:
+            done = len(arc.panels)
+            arc.extend_panels()
+            for _, incr in arc.panels[done:]:
+                t_acc += float(np.sum(incr))
+            if t_acc > t_max:
+                raise fail(TrappedOrSlowError(
+                    f"interior arclength exceeded t_max={t_max:.6g} at tau={solver.t:.6g}"
+                    " (trapped or nearly trapped trajectory)",
+                    tau=float(solver.t), t_acc=t_acc), "t_max")
 
-        proj = _project_vec(fam, solver.y, n)
+        vals = _profile_values(fam, solver.y)
+        proj = _project_vec(fam, solver.y, n, vals)
+        drift = max(drift, float(np.max(np.abs(proj - solver.y))))
         if not np.array_equal(proj, solver.y):
             solver.y = proj
-            solver.f = rhs(solver.t, proj)
+            solver.f = rhs(solver.t, proj, vals)
         breaks.append(solver.t)
         samples.append((float(solver.t), proj))
         rho_prev = proj[0]
@@ -467,7 +665,7 @@ def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
 
 
 def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
-    segments, breaks, tau_plus, samples, end_vec = driven[:5]
+    segments, breaks, tau_plus, samples, end_vec, arc, stats = driven
     n = fam.n
     end_proj = _project_vec(fam, end_vec, n)
     y_end = end_proj[1:1 + n].copy()
@@ -477,7 +675,7 @@ def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
     traj_samples.append((tau_plus, endpoint))
     z_out = BoundaryCovector.make(fam.chart.wrap(y_end), eta_end, "outgoing")
     return GeodesicTrajectory(fam, segments, breaks, tau_plus, traj_samples,
-                              z_in, z_out, *driven[5:])
+                              z_in, z_out, arc, stats)
 
 
 def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahx import (BoundaryCovector, BPhasePoint, CollarExitError,
+from ahx import (BoundaryCovector, BPhasePoint, ChartExitError,
+                 CollarExitError, FlowError, SymmetricTensorField,
                  TrappedOrSlowError, constraint_residual, delta_max,
-                 eval_metric, flip_state, product_family, scattering_jacobian,
-                 scattering_map, trace_from_state, trace_geodesic)
+                 eval_metric, flip_state, halfplane_family, product_family,
+                 scattering_jacobian, scattering_map, trace_from_state,
+                 trace_geodesic, xray_transform)
+from ahx import flow
 from ahx.flow import barX_eval
 
 
@@ -188,6 +191,81 @@ def test_scattering_jacobian_is_symplectic_on_curved_families(disc,
 def test_slow_geodesic_reports_trapping(halfplane):
     with pytest.raises(TrappedOrSlowError):
         trace_geodesic(halfplane, (0.0, 0.01), t_max=5.0)
+
+
+def test_t_max_guard_fires_on_the_step_the_arclength_passes_it(halfplane):
+    z, t_max = (0.0, 0.01), 5.0
+    with pytest.raises(TrappedOrSlowError) as info:
+        trace_geodesic(halfplane, z, t_max=t_max)
+    exc = info.value
+    assert exc.stats.guard == "t_max"
+    # the same covector without the guard takes the same steps
+    traj = trace_geodesic(halfplane, z, t_max=1e3)
+    i = int(np.searchsorted(traj._breaks, exc.tau))
+    assert traj._breaks[i] == exc.tau
+    assert exc.stats.n_accepted == i
+    assert traj.arclength_at(traj._breaks[i - 1]) <= t_max < exc.t_acc
+    # the guard sums the exact arclength step by step
+    running = 0.0
+    for seg in traj._segments[:i]:
+        running += float(np.sum(
+            flow._arc_panels(seg, *flow._rho_samples(seg))[1]))
+    assert running == exc.t_acc
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_step_bound_exceeds_exact_arclength(disc, halfplane, tol):
+    grid = np.linspace(flow.RHO_GATE_LO, flow.RHO_GATE_HI, 20001)
+    assert np.max(flow._gate_over_rho(grid)) <= flow._GATE_SUP
+    for fam, eta in ((disc, 0.05), (disc, 1.3), (halfplane, -0.4)):
+        traj = trace_geodesic(fam, (0.2, eta), tol=tol)
+        traj._arc.extend_panels()
+        exact = traj._arc.panels
+        # every step but the retaken arrival step, which the guard skips
+        for (t0, p0), (t1, p1), (_, incr) in zip(traj.samples[:-2],
+                                                 traj.samples[1:-1], exact):
+            assert flow._arc_bound(p0.rho, p1.rho, t1 - t0) > np.sum(incr)
+
+
+def test_arclength_is_built_only_when_read(disc):
+    traj = trace_geodesic(disc, (0.3, 1.1))
+    field = SymmetricTensorField(rank=0, weight=1,
+                                 components=lambda rho, y: rho * np.exp(-rho))
+    xray_transform(field, traj)
+    assert traj._arc.rho == [] and traj._arc.panels == []
+    xray_transform(field, traj, rho_breaks=(0.2,))
+    assert len(traj._arc.rho) == len(traj._segments)
+    assert traj._arc.panels == []
+    assert traj.t_acc > 0.0
+    assert len(traj._arc.panels) == len(traj._segments)
+
+
+def test_trace_stats_count_the_integration(disc):
+    traj = trace_geodesic(disc, (0.3, 1.1))
+    st = traj.stats
+    assert st.guard is None
+    # the arrival step is accepted, then retaken as the last segment
+    assert st.n_accepted == len(traj._segments) + 1
+    assert st.n_rejected > 0
+    # each DOP853 attempt makes 12 RHS calls
+    assert st.n_rhs >= 12 * (st.n_accepted + st.n_rejected)
+    assert 0.0 < st.max_constraint_drift < 1e-10
+
+
+def test_flow_errors_carry_their_guard(halfplane, jet_family, monkeypatch):
+    with pytest.raises(CollarExitError) as info:
+        trace_geodesic(jet_family, (0.0, 0.5))
+    assert info.value.stats.guard == "collar"
+    assert info.value.stats.n_accepted > 0
+    strip = halfplane_family(y_bounds=((-1.0, 1.0),))
+    with pytest.raises(ChartExitError) as info:
+        trace_geodesic(strip, (0.0, 0.4))
+    assert info.value.stats.guard == "chart"
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    with pytest.raises(FlowError) as info:
+        trace_geodesic(halfplane, (0.0, 1.0))
+    assert info.value.stats.guard == "step_limit"
+    assert info.value.stats.n_accepted == 3
 
 
 def test_collar_exit_detected(jet_family):

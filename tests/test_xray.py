@@ -27,6 +27,20 @@ def test_halfplane_scalar_transform_linear_weight(halfplane, eta):
     assert got == pytest.approx(math.pi / eta, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_disc_scalar_transform_closed_form(disc, k):
+    # rho = 2 e^{-r} and eta = sinh d, with r the distance from the centre
+    # and d the geodesic's closest approach, so f_k = (cosh r)^{-k}
+    f_k = SymmetricTensorField(
+        rank=0, weight=k,
+        components=lambda rho, y: (rho / (1.0 + 0.25 * rho * rho)) ** k)
+    scale = math.sqrt(math.pi) * math.gamma(0.5 * k) / math.gamma(0.5 * k + 0.5)
+    for eta in (0.2, 0.7, 1.5, 3.0, -2.0):
+        got = xray_transform(f_k, trace_geodesic(disc, (0.4, eta)))
+        assert got == pytest.approx(scale * (1.0 + eta * eta) ** (-0.5 * k),
+                                    rel=1e-10)
+
+
 def test_halfplane_scalar_transform_quadratic_weight(halfplane):
     traj = trace_geodesic(halfplane, (0.0, 2.0), tol=1e-12)
     assert xray_transform(rho_weighted(2), traj) == pytest.approx(
