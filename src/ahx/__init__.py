@@ -36,8 +36,7 @@ from .jacobi import (
     BundleFrame, DecayFit, JacobiSolution, JacobiSystem, RateBracket,
     SimplicityReport, boundary_rate_bracket, conjugate_points,
     curvature_decay_fit, decay_fit, jacobi_solve, jacobi_system,
-    linearized_flow, simplicity_check, stable_unstable, vertical_seed_basis,
-    wronskian,
+    linearized_flow, simplicity_check, stable_unstable, wronskian,
 )
 from .recover import (
     H0Recovery, JetEstimate, LengthSampleSet, RecoveryError,

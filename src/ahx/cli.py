@@ -35,7 +35,7 @@ from .flow import (FlowError, TrappedOrSlowError, scattering_map,
                    trace_geodesic)
 from .renorm import boundary_distance, mellin_length, renormalized_length
 from .xray import SymmetricTensorField, xray_transform
-from .jacobi import simplicity_check
+from .jacobi import diagnose_covector, simplicity_report
 from .quadrature import poly_bump
 from .recover import (recover_first_jet, recover_h0, recover_jet_fit,
                       synthesize_samples)
@@ -450,8 +450,12 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     t_asym = cfg.tolerance("T_asym", 25.0)
     t_scan = cfg.tolerance("t_scan", 12.0)
     tol = cfg.tolerance("tol", 1e-10)
-    report = simplicity_check(fam, covs, T_asym=t_asym, t_scan=t_scan,
-                              trace_tol=tol)
+
+    def worker(z):
+        return diagnose_covector(fam, z, T_asym=t_asym, t_scan=t_scan,
+                                 trace_tol=tol)
+
+    report = simplicity_report(_map_rows(worker, covs, jobs))
     write_json(out / "diagnose.json", report.to_json())
     return 0
 

@@ -10,9 +10,13 @@ of the boundary covector.  The rescaled generator
     eta_k' = -(rho/2) d|eta|_h^2/dy^k
 
 is smooth up to rho = 0, so boundary arrival and departure are ordinary
-finite-time events of the integration.  Trajectories carry dense output;
-the full redundant state is integrated and re-projected onto the constraint
-after every accepted step.
+finite-time events of the integration.  The full redundant state is
+integrated by an in-repo DOP853 stepper (:class:`_Dop853`, the 8(5,3)
+Runge-Kutta pair of Dormand and Prince) and re-projected onto the
+constraint after every accepted step.  Each accepted step leaves one
+coefficient row: its start ``t_old``, size ``h``, start state ``y_old`` and
+the 7 x dim interpolant ``F`` of its dense output, which :func:`_horner`
+evaluates.
 
 Hyperbolic arclength is not part of the integrated state, so it does not
 take part in step-size control, and a trace computes it only when it is
@@ -29,23 +33,25 @@ Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
 (:meth:`GeodesicTrajectory.quad_nodes`).
 
-The tolerance is the DOP853 ``rtol = atol`` on [rho, y, xi_b, eta]; it does
-not cover the arclength.  The dense output between steps is an interpolant
-outside error control, so the arrival step is retaken exactly to the
-located arrival time and the outgoing covector carries the accuracy of an
-integration step.
+The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
+does not cover the arclength.  The dense output between steps is an
+interpolant outside error control, so the arrival step is retaken exactly
+to the located arrival time and the outgoing covector carries the accuracy
+of an integration step.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .metric import BoundaryMetricFamily, eval_metric
@@ -246,6 +252,176 @@ def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
 
 
 # ---------------------------------------------------------------------------
+# DOP853 stepper and its dense output
+
+_EPS = np.finfo(float).eps
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2     # smallest step-size factor after a rejection
+_MAX_FACTOR = 10      # largest step-size factor after an acceptance
+_ERR_EXP = -1 / 8     # -1 / (error estimator order 7 + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_N_STAGES = _dop.N_STAGES            # 12 stages of a step, then f(t + h)
+_N_EXTENDED = _dop.N_STAGES_EXTENDED  # and 3 more for the dense output
+# (A-row, C-node) of stage s, which combines the stage values K[:s]
+_STAGE = [(_dop.A[s, :s], float(_dop.C[s])) for s in range(_N_EXTENDED)]
+
+
+class _Step(NamedTuple):
+    """Dense output of one accepted step on [t_old, t]: the state at
+    t_old + x h is ``_horner(F, y_old, x)`` with h = t - t_old."""
+
+    t_old: float
+    t: float
+    h: float
+    y_old: np.ndarray    # (dim,)
+    F: np.ndarray        # (7, dim)
+
+
+def _horner(F, y_old, x):
+    """Dense state at the step fraction x from the coefficients F[0..6].
+
+    Evaluates y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 +
+    (1-x) (F5 + x F6)))))) with the operations of scipy's
+    ``Dop853DenseOutput`` in its order, elementwise; its sum starts from
+    zeros, whence F6 + 0.0.  The F[k], y_old and x may be floats or arrays
+    that broadcast together: one state component, one state, or many.
+    """
+    xc = 1.0 - x
+    return y_old + x * (F[0] + xc * (F[1] + x * (F[2] + xc * (
+        F[3] + x * (F[4] + xc * (F[5] + x * (F[6] + 0.0)))))))
+
+
+def _step_rho(st: _Step, taus):
+    """rho on the dense output of one step, at a float or an array of taus."""
+    x = (np.asarray(taus) - st.t_old) / st.h
+    return _horner(st.F[:, 0], st.y_old[0], x)
+
+
+def _norm2(x: np.ndarray):
+    """Euclidean norm of a vector, computed as ``np.linalg.norm`` does."""
+    return np.sqrt(x.dot(x))
+
+
+def _rms(x: np.ndarray):
+    return _norm2(x) / x.size ** 0.5
+
+
+class _Dop853:
+    """Explicit Runge-Kutta pair 8(5,3) of Dormand and Prince, forward in t.
+
+    Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with the tableau
+    of ``scipy.integrate._ivp.dop853_coefficients``.  Every numpy operation
+    of scipy's ``DOP853`` is repeated in the same order (initial step guess,
+    stage sums, error norm from the 5th- and 3rd-order estimates, step
+    controller, 7-row dense output), so the steps, rejections and RHS
+    calls are scipy's to the last bit.  ``tol`` is rtol = atol; as in scipy,
+    rtol is raised to 100 eps with a warning, and a negative atol raises
+    ValueError.  ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS
+    calls and step attempts.  After :meth:`step` the caller may replace
+    ``y`` and ``f`` (e.g. by a projection) before the next step.
+    """
+
+    def __init__(self, fun: Callable, t0: float, y0: np.ndarray,
+                 t_bound: float, tol: float, first_step: float | None = None):
+        rtol = tol
+        if rtol < 100 * _EPS:
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                          stacklevel=2)
+            rtol = max(rtol, 100 * _EPS)
+        if tol < 0:
+            raise ValueError("`atol` must be positive.")
+        y0 = np.asarray(y0, dtype=float)
+        if not np.isfinite(y0).all():
+            raise ValueError(
+                "All components of the initial state `y0` must be finite.")
+        self.fun = fun
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.rtol, self.atol = rtol, tol
+        self.f = fun(t0, y0)
+        self.nfev = 1
+        self.n_accepted = self.n_rejected = 0
+        self.t_old = self.y_old = None
+        self.h_abs = self._initial_step() if first_step is None else first_step
+        self.K = np.empty((_N_EXTENDED, y0.size))
+        self._KT = [self.K[:s].T for s in range(_N_EXTENDED + 1)]
+
+    def _initial_step(self):
+        """scipy's ``select_initial_step`` (Hairer et al., II.4)."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval = abs(self.t_bound - t0)
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        self.nfev += 1
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        return min(100 * h0, h1, interval)
+
+    def step(self) -> _Step | None:
+        """Take one accepted step and return its dense output, or None when
+        the step size falls below ten ulps of t (``_TOO_SMALL_STEP``)."""
+        fun, K, KT = self.fun, self.K, self._KT
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return None
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, _N_STAGES):
+                a, c = _STAGE[s]
+                K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+            y_new = y + h * KT[_N_STAGES].dot(_dop.B)
+            f_new = fun(t + h, y_new)
+            K[_N_STAGES] = f_new
+            self.nfev += _N_STAGES
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5 = KT[_N_STAGES + 1].dot(_dop.E5) / scale
+            err3 = KT[_N_STAGES + 1].dot(_dop.E3) / scale
+            err5_2 = _norm2(err5) ** 2
+            err3_2 = _norm2(err3) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                err = 0.0
+            else:
+                err = h_abs * err5_2 / np.sqrt(
+                    (err5_2 + 0.01 * err3_2) * len(scale))
+            if err < 1:
+                self.n_accepted += 1
+                factor = (_MAX_FACTOR if err == 0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            self.n_rejected += 1
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        # the three extra stages of the dense output
+        for s in range(_N_STAGES + 1, _N_EXTENDED):
+            a, c = _STAGE[s]
+            K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+        self.nfev += _N_EXTENDED - _N_STAGES - 1
+        F = np.empty((_dop.INTERPOLATOR_POWER, y.size))
+        f_old = K[0]
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * _dop.D.dot(K)
+        return _Step(float(t), float(t_new), float(h), y, F)
+
+
+# ---------------------------------------------------------------------------
 # arclength quadrature
 
 
@@ -263,13 +439,13 @@ def _level_crossings(taus: np.ndarray, rho: np.ndarray, levels) -> np.ndarray:
     return np.sort(t0 + (t1 - t0) * d0 / (d0 - d1))
 
 
-def _rho_samples(seg):
+def _rho_samples(st: _Step):
     """rho at the ``_ARC_GRID`` points of one step: (taus, rho)."""
-    grid = seg.t_old + (seg.t - seg.t_old) * _ARC_GRID
-    return grid, np.asarray(seg(grid))[0]
+    grid = st.t_old + st.h * _ARC_GRID
+    return grid, _step_rho(st, grid)
 
 
-def _arc_panels(seg, grid, rho):
+def _arc_panels(st: _Step, grid, rho):
     """Gated arclength of one step, integrated panel by panel.
 
     ``grid`` and ``rho`` are the step's :func:`_rho_samples`.  Panel edges
@@ -279,7 +455,7 @@ def _arc_panels(seg, grid, rho):
     which keeps the pole of 1/rho far outside each Gauss rule.  Returns
     (right panel edges, arclength of each panel).
     """
-    t_lo, t_hi = seg.t_old, seg.t
+    t_lo, t_hi = st.t_old, st.t
     top = float(np.max(rho))
     if top <= RHO_GATE_LO:
         return np.array([t_hi]), np.zeros(1)
@@ -288,7 +464,7 @@ def _arc_panels(seg, grid, rho):
     cuts = _level_crossings(grid[None], rho[None], levels)
     edges = np.concatenate(([t_lo], cuts, [t_hi]))
     nodes, w = panel_gauss(edges[:-1], edges[1:], ARC_NODES)
-    vals = _gate_over_rho(np.asarray(seg(nodes.ravel()))[0]).reshape(nodes.shape)
+    vals = _gate_over_rho(_step_rho(st, nodes.ravel())).reshape(nodes.shape)
     return edges[1:], np.sum(w * vals, axis=1)
 
 
@@ -324,25 +500,25 @@ def _arc_bound(rho_lo: float, rho_hi: float, h: float) -> float:
 
 
 class _StepArc:
-    """Per-step rho samples and arclength panels of a trace's segments.
+    """Per-step rho samples and arclength panels of a trace's steps.
 
     Each list is extended to every stored step when asked for and is kept,
     so the ``t_max`` guard and the trajectory share what either built.
     """
 
-    def __init__(self, segments: list):
-        self.segments = segments
+    def __init__(self, steps: list):
+        self.steps = steps
         self.rho = []      # _rho_samples of steps 0, 1, ...
         self.panels = []   # _arc_panels of steps 0, 1, ...
 
     def extend_rho(self):
-        for seg in self.segments[len(self.rho):]:
-            self.rho.append(_rho_samples(seg))
+        for st in self.steps[len(self.rho):]:
+            self.rho.append(_rho_samples(st))
 
     def extend_panels(self):
         self.extend_rho()
-        for i in range(len(self.panels), len(self.segments)):
-            self.panels.append(_arc_panels(self.segments[i], *self.rho[i]))
+        for i in range(len(self.panels), len(self.steps)):
+            self.panels.append(_arc_panels(self.steps[i], *self.rho[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +529,15 @@ class _StepArc:
 class TraceStats:
     """Counters of one trace.
 
-    ``n_accepted`` and ``n_rejected`` count the step attempts the DOP853
-    integrators accepted and rejected, the arrival step and its exact
-    retake both included; ``n_rhs`` is their number of right-hand-side calls
-    (``nfev``).  ``max_constraint_drift`` is the largest |proj - y| that
-    the cosphere projection after an accepted step removed.  ``guard``
-    names the check that stopped a failed trace: "t_max", "collar",
-    "chart", "step_limit", "integrator" or "half_space" (the arrival search
-    found no rho > 0 on an overshooting step); it is None for a trace that
-    arrived.
+    ``n_accepted`` and ``n_rejected`` count the step attempts the
+    :class:`_Dop853` steppers accepted and rejected, the arrival step and
+    its exact retake both included; ``n_rhs`` is their number of
+    right-hand-side calls (``nfev``).  ``max_constraint_drift`` is the
+    largest |proj - y| that the cosphere projection after an accepted step
+    removed.  ``guard`` names the check that stopped a failed trace:
+    "t_max", "collar", "chart", "step_limit", "integrator" or "half_space"
+    (the arrival search found no rho > 0 on an overshooting step); it is
+    None for a trace that arrived.
     """
 
     n_accepted: int
@@ -375,9 +551,11 @@ class GeodesicTrajectory:
     """Dense trajectory of the rescaled flow on [0, tau_plus].
 
     ``samples`` holds the accepted integration steps as (tau, BPhasePoint)
-    with the constraint re-projected.  Dense evaluation is available through
-    :meth:`state_at` (single point, projected) and :meth:`eval_many` (batch,
-    raw dense output).  The gated hyperbolic arclength accumulated from
+    with the constraint re-projected.  The dense output is one coefficient
+    row per step (:class:`_Step`), stacked into arrays on the first batch
+    read; :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected)
+    and :meth:`eval_many` (a batch of taus) all evaluate it with
+    :func:`_horner`.  The gated hyperbolic arclength accumulated from
     tau = 0 is :meth:`arclength_at`; ``t_acc`` is its value at tau_plus.
     Arclength panels and per-step rho samples are built from the stored
     steps on first read and kept; a trace that never reads them, e.g. one
@@ -385,11 +563,12 @@ class GeodesicTrajectory:
     the trace's :class:`TraceStats`.
     """
 
-    def __init__(self, fam, segments, breaks, tau_plus, samples,
+    def __init__(self, fam, steps, breaks, tau_plus, samples,
                  z_in, z_out, arc, stats):
         self.family = fam
         self.n = fam.n
-        self._segments = segments
+        self._steps = steps
+        self._break_list = breaks
         self._breaks = np.asarray(breaks)
         self.tau_plus = float(tau_plus)
         self.samples = samples
@@ -414,20 +593,32 @@ class GeodesicTrajectory:
         edges, incr = zip(*self._arc.panels)
         return np.concatenate(edges), np.cumsum(np.concatenate(incr))
 
+    @cached_property
+    def _rows(self):
+        """(t_old, h, y_old, F) of every step, stacked: shapes (steps,),
+        (steps,), (steps, dim) and (7, steps, dim)."""
+        st = self._steps
+        return (np.array([s.t_old for s in st]), np.array([s.h for s in st]),
+                np.array([s.y_old for s in st]),
+                np.stack([s.F for s in st], axis=1))
+
     @property
     def t_acc(self) -> float:
         """Gated arclength of the whole trajectory."""
         return float(self._arc_table[1][-1])
 
-    def _segment_index(self, tau: float) -> int:
-        i = int(np.searchsorted(self._breaks, tau, side="right")) - 1
-        return min(max(i, 0), len(self._segments) - 1)
-
     def eval_raw(self, tau: float) -> np.ndarray:
+        """Dense state at one tau, not projected."""
         if tau < -1e-12 or tau > self.tau_plus + 1e-12:
             raise ValueError(f"tau={tau} outside [0, {self.tau_plus}]")
         tau = min(max(tau, 0.0), self.tau_plus)
-        return np.asarray(self._segments[self._segment_index(tau)](tau))
+        i = bisect_right(self._break_list, tau) - 1
+        st = self._steps[min(max(i, 0), len(self._steps) - 1)]
+        # one component at a time in Python floats: a fraction of the cost
+        # of numpy calls on arrays this short
+        x = float((tau - st.t_old) / st.h)
+        return np.array([_horner(f, y0, x) for f, y0
+                         in zip(st.F.T.tolist(), st.y_old.tolist())])
 
     def state_at(self, tau: float) -> BPhasePoint:
         return _split_vec(self.n, _project_vec(self.family,
@@ -439,14 +630,12 @@ class GeodesicTrajectory:
         Raw dense output; constraint drift stays below the projection
         tolerance because every accepted step was re-projected.
         """
-        taus = np.asarray(taus, dtype=float)
-        out = np.empty((taus.size, 2 * self.n + 2))
+        taus = np.asarray(taus, dtype=float).ravel()
+        t_old, h, y_old, F = self._rows
         idx = np.clip(np.searchsorted(self._breaks, taus, side="right") - 1,
-                      0, len(self._segments) - 1)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = np.asarray(self._segments[i](taus[sel])).T
-        return out
+                      0, h.size - 1)
+        x = (taus - t_old[idx]) / h[idx]
+        return _horner(F[:, idx], y_old[idx], x[:, None])
 
     def quad_nodes(self, a: float, b: float, npts: int = 12, rho_breaks=()):
         """Composite Gauss nodes/weights on [a, b].
@@ -511,25 +700,6 @@ class GeodesicTrajectory:
 # tracing driver
 
 
-class _CountingDOP853(DOP853):
-    """scipy's DOP853, counting the step attempts it accepts and rejects.
-
-    The step controller computes one error norm per attempt and accepts the
-    attempt exactly when the norm is below 1.
-    """
-
-    n_accepted = 0
-    n_rejected = 0
-
-    def _estimate_error_norm(self, K, h, scale):
-        norm = super()._estimate_error_norm(K, h, scale)
-        if norm < 1:
-            self.n_accepted += 1
-        else:
-            self.n_rejected += 1
-        return norm
-
-
 def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
            t_max: float) -> tuple:
     """Integrate until the boundary-arrival event; project every step.
@@ -541,19 +711,19 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     running arclength, which raises :class:`TrappedOrSlowError` above
     ``t_max``; a trace whose bound stays below ``t_max`` computes no panel.
     Every :class:`FlowError` raised here carries the trace's
-    :class:`TraceStats` so far as ``stats``.  Returns (segments, breaks,
-    tau_plus, samples, endpoint_vec, arc, stats), with ``arc`` the
-    :class:`_StepArc` of the segments, holding the panels the guard built.
+    :class:`TraceStats` so far as ``stats``.  Returns (steps, breaks,
+    tau_plus, samples, endpoint_vec, arc, stats), with ``steps`` the
+    :class:`_Step` rows and ``arc`` their :class:`_StepArc`, holding the
+    panels the guard built.
     """
     n = fam.n
     rhs = _make_rhs(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
     chart = fam.chart
-    solver = _CountingDOP853(rhs, 0.0, s0, t_bound=math.inf, rtol=tol,
-                             atol=tol)
+    solver = _Dop853(rhs, 0.0, s0, math.inf, tol)
     solvers = [solver]
-    segments, breaks = [], [0.0]
-    arc = _StepArc(segments)
+    steps, breaks = [], [0.0]
+    arc = _StepArc(steps)
     p0 = _project_vec(fam, s0, n)
     samples = [(0.0, p0)]
     rho_prev = s0[0]
@@ -577,12 +747,12 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             raise fail(FlowError(
                 f"step limit {MAX_STEPS} exceeded at tau={solver.t}"),
                 "step_limit")
-        msg = solver.step()
-        if solver.status == "failed":
-            raise fail(FlowError(f"integrator failure: {msg}"), "integrator")
-        seg = solver.dense_output()
-        t_lo, t_hi = seg.t_old, seg.t
-        segments.append(seg)
+        st = solver.step()
+        if st is None:
+            raise fail(FlowError(f"integrator failure: {_TOO_SMALL_STEP}"),
+                       "integrator")
+        t_lo, t_hi = st.t_old, st.t
+        steps.append(st)
         rho_new = solver.y[0]
 
         if rho_new <= 0.0:
@@ -591,41 +761,39 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 # overshoot of a whole arc within one step: bracket the
                 # decreasing part from the interior maximum of rho
                 grid = np.linspace(t_lo, t_hi, 65)
-                rg = np.asarray(seg(grid))[0]
+                rg = _step_rho(st, grid)
                 imax = int(np.argmax(rg))
                 if rg[imax] <= 0.0:
                     raise fail(FlowError(
                         "trajectory left the rho > 0 half-space"), "half_space")
                 lo = float(grid[imax])
-            tau_star = brentq(lambda s: float(seg(s)[0]), lo, t_hi,
+            tau_star = brentq(lambda s: float(_step_rho(st, s)), lo, t_hi,
                               xtol=1e-14, rtol=8.9e-16)
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
-            segments.pop()
-            last = _CountingDOP853(rhs, t_lo, solver.y_old, t_bound=tau_star,
-                                   rtol=tol, atol=tol,
-                                   first_step=tau_star - t_lo)
+            steps.pop()
+            last = _Dop853(rhs, t_lo, solver.y_old, tau_star, tol,
+                           first_step=tau_star - t_lo)
             solvers.append(last)
             while True:
-                msg = last.step()
-                if last.status == "failed":
-                    raise fail(FlowError(f"integrator failure: {msg}"),
-                               "integrator")
-                seg = last.dense_output()
-                segments.append(seg)
-                breaks.append(seg.t)
+                st = last.step()
+                if st is None:
+                    raise fail(FlowError(
+                        f"integrator failure: {_TOO_SMALL_STEP}"), "integrator")
+                steps.append(st)
+                breaks.append(st.t)
                 # t_lo + h may fall short of tau_star by rounding
                 if tau_star - last.t <= 4.0 * math.ulp(tau_star):
                     break
             tau_star = last.t
-            end = np.asarray(last.y)
+            end = last.y
             if abs(end[1 + n]) > 1e-8:
                 # one Newton polish using drho/dtau = xi_b; the arclength
-                # panels of this step end at seg.t, not at the polished time
+                # panels of this step end at st.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
-                end = np.asarray(seg(tau_star))
+                end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
                 breaks[-1] = tau_star
-            return segments, breaks, tau_star, samples, end, arc, stats()
+            return steps, breaks, tau_star, samples, end, arc, stats()
 
         if math.isfinite(rho_limit) and rho_new >= rho_limit:
             raise fail(CollarExitError(
@@ -654,8 +822,8 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         if not np.array_equal(proj, solver.y):
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
-        breaks.append(solver.t)
-        samples.append((float(solver.t), proj))
+        breaks.append(t_hi)
+        samples.append((t_hi, proj))
         rho_prev = proj[0]
 
 
@@ -665,7 +833,7 @@ def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
 
 
 def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
-    segments, breaks, tau_plus, samples, end_vec, arc, stats = driven
+    steps, breaks, tau_plus, samples, end_vec, arc, stats = driven
     n = fam.n
     end_proj = _project_vec(fam, end_vec, n)
     y_end = end_proj[1:1 + n].copy()
@@ -674,7 +842,7 @@ def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
     traj_samples = [(t, _split_vec(n, v)) for t, v in samples]
     traj_samples.append((tau_plus, endpoint))
     z_out = BoundaryCovector.make(fam.chart.wrap(y_end), eta_end, "outgoing")
-    return GeodesicTrajectory(fam, segments, breaks, tau_plus, traj_samples,
+    return GeodesicTrajectory(fam, steps, breaks, tau_plus, traj_samples,
                               z_in, z_out, arc, stats)
 
 
@@ -684,8 +852,8 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
 
     ``z`` is a BoundaryCovector or a (y, eta) pair.  The start state is
     (rho, y, xi_b, eta) = (0, y, +1, eta); integration ends at the first
-    transversal return to rho = 0.  ``tol`` is the DOP853 rtol = atol of the
-    state and does not cover the arclength; on the half-plane the outgoing
+    transversal return to rho = 0.  ``tol`` is the stepper's rtol = atol of
+    the state and does not cover the arclength; on the half-plane the outgoing
     covector is off by about 6e-11 at tol 1e-10 and 3e-13 at 1e-12.
     """
     if not isinstance(z, BoundaryCovector):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,7 +28,8 @@ __all__ = [
     "conjugate_points", "BundleFrame", "stable_unstable", "wronskian",
     "DecayFit", "decay_fit", "curvature_decay_fit",
     "RateBracket", "boundary_rate_bracket",
-    "SimplicityReport", "simplicity_check", "linearized_flow",
+    "SimplicityReport", "CovectorDiagnostics", "diagnose_covector",
+    "simplicity_report", "simplicity_check", "linearized_flow",
 ]
 
 MAP_TOL = 1e-13
@@ -349,7 +350,7 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     return sol.y.T.reshape(len(taus), k, dim)
 
 
-def vertical_seed_basis(fam: BoundaryMetricFamily,
+def _vertical_seed_basis(fam: BoundaryMetricFamily,
                         state: BPhasePoint) -> np.ndarray:
     """Basis of fiber (vertical) tangent directions at a phase point.
 
@@ -397,36 +398,65 @@ class SimplicityReport:
         })
 
 
+class CovectorDiagnostics(NamedTuple):
+    """Linearized-flow diagnostics along the geodesic of one covector."""
+
+    angle_deg: float       # stable/unstable transversality angle
+    conjugate_count: int
+    nu_fit: float          # fitted decay exponent
+    C_fit: float           # curvature-decay constant
+
+
+def diagnose_covector(fam: BoundaryMetricFamily, z: Tuple[float, float],
+                      T_asym: float = 25.0, t_scan: float = 12.0,
+                      trace_tol: float = 1e-10
+                      ) -> Optional[CovectorDiagnostics]:
+    """Stable/unstable frame, conjugate points and decay fits along the
+    geodesic entering at z; None when its trace fails."""
+    try:
+        traj = trace_geodesic(fam, z, tol=trace_tol)
+    except FlowError:
+        return None
+    system = jacobi_system(fam, traj, t_range=T_asym + 2.0)
+    frame = stable_unstable(system, T_asym)
+    return CovectorDiagnostics(
+        angle_deg=frame.angle_deg,
+        conjugate_count=len(conjugate_points(system, t_scan)),
+        nu_fit=decay_fit(frame).nu, C_fit=curvature_decay_fit(system))
+
+
+def simplicity_report(rows: Sequence[Optional[CovectorDiagnostics]]
+                      ) -> SimplicityReport:
+    """Reduce per-covector diagnostics, in row order, to the minimal
+    transversality angle, the total number of conjugate points, the slowest
+    decay exponent, the largest curvature-decay constant, and the number of
+    failed traces (the None rows)."""
+    min_angle = math.inf
+    count = 0
+    failures = 0
+    nu_min = math.inf
+    c_max = 0.0
+    for row in rows:
+        if row is None:
+            failures += 1
+            continue
+        min_angle = min(min_angle, row.angle_deg)
+        count += row.conjugate_count
+        nu_min = min(nu_min, row.nu_fit)
+        c_max = max(c_max, row.C_fit)
+    return SimplicityReport(min_angle_deg=min_angle, conjugate_count=count,
+                            nu_fit=nu_min, C_fit=c_max,
+                            trace_failures=failures,
+                            n_geodesics=len(rows) - failures)
+
+
 def simplicity_check(fam: BoundaryMetricFamily,
                      covectors: Sequence[Tuple[float, float]],
                      T_asym: float = 25.0, t_scan: float = 12.0,
                      trace_tol: float = 1e-10) -> SimplicityReport:
-    """Sweep stable/unstable frames and conjugate points over a grid.
-
-    Reports the minimal transversality angle, the total number of detected
-    conjugate points, the slowest fitted decay exponent, the largest
-    curvature-decay constant, and how many traces failed.
-    """
-    min_angle = math.inf
-    count = 0
-    failures = 0
-    traced = 0
-    nu_min = math.inf
-    c_max = 0.0
-    for z in covectors:
-        try:
-            traj = trace_geodesic(fam, z, tol=trace_tol)
-        except FlowError:
-            failures += 1
-            continue
-        traced += 1
-        system = jacobi_system(fam, traj, t_range=T_asym + 2.0)
-        frame = stable_unstable(system, T_asym)
-        min_angle = min(min_angle, frame.angle_deg)
-        count += len(conjugate_points(system, t_scan))
-        fit = decay_fit(frame)
-        nu_min = min(nu_min, fit.nu)
-        c_max = max(c_max, curvature_decay_fit(system))
-    return SimplicityReport(min_angle_deg=min_angle, conjugate_count=count,
-                            nu_fit=nu_min, C_fit=c_max,
-                            trace_failures=failures, n_geodesics=traced)
+    """Sweep stable/unstable frames and conjugate points over a grid:
+    :func:`diagnose_covector` on each covector, then
+    :func:`simplicity_report`."""
+    return simplicity_report([diagnose_covector(fam, z, T_asym, t_scan,
+                                                trace_tol)
+                              for z in covectors])

@@ -194,10 +194,14 @@ def conformal_shift(traj: GeodesicTrajectory, omega: Callable) -> float:
 
 @dataclass(frozen=True)
 class BoundaryDistanceResult:
+    """``residual`` is the endpoint miss max |y_out - y_plus| (chart-wrapped)
+    of ``trajectory``, the connecting geodesic traced at ``DEFAULT_TOL``."""
+
     value: float
     eta: np.ndarray
     iterations: int
     trajectory: GeodesicTrajectory
+    residual: float
 
 
 # Near-diametral geodesics need |eta| -> 0, where the integrator cannot
@@ -244,12 +248,16 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             return ETA_FLOOR * d
         return e
 
-    def residual(e):
-        """Endpoint miss of the geodesic entering at (ym, e)."""
-        traj = trace_geodesic(fam, BoundaryCovector.make(ym, e), tol=SHOOT_TOL)
+    def miss(traj):
+        """Endpoint miss of a traced geodesic from y_plus."""
         y_out = traj.samples[-1][1].y
         return np.array([fam.chart.wrapped_diff(float(a), float(b))
                          for a, b in zip(y_out, yp)])
+
+    def residual(e):
+        """Endpoint miss of the geodesic entering at (ym, e)."""
+        return miss(trace_geodesic(fam, BoundaryCovector.make(ym, e),
+                                   tol=SHOOT_TOL))
 
     eta = clamp(eta)
     r = residual(eta)
@@ -283,7 +291,8 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
     value = renormalized_length(traj).value
     return BoundaryDistanceResult(value=value, eta=eta, iterations=it,
-                                  trajectory=traj)
+                                  trajectory=traj,
+                                  residual=float(np.max(np.abs(miss(traj)))))
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,23 @@ def test_diagnose_command(tmp_path):
     assert payload["nu_fit"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_diagnose_parallel_determinism(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "perturbed",
+                   "params": {"a_cos": [0.0, 0.1], "b_cos": [0.02]}},
+        "points": [[0.0, 3.0], [1.5, 3.5]],
+    })
+    out1 = tmp_path / "serial"
+    out2 = tmp_path / "parallel"
+    assert run("diagnose", cfg, out1) == 0
+    assert run("diagnose", cfg, out2, "--jobs", "2") == 0
+    b1 = (out1 / "diagnose.json").read_bytes()
+    assert b1 == (out2 / "diagnose.json").read_bytes()
+    payload = json.loads(b1)
+    assert payload["n_geodesics"] == 2
+    assert payload["trace_failures"] == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

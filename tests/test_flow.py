@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853
 
 from ahx import (BoundaryCovector, BPhasePoint, ChartExitError,
                  CollarExitError, FlowError, SymmetricTensorField,
@@ -185,6 +186,94 @@ def test_scattering_jacobian_is_symplectic_on_curved_families(disc,
 
 
 # ---------------------------------------------------------------------------
+# DOP853 stepper against scipy's
+
+
+class _CountingDOP853(DOP853):
+    """scipy's DOP853, counting the attempts its error norm accepts (< 1)
+    and rejects."""
+
+    n_accepted = 0
+    n_rejected = 0
+
+    def _estimate_error_norm(self, K, h, scale):
+        norm = super()._estimate_error_norm(K, h, scale)
+        if norm < 1:
+            self.n_accepted += 1
+        else:
+            self.n_rejected += 1
+        return norm
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _step_side_by_side(fam, t0, s0, t_bound, tol, first_step=None):
+    """Step flow._Dop853 and scipy's DOP853 from the same state until rho
+    turns negative or t_bound is reached, projecting both after each step
+    as the tracing driver does; assert every step and dense value equal."""
+    rhs = flow._make_rhs(fam)
+    n = fam.n
+    ours = flow._Dop853(rhs, t0, s0, t_bound, tol, first_step=first_step)
+    ref = _CountingDOP853(rhs, t0, s0, t_bound=t_bound, rtol=tol, atol=tol,
+                          first_step=first_step)
+    assert ours.h_abs == ref.h_abs and ours.nfev == ref.nfev
+    fractions = np.array([0.0, 0.1, 0.37, 0.5, 0.93, 1.0])
+    while True:
+        st = ours.step()
+        ref.step()
+        dense = ref.dense_output()
+        assert ours.t == ref.t and _same_bits(ours.y, ref.y)
+        assert (ours.nfev, ours.n_accepted, ours.n_rejected) == (
+            ref.nfev, ref.n_accepted, ref.n_rejected)
+        assert (st.t_old, st.t, st.h) == (dense.t_old, dense.t, dense.h)
+        taus = st.t_old + st.h * fractions
+        want = dense(taus).T
+        x = (taus - st.t_old) / st.h
+        assert _same_bits(flow._horner(st.F, st.y_old, x[:, None]), want)
+        assert _same_bits(flow._step_rho(st, taus), want[:, 0])
+        for xi, row in zip(x.tolist(), want):
+            assert _same_bits([flow._horner(f, y0, xi) for f, y0
+                               in zip(st.F.T.tolist(), st.y_old.tolist())],
+                              row)
+        if ours.y[0] < 0.0 or ours.t >= t_bound:
+            return ours
+        proj = flow._project_vec(fam, ours.y, n)
+        ours.y = ref.y = proj
+        ours.f = ref.f = rhs(ours.t, proj)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_stepper_matches_scipy_dop853(disc, halfplane, perturbed, tol):
+    for fam, (y, eta) in ((disc, (0.3, 1.1)), (halfplane, (0.0, -0.7)),
+                          (perturbed, (1.0, 3.0))):
+        s0 = np.array([0.0, y, 1.0, eta])
+        ours = _step_side_by_side(fam, 0.0, s0, math.inf, tol)
+        assert ours.n_accepted > 5 and ours.y[0] < 0.0
+        # the arrival retake: one step of the requested size to t_bound
+        t_lo, t_end = ours.t_old, 0.5 * (ours.t_old + ours.t)
+        last = _step_side_by_side(fam, t_lo, ours.y_old, t_end, tol,
+                                  first_step=t_end - t_lo)
+        assert last.t == t_end
+
+
+@pytest.mark.parametrize("tol", [1e-16, -1.0])
+def test_stepper_keeps_scipy_tolerance_checks(disc, tol):
+    # rtol is floored at 100 eps with a warning; a negative atol raises
+    s0 = np.array([0.0, 0.3, 1.0, 1.1])
+    with pytest.warns(UserWarning, match="rtol"):
+        if tol < 0:
+            with pytest.raises(ValueError, match="atol"):
+                trace_geodesic(disc, (0.3, 1.1), tol=tol)
+        else:
+            traj = trace_geodesic(disc, (0.3, 1.1), tol=tol)
+            assert traj.z_out.eta[0] == pytest.approx(1.1, abs=1e-12)
+            _step_side_by_side(disc, 0.0, s0, math.inf, tol)
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 
 
@@ -207,9 +296,9 @@ def test_t_max_guard_fires_on_the_step_the_arclength_passes_it(halfplane):
     assert traj.arclength_at(traj._breaks[i - 1]) <= t_max < exc.t_acc
     # the guard sums the exact arclength step by step
     running = 0.0
-    for seg in traj._segments[:i]:
+    for st in traj._steps[:i]:
         running += float(np.sum(
-            flow._arc_panels(seg, *flow._rho_samples(seg))[1]))
+            flow._arc_panels(st, *flow._rho_samples(st))[1]))
     assert running == exc.t_acc
 
 
@@ -234,10 +323,10 @@ def test_arclength_is_built_only_when_read(disc):
     xray_transform(field, traj)
     assert traj._arc.rho == [] and traj._arc.panels == []
     xray_transform(field, traj, rho_breaks=(0.2,))
-    assert len(traj._arc.rho) == len(traj._segments)
+    assert len(traj._arc.rho) == len(traj._steps)
     assert traj._arc.panels == []
     assert traj.t_acc > 0.0
-    assert len(traj._arc.panels) == len(traj._segments)
+    assert len(traj._arc.panels) == len(traj._steps)
 
 
 def test_trace_stats_count_the_integration(disc):
@@ -245,7 +334,7 @@ def test_trace_stats_count_the_integration(disc):
     st = traj.stats
     assert st.guard is None
     # the arrival step is accepted, then retaken as the last segment
-    assert st.n_accepted == len(traj._segments) + 1
+    assert st.n_accepted == len(traj._steps) + 1
     assert st.n_rejected > 0
     # each DOP853 attempt makes 12 RHS calls
     assert st.n_rhs >= 12 * (st.n_accepted + st.n_rejected)

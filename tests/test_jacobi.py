@@ -40,9 +40,9 @@ from ahx import (
     simplicity_check,
     stable_unstable,
     trace_geodesic,
-    vertical_seed_basis,
     wronskian,
 )
+from ahx.jacobi import _vertical_seed_basis
 
 ETA_BUMP = 3.2  # turning point inside the bump band of the bump_family
 CONJUGATE_TIME = 0.0055643505  # frozen detection output for (0, ETA_BUMP)
@@ -260,7 +260,7 @@ def test_linearized_flow_matches_retraced_neighbours(perturbed):
 def test_vertical_seed_basis_spans_fiber_kernel(perturbed):
     traj = trace_geodesic(perturbed, (0.5, 2.5))
     state = traj.state_at(0.5 * traj.tau_plus)
-    seeds = vertical_seed_basis(perturbed, state)
+    seeds = _vertical_seed_basis(perturbed, state)
     assert seeds.shape == (1, 4)
     assert np.all(seeds[:, :2] == 0.0)
     h = eval_metric(perturbed, state.rho, state.y).h_mat[0, 0]
@@ -272,7 +272,7 @@ def test_vertical_seed_basis_spans_fiber_kernel(perturbed):
 def test_vertical_seed_basis_two_factor_block(halfplane):
     fam2 = product_family(halfplane_family(), halfplane_family())
     point = BPhasePoint.make(0.4, [0.1, 0.2], 0.3, [0.5, 0.7])
-    seeds = vertical_seed_basis(fam2, point)
+    seeds = _vertical_seed_basis(fam2, point)
     assert seeds.shape == (2, 6)
     assert np.all(seeds[:, :3] == 0.0)
     for row in seeds:
