@@ -10,7 +10,7 @@ Runs are deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-metric whose boundary is not 1-dimensional).
+metric whose boundary is not 1-dimensional and a ``T_asym`` too small).
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .flow import (FlowError, TrappedOrSlowError, scattering_map,
                    trace_geodesic)
 from .renorm import boundary_distance, mellin_length, renormalized_length
 from .xray import SymmetricTensorField, xray_transform
-from .jacobi import diagnose_covector, simplicity_report
+from .jacobi import AsymptoteError, diagnose_covector, simplicity_report
 from .quadrature import poly_bump
 from .recover import (recover_first_jet, recover_h0, recover_jet_fit,
                       synthesize_samples)
@@ -450,6 +450,8 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     t_asym = cfg.tolerance("T_asym", 25.0)
     t_scan = cfg.tolerance("t_scan", 12.0)
     tol = cfg.tolerance("tol", 1e-10)
+    if t_scan > t_asym + 2.0:     # the range of the hyperbolic-time map
+        raise ConfigError(f"t_scan {t_scan} exceeds T_asym + 2 = {t_asym + 2}")
 
     def worker(z):
         return diagnose_covector(fam, z, T_asym=t_asym, t_scan=t_scan,
@@ -491,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         return COMMANDS[args.command](cfg, out, args.jobs)
-    except ConfigError as exc:
+    except (ConfigError, AsymptoteError) as exc:
         print(f"ahx: config error: {exc}", file=sys.stderr)
         return 3
     except TrappedOrSlowError as exc:

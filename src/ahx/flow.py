@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -276,6 +276,12 @@ class _Step(NamedTuple):
     y_old: np.ndarray    # (dim,)
     F: np.ndarray        # (7, dim)
 
+    def __call__(self, t: float) -> list:
+        """State at t in Python floats, cheaper than numpy on so few values."""
+        x = float((t - self.t_old) / self.h)
+        return [_horner(f, y0, x) for f, y0
+                in zip(self.F.T.tolist(), self.y_old.tolist())]
+
 
 def _horner(F, y_old, x):
     """Dense state at the step fraction x from the coefficients F[0..6].
@@ -307,29 +313,28 @@ def _rms(x: np.ndarray):
 
 
 class _Dop853:
-    """Explicit Runge-Kutta pair 8(5,3) of Dormand and Prince, forward in t.
+    """Explicit Runge-Kutta pair 8(5,3) of Dormand and Prince, toward t_bound.
 
-    Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with the tableau
-    of ``scipy.integrate._ivp.dop853_coefficients``.  Every numpy operation
-    of scipy's ``DOP853`` is repeated in the same order (initial step guess,
-    stage sums, error norm from the 5th- and 3rd-order estimates, step
-    controller, 7-row dense output), so the steps, rejections and RHS
-    calls are scipy's to the last bit.  ``tol`` is rtol = atol; as in scipy,
-    rtol is raised to 100 eps with a warning, and a negative atol raises
-    ValueError.  ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS
-    calls and step attempts.  After :meth:`step` the caller may replace
-    ``y`` and ``f`` (e.g. by a projection) before the next step.
+    Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with scipy's
+    ``dop853_coefficients`` tableau.  Every numpy operation of scipy's
+    ``DOP853`` is repeated in the same order (initial step guess, stage
+    sums, error norm from the 5th- and 3rd-order estimates, step controller,
+    7-row dense output), forward or backward in t, so the steps, rejections
+    and RHS calls are scipy's to the last bit.  As in scipy, rtol is raised
+    to 100 eps with a warning, and a negative atol raises ValueError.
+    ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS calls and step
+    attempts.  After :meth:`step` the caller may replace ``y`` and ``f``
+    (e.g. by a projection) before the next step.
     """
 
-    def __init__(self, fun: Callable, t0: float, y0: np.ndarray,
-                 t_bound: float, tol: float, first_step: float | None = None):
-        rtol = tol
+    def __init__(self, fun: Callable, t0: float, y0, t_bound: float,
+                 rtol: float, atol: float, first_step: float | None = None):
         if rtol < 100 * _EPS:
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
                           stacklevel=2)
             rtol = max(rtol, 100 * _EPS)
-        if tol < 0:
+        if atol < 0:
             raise ValueError("`atol` must be positive.")
         y0 = np.asarray(y0, dtype=float)
         if not np.isfinite(y0).all():
@@ -337,7 +342,8 @@ class _Dop853:
                 "All components of the initial state `y0` must be finite.")
         self.fun = fun
         self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.rtol, self.atol = rtol, tol
+        self.direction = -1.0 if t_bound < t0 else 1.0
+        self.rtol, self.atol = rtol, atol
         self.f = fun(t0, y0)
         self.nfev = 1
         self.n_accepted = self.n_rejected = 0
@@ -354,7 +360,7 @@ class _Dop853:
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        f1 = self.fun(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
         self.nfev += 1
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -367,14 +373,14 @@ class _Dop853:
         """Take one accepted step and return its dense output, or None when
         the step size falls below ten ulps of t (``_TOO_SMALL_STEP``)."""
         fun, K, KT = self.fun, self.K, self._KT
-        t, y, f = self.t, self.y, self.f
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        t, y, f, d = self.t, self.y, self.f, self.direction
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 return None
-            t_new = min(t + h_abs, self.t_bound)
+            t_new = (min if d > 0 else max)(t + h_abs * d, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
@@ -419,6 +425,31 @@ class _Dop853:
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * _dop.D.dot(K)
         return _Step(float(t), float(t_new), float(h), y, F)
+
+
+class _Solution:
+    """Dense solution of y' = fun(t, y) from t0 to t_bound, either way, as
+    :class:`_Dop853` steps it; a step size below ten ulps of t raises
+    ``FlowError(fail)``.  ``ts`` holds t0 and each step's end in the order
+    of integration, ``ys`` the states there and ``steps`` the step rows."""
+
+    def __init__(self, fun: Callable, t0: float, y0, t_bound: float,
+                 rtol: float, atol: float, fail: str):
+        solver = _Dop853(fun, t0, y0, t_bound, rtol, atol)
+        self.steps = []
+        while solver.direction * (solver.t - t_bound) < 0:
+            self.steps.append(solver.step())
+            if self.steps[-1] is None:
+                raise FlowError(fail)
+        self.ts = np.array([st.t_old for st in self.steps] + [solver.t])
+        self.ys = np.array([st.y_old for st in self.steps] + [solver.y])
+        self._direction = solver.direction
+
+    def __call__(self, t: float) -> list:
+        """State at t, read at a step end on the step that ends there."""
+        d = self._direction
+        i = bisect_left(self.steps, d * t, key=lambda st: d * st.t_old) - 1
+        return self.steps[min(max(i, 0), len(self.steps) - 1)](t)
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +644,7 @@ class GeodesicTrajectory:
             raise ValueError(f"tau={tau} outside [0, {self.tau_plus}]")
         tau = min(max(tau, 0.0), self.tau_plus)
         i = bisect_right(self._break_list, tau) - 1
-        st = self._steps[min(max(i, 0), len(self._steps) - 1)]
-        # one component at a time in Python floats: a fraction of the cost
-        # of numpy calls on arrays this short
-        x = float((tau - st.t_old) / st.h)
-        return np.array([_horner(f, y0, x) for f, y0
-                         in zip(st.F.T.tolist(), st.y_old.tolist())])
+        return np.array(self._steps[min(max(i, 0), len(self._steps) - 1)](tau))
 
     def state_at(self, tau: float) -> BPhasePoint:
         return _split_vec(self.n, _project_vec(self.family,
@@ -720,7 +746,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     rhs = _make_rhs(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
     chart = fam.chart
-    solver = _Dop853(rhs, 0.0, s0, math.inf, tol)
+    solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     solvers = [solver]
     steps, breaks = [], [0.0]
     arc = _StepArc(steps)
@@ -772,7 +798,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
             steps.pop()
-            last = _Dop853(rhs, t_lo, solver.y_old, tau_star, tol,
+            last = _Dop853(rhs, t_lo, solver.y_old, tau_star, tol, tol,
                            first_step=tau_star - t_lo)
             solvers.append(last)
             while True:

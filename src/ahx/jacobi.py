@@ -4,7 +4,8 @@ Scalar Jacobi fields in hyperbolic time, conjugate-point detection,
 stable/unstable solutions seeded by their boundary asymptotics, decay-rate
 fits, and the boundary-approach rate bracket.  The hyperbolic time t is
 arclength along the geodesic, anchored at t = 0 where rho peaks, and is
-related to the flow parameter by dtau/dt = rho.
+related to the flow parameter by dtau/dt = rho.  Every integration here
+runs on the traces' DOP853 stepper, ``flow._Solution``.
 """
 
 from __future__ import annotations
@@ -15,19 +16,19 @@ from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
 from .metric import BoundaryMetricFamily, gauss_curvature
-from .flow import (BPhasePoint, FlowError, GeodesicTrajectory, _make_rhs,
+from .flow import (_TOO_SMALL_STEP, BPhasePoint, FlowError,
+                   GeodesicTrajectory, _make_rhs, _Solution,
                    trace_geodesic)
 
 __all__ = [
     "JacobiSystem", "jacobi_system", "JacobiSolution", "jacobi_solve",
     "conjugate_points", "BundleFrame", "stable_unstable", "wronskian",
     "DecayFit", "decay_fit", "curvature_decay_fit",
-    "RateBracket", "boundary_rate_bracket",
+    "RateBracket", "boundary_rate_bracket", "AsymptoteError",
     "SimplicityReport", "CovectorDiagnostics", "diagnose_covector",
     "simplicity_report", "simplicity_check", "linearized_flow",
 ]
@@ -35,6 +36,10 @@ __all__ = [
 MAP_TOL = 1e-13
 SOLVE_TOL = 1e-12
 ASYM_CURV_TOL = 1e-10
+
+
+class AsymptoteError(ValueError):
+    """The curvature is not yet -1 where :func:`stable_unstable` seeds."""
 
 
 @dataclass
@@ -51,15 +56,14 @@ class JacobiSystem:
     traj: GeodesicTrajectory
     tau_peak: float
     t_range: float
-    _fwd: object
-    _bwd: object
+    _fwd: _Solution     # the map on [0, t_range]
+    _bwd: _Solution     # and on [-t_range, 0]
 
     def tau_of_t(self, t: float) -> float:
         if abs(t) > self.t_range * (1.0 + 1e-12):
             raise ValueError("time %g exceeds the mapped range %g"
                              % (t, self.t_range))
-        sol = self._fwd if t >= 0.0 else self._bwd
-        return float(sol(t)[0])
+        return (self._fwd if t >= 0.0 else self._bwd)(t)[0]
 
     def state_at_time(self, t: float) -> BPhasePoint:
         return self.traj.state_at(self.tau_of_t(t))
@@ -74,7 +78,7 @@ class JacobiSystem:
 
 def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                   t_range: float = 32.0) -> JacobiSystem:
-    """Attach the hyperbolic-time map and curvature trace to a trajectory."""
+    """Attach the hyperbolic-time map (at ``MAP_TOL``) and curvature trace."""
     if traj.n != 1:
         raise NotImplementedError(
             "scalar Jacobi bookkeeping needs a 1-dimensional boundary; "
@@ -82,16 +86,13 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     tau_peak, _ = traj.rho_peak()
 
     def rhs(t, s):
-        return (max(traj.eval_raw(s[0])[0], 0.0),)
+        return np.array([max(traj.eval_raw(s[0])[0], 0.0)])
 
-    fwd = solve_ivp(rhs, (0.0, t_range), [tau_peak], method="DOP853",
-                    rtol=MAP_TOL, atol=MAP_TOL, dense_output=True)
-    bwd = solve_ivp(rhs, (0.0, -t_range), [tau_peak], method="DOP853",
-                    rtol=MAP_TOL, atol=MAP_TOL, dense_output=True)
-    if not (fwd.success and bwd.success):
-        raise FlowError("hyperbolic-time map integration failed")
+    fwd, bwd = (_Solution(rhs, 0.0, [tau_peak], t, MAP_TOL, MAP_TOL,
+                          "hyperbolic-time map integration failed")
+                for t in (t_range, -t_range))
     return JacobiSystem(fam=fam, traj=traj, tau_peak=tau_peak,
-                        t_range=t_range, _fwd=fwd.sol, _bwd=bwd.sol)
+                        t_range=t_range, _fwd=fwd, _bwd=bwd)
 
 
 @dataclass
@@ -101,18 +102,17 @@ class JacobiSolution:
     ts: np.ndarray
     y: np.ndarray
     ydot: np.ndarray
-    _sol: object
+    _sol: _Solution
 
     def at(self, t: float) -> Tuple[float, float]:
-        v = self._sol(t)
-        return float(v[0]), float(v[1])
+        return tuple(self._sol(t))
 
 
 def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
                  t_span: Tuple[float, float],
                  atol: float = SOLVE_TOL) -> JacobiSolution:
-    """Integrate ydd + K(t) y = 0 along the base geodesic over t_span, with
-    DOP853 at rtol ``SOLVE_TOL``.
+    """Integrate ydd + K(t) y = 0 along the base geodesic over t_span, on
+    the traces' stepper at rtol ``SOLVE_TOL`` and the given atol.
 
     t_span may run in either direction; both endpoints must lie inside the
     system's mapped time range.  Growth over the admissible spans stays many
@@ -123,13 +123,11 @@ def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
             raise ValueError("t_span exceeds the mapped time range")
 
     def rhs(t, s):
-        return (s[1], -system.curvature(t) * s[0])
+        return np.array([s[1], -system.curvature(t) * s[0]])
 
-    sol = solve_ivp(rhs, t_span, [y0, ydot0], method="DOP853",
-                    rtol=SOLVE_TOL, atol=atol, dense_output=True)
-    if not sol.success:
-        raise FlowError("Jacobi integration failed: %s" % sol.message)
-    return JacobiSolution(ts=sol.t, y=sol.y[0], ydot=sol.y[1], _sol=sol.sol)
+    sol = _Solution(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
+                    atol, "Jacobi integration failed: " + _TOO_SMALL_STEP)
+    return JacobiSolution(sol.ts, *sol.ys.T, sol)
 
 
 def wronskian(a: JacobiSolution, b: JacobiSolution, ts) -> np.ndarray:
@@ -193,12 +191,12 @@ def stable_unstable(system: JacobiSystem,
     Seeds the asymptotic solution e^{-t} of the frozen boundary equation at
     t = +-T_asym and integrates to the anchor, where both directions are
     normalized.  Requires the curvature to have settled to its boundary
-    value at the seeding times.
+    value at the seeding times, else raises :class:`AsymptoteError`.
     """
     for t_seed in (T_asym, -T_asym):
         resid = abs(system.curvature(t_seed) + 1.0)
         if resid > ASYM_CURV_TOL:
-            raise ValueError(
+            raise AsymptoteError(
                 "curvature has not reached its asymptote at t=%g "
                 "(residual %.2e); increase T_asym or the mapped range"
                 % (t_seed, resid))
@@ -314,11 +312,11 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                     dz0: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Evolve tangent vectors of the rescaled flow along a trajectory.
 
-    dz0 has shape (k, 2n+2) in (rho, y, xi_b, eta) order; returns the
-    evolved vectors at the requested flow parameters, shape
-    (len(taus), k, 2n+2).  The Jacobian action is a centered directional
-    difference of the flow's right-hand side about the dense base orbit,
-    with a step of 1e-7 * max(1, |base state|) along each direction.
+    dz0 has shape (k, 2n+2) in (rho, y, xi_b, eta) order; returns them
+    evolved to the monotone flow parameters taus, shape (len(taus), k,
+    2n+2), at rtol 1e-10 and atol 1e-12.  The Jacobian action is a centered
+    directional difference of the flow's right-hand side about the dense
+    base orbit, with a step of 1e-7 * max(1, |base state|) per direction.
     """
     n = traj.n
     dim = 2 * n + 2
@@ -342,12 +340,11 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
         return out
 
     taus = np.asarray(taus, dtype=float)
-    sol = solve_ivp(var_rhs, (taus[0], taus[-1]), dz0.ravel(),
-                    method="DOP853", rtol=1e-10, atol=1e-12,
-                    t_eval=taus, dense_output=False)
-    if not sol.success:
-        raise FlowError("linearized flow integration failed: %s" % sol.message)
-    return sol.y.T.reshape(len(taus), k, dim)
+    if not (np.all(np.diff(taus) > 0) or np.all(np.diff(taus) < 0)):
+        raise ValueError("taus must be strictly monotone")
+    sol = _Solution(var_rhs, taus[0], dz0.ravel(), taus[-1], 1e-10, 1e-12,
+                    "linearized flow integration failed: " + _TOO_SMALL_STEP)
+    return np.array([sol(t) for t in taus]).reshape(len(taus), k, dim)
 
 
 def _vertical_seed_basis(fam: BoundaryMetricFamily,

@@ -210,14 +210,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _step_side_by_side(fam, t0, s0, t_bound, tol, first_step=None):
+def _step_side_by_side(fam, t0, s0, t_bound, tol, first_step=None,
+                       atol=None):
     """Step flow._Dop853 and scipy's DOP853 from the same state until rho
     turns negative or t_bound is reached, projecting both after each step
-    as the tracing driver does; assert every step and dense value equal."""
+    as the tracing driver does; assert every step and dense value equal.
+    ``tol`` is the rtol, and the atol too unless ``atol`` is given."""
     rhs = flow._make_rhs(fam)
     n = fam.n
-    ours = flow._Dop853(rhs, t0, s0, t_bound, tol, first_step=first_step)
-    ref = _CountingDOP853(rhs, t0, s0, t_bound=t_bound, rtol=tol, atol=tol,
+    atol = tol if atol is None else atol
+    ours = flow._Dop853(rhs, t0, s0, t_bound, tol, atol,
+                        first_step=first_step)
+    ref = _CountingDOP853(rhs, t0, s0, t_bound=t_bound, rtol=tol, atol=atol,
                           first_step=first_step)
     assert ours.h_abs == ref.h_abs and ours.nfev == ref.nfev
     fractions = np.array([0.0, 0.1, 0.37, 0.5, 0.93, 1.0])
@@ -238,7 +242,7 @@ def _step_side_by_side(fam, t0, s0, t_bound, tol, first_step=None):
             assert _same_bits([flow._horner(f, y0, xi) for f, y0
                                in zip(st.F.T.tolist(), st.y_old.tolist())],
                               row)
-        if ours.y[0] < 0.0 or ours.t >= t_bound:
+        if ours.y[0] < 0.0 or ours.direction * (ours.t - t_bound) >= 0:
             return ours
         proj = flow._project_vec(fam, ours.y, n)
         ours.y = ref.y = proj
@@ -257,6 +261,31 @@ def test_stepper_matches_scipy_dop853(disc, halfplane, perturbed, tol):
         last = _step_side_by_side(fam, t_lo, ours.y_old, t_end, tol,
                                   first_step=t_end - t_lo)
         assert last.t == t_end
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_stepper_matches_scipy_dop853_backward_and_split_tolerances(
+        disc, halfplane, perturbed, tol):
+    # backward spans (t_bound < t0) and rtol != atol, as the Jacobi layer
+    # integrates them
+    for fam, (y, eta) in ((disc, (0.3, 1.1)), (halfplane, (0.0, -0.7)),
+                          (perturbed, (1.0, 3.0))):
+        traj = trace_geodesic(fam, (y, eta), tol=tol)
+        tau0 = 0.8 * traj.tau_plus
+        s0 = traj.eval_raw(tau0)
+        # back to the incoming boundary, where rho turns negative
+        ours = _step_side_by_side(fam, tau0, s0, -math.inf, tol)
+        assert ours.direction == -1.0
+        assert ours.n_accepted > 2 and ours.y[0] < 0.0
+        # a backward span that ends at t_bound, atol far below rtol
+        t_end = 0.3 * traj.tau_plus
+        last = _step_side_by_side(fam, tau0, s0, t_end, tol,
+                                  atol=tol * math.exp(-25.0))
+        assert last.t == t_end and last.n_accepted > 1
+        # and forward from the boundary with atol above rtol
+        ours = _step_side_by_side(fam, 0.0, np.array([0.0, y, 1.0, eta]),
+                                  math.inf, tol, atol=10.0 * tol)
+        assert ours.y[0] < 0.0
 
 
 @pytest.mark.parametrize("tol", [1e-16, -1.0])

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ahx import (
@@ -42,7 +43,7 @@ from ahx import (
     trace_geodesic,
     wronskian,
 )
-from ahx.jacobi import _vertical_seed_basis
+from ahx.jacobi import MAP_TOL, SOLVE_TOL, _vertical_seed_basis
 
 ETA_BUMP = 3.2  # turning point inside the bump band of the bump_family
 CONJUGATE_TIME = 0.0055643505  # frozen detection output for (0, ETA_BUMP)
@@ -105,6 +106,47 @@ def test_wronskian_is_constant_off_model(perturbed):
     b = jacobi_solve(system, 0.0, 1.0, (-4.0, 4.0))
     w = wronskian(a, b, np.linspace(-3.5, 3.5, 29))
     assert np.max(np.abs(w - 1.0)) < 1e-8
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
+    # the time map and Jacobi fields, forward and backward, against scipy's
+    # DOP853 on the same right-hand sides; step ends are read on the step
+    # that ends there, as scipy's OdeSolution does
+    traj = trace_geodesic(perturbed, (0.7, 2.4))
+    system = jacobi_system(perturbed, traj)
+
+    def map_rhs(t, s):
+        return (max(traj.eval_raw(s[0])[0], 0.0),)
+
+    for sol, t_end in ((system._fwd, system.t_range),
+                       (system._bwd, -system.t_range)):
+        ref = solve_ivp(map_rhs, (0.0, t_end), [system.tau_peak],
+                        method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
+                        dense_output=True)
+        assert _same_bits(sol.ts, ref.t)
+        ts = np.concatenate((ref.t, np.linspace(0.0, t_end, 23)))
+        assert _same_bits([system.tau_of_t(t) for t in ts],
+                          [ref.sol(t)[0] for t in ts])
+
+    def rhs(t, s):
+        return (s[1], -system.curvature(t) * s[0])
+
+    for span, atol in (((-4.0, 4.0), SOLVE_TOL), ((3.0, -6.0), SOLVE_TOL),
+                       ((20.0, 0.0), SOLVE_TOL * math.exp(-20.0))):
+        sol = jacobi_solve(system, 0.3, -0.7, span, atol=atol)
+        ref = solve_ivp(rhs, span, [0.3, -0.7], method="DOP853",
+                        rtol=SOLVE_TOL, atol=atol, dense_output=True)
+        assert sol.ts.size > 3
+        assert _same_bits(sol.ts, ref.t)
+        assert _same_bits(sol.y, ref.y[0])
+        assert _same_bits(sol.ydot, ref.y[1])
+        ts = np.concatenate((ref.t, np.linspace(*span, 17)))
+        assert _same_bits([sol.at(t) for t in ts], [ref.sol(t) for t in ts])
 
 
 # ---------------------------------------------------------------------------
