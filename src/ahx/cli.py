@@ -8,6 +8,10 @@ optional ``seed``.  Outputs are CSV (RFC 4180 payload preceded by one
 ``# config_hash=...`` comment line), JSON, and plain SVG line charts.
 Runs are deterministic for a fixed config and seed.
 
+Every number in a config must be a finite JSON number.  Each command's
+``tol`` defaults to the library's ``flow.DEFAULT_TOL`` (1e-12), except the
+endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
+
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
 metric whose boundary is not 1-dimensional and a ``T_asym`` too small).
@@ -31,13 +35,15 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .metric import BoundaryMetricFamily, MetricError, make_family
-from .flow import (FlowError, TrappedOrSlowError, scattering_map,
-                   trace_geodesic)
-from .renorm import boundary_distance, mellin_length, renormalized_length
+from .flow import (DEFAULT_T_MAX, DEFAULT_TOL, FlowError,
+                   TrappedOrSlowError, scattering_map, trace_geodesic)
+from .renorm import (ENDPOINT_TOL, boundary_distance, mellin_length,
+                     renormalized_length)
 from .xray import SymmetricTensorField, xray_transform
-from .jacobi import AsymptoteError, diagnose_covector, simplicity_report
+from .jacobi import (T_ASYM, T_SCAN, AsymptoteError, diagnose_covector,
+                     simplicity_report)
 from .quadrature import poly_bump
-from .recover import (recover_first_jet, recover_h0, recover_jet_fit,
+from .recover import (DELTA_GRID, recover_first_jet, recover_jet_fit,
                       synthesize_samples)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_hash",
@@ -48,12 +54,21 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _number(value) -> float:
+    """A finite JSON number: strings, bools, NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 def _floats(values) -> List[float]:
-    return [float(v) for v in values]
+    return [_number(v) for v in values]
 
 
 def _float_pairs(pairs) -> List[tuple]:
-    return [(float(p[0]), float(p[1])) for p in pairs]
+    return [(_number(p[0]), _number(p[1])) for p in pairs]
 
 
 def _integer(value) -> int:
@@ -61,6 +76,28 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not an integer")
     return value
+
+
+def _boolean(value) -> bool:
+    """A JSON bool: 0, 1 and strings are refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def _one_of(*choices) -> Callable:
+    """A parser that accepts the given values and nothing else."""
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}")
+        return value
+    return parse
+
+
+def _directions(value) -> np.ndarray:
+    """One direction or a list of them, as rows of finite numbers."""
+    rows = value if isinstance(value[0], list) else [value]
+    return np.array([_floats(r) for r in rows])
 
 
 @dataclass(frozen=True)
@@ -83,9 +120,6 @@ class ExperimentConfig:
                               f"got n={fam.n}")
         return fam
 
-    def opt(self, key, default=None):
-        return self.params.get(key, default)
-
     def value(self, key, parse: Callable, default=None):
         """``parse`` applied to the value under ``key``, or to ``default``
         when the key is absent (required if there is no default); a value
@@ -97,13 +131,13 @@ class ExperimentConfig:
             return parse(raw)
         except ConfigError:
             raise
-        except (AttributeError, IndexError, KeyError, TypeError,
-                ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
             raise ConfigError(f"bad {key!r} value {raw!r}: "
                               f"{type(exc).__name__}: {exc}") from exc
 
     def tolerance(self, key: str, default: float) -> float:
-        val = self.value(key, float, default)
+        val = self.value(key, _number, default)
         if val <= 0.0:
             raise ConfigError(f"{key} must be positive, got {val}")
         return val
@@ -235,115 +269,104 @@ def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
     return rows
 
 
+def _run_rows(cfg: ExperimentConfig, out: Path, jobs: int, name: str,
+              inputs: Sequence[str], outputs: Sequence[str], rows: Sequence,
+              compute: Callable) -> int:
+    """Write ``<name>.csv`` with one line per row: the row's ``inputs``,
+    the ``outputs`` columns that ``compute(*row)`` returns as a dict, and a
+    ``status``, "ok" or the type name of the FlowError the row raised (its
+    outputs then left empty)."""
+
+    def worker(row):
+        line = dict(zip(inputs, row))
+        try:
+            line.update(compute(*row))
+            line["status"] = "ok"
+        except FlowError as exc:
+            line["status"] = type(exc).__name__
+        return line
+
+    write_csv(out / f"{name}.csv", [*inputs, *outputs, "status"],
+              _map_rows(worker, rows, jobs), config_hash(cfg))
+    return 0
+
+
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    y0, eta0 = cfg.value("z", lambda z: (float(z["y"]), float(z["eta"])))
-    tol = cfg.tolerance("tol", 1e-10)
-    t_max = cfg.tolerance("t_max", 60.0)
+    y0, eta0 = cfg.value("z", lambda z: (_number(z["y"]), _number(z["eta"])))
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
+    t_max = cfg.tolerance("t_max", DEFAULT_T_MAX)
     n_samples = cfg.value("samples", _integer, 200)
     if n_samples < 2:
         raise ConfigError("samples must be at least 2")
+    svg = cfg.value("svg", _boolean, False)
     traj = trace_geodesic(fam, (y0, eta0), tol=tol, t_max=t_max)
     taus = np.linspace(0.0, traj.tau_plus, n_samples)
     h = config_hash(cfg)
-    names = (["tau", "rho"] + [f"y{i}" for i in range(fam.n)] + ["xi_b"]
-             + [f"eta{i}" for i in range(fam.n)] + ["t"])
     rows = []
     for tau, t_acc in zip(taus, traj.arclength_at(taus)):
         p = traj.state_at(float(tau))
-        row = {"tau": float(tau), "rho": p.rho, "xi_b": p.xi_b,
-               "t": float(t_acc)}
-        for i in range(fam.n):
-            row[f"y{i}"] = float(p.y[i])
-            row[f"eta{i}"] = float(p.eta[i])
-        rows.append(row)
-    write_csv(out / "trace.csv", names, rows, h)
-    if cfg.opt("svg", False):
-        ys = [r["y0"] for r in rows]
-        rhos = [r["rho"] for r in rows]
-        write_svg(out / "trace.svg", ys, rhos, h)
+        rows.append({"tau": float(tau), "rho": p.rho, "y0": float(p.y[0]),
+                     "xi_b": p.xi_b, "eta0": float(p.eta[0]),
+                     "t": float(t_acc)})
+    write_csv(out / "trace.csv", ["tau", "rho", "y0", "xi_b", "eta0", "t"],
+              rows, h)
+    if svg:
+        write_svg(out / "trace.svg", [r["y0"] for r in rows],
+                  [r["rho"] for r in rows], h)
     return 0
 
 
 def cmd_scatter(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    tol = cfg.tolerance("tol", 1e-10)
-    rows = _covector_rows(cfg)
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
 
-    def worker(z):
-        y, eta = z
-        try:
-            res = scattering_map(fam, (y, eta), tol=tol)
-            return {"y": y, "eta": eta, "y_out": float(res.y[0]),
-                    "eta_out": float(res.eta[0]), "status": "ok"}
-        except FlowError as exc:
-            return {"y": y, "eta": eta, "y_out": "", "eta_out": "",
-                    "status": type(exc).__name__}
+    def compute(y, eta):
+        res = scattering_map(fam, (y, eta), tol=tol)
+        return {"y_out": float(res.y[0]), "eta_out": float(res.eta[0])}
 
-    results = _map_rows(worker, rows, jobs)
-    write_csv(out / "scatter.csv", ["y", "eta", "y_out", "eta_out", "status"],
-              results, config_hash(cfg))
-    return 0
+    return _run_rows(cfg, out, jobs, "scatter", ["y", "eta"],
+                     ["y_out", "eta_out"], _covector_rows(cfg), compute)
 
 
 def cmd_length(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    tol = cfg.tolerance("tol", 1e-12)
-    method = cfg.opt("method", "both")
-    if method not in ("regularized", "mellin", "both"):
-        raise ConfigError(f"unknown length method {method!r}")
-    rows = _covector_rows(cfg)
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
+    method = cfg.value("method", _one_of("regularized", "mellin", "both"),
+                       "both")
 
-    def worker(z):
-        y, eta = z
-        row = {"y": y, "eta": eta, "length_reg": "", "err_est": "",
-               "length_mellin": "", "residue": "", "status": "ok"}
-        try:
-            traj = trace_geodesic(fam, (y, eta), tol=tol)
-            if method in ("regularized", "both"):
-                reg = renormalized_length(traj)
-                row["length_reg"] = reg.value
-                row["err_est"] = reg.err_est
-            if method in ("mellin", "both"):
-                mel = mellin_length(traj)
-                row["length_mellin"] = mel.value
-                row["residue"] = mel.residue
-        except FlowError as exc:
-            row["status"] = type(exc).__name__
-        return row
+    def compute(y, eta):
+        traj = trace_geodesic(fam, (y, eta), tol=tol)
+        cols = {}
+        if method in ("regularized", "both"):
+            reg = renormalized_length(traj)
+            cols.update(length_reg=reg.value, err_est=reg.err_est)
+        if method in ("mellin", "both"):
+            mel = mellin_length(traj)
+            cols.update(length_mellin=mel.value, residue=mel.residue)
+        return cols
 
-    results = _map_rows(worker, rows, jobs)
-    write_csv(out / "length.csv",
-              ["y", "eta", "length_reg", "err_est", "length_mellin",
-               "residue", "status"], results, config_hash(cfg))
-    return 0
+    return _run_rows(cfg, out, jobs, "length", ["y", "eta"],
+                     ["length_reg", "err_est", "length_mellin", "residue"],
+                     _covector_rows(cfg), compute)
 
 
 def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    tol = cfg.tolerance("tol", 1e-9)
+    tol = cfg.tolerance("tol", ENDPOINT_TOL)
     pairs = cfg.value("pairs", _float_pairs)
     for ym, yp in pairs:       # the separation test of boundary_distance
         if abs(fam.chart.wrapped_diff(yp, ym)) < 1e-12:
             raise ConfigError(f"distance pair {[ym, yp]} has equal endpoints")
 
-    def worker(pair):
-        ym, yp = pair
-        try:
-            res = boundary_distance(fam, ym, yp, tol=tol)
-            return {"y_minus": ym, "y_plus": yp, "distance": res.value,
-                    "eta_incoming": float(res.eta[0]),
-                    "iterations": res.iterations, "status": "ok"}
-        except FlowError as exc:
-            return {"y_minus": ym, "y_plus": yp, "distance": "",
-                    "eta_incoming": "", "iterations": "",
-                    "status": type(exc).__name__}
+    def compute(ym, yp):
+        res = boundary_distance(fam, ym, yp, tol=tol)
+        return {"distance": res.value, "eta_incoming": float(res.eta[0]),
+                "iterations": res.iterations}
 
-    results = _map_rows(worker, pairs, jobs)
-    write_csv(out / "distance.csv",
-              ["y_minus", "y_plus", "distance", "eta_incoming",
-               "iterations", "status"], results, config_hash(cfg))
-    return 0
+    return _run_rows(cfg, out, jobs, "distance", ["y_minus", "y_plus"],
+                     ["distance", "eta_incoming", "iterations"], pairs,
+                     compute)
 
 
 def _field_from_spec(spec: dict) -> tuple:
@@ -353,10 +376,10 @@ def _field_from_spec(spec: dict) -> tuple:
     kind = spec["kind"]
     p = spec.get("params", {})
     if kind == "bump":
-        amp = float(p.get("amplitude", 1.0))
-        lo = float(p.get("rho_lo", 0.1))
-        hi = float(p.get("rho_hi", 0.4))
-        cos_amp = float(p.get("cos_amp", 0.0))
+        amp = _number(p.get("amplitude", 1.0))
+        lo = _number(p.get("rho_lo", 0.1))
+        hi = _number(p.get("rho_hi", 0.4))
+        cos_amp = _number(p.get("cos_amp", 0.0))
         harmonic = _integer(p.get("harmonic", 1))
         if hi <= lo:
             raise ConfigError("field bump needs rho_hi > rho_lo")
@@ -373,83 +396,62 @@ def _field_from_spec(spec: dict) -> tuple:
 
 def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    tol = cfg.tolerance("tol", 1e-10)
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
     fld, supp = cfg.value("field", _field_from_spec)
-    rows = _covector_rows(cfg)
 
-    def worker(z):
-        y, eta = z
-        try:
-            traj = trace_geodesic(fam, (y, eta), tol=tol)
-            val = xray_transform(fld, traj, rho_breaks=supp)
-            return {"y": y, "eta": eta, "integral": val, "status": "ok"}
-        except FlowError as exc:
-            return {"y": y, "eta": eta, "integral": "",
-                    "status": type(exc).__name__}
+    def compute(y, eta):
+        traj = trace_geodesic(fam, (y, eta), tol=tol)
+        return {"integral": xray_transform(fld, traj, rho_breaks=supp)}
 
-    results = _map_rows(worker, rows, jobs)
-    write_csv(out / "xray.csv", ["y", "eta", "integral", "status"],
-              results, config_hash(cfg))
-    return 0
+    return _run_rows(cfg, out, jobs, "xray", ["y", "eta"], ["integral"],
+                     _covector_rows(cfg), compute)
 
 
 def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    tol = cfg.tolerance("tol", 1e-12)
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
     y0s = cfg.value("y0s", _floats)
-    directions = cfg.value(
-        "directions", lambda d: np.atleast_2d(np.asarray(d, dtype=float)),
-        [[1.0]])
-    deltas = cfg.value("deltas", _floats, [0.2 / 2 ** k for k in range(7)])
+    directions = cfg.value("directions", _directions, [[1.0]])
+    deltas = cfg.value("deltas", _floats, DELTA_GRID)
     if any(d <= 0.0 for d in deltas):
         raise ConfigError("deltas must be positive")
-    noise = cfg.value("noise", float, 0.0)
+    noise = cfg.value("noise", _number, 0.0)
     if noise < 0.0:
         raise ConfigError("noise amplitude must be nonnegative")
-    route = cfg.opt("route", "both")
-    if route not in ("asymptotic", "fit", "both"):
-        raise ConfigError(f"unknown recovery route {route!r}")
-    period = cfg.value("period", float, 2.0 * math.pi)
+    route = cfg.value("route", _one_of("asymptotic", "fit", "both"), "both")
+    period = cfg.value("period", _number, 2.0 * math.pi)
 
     def worker(y0):
         return synthesize_samples(fam, y0, directions, deltas, tol=tol,
                                   noise=noise, seed=cfg.seed)
 
     sets = _map_rows(worker, y0s, jobs)
-    h = config_hash(cfg)
+    routes = {"asymptotic": lambda: recover_first_jet(sets, period=period),
+              "fit": lambda: recover_jet_fit(sets)}
     rows = []
-    if route in ("asymptotic", "both"):
-        jet = recover_first_jet(sets, period=period)
-        write_json(out / "recover_asymptotic.json", jet.to_json())
-        for i, y0 in enumerate(y0s):
-            rows.append({"y0": y0, "route": "asymptotic",
-                         "h0": float(jet.h0[i, 0, 0]),
-                         "drho_h": float(jet.drho_h[i, 0, 0]),
-                         "d2rho_h": "",
-                         "residual": float(jet.fit_residuals[i]),
-                         "status": "ok"})
-    if route in ("fit", "both"):
-        jet = recover_jet_fit(sets)
-        write_json(out / "recover_fit.json", jet.to_json())
-        for i, y0 in enumerate(y0s):
-            rows.append({"y0": y0, "route": "fit",
-                         "h0": float(jet.h0[i, 0, 0]),
-                         "drho_h": float(jet.drho_h[i, 0, 0]),
-                         "d2rho_h": float(jet.d2rho_h[i, 0, 0]),
-                         "residual": float(jet.fit_residuals[i]),
-                         "status": "ok"})
+    for name, solve in routes.items():
+        if route not in (name, "both"):
+            continue
+        jet = solve()
+        write_json(out / f"recover_{name}.json", jet.to_json())
+        d2 = jet.d2rho_h
+        rows += [{"y0": y0, "route": name, "h0": float(jet.h0[i, 0, 0]),
+                  "drho_h": float(jet.drho_h[i, 0, 0]),
+                  "d2rho_h": "" if d2 is None else float(d2[i, 0, 0]),
+                  "residual": float(jet.fit_residuals[i]), "status": "ok"}
+                 for i, y0 in enumerate(y0s)]
     write_csv(out / "recover.csv",
               ["y0", "route", "h0", "drho_h", "d2rho_h", "residual",
-               "status"], rows, h)
+               "status"], rows, config_hash(cfg))
     return 0
 
 
 def cmd_diagnose(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     covs = _covector_rows(cfg)
-    t_asym = cfg.tolerance("T_asym", 25.0)
-    t_scan = cfg.tolerance("t_scan", 12.0)
-    tol = cfg.tolerance("tol", 1e-10)
+    t_asym = cfg.tolerance("T_asym", T_ASYM)
+    t_scan = cfg.tolerance("t_scan", T_SCAN)
+    tol = cfg.tolerance("tol", DEFAULT_TOL)
     if t_scan > t_asym + 2.0:     # the range of the hyperbolic-time map
         raise ConfigError(f"t_scan {t_scan} exceeds T_asym + 2 = {t_asym + 2}")
 

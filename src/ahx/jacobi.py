@@ -20,7 +20,7 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq
 
 from .metric import BoundaryMetricFamily, gauss_curvature
-from .flow import (_TOO_SMALL_STEP, BPhasePoint, FlowError,
+from .flow import (_TOO_SMALL_STEP, DEFAULT_TOL, BPhasePoint, FlowError,
                    GeodesicTrajectory, _make_rhs, _Solution,
                    trace_geodesic)
 
@@ -30,12 +30,15 @@ __all__ = [
     "DecayFit", "decay_fit", "curvature_decay_fit",
     "RateBracket", "boundary_rate_bracket", "AsymptoteError",
     "SimplicityReport", "CovectorDiagnostics", "diagnose_covector",
-    "simplicity_report", "simplicity_check", "linearized_flow",
+    "simplicity_report", "linearized_flow",
 ]
 
 MAP_TOL = 1e-13
 SOLVE_TOL = 1e-12
 ASYM_CURV_TOL = 1e-10
+# default seeding time of the stable/unstable frame and conjugate-scan span
+T_ASYM = 25.0
+T_SCAN = 12.0
 
 
 class AsymptoteError(ValueError):
@@ -185,7 +188,7 @@ def _unit_with_sign(v: np.ndarray) -> np.ndarray:
 
 
 def stable_unstable(system: JacobiSystem,
-                    T_asym: float = 25.0) -> BundleFrame:
+                    T_asym: float = T_ASYM) -> BundleFrame:
     """Solutions decaying at t -> +inf (stable) and t -> -inf (unstable).
 
     Seeds the asymptotic solution e^{-t} of the frozen boundary equation at
@@ -405,8 +408,8 @@ class CovectorDiagnostics(NamedTuple):
 
 
 def diagnose_covector(fam: BoundaryMetricFamily, z: Tuple[float, float],
-                      T_asym: float = 25.0, t_scan: float = 12.0,
-                      trace_tol: float = 1e-10
+                      T_asym: float = T_ASYM, t_scan: float = T_SCAN,
+                      trace_tol: float = DEFAULT_TOL
                       ) -> Optional[CovectorDiagnostics]:
     """Stable/unstable frame, conjugate points and decay fits along the
     geodesic entering at z; None when its trace fails."""
@@ -446,14 +449,3 @@ def simplicity_report(rows: Sequence[Optional[CovectorDiagnostics]]
                             trace_failures=failures,
                             n_geodesics=len(rows) - failures)
 
-
-def simplicity_check(fam: BoundaryMetricFamily,
-                     covectors: Sequence[Tuple[float, float]],
-                     T_asym: float = 25.0, t_scan: float = 12.0,
-                     trace_tol: float = 1e-10) -> SimplicityReport:
-    """Sweep stable/unstable frames and conjugate points over a grid:
-    :func:`diagnose_covector` on each covector, then
-    :func:`simplicity_report`."""
-    return simplicity_report([diagnose_covector(fam, z, T_asym, t_scan,
-                                                trace_tol)
-                              for z in covectors])

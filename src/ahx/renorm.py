@@ -33,6 +33,7 @@ from .quadrature import composite_gauss, gauss_jacobi_left
 __all__ = [
     "RenormLength", "MellinLength", "BoundaryDistanceResult",
     "ScatteringDistanceCheck", "ShootingError", "DEFAULT_LAMBDA_GRID",
+    "ENDPOINT_TOL",
     "renormalized_length", "mellin_length", "conformal_shift",
     "boundary_distance", "scattering_from_distance_check",
     "deformation_derivative",
@@ -212,14 +213,15 @@ class BoundaryDistanceResult:
 # intermediate steps.
 ETA_SNAP = 1e-6
 ETA_FLOOR = 1e-8
-# Shooting traces run one order below the default endpoint tolerance 1e-9
-# of boundary_distance; only the converged geodesic, whose length is
-# reported, is traced again at DEFAULT_TOL.
+# Shooting traces run one order below the default endpoint tolerance
+# ENDPOINT_TOL of boundary_distance; only the converged geodesic, whose
+# length is reported, is traced again at DEFAULT_TOL.
+ENDPOINT_TOL = 1e-9
 SHOOT_TOL = 1e-10
 
 
 def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
-                      eta0=None, tol: float = 1e-9,
+                      eta0=None, tol: float = ENDPOINT_TOL,
                       max_iter: int = 50) -> BoundaryDistanceResult:
     """Renormalized distance between distinct boundary points by shooting.
 

@@ -13,6 +13,7 @@ import pytest
 
 from ahx import trace_geodesic, xray_transform
 from ahx.cli import config_hash, load_config, main, read_csv
+from ahx.flow import DEFAULT_T_MAX, DEFAULT_TOL
 from ahx.quadrature import poly_bump
 from ahx.xray import SymmetricTensorField
 
@@ -90,7 +91,9 @@ def test_trace_floats_round_trip_exactly(tmp_path, halfplane):
     })
     assert run("trace", cfg, tmp_path) == 0
     _, rows = read_csv(tmp_path / "trace.csv")
-    traj = trace_geodesic(halfplane, (0.0, 2.0), tol=1e-10, t_max=60.0)
+    # the config sets no tol: the CLI traces at the library default
+    traj = trace_geodesic(halfplane, (0.0, 2.0), tol=DEFAULT_TOL,
+                          t_max=DEFAULT_T_MAX)
     taus = np.linspace(0.0, traj.tau_plus, 50)
     for k in (1, 17, 31, 48):
         state = traj.state_at(float(taus[k]))
@@ -205,7 +208,7 @@ def test_xray_command_matches_library(tmp_path, disc):
     _, rows = read_csv(tmp_path / "xray.csv")
     for row in rows:
         traj = trace_geodesic(disc, (float(row["y"]), float(row["eta"])),
-                              tol=1e-10)
+                              tol=DEFAULT_TOL)
         # the command cuts the quadrature at the edges of the support
         want = xray_transform(fld, traj,
                               rho_breaks=(spec["rho_lo"], spec["rho_hi"]))
@@ -344,11 +347,54 @@ DISC = {"family": "disc-normal"}
     ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "seed": True}),
     # endpoints that coincide on the circle
     ("distance", {"metric": DISC, "pairs": [[0.0, 6.283185307179586]]}),
+    # non-finite numbers (json reads NaN and Infinity)
+    ("scatter", {"metric": HALF, "points": [[0.0, math.nan]]}),
+    ("scatter", {"metric": HALF, "grid": {"y": [0.0], "eta": [math.inf]}}),
+    ("trace", {"metric": HALF, "z": {"y": math.nan, "eta": 1.0}}),
+    ("distance", {"metric": DISC, "pairs": [[0.0, math.nan]]}),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0},
+               "tol": math.nan}),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0},
+               "t_max": math.inf}),
+    # a flag is a JSON bool
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "svg": "no"}),
 ])
 def test_config_errors_exit_3(tmp_path, payload):
     command, config = payload
     cfg = write_config(tmp_path, "c.json", config)
     assert run(command, cfg, tmp_path) == 3
+
+
+# one small config per command that takes a tol; each sets no tol
+DEFAULT_TOL_CONFIGS = {
+    "trace": {"metric": HALF, "z": {"y": 0.0, "eta": 2.0}, "samples": 20},
+    "scatter": {"metric": DISC, "points": [[0.0, 1.0], [1.0, 2.0]]},
+    "length": {"metric": DISC, "points": [[0.5, 1.5]]},
+    "xray": {"metric": DISC, "points": [[0.5, 1.0]],
+             "field": {"kind": "bump", "params": {"cos_amp": 0.3}}},
+    "recover": {"metric": HALF, "y0s": [0.0, 2.0, 4.0],
+                "route": "asymptotic", "period": 6.0},
+    "diagnose": {"metric": DISC, "points": [[0.0, 1.5]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_TOL_CONFIGS))
+def test_tol_defaults_to_the_library_default(tmp_path, command):
+    config = DEFAULT_TOL_CONFIGS[command]
+    outputs = []
+    for name, payload in (("default", config),
+                          ("explicit", {**config, "tol": DEFAULT_TOL})):
+        out = tmp_path / name
+        assert run(command, write_config(tmp_path, f"{name}.json", payload),
+                   out) == 0
+        files = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_bytes()
+            # the two configs differ, and so do their config_hash lines
+            files[path.name] = (text.split(b"\r\n", 1)[1]
+                                if path.suffix == ".csv" else text)
+        outputs.append(files)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_malformed_and_missing_config_exit_3(tmp_path):

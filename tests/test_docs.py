@@ -1,31 +1,43 @@
-"""Executable documentation: the README quick start and the scripts' --help."""
-import os
+"""Executable documentation: the README examples and the shipped configs."""
+import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from ahx.cli import main, read_csv
+
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
 
 
 def test_readme_quick_start_runs():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
     assert blocks, "README has no python block"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_script_help(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                          "--help"], capture_output=True, text=True, env=env,
-                         timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("usage:")
+def test_readme_trace_config_is_the_shipped_one():
+    block = re.search(r"\(`scripts/configs/trace_halfplane.json`\):\n\n"
+                      r"```json\n(.*?)```", README, flags=re.S)
+    assert block, "README has no trace config block"
+    shipped = ROOT / "scripts" / "configs" / "trace_halfplane.json"
+    assert json.loads(block.group(1)) == json.loads(shipped.read_text())
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, config):
+    command = config.stem.split("_")[0]
+    assert main([command, "--config", str(config), "--out",
+                 str(tmp_path)]) == 0
+    outputs = sorted(tmp_path.iterdir())
+    assert outputs
+    for path in outputs:
+        if path.suffix == ".csv":
+            _, rows = read_csv(path)
+            assert rows
+            # a trace fails as a whole, through its exit code
+            if command != "trace":
+                assert all(r["status"] == "ok" for r in rows)

@@ -32,13 +32,14 @@ from ahx import (
     conjugate_points,
     curvature_decay_fit,
     decay_fit,
+    diagnose_covector,
     eval_metric,
     halfplane_family,
     jacobi_solve,
     jacobi_system,
     linearized_flow,
     product_family,
-    simplicity_check,
+    simplicity_report,
     stable_unstable,
     trace_geodesic,
     wronskian,
@@ -335,8 +336,9 @@ def test_scalar_bookkeeping_rejects_two_factor_family():
 
 
 def test_simplicity_sweep_regression(perturbed):
-    report = simplicity_check(perturbed, [(0.0, 2.2), (0.0, 3.0),
-                                          (2.0, 2.2), (2.0, 3.0)])
+    report = simplicity_report([diagnose_covector(perturbed, z)
+                                for z in [(0.0, 2.2), (0.0, 3.0),
+                                          (2.0, 2.2), (2.0, 3.0)]])
     assert report.n_geodesics == 4
     assert report.trace_failures == 0
     assert report.conjugate_count == 0
