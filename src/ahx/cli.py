@@ -14,7 +14,9 @@ endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-metric whose boundary is not 1-dimensional and a ``T_asym`` too small).
+metric whose boundary is not 1-dimensional, a ``T_asym`` too small and a
+``recover`` config the recovery rejects, such as a delta above the safe
+scale or no ``y0s``).
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from .xray import SymmetricTensorField, xray_transform
 from .jacobi import (T_ASYM, T_SCAN, AsymptoteError, diagnose_covector,
                      simplicity_report)
 from .quadrature import poly_bump
-from .recover import (DELTA_GRID, recover_first_jet, recover_jet_fit,
-                      synthesize_samples)
+from .recover import (DELTA_GRID, RecoveryError, recover_first_jet,
+                      recover_jet_fit, synthesize_samples)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_hash",
            "read_csv", "main"]
@@ -419,20 +421,18 @@ def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     if noise < 0.0:
         raise ConfigError("noise amplitude must be nonnegative")
     route = cfg.value("route", _one_of("asymptotic", "fit", "both"), "both")
-    period = cfg.value("period", _number, 2.0 * math.pi)
 
     def worker(y0):
         return synthesize_samples(fam, y0, directions, deltas, tol=tol,
                                   noise=noise, seed=cfg.seed)
 
     sets = _map_rows(worker, y0s, jobs)
-    routes = {"asymptotic": lambda: recover_first_jet(sets, period=period),
-              "fit": lambda: recover_jet_fit(sets)}
+    routes = {"asymptotic": recover_first_jet, "fit": recover_jet_fit}
     rows = []
     for name, solve in routes.items():
         if route not in (name, "both"):
             continue
-        jet = solve()
+        jet = solve(sets)
         write_json(out / f"recover_{name}.json", jet.to_json())
         d2 = jet.d2rho_h
         rows += [{"y0": y0, "route": name, "h0": float(jet.h0[i, 0, 0]),
@@ -495,7 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         return COMMANDS[args.command](cfg, out, args.jobs)
-    except (ConfigError, AsymptoteError) as exc:
+    except (ConfigError, AsymptoteError, RecoveryError) as exc:
         print(f"ahx: config error: {exc}", file=sys.stderr)
         return 3
     except TrappedOrSlowError as exc:

@@ -594,8 +594,8 @@ class GeodesicTrajectory:
     the trace's :class:`TraceStats`.
     """
 
-    def __init__(self, fam, steps, breaks, tau_plus, samples,
-                 z_in, z_out, arc, stats):
+    def __init__(self, fam, steps, breaks, tau_plus, samples, z_out, arc,
+                 stats):
         self.family = fam
         self.n = fam.n
         self._steps = steps
@@ -603,7 +603,6 @@ class GeodesicTrajectory:
         self._breaks = np.asarray(breaks)
         self.tau_plus = float(tau_plus)
         self.samples = samples
-        self.z_in = z_in
         self.z_out = z_out
         self._arc = arc
         self.stats = stats
@@ -858,7 +857,7 @@ def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
                             vec[2 + n:2 + 2 * n])
 
 
-def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
+def _finish_trajectory(fam, driven) -> GeodesicTrajectory:
     steps, breaks, tau_plus, samples, end_vec, arc, stats = driven
     n = fam.n
     end_proj = _project_vec(fam, end_vec, n)
@@ -869,7 +868,7 @@ def _finish_trajectory(fam, driven, z_in) -> GeodesicTrajectory:
     traj_samples.append((tau_plus, endpoint))
     z_out = BoundaryCovector.make(fam.chart.wrap(y_end), eta_end, "outgoing")
     return GeodesicTrajectory(fam, steps, breaks, tau_plus, traj_samples,
-                              z_in, z_out, arc, stats)
+                              z_out, arc, stats)
 
 
 def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
@@ -888,15 +887,15 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     if z.y.size != fam.n or z.eta.size != fam.n:
         raise ValueError("boundary covector dimension mismatch")
     s0 = np.concatenate(([0.0], z.y, [1.0], z.eta))
-    return _finish_trajectory(fam, _drive(fam, s0, tol=tol, t_max=t_max), z)
+    return _finish_trajectory(fam, _drive(fam, s0, tol=tol, t_max=t_max))
 
 
 def trace_from_state(fam: BoundaryMetricFamily, state: BPhasePoint,
                      tol: float = DEFAULT_TOL) -> GeodesicTrajectory:
     """Trace the forward orbit of an interior phase point to the boundary."""
     s0 = _project_vec(fam, state.as_vector(), fam.n)
-    return _finish_trajectory(
-        fam, _drive(fam, s0, tol=tol, t_max=DEFAULT_T_MAX), None)
+    return _finish_trajectory(fam, _drive(fam, s0, tol=tol,
+                                          t_max=DEFAULT_T_MAX))
 
 
 def scattering_map(fam: BoundaryMetricFamily, z,

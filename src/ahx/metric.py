@@ -194,9 +194,6 @@ class TrigPoly:
     def deriv(self, y):
         return self.value_and_deriv(y)[1]
 
-    def is_zero(self) -> bool:
-        return not any(self.c) and not any(self.s)
-
 
 # ---------------------------------------------------------------------------
 # family constructors

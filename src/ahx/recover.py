@@ -8,8 +8,9 @@ shot from ``y0`` with covector ``omega0 / delta`` behaves like
 so extrapolating ``L - 2 log(2 delta)`` to ``delta = 0`` recovers the
 boundary norm of every direction, hence ``h_0`` by polarization.  The next
 Taylor coefficient of the remainder determines the first radial derivative
-of ``h`` at the boundary, after subtracting correction terms that only
-involve the already-recovered ``h_0`` and its tangential derivatives.
+of ``h`` at the boundary.  Its general formula also has two terms in the
+tangential derivatives of ``h_0``; in one boundary dimension they cancel,
+so each point's jet comes from that point's own table.
 
 Two independent routes are provided: the asymptotic extraction above
 (``recover_h0`` / ``recover_first_jet``) and a forward-model least-squares
@@ -101,6 +102,8 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
     dd = np.asarray(sorted(set(float(d) for d in deltas), reverse=True))
     if dd.size < 3:
         raise RecoveryError("need at least 3 delta values")
+    if np.any(np.all(dirs == 0.0, axis=1)):
+        raise RecoveryError("directions must be nonzero covectors")
     table = np.empty((dirs.shape[0], dd.size))
     for j, om in enumerate(dirs):
         cap = delta_max(fam, y0, om)
@@ -125,11 +128,12 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
 
 
 def _poly_coeffs(deltas: np.ndarray, vals: np.ndarray,
-                 order: int) -> np.ndarray:
-    """Least-squares coefficients (c_0 .. c_order) of vals ~ sum c_k d^k."""
+                 order: int) -> tuple:
+    """Least-squares coefficients (c_0 .. c_order) of vals ~ sum c_k d^k,
+    and the largest absolute residual of the fit."""
     van = np.vander(deltas, order + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(van, vals, rcond=None)
-    return coef
+    return coef, float(np.max(np.abs(van @ coef - vals)))
 
 
 def _sym_basis(n: int):
@@ -185,9 +189,8 @@ def recover_h0(samples: LengthSampleSet) -> H0Recovery:
     worst = 0.0
     for j in range(samples.directions.shape[0]):
         f = samples.lengths[j] - 2.0 * np.log(2.0 * dd)
-        coef = _poly_coeffs(dd, f, 2)
-        van = np.vander(dd, 3, increasing=True)
-        worst = max(worst, float(np.max(np.abs(van @ coef - f))))
+        coef, res = _poly_coeffs(dd, f, 2)
+        worst = max(worst, res)
         qvals[j] = math.exp(-coef[0])
     h0_inv = _polarize(samples.directions, qvals)
     eigs = np.linalg.eigvalsh(h0_inv)
@@ -213,6 +216,8 @@ class JetEstimate:
     d2rho_h: Optional[np.ndarray] = None   # (m, n, n) when order >= 2
     jacobian_sv: Optional[np.ndarray] = None  # fit-route singular values
     unresolved: Optional[np.ndarray] = None   # near-null parameter direction
+    fit_nfev: Optional[np.ndarray] = None     # (m,) LM residual evaluations
+    fit_status: Optional[np.ndarray] = None   # (m,) LM termination status
 
     def validate(self) -> None:
         for mat in self.h0:
@@ -233,93 +238,53 @@ class JetEstimate:
             payload["jacobian_sv"] = self.jacobian_sv.tolist()
         if self.unresolved is not None:
             payload["unresolved"] = self.unresolved.tolist()
+        if self.fit_nfev is not None:
+            payload["fit_nfev"] = self.fit_nfev.tolist()
+            payload["fit_status"] = self.fit_status.tolist()
         return json.dumps(payload)
 
 
-def _uniform_spacing(y0s: np.ndarray, period: Optional[float]) -> float:
-    """Common spacing of a sorted 1-d sample grid (validated uniform)."""
-    diffs = np.diff(y0s)
-    if diffs.size == 0 or np.any(diffs <= 0.0):
-        raise RecoveryError("sample points must be strictly increasing")
-    step = float(diffs[0])
-    if np.max(np.abs(diffs - step)) > 1e-9 * (1.0 + step):
-        raise RecoveryError("tangential derivatives need a uniform "
-                            "sample-point grid")
-    if period is not None:
-        wrap = period - (float(y0s[-1]) - float(y0s[0]))
-        if abs(wrap - step) > 1e-9 * (1.0 + step):
-            raise RecoveryError("grid does not close up over the stated "
-                                "period")
-    return step
-
-
-def recover_first_jet(sample_sets: Sequence[LengthSampleSet],
-                      period: Optional[float] = 2.0 * math.pi
-                      ) -> JetEstimate:
+def recover_first_jet(sample_sets: Sequence[LengthSampleSet]) -> JetEstimate:
     """First radial derivative of h at each sample point.
 
-    h_0 at each point comes from :func:`recover_h0`.  Normalizing each
-    direction by its recovered boundary norm turns the sample table into
-    values of the smooth remainder F(d) = L - 2 log(2 d), fitted by a cubic
-    in d (one power more than :func:`recover_h0`, since the slope is
-    wanted here); its slope at d = 0 equals
+    Each sample set is treated on its own.  h_0 at the point comes from
+    :func:`recover_h0`.  Normalizing each direction by its recovered
+    boundary norm turns the sample table into values of the smooth
+    remainder F(d) = L - 2 log(2 d), fitted by a cubic in d (one power more
+    than :func:`recover_h0`, since the slope is wanted here); its slope at
+    d = 0 equals
 
         -(w^sharp)^k T_k - h0(w', w) - (pi/2) * drho(h^{ij}) w_i w_j
 
-    where T_k is the tangential derivative of the inverse-form values
-    (finite-differenced across neighboring sample points) and w' is the
-    closed-form linearized direction shift, with components -T_k.  Solving
-    for the last term and polarizing yields the radial derivative of the
-    inverse metric, converted to the metric itself at the end.
-
-    Currently restricted to one boundary dimension (scalar h); the
-    correction terms are evaluated literally even though they cancel
-    pairwise there.
+    where T_k is the tangential derivative of the inverse-form values and
+    w' is the linearized direction shift, with components -T_k.  In one
+    boundary dimension the first two terms cancel, so
+    drho(h^{ij}) w_i w_j = -(2/pi) F'(0).  Polarizing these values yields
+    the radial derivative of the inverse metric, converted to the metric
+    itself at the end.
     """
-    if len(sample_sets) < 3:
-        raise RecoveryError("need at least 3 neighboring sample points "
-                            "for tangential derivatives")
-    n = sample_sets[0].y0.size
-    if n != 1:
+    if not sample_sets:
+        raise RecoveryError("no sample sets to recover from")
+    if sample_sets[0].y0.size != 1:
         raise NotImplementedError("first-jet extraction is implemented "
                                   "for one boundary dimension")
-    h0_results = [recover_h0(s) for s in sample_sets]
     m = len(sample_sets)
-    ys = np.array([float(s.y0[0]) for s in sample_sets])
-    step = _uniform_spacing(ys, period)
-
     y0s = np.empty((m, 1))
     h0_out = np.empty((m, 1, 1))
     drho_out = np.empty((m, 1, 1))
     resid = np.empty(m)
-    for i, (samp, rec) in enumerate(zip(sample_sets, h0_results)):
-        y0s[i, 0] = ys[i]
+    for i, samp in enumerate(sample_sets):
+        rec = recover_h0(samp)
+        y0s[i, 0] = float(samp.y0[0])
         h0_out[i] = rec.h0
         pvals = np.empty(samp.directions.shape[0])
         worst = 0.0
-        for j, om in enumerate(samp.directions):
-            w_hat = om / rec.norms[j]
+        for j in range(samp.directions.shape[0]):
             d_hat = samp.deltas / rec.norms[j]
             f = samp.lengths[j] - 2.0 * np.log(2.0 * d_hat)
-            coef = _poly_coeffs(d_hat, f, 3)
-            van = np.vander(d_hat, 4, increasing=True)
-            worst = max(worst, float(np.max(np.abs(van @ coef - f))))
-            fprime = coef[1]
-            # tangential derivative of the inverse form at fixed w_hat,
-            # centered across the neighboring sample points
-            ip = (i + 1) % m
-            im = (i - 1) % m
-            if period is None and (i == 0 or i == m - 1):
-                raise RecoveryError("interior sample point required for "
-                                    "tangential derivatives")
-            q_p = float(w_hat @ h0_results[ip].h0_inv @ w_hat)
-            q_m = float(w_hat @ h0_results[im].h0_inv @ w_hat)
-            t_k = np.array([(q_p - q_m) / (2.0 * step)])
-            w_sharp = rec.h0_inv @ w_hat
-            corr1 = -float(w_sharp @ t_k)
-            w_shift = -t_k          # linearized direction shift at theta=pi
-            corr2 = -float(w_shift @ rec.h0_inv @ w_hat)
-            pvals[j] = (corr1 + corr2 - fprime) * 2.0 / math.pi
+            coef, res = _poly_coeffs(d_hat, f, 3)
+            worst = max(worst, res)
+            pvals[j] = -coef[1] * 2.0 / math.pi
         dirs_hat = samp.directions / rec.norms[:, None]
         dh_inv = _polarize(dirs_hat, pvals)
         drho_out[i] = -rec.h0 @ dh_inv @ rec.h0
@@ -359,10 +324,13 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
     misfit.  The final Jacobian's singular values are reported; a
     direction whose singular value is below 1e-4 times the largest is
     returned as ``unresolved``, coefficients the delta-range cannot
-    resolve.
+    resolve.  ``fit_nfev`` and ``fit_status`` are the solver's residual
+    evaluation count and termination status (1 to 4 on convergence).
     """
     if k_max not in (1, 2):
         raise RecoveryError("k_max must be 1 or 2")
+    if not sample_sets:
+        raise RecoveryError("no sample sets to fit")
     m = len(sample_sets)
     n = sample_sets[0].y0.size
     if n != 1:
@@ -375,6 +343,8 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
     resid = np.empty(m)
     svs = np.empty((m, k_max + 1))
     unresolved = np.zeros((m, k_max + 1))
+    nfev = np.empty(m, dtype=int)
+    status = np.empty(m, dtype=int)
     for i, samp in enumerate(sample_sets):
         samp.validate()
         y0s[i, 0] = float(samp.y0[0])
@@ -401,6 +371,8 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
         drho_out[i, 0, 0] = res.x[1]
         d2_out[i, 0, 0] = res.x[2] if k_max >= 2 else 0.0
         resid[i] = float(np.linalg.norm(res.fun))
+        nfev[i] = res.nfev
+        status[i] = res.status
         u, s, vt = np.linalg.svd(res.jac)
         svs[i] = s
         if s[-1] < 1e-4 * s[0]:
@@ -408,6 +380,7 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
     est = JetEstimate(y0s=y0s, h0=h0_out, drho_h=drho_out,
                       order=k_max, fit_residuals=resid,
                       d2rho_h=d2_out if k_max >= 2 else None,
-                      jacobian_sv=svs, unresolved=unresolved)
+                      jacobian_sv=svs, unresolved=unresolved,
+                      fit_nfev=nfev, fit_status=status)
     est.validate()
     return est

@@ -291,6 +291,18 @@ def test_diagnose_unsettled_seeding_time_exits_3(tmp_path, capsys, jobs):
     assert "T_asym" in err and "asymptote" in err
 
 
+def test_recover_rejected_in_a_worker_exits_3(tmp_path, capsys):
+    # two y0s, so --jobs 2 synthesizes the tables in worker processes
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "half-plane"},
+        "y0s": [0.0, 1.0],
+        "deltas": [0.5, 0.25, 0.125],
+    })
+    assert run("recover", cfg, tmp_path, "--jobs", "2") == 3
+    assert "safe scale" in capsys.readouterr().err
+    assert not (tmp_path / "recover.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -358,6 +370,12 @@ DISC = {"family": "disc-normal"}
                "t_max": math.inf}),
     # a flag is a JSON bool
     ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "svg": "no"}),
+    # length tables the recovery rejects
+    ("recover", {"metric": HALF, "y0s": [0.0], "deltas": [0.2, 0.1]}),
+    ("recover", {"metric": HALF, "y0s": [0.0],
+                 "deltas": [0.5, 0.25, 0.125]}),      # above the safe scale
+    ("recover", {"metric": HALF, "y0s": []}),
+    ("recover", {"metric": HALF, "y0s": [0.0], "directions": [[0.0]]}),
 ])
 def test_config_errors_exit_3(tmp_path, payload):
     command, config = payload
@@ -373,7 +391,7 @@ DEFAULT_TOL_CONFIGS = {
     "xray": {"metric": DISC, "points": [[0.5, 1.0]],
              "field": {"kind": "bump", "params": {"cos_amp": 0.3}}},
     "recover": {"metric": HALF, "y0s": [0.0, 2.0, 4.0],
-                "route": "asymptotic", "period": 6.0},
+                "route": "asymptotic"},
     "diagnose": {"metric": DISC, "points": [[0.0, 1.5]]},
 }
 

@@ -235,9 +235,3 @@ def test_trigpoly_eval_and_derivative(y):
     eps = 1e-6
     assert p.deriv(y) == pytest.approx((p(y + eps) - p(y - eps)) / (2 * eps),
                                        abs=1e-7)
-
-
-def test_trigpoly_zero_detection():
-    assert TrigPoly().is_zero()
-    assert TrigPoly(cos_coeffs=[0.0, 0.0]).is_zero()
-    assert not TrigPoly(sin_coeffs=[0.0, 1e-3]).is_zero()

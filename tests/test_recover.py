@@ -85,6 +85,16 @@ def test_flat_model_first_jet_is_zero(hp_sets):
     assert np.max(np.abs(jet.drho_h)) < 1e-6
 
 
+def test_first_jet_reads_no_other_point(ring_sets):
+    """Each point's jet comes from its own table alone."""
+    together = recover_first_jet(ring_sets)
+    for i, s in enumerate(ring_sets):
+        alone = recover_first_jet([s])
+        for name in ("y0s", "h0", "drho_h", "fit_residuals"):
+            assert (getattr(alone, name)[0].tobytes()
+                    == getattr(together, name)[i].tobytes())
+
+
 def test_study_family_first_jet(ring_sets):
     jet = recover_first_jet(ring_sets)
     for i, y in enumerate(ring(RING_POINTS)):
@@ -148,6 +158,18 @@ def test_fit_route_flat_model(hp_sets):
     assert np.all(jet.unresolved[0] == 0.0)
 
 
+def test_fit_route_reports_solver_cost(hp_sets):
+    jet = recover_jet_fit([hp_sets[0]])
+    assert jet.fit_nfev[0] >= 1
+    assert 1 <= jet.fit_status[0] <= 4
+    out = json.loads(jet.to_json())
+    assert out["fit_nfev"] == jet.fit_nfev.tolist()
+    assert out["fit_status"] == jet.fit_status.tolist()
+    asym = recover_first_jet([hp_sets[0]])
+    assert asym.fit_nfev is None and asym.fit_status is None
+    assert "fit_nfev" not in json.loads(asym.to_json())
+
+
 def test_fit_route_study_family(ring_sets):
     # y = 0 is a tangentially symmetric point, where the radial Taylor
     # model introduces no second-order bias
@@ -205,18 +227,15 @@ def test_synthesis_guards(halfplane):
         synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.2, 0.1))
     with pytest.raises(RecoveryError, match="safe scale"):
         synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.5, 0.25, 0.125))
+    with pytest.raises(RecoveryError, match="nonzero"):
+        synthesize_samples(halfplane, 0.0, [[1.0], [0.0]])
 
 
-def test_first_jet_grid_guards(ring_sets):
-    with pytest.raises(RecoveryError, match="at least 3 neighboring"):
-        recover_first_jet(ring_sets[:2])
-    relabeled = [LengthSampleSet(y0=np.array([y]), directions=s.directions,
-                                 deltas=s.deltas, lengths=s.lengths)
-                 for y, s in zip([0.0, 1.0, 2.0], ring_sets[:3])]
-    with pytest.raises(RecoveryError, match="close up"):
-        recover_first_jet(relabeled)
-    with pytest.raises(RecoveryError, match="interior"):
-        recover_first_jet(relabeled, period=None)
+@pytest.mark.parametrize("route", [recover_first_jet, recover_jet_fit],
+                         ids=["asymptotic", "fit"])
+def test_no_sample_sets_is_an_error(route):
+    with pytest.raises(RecoveryError, match="no sample sets"):
+        route([])
 
 
 def test_fit_route_order_guard(ring_sets):
