@@ -16,7 +16,10 @@ Runge-Kutta pair of Dormand and Prince) and re-projected onto the
 constraint after every accepted step.  Each accepted step leaves one
 coefficient row: its start ``t_old``, size ``h``, start state ``y_old`` and
 the 7 x dim interpolant ``F`` of its dense output, which :func:`_horner`
-evaluates.
+evaluates.  The module runs on numpy alone: the stepper's tableau
+(:mod:`ahx._dop853_tableau`) and the Brent root finder that locates
+boundary arrival (:mod:`ahx._brent`) are in the package, and the tests pin
+both to scipy's bit for bit.
 
 Hyperbolic arclength is not part of the integrated state, so it does not
 take part in step-size control, and a trace computes it only when it is
@@ -51,9 +54,9 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
+from . import _dop853_tableau as _dop
+from ._brent import brentq
 from .metric import BoundaryMetricFamily, eval_metric
 from .quadrature import composite_gauss, panel_gauss, smoothstep
 
@@ -315,13 +318,14 @@ def _rms(x: np.ndarray):
 class _Dop853:
     """Explicit Runge-Kutta pair 8(5,3) of Dormand and Prince, toward t_bound.
 
-    Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with scipy's
-    ``dop853_coefficients`` tableau.  Every numpy operation of scipy's
-    ``DOP853`` is repeated in the same order (initial step guess, stage
-    sums, error norm from the 5th- and 3rd-order estimates, step controller,
-    7-row dense output), forward or backward in t, so the steps, rejections
-    and RHS calls are scipy's to the last bit.  As in scipy, rtol is raised
-    to 100 eps with a warning, and a negative atol raises ValueError.
+    Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with the tableau
+    of :mod:`ahx._dop853_tableau`, scipy's to the bit.  Every numpy
+    operation of scipy's ``DOP853`` is repeated in the same order (initial
+    step guess, stage sums, error norm from the 5th- and 3rd-order
+    estimates, step controller, 7-row dense output), forward or backward in
+    t, so the steps, rejections and RHS calls are scipy's to the last bit.
+    As in scipy, rtol is raised to 100 eps with a warning, and a negative
+    atol raises ValueError.
     ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS calls and step
     attempts.  After :meth:`step` the caller may replace ``y`` and ``f``
     (e.g. by a projection) before the next step.

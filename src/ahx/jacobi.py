@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .metric import BoundaryMetricFamily, gauss_curvature
 from .flow import (_TOO_SMALL_STEP, DEFAULT_TOL, BPhasePoint, FlowError,
                    GeodesicTrajectory, _make_rhs, _Solution,
@@ -159,8 +158,8 @@ def conjugate_points(system: JacobiSystem, t_max: float,
         if ys[i] == 0.0:
             zeros.append(float(ts[i]))
         elif ys[i] * ys[i + 1] < 0.0:
-            zeros.append(float(brentq(lambda t: sol.at(t)[0],
-                                      ts[i], ts[i + 1], xtol=1e-12)))
+            zeros.append(brentq(lambda t: sol.at(t)[0],
+                                ts[i], ts[i + 1], xtol=1e-12))
     if len(ts) > 1 and ys[-1] == 0.0:
         zeros.append(float(ts[-1]))
     return zeros
@@ -364,7 +363,11 @@ def _vertical_seed_basis(fam: BoundaryMetricFamily,
     row = np.empty((1, n + 1))
     row[0, 0] = state.xi_b
     row[0, 1:] = state.rho ** 2 * hin_eta
-    fiber = null_space(row).T
+    # null space of the row: its right singular vectors past the rank, cut
+    # at eps * max(shape) times the largest singular value
+    _, s, vh = np.linalg.svd(row)
+    cut = s.max(initial=0.0) * (np.finfo(float).eps * max(row.shape))
+    fiber = vh[np.sum(s > cut):]
     if fiber.shape[0] != n:
         raise ValueError("could not build a full vertical basis")
     seeds = np.zeros((n, dim))

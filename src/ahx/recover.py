@@ -14,7 +14,8 @@ so each point's jet comes from that point's own table.
 
 Two independent routes are provided: the asymptotic extraction above
 (``recover_h0`` / ``recover_first_jet``) and a forward-model least-squares
-fit over a truncated radial Taylor family (``recover_jet_fit``).
+fit over a truncated radial Taylor family (``recover_jet_fit``), which
+imports scipy's ``least_squares`` when it is first called.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .metric import BoundaryMetricFamily, MetricError, taylor1d_family
 from .flow import FlowError, delta_max, trace_geodesic
@@ -244,6 +244,12 @@ class JetEstimate:
         return json.dumps(payload)
 
 
+def _require_one_dimension(sample_sets, route: str):
+    if any(samp.y0.size != 1 for samp in sample_sets):
+        raise NotImplementedError(f"{route} is implemented for one "
+                                  "boundary dimension")
+
+
 def recover_first_jet(sample_sets: Sequence[LengthSampleSet]) -> JetEstimate:
     """First radial derivative of h at each sample point.
 
@@ -265,9 +271,7 @@ def recover_first_jet(sample_sets: Sequence[LengthSampleSet]) -> JetEstimate:
     """
     if not sample_sets:
         raise RecoveryError("no sample sets to recover from")
-    if sample_sets[0].y0.size != 1:
-        raise NotImplementedError("first-jet extraction is implemented "
-                                  "for one boundary dimension")
+    _require_one_dimension(sample_sets, "first-jet extraction")
     m = len(sample_sets)
     y0s = np.empty((m, 1))
     h0_out = np.empty((m, 1, 1))
@@ -331,11 +335,8 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
         raise RecoveryError("k_max must be 1 or 2")
     if not sample_sets:
         raise RecoveryError("no sample sets to fit")
+    _require_one_dimension(sample_sets, "fit route")
     m = len(sample_sets)
-    n = sample_sets[0].y0.size
-    if n != 1:
-        raise NotImplementedError("fit route is implemented for one "
-                                  "boundary dimension")
     y0s = np.empty((m, 1))
     h0_out = np.empty((m, 1, 1))
     drho_out = np.empty((m, 1, 1))
@@ -363,6 +364,7 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
         # the finite-difference step must clear the forward model's
         # integration noise floor, else the Jacobian is swamped and the
         # solver stalls far from the minimum
+        from scipy.optimize import least_squares
         res = least_squares(misfit, x0, method="lm", diff_step=1e-6)
         if not res.success:
             raise RecoveryError("fit did not converge at y0=%s: %s"

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._brent import brentq
 from .flow import (DEFAULT_TOL, BoundaryCovector, BPhasePoint,
                    GeodesicTrajectory, flip_state, trace_from_state,
                    trace_geodesic)
@@ -288,8 +289,9 @@ def gauge_normalize(field: SymmetricTensorField,
     The potential vanishes at rho = 0, is cut off by a plateau function chi
     before the outer edge of the collar, and is returned with spline-backed
     partial derivatives so repeated covariant differentiation stays cheap.
-    Its splines interpolate 61 rho levels on [0, 0.85 rho_c] against 64
-    equally spaced y.  The residual samples the d rho contraction of
+    Its splines (scipy's ``RectBivariateSpline``, imported on the first
+    call) interpolate 61 rho levels on [0, 0.85 rho_c] against 64 equally
+    spaced y.  The residual samples the d rho contraction of
     f - D q on a 9 x 9 grid where chi is one.
     """
     if fam.n != 1:
@@ -395,9 +397,10 @@ class SantaloResult:
 
 
 def grazing_eta(fam: BoundaryMetricFamily, rho_lo: float) -> float:
-    """Largest |eta| whose geodesic turning point still reaches depth rho_lo."""
-    from scipy.optimize import brentq
+    """Largest |eta| whose geodesic turning point still reaches depth rho_lo.
 
+    Raises ValueError when no |eta| in [1e-3, 1e3] brackets that depth.
+    """
     hi = min(fam.rho_max * 0.999, 1e3)
     h_of = fam.profiles[0]
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ahx import halfplane_family
+from ahx import halfplane_family, product_family
 from ahx.recover import (
     DELTA_GRID,
     LengthSampleSet,
@@ -236,6 +236,18 @@ def test_synthesis_guards(halfplane):
 def test_no_sample_sets_is_an_error(route):
     with pytest.raises(RecoveryError, match="no sample sets"):
         route([])
+
+
+@pytest.mark.parametrize("route", [recover_first_jet, recover_jet_fit],
+                         ids=["asymptotic", "fit"])
+def test_every_sample_set_must_be_one_dimensional(halfplane, hp_sets, route):
+    # a two-dimensional set after a one-dimensional one is refused before
+    # any extraction or fit starts
+    space = product_family(halfplane, halfplane)
+    plane_set = synthesize_samples(space, [0.0, 0.0],
+                                   [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NotImplementedError, match="one boundary dimension"):
+        route([hp_sets[0], plane_set])
 
 
 def test_fit_route_order_guard(ring_sets):
