@@ -26,13 +26,12 @@ def _value(f: Callable, x: float) -> float:
 
 
 def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float = XTOL, rtol: float = RTOL,
-           maxiter: int = MAXITER) -> float:
+           xtol: float = XTOL, rtol: float = RTOL) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Converges once the bracket is below ``xtol + rtol |x|``.  Raises
     ValueError when f(a) and f(b) have the same sign or f returns NaN, and
-    RuntimeError after ``maxiter`` iterations without convergence.
+    RuntimeError after ``MAXITER`` iterations without convergence.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -47,7 +46,7 @@ def brentq(f: Callable[[float], float], a: float, b: float,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -82,4 +81,4 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

@@ -135,17 +135,27 @@ def _outcome(solver, *args, **kw):
 @pytest.mark.parametrize("args, kw", [
     ((lambda x: x ** 3 - 2.0, 2.0, 3.0), {}),             # same signs
     ((lambda x: x ** 3 - 2.0, -1.0, -3.0), {}),
-    ((lambda x: math.cos(x) - x, 0.0, 2.0), {"maxiter": 3}),
-    ((lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0), {"maxiter": 5}),
     ((lambda x: math.nan, 0.0, 1.0), {}),
     ((lambda x: x, -1.0, 1.0), {"xtol": 0.0}),
     ((lambda x: x, -1.0, 1.0), {"rtol": 1e-16}),
     ((lambda x: x - 0.25, 0.25, 1.0), {}),                # a root at an end
-    ((lambda x: math.cos(x) - x, 0.0, 2.0), {"maxiter": 100}),
+    ((lambda x: math.cos(x) - x, 0.0, 2.0), {}),
 ])
 def test_brent_port_fails_as_scipy_does(args, kw):
     assert _outcome(_brent.brentq, *args, **kw) == \
         _outcome(scipy_brentq, *args, **kw)
+
+
+@pytest.mark.parametrize("f, a, b, maxiter", [
+    (lambda x: math.cos(x) - x, 0.0, 2.0, 3),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0, 5),
+])
+def test_brent_port_stops_where_scipy_does(monkeypatch, f, a, b, maxiter):
+    # too few iterations to converge: the same RuntimeError as scipy's
+    monkeypatch.setattr(_brent, "MAXITER", maxiter)
+    outcome = _outcome(_brent.brentq, f, a, b)
+    assert outcome[0] is RuntimeError
+    assert outcome == _outcome(scipy_brentq, f, a, b, maxiter=maxiter)
 
 
 # ---------------------------------------------------------------------------
