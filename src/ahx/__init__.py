@@ -28,9 +28,9 @@ from .renorm import (
 )
 from .xray import (
     AdjointnessResult, GaugeResult, SantaloResult, SymmetricTensorField,
-    adjointness_check, backward_boundary_point, forward_boundary_point,
-    gauge_normalize, grazing_eta, lift_tensor, resolvent_zero, santalo_check,
-    sym_derivative, xray_transform,
+    adjointness_check, backward_boundary_point, gauge_normalize, grazing_eta,
+    lift_tensor, resolvent_zero, santalo_check, sym_derivative,
+    xray_transform,
 )
 from .jacobi import (
     BundleFrame, DecayFit, JacobiSolution, JacobiSystem, RateBracket,

@@ -30,7 +30,10 @@ Gauss quadrature the first time :meth:`GeodesicTrajectory.arclength_at` or
 ``t_acc`` is read, and kept.  The ``t_max`` guard adds a closed-form upper
 bound of each step's arclength; only once that bound passes ``t_max`` does
 it integrate the steps exactly, and it raises :class:`TrappedOrSlowError`
-when the exact arclength does.
+when the exact arclength does.  The guard keeps only its running sums: the
+accepted steps are the whole trace record, and a
+:class:`GeodesicTrajectory` derives its break list, rho samples and
+arclength panels from them.
 Quadrature along a trajectory states its resolution explicitly: a number of
 Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
@@ -40,14 +43,15 @@ The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
 interpolant outside error control, so the arrival step is retaken exactly
 to the located arrival time and the outgoing covector carries the accuracy
-of an integration step.
+of an integration step.  A step that the projection has to move by more than
+``COSPHERE_SLACK`` of its covector was not resolved, although the error
+estimate passed it, and the trace fails rather than go on from it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,6 +82,7 @@ _ARC_GRID = np.linspace(0.0, 1.0, 9)   # per-step rho samples for crossings
 RHO_CEILING = 1.0e7
 MAX_STEPS = 250_000
 DELTA_CAP = 0.2
+COSPHERE_SLACK = 0.1  # largest relative move of the projection after a step
 
 
 class FlowError(RuntimeError):
@@ -175,21 +180,17 @@ def _gate_over_rho(rho: np.ndarray) -> np.ndarray:
 _GATE_SUP = 1.001 * float(np.max(_gate_over_rho(
     np.linspace(RHO_GATE_LO, RHO_GATE_HI, 1001))))
 
-# one RHS closure per family; the closure holds the profiles, not the family
-_RHS = weakref.WeakKeyDictionary()
-
 
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
-    """Flow RHS on the state [rho, y, xi_b, eta], built once per family.
+    """Flow RHS on the state [rho, y, xi_b, eta], built afresh on each call
+    (a closure over the family's profiles is cheaper to build than to look
+    up in a cache).
 
     With u_k = eta_k / h_kk: |eta|_h^2 = sum u_k eta_k, its rho-derivative
     is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.
     ``rhs(tau, s, vals)`` takes the profile values at (rho, y) of s
     (:func:`_profile_values`) when the caller already has them.
     """
-    rhs = _RHS.get(fam)
-    if rhs is not None:
-        return rhs
     n = fam.n
     profiles = fam.profiles
 
@@ -208,7 +209,6 @@ def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
         out[1 + n] = dxi
         return out
 
-    _RHS[fam] = rhs
     return rhs
 
 
@@ -534,28 +534,6 @@ def _arc_bound(rho_lo: float, rho_hi: float, h: float) -> float:
             + _arc_cdf(rho_hi) - _arc_cdf(rho_hi - slope * (h - s_min))) / slope
 
 
-class _StepArc:
-    """Per-step rho samples and arclength panels of a trace's steps.
-
-    Each list is extended to every stored step when asked for and is kept,
-    so the ``t_max`` guard and the trajectory share what either built.
-    """
-
-    def __init__(self, steps: list):
-        self.steps = steps
-        self.rho = []      # _rho_samples of steps 0, 1, ...
-        self.panels = []   # _arc_panels of steps 0, 1, ...
-
-    def extend_rho(self):
-        for st in self.steps[len(self.rho):]:
-            self.rho.append(_rho_samples(st))
-
-    def extend_panels(self):
-        self.extend_rho()
-        for i in range(len(self.panels), len(self.steps)):
-            self.panels.append(_arc_panels(self.steps[i], *self.rho[i]))
-
-
 # ---------------------------------------------------------------------------
 # trajectory container
 
@@ -570,9 +548,10 @@ class TraceStats:
     right-hand-side calls (``nfev``).  ``max_constraint_drift`` is the
     largest |proj - y| that the cosphere projection after an accepted step
     removed.  ``guard`` names the check that stopped a failed trace:
-    "t_max", "collar", "chart", "step_limit", "integrator" or "half_space"
-    (the arrival search found no rho > 0 on an overshooting step); it is
-    None for a trace that arrived.
+    "t_max", "collar", "chart", "step_limit", "integrator", "cosphere" (an
+    accepted step left the unit cosphere by more than ``COSPHERE_SLACK``) or
+    "half_space" (the arrival search found no rho > 0 on an overshooting
+    step); it is None for a trace that arrived.
     """
 
     n_accepted: int
@@ -585,46 +564,46 @@ class TraceStats:
 class GeodesicTrajectory:
     """Dense trajectory of the rescaled flow on [0, tau_plus].
 
-    ``samples`` holds the accepted integration steps as (tau, BPhasePoint)
-    with the constraint re-projected.  The dense output is one coefficient
-    row per step (:class:`_Step`), stacked into arrays on the first batch
-    read; :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected)
-    and :meth:`eval_many` (a batch of taus) all evaluate it with
-    :func:`_horner`.  The gated hyperbolic arclength accumulated from
-    tau = 0 is :meth:`arclength_at`; ``t_acc`` is its value at tau_plus.
-    Arclength panels and per-step rho samples are built from the stored
-    steps on first read and kept; a trace that never reads them, e.g. one
-    whose transforms cut at no rho level, never builds them.  ``stats`` holds
-    the trace's :class:`TraceStats`.
+    The trajectory owns its trace record: the accepted integration steps,
+    one coefficient row each (:class:`_Step`), from which every other table
+    is derived.  ``samples`` holds the step ends as (tau, BPhasePoint) with
+    the constraint re-projected.  The steps are stacked into arrays on the
+    first batch read; :meth:`eval_raw` (one tau), :meth:`state_at` (one tau,
+    projected) and :meth:`eval_many` (a batch of taus) all evaluate the
+    dense output with :func:`_horner`.  The gated hyperbolic arclength
+    accumulated from tau = 0 is :meth:`arclength_at`; ``t_acc`` is its
+    value at tau_plus.  Arclength panels and per-step rho samples are built
+    from the steps on first read and kept; a trace that never reads them,
+    e.g. one whose transforms cut at no rho level, never builds them.
+    ``stats`` holds the trace's :class:`TraceStats`.
     """
 
-    def __init__(self, fam, steps, breaks, tau_plus, samples, z_out, arc,
-                 stats):
+    def __init__(self, fam, steps, tau_plus, samples, z_out, stats):
         self.family = fam
         self.n = fam.n
         self._steps = steps
-        self._break_list = breaks
-        self._breaks = np.asarray(breaks)
         self.tau_plus = float(tau_plus)
+        # step starts, then the arrival time, which the Newton polish may
+        # move a little off the last step's end
+        self._break_list = [st.t_old for st in steps] + [self.tau_plus]
+        self._breaks = np.asarray(self._break_list)
         self.samples = samples
         self.z_out = z_out
-        self._arc = arc
         self.stats = stats
 
     @cached_property
     def _rho_table(self):
         """rho sampled at the _ARC_GRID points of each step, and those taus,
         both of shape (steps, len(_ARC_GRID))."""
-        self._arc.extend_rho()
-        taus, rho = zip(*self._arc.rho)
+        taus, rho = zip(*map(_rho_samples, self._steps))
         return np.array(taus), np.array(rho)
 
     @cached_property
     def _arc_table(self):
         """Right edges of every arclength panel, and the arclength
         accumulated up to each edge."""
-        self._arc.extend_panels()
-        edges, incr = zip(*self._arc.panels)
+        taus, rho = self._rho_table
+        edges, incr = zip(*map(_arc_panels, self._steps, taus, rho))
         return np.concatenate(edges), np.cumsum(np.concatenate(incr))
 
     @cached_property
@@ -735,15 +714,16 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
 
     The ``t_max`` guard adds the closed-form bound :func:`_arc_bound` of
     each accepted step's arclength.  Once that running bound passes
-    ``t_max``, the exact panels (:func:`_arc_panels`) of the steps not yet
-    integrated are computed and their sums added step by step to the exact
-    running arclength, which raises :class:`TrappedOrSlowError` above
-    ``t_max``; a trace whose bound stays below ``t_max`` computes no panel.
-    Every :class:`FlowError` raised here carries the trace's
-    :class:`TraceStats` so far as ``stats``.  Returns (steps, breaks,
-    tau_plus, samples, endpoint_vec, arc, stats), with ``steps`` the
-    :class:`_Step` rows and ``arc`` their :class:`_StepArc`, holding the
-    panels the guard built.
+    ``t_max``, the exact arclength (:func:`_arc_panels`) of each step not
+    yet integrated is added to a running exact sum, which raises
+    :class:`TrappedOrSlowError` above ``t_max``; a trace whose bound stays
+    below ``t_max`` computes no panel, and the guard keeps none.  An
+    accepted step that the cosphere projection moves by more than
+    ``COSPHERE_SLACK`` of its covector raises :class:`FlowError`: the step
+    controller passed a step it did not resolve.  Every :class:`FlowError`
+    raised here carries the trace's :class:`TraceStats` so far as
+    ``stats``.  Returns (steps, tau_plus, samples, endpoint_vec, stats),
+    with ``steps`` the :class:`_Step` rows.
     """
     n = fam.n
     rhs = _make_rhs(fam)
@@ -751,13 +731,13 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     chart = fam.chart
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     solvers = [solver]
-    steps, breaks = [], [0.0]
-    arc = _StepArc(steps)
+    steps = []
     p0 = _project_vec(fam, s0, n)
     samples = [(0.0, p0)]
     rho_prev = s0[0]
     bound = 0.0     # running upper bound of the arclength
-    t_acc = 0.0     # exact arclength of the steps in arc.panels
+    t_acc = 0.0     # exact arclength of steps[:n_exact]
+    n_exact = 0
     drift = 0.0
 
     def stats(guard=None):
@@ -796,8 +776,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     raise fail(FlowError(
                         "trajectory left the rho > 0 half-space"), "half_space")
                 lo = float(grid[imax])
+            # an eighth of the bracket caps xtol on the arcs of |eta| above
+            # about 1e13, whose arrival brackets are shorter than 8e-14
             tau_star = brentq(lambda s: float(_step_rho(st, s)), lo, t_hi,
-                              xtol=1e-14, rtol=8.9e-16)
+                              xtol=min(1e-14, (t_hi - lo) / 8),
+                              rtol=8.9e-16)
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
             steps.pop()
@@ -810,7 +793,6 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     raise fail(FlowError(
                         f"integrator failure: {_TOO_SMALL_STEP}"), "integrator")
                 steps.append(st)
-                breaks.append(st.t)
                 # t_lo + h may fall short of tau_star by rounding
                 if tau_star - last.t <= 4.0 * math.ulp(tau_star):
                     break
@@ -821,8 +803,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 # panels of this step end at st.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
                 end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
-                breaks[-1] = tau_star
-            return steps, breaks, tau_star, samples, end, arc, stats()
+            return steps, tau_star, samples, end, stats()
 
         if math.isfinite(rho_limit) and rho_new >= rho_limit:
             raise fail(CollarExitError(
@@ -835,10 +816,10 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     "chart")
         bound += _arc_bound(rho_prev, rho_new, t_hi - t_lo)
         if bound > t_max:
-            done = len(arc.panels)
-            arc.extend_panels()
-            for _, incr in arc.panels[done:]:
-                t_acc += float(np.sum(incr))
+            for done in steps[n_exact:]:
+                t_acc += float(np.sum(
+                    _arc_panels(done, *_rho_samples(done))[1]))
+            n_exact = len(steps)
             if t_acc > t_max:
                 raise fail(TrappedOrSlowError(
                     f"interior arclength exceeded t_max={t_max:.6g} at tau={solver.t:.6g}"
@@ -847,11 +828,16 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
 
         vals = _profile_values(fam, solver.y)
         proj = _project_vec(fam, solver.y, n, vals)
-        drift = max(drift, float(np.max(np.abs(proj - solver.y))))
+        jump = float(np.max(np.abs(proj - solver.y)))
+        drift = max(drift, jump)
+        if jump > COSPHERE_SLACK * max(map(abs, solver.y[1 + n:].tolist())):
+            raise fail(FlowError(
+                f"an accepted step left the unit cosphere at tau={solver.t:.6g}"
+                " (the step is too long for the covector's scale)"),
+                "cosphere")
         if not np.array_equal(proj, solver.y):
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
-        breaks.append(t_hi)
         samples.append((t_hi, proj))
         rho_prev = proj[0]
 
@@ -862,7 +848,7 @@ def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
 
 
 def _finish_trajectory(fam, driven) -> GeodesicTrajectory:
-    steps, breaks, tau_plus, samples, end_vec, arc, stats = driven
+    steps, tau_plus, samples, end_vec, stats = driven
     n = fam.n
     end_proj = _project_vec(fam, end_vec, n)
     y_end = end_proj[1:1 + n].copy()
@@ -871,8 +857,8 @@ def _finish_trajectory(fam, driven) -> GeodesicTrajectory:
     traj_samples = [(t, _split_vec(n, v)) for t, v in samples]
     traj_samples.append((tau_plus, endpoint))
     z_out = BoundaryCovector.make(fam.chart.wrap(y_end), eta_end, "outgoing")
-    return GeodesicTrajectory(fam, steps, breaks, tau_plus, traj_samples,
-                              z_out, arc, stats)
+    return GeodesicTrajectory(fam, steps, tau_plus, traj_samples, z_out,
+                              stats)
 
 
 def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,

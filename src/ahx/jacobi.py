@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,32 +347,6 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     sol = _Solution(var_rhs, taus[0], dz0.ravel(), taus[-1], 1e-10, 1e-12,
                     "linearized flow integration failed: " + _TOO_SMALL_STEP)
     return np.array([sol(t) for t in taus]).reshape(len(taus), k, dim)
-
-
-def _vertical_seed_basis(fam: BoundaryMetricFamily,
-                        state: BPhasePoint) -> np.ndarray:
-    """Basis of fiber (vertical) tangent directions at a phase point.
-
-    Rows are (drho, dy, dxi_b, deta) vectors with zero position part that
-    satisfy the linearized unit-covector constraint.
-    """
-    n = state.y.size
-    dim = 2 * n + 2
-    hin_eta = state.eta / fam.diag(state.rho, state.y)[0]
-    # linearized constraint restricted to the fiber block (dxi_b, deta)
-    row = np.empty((1, n + 1))
-    row[0, 0] = state.xi_b
-    row[0, 1:] = state.rho ** 2 * hin_eta
-    # null space of the row: its right singular vectors past the rank, cut
-    # at eps * max(shape) times the largest singular value
-    _, s, vh = np.linalg.svd(row)
-    cut = s.max(initial=0.0) * (np.finfo(float).eps * max(row.shape))
-    fiber = vh[np.sum(s > cut):]
-    if fiber.shape[0] != n:
-        raise ValueError("could not build a full vertical basis")
-    seeds = np.zeros((n, dim))
-    seeds[:, n + 1:] = fiber
-    return seeds
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .quadrature import poly_bump, poly_bump_dt
 __all__ = [
     "MetricError",
     "Chart",
+    "TrigPoly",
     "BoundaryMetricFamily",
     "MetricEval",
     "make_family",
@@ -48,6 +49,7 @@ __all__ = [
     "perturbed_family",
     "taylor1d_family",
     "product_family",
+    "radial_power_family",
     "eval_metric",
     "gauss_curvature",
     "christoffel_symbols",

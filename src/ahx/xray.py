@@ -40,7 +40,7 @@ from .quadrature import gauss_nodes, panel_gauss, smoothstep
 __all__ = [
     "SymmetricTensorField", "lift_tensor", "xray_transform",
     "sym_derivative", "gauge_normalize", "GaugeResult",
-    "forward_boundary_point", "backward_boundary_point", "grazing_eta",
+    "backward_boundary_point", "grazing_eta",
     "santalo_check", "SantaloResult", "adjointness_check", "AdjointnessResult",
     "resolvent_zero",
 ]
@@ -362,13 +362,6 @@ def gauge_normalize(field: SymmetricTensorField,
 
 # ---------------------------------------------------------------------------
 # orbit endpoints
-
-
-def forward_boundary_point(fam: BoundaryMetricFamily,
-                           state: BPhasePoint) -> BoundaryCovector:
-    """Outgoing boundary covector of the orbit through an interior point,
-    traced at ``DEFAULT_TOL``."""
-    return trace_from_state(fam, state).z_out
 
 
 def backward_boundary_point(fam: BoundaryMetricFamily, state: BPhasePoint,

@@ -337,8 +337,8 @@ def test_step_bound_exceeds_exact_arclength(disc, halfplane, tol):
     assert np.max(flow._gate_over_rho(grid)) <= flow._GATE_SUP
     for fam, eta in ((disc, 0.05), (disc, 1.3), (halfplane, -0.4)):
         traj = trace_geodesic(fam, (0.2, eta), tol=tol)
-        traj._arc.extend_panels()
-        exact = traj._arc.panels
+        exact = [flow._arc_panels(st, *flow._rho_samples(st))
+                 for st in traj._steps]
         # every step but the retaken arrival step, which the guard skips
         for (t0, p0), (t1, p1), (_, incr) in zip(traj.samples[:-2],
                                                  traj.samples[1:-1], exact):
@@ -350,12 +350,51 @@ def test_arclength_is_built_only_when_read(disc):
     field = SymmetricTensorField(rank=0, weight=1,
                                  components=lambda rho, y: rho * np.exp(-rho))
     xray_transform(field, traj)
-    assert traj._arc.rho == [] and traj._arc.panels == []
+    assert "_rho_table" not in vars(traj) and "_arc_table" not in vars(traj)
     xray_transform(field, traj, rho_breaks=(0.2,))
-    assert len(traj._arc.rho) == len(traj._steps)
-    assert traj._arc.panels == []
+    assert "_rho_table" in vars(traj)
+    assert len(traj._rho_table[0]) == len(traj._steps)
+    assert "_arc_table" not in vars(traj)
     assert traj.t_acc > 0.0
-    assert len(traj._arc.panels) == len(traj._steps)
+    # panels end at every step's end
+    edges = traj._arc_table[0]
+    assert np.isin([st.t for st in traj._steps], edges).all()
+
+
+def test_guard_panels_leave_the_trace_unchanged(disc):
+    # the guard's bound passes t_max, so it integrates the steps exactly,
+    # but the exact arclength stays below t_max and the trace arrives
+    z, t_max = (0.2, 1.3), 9.5
+    traj = trace_geodesic(disc, z, tol=1e-8, t_max=t_max)
+    ref = trace_geodesic(disc, z, tol=1e-8, t_max=60.0)
+    ends = traj.samples[:-1]    # the guard runs on every step but the last
+    bound = sum(flow._arc_bound(p0.rho, p1.rho, t1 - t0)
+                for (t0, p0), (t1, p1) in zip(ends, ends[1:]))
+    exact = sum(float(np.sum(flow._arc_panels(st, *flow._rho_samples(st))[1]))
+                for st in traj._steps[:len(ends) - 1])
+    assert exact < t_max < bound
+    assert traj.stats == ref.stats
+    taus = np.linspace(0.0, traj.tau_plus, 11)
+    assert np.asarray(traj.t_acc).tobytes() == np.asarray(ref.t_acc).tobytes()
+    assert traj.arclength_at(taus).tobytes() == ref.arclength_at(taus).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, guard", [("disc", "cosphere"),
+                                         ("halfplane", None),
+                                         ("perturbed", None)])
+def test_huge_eta_arrives_or_names_its_guard(request, name, guard):
+    # the arc lasts pi/|eta| = 3.1e-14, and its arrival bracket is shorter
+    # than 1e-14; on the disc the error estimate passes a first step that
+    # leaves the cosphere
+    fam, eta = request.getfixturevalue(name), 1e14
+    if guard is None:
+        traj = trace_geodesic(fam, (0.3, eta), tol=1e-8)
+        assert traj.tau_plus == pytest.approx(math.pi / eta, rel=1e-6)
+    else:
+        with pytest.raises(FlowError) as info:
+            trace_geodesic(fam, (0.3, eta), tol=1e-8)
+        assert info.value.stats.guard == guard
 
 
 def test_trace_stats_count_the_integration(disc):

@@ -26,8 +26,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ahx import (
-    BPhasePoint,
-    FlowError,
     boundary_rate_bracket,
     conjugate_points,
     curvature_decay_fit,
@@ -44,7 +42,7 @@ from ahx import (
     trace_geodesic,
     wronskian,
 )
-from ahx.jacobi import MAP_TOL, SOLVE_TOL, _vertical_seed_basis
+from ahx.jacobi import MAP_TOL, SOLVE_TOL
 
 ETA_BUMP = 3.2  # turning point inside the bump band of the bump_family
 CONJUGATE_TIME = 0.0055643505  # frozen detection output for (0, ETA_BUMP)
@@ -298,30 +296,6 @@ def test_linearized_flow_matches_retraced_neighbours(perturbed):
             ref = (pert.eval_raw(tau)[:4] - base.eval_raw(tau)[:4]) / eps
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(out[i, j] - ref)) < 1e-5 * scale
-
-
-def test_vertical_seed_basis_spans_fiber_kernel(perturbed):
-    traj = trace_geodesic(perturbed, (0.5, 2.5))
-    state = traj.state_at(0.5 * traj.tau_plus)
-    seeds = _vertical_seed_basis(perturbed, state)
-    assert seeds.shape == (1, 4)
-    assert np.all(seeds[:, :2] == 0.0)
-    h = eval_metric(perturbed, state.rho, state.y).h_mat[0, 0]
-    resid = (state.xi_b * seeds[0, 2]
-             + state.rho ** 2 * float(state.eta[0]) / h * seeds[0, 3])
-    assert abs(resid) < 1e-12
-
-
-def test_vertical_seed_basis_two_factor_block(halfplane):
-    fam2 = product_family(halfplane_family(), halfplane_family())
-    point = BPhasePoint.make(0.4, [0.1, 0.2], 0.3, [0.5, 0.7])
-    seeds = _vertical_seed_basis(fam2, point)
-    assert seeds.shape == (2, 6)
-    assert np.all(seeds[:, :3] == 0.0)
-    for row in seeds:
-        resid = (point.xi_b * row[3]
-                 + point.rho ** 2 * float(point.eta @ row[4:]))
-        assert abs(resid) < 1e-12
 
 
 def test_scalar_bookkeeping_rejects_two_factor_family():

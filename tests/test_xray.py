@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ahx import (BPhasePoint, SymmetricTensorField, adjointness_check,
-                 backward_boundary_point, forward_boundary_point,
-                 gauge_normalize, lift_tensor, resolvent_zero, santalo_check,
-                 sym_derivative, trace_geodesic, xray_transform)
+                 backward_boundary_point, gauge_normalize, lift_tensor,
+                 resolvent_zero, santalo_check, sym_derivative,
+                 trace_from_state, trace_geodesic, xray_transform)
 from ahx.quadrature import poly_bump
 
 
@@ -198,7 +198,7 @@ def test_field_of_wrong_shape_is_rejected():
 def test_boundary_points_invert_each_other(disc):
     traj = trace_geodesic(disc, (0.7, 1.2), tol=1e-12)
     mid = traj.state_at(0.5 * traj.tau_plus)
-    fwd = forward_boundary_point(disc, mid)
+    fwd = trace_from_state(disc, mid).z_out
     bwd = backward_boundary_point(disc, mid)
     assert bwd.y[0] % (2.0 * math.pi) == pytest.approx(0.7, abs=1e-7)
     assert bwd.eta[0] == pytest.approx(1.2, abs=1e-7)
