@@ -611,7 +611,7 @@ class GeodesicTrajectory:
         """(t_old, h, y_old, F) of every step, stacked: shapes (steps,),
         (steps,), (steps, dim) and (7, steps, dim)."""
         st = self._steps
-        return (np.array([s.t_old for s in st]), np.array([s.h for s in st]),
+        return (self._breaks[:-1], np.array([s.h for s in st]),
                 np.array([s.y_old for s in st]),
                 np.stack([s.F for s in st], axis=1))
 
