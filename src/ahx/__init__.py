@@ -17,7 +17,7 @@ from .metric import (
 from .flow import (
     BoundaryCovector, BPhasePoint, ChartExitError, CollarExitError,
     FlowError, GeodesicTrajectory, TrappedOrSlowError,
-    barX_eval, constraint_residual, delta_max, flip_state,
+    barX_eval, delta_max, flip_state,
     scattering_jacobian, scattering_map, trace_from_state,
     trace_geodesic,
 )
@@ -29,8 +29,7 @@ from .renorm import (
 from .xray import (
     AdjointnessResult, GaugeResult, SantaloResult, SymmetricTensorField,
     adjointness_check, backward_boundary_point, gauge_normalize, grazing_eta,
-    lift_tensor, resolvent_zero, santalo_check, sym_derivative,
-    xray_transform,
+    resolvent_zero, santalo_check, sym_derivative, xray_transform,
 )
 from .jacobi import (
     BundleFrame, DecayFit, JacobiSolution, JacobiSystem, RateBracket,

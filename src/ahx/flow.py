@@ -30,10 +30,10 @@ Gauss quadrature the first time :meth:`GeodesicTrajectory.arclength_at` or
 ``t_acc`` is read, and kept.  The ``t_max`` guard adds a closed-form upper
 bound of each step's arclength; only once that bound passes ``t_max`` does
 it integrate the steps exactly, and it raises :class:`TrappedOrSlowError`
-when the exact arclength does.  The guard keeps only its running sums: the
-accepted steps are the whole trace record, and a
-:class:`GeodesicTrajectory` derives its break list, rho samples and
-arclength panels from them.
+when the exact arclength does.  The guard keeps only its running sums.
+A :class:`GeodesicTrajectory` is its accepted steps, its arrival time, its
+projected end state and its stats; it derives its break list, samples, rho
+samples and arclength panels from them.
 Quadrature along a trajectory states its resolution explicitly: a number of
 Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
@@ -43,9 +43,9 @@ The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
 interpolant outside error control, so the arrival step is retaken exactly
 to the located arrival time and the outgoing covector carries the accuracy
-of an integration step.  A step that the projection has to move by more than
-``COSPHERE_SLACK`` of its covector was not resolved, although the error
-estimate passed it, and the trace fails rather than go on from it.
+of an integration step.  A step or arrival end that the projection moves by
+more than ``COSPHERE_SLACK`` of its covector was not resolved, although the
+error estimate passed it, and the trace fails rather than go on from it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
     "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory", "TraceStats",
     "barX_eval", "trace_geodesic", "trace_from_state",
     "scattering_map", "scattering_jacobian", "ScatteringJacobian",
-    "delta_max", "flip_state", "constraint_residual",
+    "delta_max", "flip_state",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -96,7 +96,8 @@ class FlowError(RuntimeError):
 
 
 class TrappedOrSlowError(FlowError):
-    """Accumulated interior arclength exceeded t_max before boundary arrival."""
+    """Accumulated interior arclength exceeded t_max before boundary arrival
+    (the guard skips the arrival step: an arriving geodesic is not trapped)."""
 
     def __init__(self, msg, tau=None, t_acc=None):
         super().__init__(msg)
@@ -157,11 +158,6 @@ class BoundaryCovector:
 def flip_state(p: BPhasePoint) -> BPhasePoint:
     """Time-reversal involution (rho, y, xi_b, eta) -> (rho, y, -xi_b, -eta)."""
     return BPhasePoint.make(p.rho, p.y, -p.xi_b, -p.eta)
-
-
-def constraint_residual(fam: BoundaryMetricFamily, p: BPhasePoint) -> float:
-    e2 = fam.eta_normsq(p.rho, p.y, p.eta)
-    return abs(p.xi_b ** 2 + p.rho ** 2 * e2 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +248,11 @@ def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
     out[1 + n] = xi * c
     out[2 + n:2 + 2 * n] = eta * c
     return out
+
+
+def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
+    return BPhasePoint.make(vec[0], vec[1:1 + n], vec[1 + n],
+                            vec[2 + n:2 + 2 * n])
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +547,11 @@ class TraceStats:
     :class:`_Dop853` steppers accepted and rejected, the arrival step and
     its exact retake both included; ``n_rhs`` is their number of
     right-hand-side calls (``nfev``).  ``max_constraint_drift`` is the
-    largest |proj - y| that the cosphere projection after an accepted step
-    removed.  ``guard`` names the check that stopped a failed trace:
-    "t_max", "collar", "chart", "step_limit", "integrator", "cosphere" (an
-    accepted step left the unit cosphere by more than ``COSPHERE_SLACK``) or
+    largest |proj - y| that the cosphere projection removed from the state
+    after an accepted step or from the arrival end state.  ``guard`` names
+    the check that stopped a failed trace: "t_max", "collar", "chart",
+    "step_limit", "integrator", "cosphere" (an accepted step or the arrival
+    end left the unit cosphere by more than ``COSPHERE_SLACK``) or
     "half_space" (the arrival search found no rho > 0 on an overshooting
     step); it is None for a trace that arrived.
     """
@@ -564,21 +566,20 @@ class TraceStats:
 class GeodesicTrajectory:
     """Dense trajectory of the rescaled flow on [0, tau_plus].
 
-    The trajectory owns its trace record: the accepted integration steps,
-    one coefficient row each (:class:`_Step`), from which every other table
-    is derived.  ``samples`` holds the step ends as (tau, BPhasePoint) with
-    the constraint re-projected.  The steps are stacked into arrays on the
-    first batch read; :meth:`eval_raw` (one tau), :meth:`state_at` (one tau,
-    projected) and :meth:`eval_many` (a batch of taus) all evaluate the
-    dense output with :func:`_horner`.  The gated hyperbolic arclength
-    accumulated from tau = 0 is :meth:`arclength_at`; ``t_acc`` is its
-    value at tau_plus.  Arclength panels and per-step rho samples are built
-    from the steps on first read and kept; a trace that never reads them,
-    e.g. one whose transforms cut at no rho level, never builds them.
-    ``stats`` holds the trace's :class:`TraceStats`.
+    The trajectory is its accepted steps, one coefficient row each
+    (:class:`_Step`), its arrival time, its ``end`` (the projected outgoing
+    state, y not wrapped) and its :class:`TraceStats` ``stats``; the rest
+    is derived, ``z_out`` at once and every table on first read.  The steps
+    are stacked on the first batch read; :meth:`eval_raw` (one tau),
+    :meth:`state_at` (one tau, projected) and :meth:`eval_many` (a batch of
+    taus) all evaluate the dense output with :func:`_horner`.  The gated
+    hyperbolic arclength from tau = 0 is :meth:`arclength_at`; ``t_acc`` is
+    its value at tau_plus.  A trace that never reads the arclength panels
+    or per-step rho samples, e.g. one whose transforms cut at no rho level,
+    never builds them.
     """
 
-    def __init__(self, fam, steps, tau_plus, samples, z_out, stats):
+    def __init__(self, fam, steps, tau_plus, end, stats):
         self.family = fam
         self.n = fam.n
         self._steps = steps
@@ -587,9 +588,16 @@ class GeodesicTrajectory:
         # move a little off the last step's end
         self._break_list = [st.t_old for st in steps] + [self.tau_plus]
         self._breaks = np.asarray(self._break_list)
-        self.samples = samples
-        self.z_out = z_out
+        self.end = end
+        self.z_out = BoundaryCovector.make(fam.chart.wrap(end.y), end.eta,
+                                           "outgoing")
         self.stats = stats
+
+    @cached_property
+    def samples(self) -> list:
+        """(tau, BPhasePoint) at each step's start, then (tau_plus, end)."""
+        return [(st.t_old, _split_vec(self.n, st.y_old))
+                for st in self._steps] + [(self.tau_plus, self.end)]
 
     @cached_property
     def _rho_table(self):
@@ -686,12 +694,10 @@ class GeodesicTrajectory:
         return out.reshape(taus.shape) if taus.ndim else float(out[0])
 
     def rho_peak(self):
-        """(tau, rho) at the deepest sampled point, parabolically refined."""
-        taus = np.array([t for t, _ in self.samples])
-        rhos = np.array([p.rho for _, p in self.samples])
-        i = int(np.argmax(rhos))
-        lo = max(self._breaks[0], taus[max(i - 1, 0)])
-        hi = min(self.tau_plus, taus[min(i + 1, len(taus) - 1)])
+        """(tau, rho) at the deepest step start, parabolically refined."""
+        taus = self._breaks
+        i = int(np.argmax(np.append(self._rows[2][:, 0], 0.0)))
+        lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
         grid = np.linspace(lo, hi, 41)
         vals = self.eval_many(grid)[:, 0]
         j = int(np.argmax(vals))
@@ -709,7 +715,7 @@ class GeodesicTrajectory:
 
 
 def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
-           t_max: float) -> tuple:
+           t_max: float) -> GeodesicTrajectory:
     """Integrate until the boundary-arrival event; project every step.
 
     The ``t_max`` guard adds the closed-form bound :func:`_arc_bound` of
@@ -717,13 +723,13 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     ``t_max``, the exact arclength (:func:`_arc_panels`) of each step not
     yet integrated is added to a running exact sum, which raises
     :class:`TrappedOrSlowError` above ``t_max``; a trace whose bound stays
-    below ``t_max`` computes no panel, and the guard keeps none.  An
-    accepted step that the cosphere projection moves by more than
-    ``COSPHERE_SLACK`` of its covector raises :class:`FlowError`: the step
-    controller passed a step it did not resolve.  Every :class:`FlowError`
-    raised here carries the trace's :class:`TraceStats` so far as
-    ``stats``.  Returns (steps, tau_plus, samples, endpoint_vec, stats),
-    with ``steps`` the :class:`_Step` rows.
+    below ``t_max`` computes no panel.  The guard skips the arrival step:
+    a geodesic that arrives is not trapped.  A step's end or the arrival
+    end that the cosphere projection moves by more than ``COSPHERE_SLACK``
+    of its covector raises :class:`FlowError`: the step controller passed a
+    step it did not resolve.  Every :class:`FlowError` raised here carries
+    the trace's :class:`TraceStats` so far as ``stats``.  The :class:`_Step`
+    rows are the one list kept; the trajectory is built from them.
     """
     n = fam.n
     rhs = _make_rhs(fam)
@@ -732,8 +738,6 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     solvers = [solver]
     steps = []
-    p0 = _project_vec(fam, s0, n)
-    samples = [(0.0, p0)]
     rho_prev = s0[0]
     bound = 0.0     # running upper bound of the arclength
     t_acc = 0.0     # exact arclength of steps[:n_exact]
@@ -750,6 +754,20 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     def fail(exc, guard):
         exc.stats = stats(guard)
         return exc
+
+    def project(y, tau):
+        """y projected onto the cosphere, and the profile values there."""
+        nonlocal drift
+        vals = _profile_values(fam, y)
+        proj = _project_vec(fam, y, n, vals)
+        jump = float(np.max(np.abs(proj - y)))
+        drift = max(drift, jump)
+        if jump > COSPHERE_SLACK * max(map(abs, y[1 + n:].tolist())):
+            raise fail(FlowError(
+                f"an accepted step left the unit cosphere at tau={tau:.6g}"
+                " (the step is too long for the covector's scale)"),
+                "cosphere")
+        return proj, vals
 
     while True:
         if solver.n_accepted >= MAX_STEPS:
@@ -803,7 +821,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 # panels of this step end at st.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
                 end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
-            return steps, tau_star, samples, end, stats()
+            end = project(end, tau_star)[0]
+            return GeodesicTrajectory(
+                fam, steps, tau_star,
+                BPhasePoint.make(0.0, end[1:1 + n].copy(), -1.0,
+                                 end[2 + n:2 + 2 * n].copy()), stats())
 
         if math.isfinite(rho_limit) and rho_new >= rho_limit:
             raise fail(CollarExitError(
@@ -826,39 +848,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     " (trapped or nearly trapped trajectory)",
                     tau=float(solver.t), t_acc=t_acc), "t_max")
 
-        vals = _profile_values(fam, solver.y)
-        proj = _project_vec(fam, solver.y, n, vals)
-        jump = float(np.max(np.abs(proj - solver.y)))
-        drift = max(drift, jump)
-        if jump > COSPHERE_SLACK * max(map(abs, solver.y[1 + n:].tolist())):
-            raise fail(FlowError(
-                f"an accepted step left the unit cosphere at tau={solver.t:.6g}"
-                " (the step is too long for the covector's scale)"),
-                "cosphere")
+        proj, vals = project(solver.y, solver.t)
         if not np.array_equal(proj, solver.y):
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
-        samples.append((t_hi, proj))
         rho_prev = proj[0]
-
-
-def _split_vec(n: int, vec: np.ndarray) -> BPhasePoint:
-    return BPhasePoint.make(vec[0], vec[1:1 + n], vec[1 + n],
-                            vec[2 + n:2 + 2 * n])
-
-
-def _finish_trajectory(fam, driven) -> GeodesicTrajectory:
-    steps, tau_plus, samples, end_vec, stats = driven
-    n = fam.n
-    end_proj = _project_vec(fam, end_vec, n)
-    y_end = end_proj[1:1 + n].copy()
-    eta_end = end_proj[2 + n:2 + 2 * n].copy()
-    endpoint = BPhasePoint.make(0.0, y_end, -1.0, eta_end)
-    traj_samples = [(t, _split_vec(n, v)) for t, v in samples]
-    traj_samples.append((tau_plus, endpoint))
-    z_out = BoundaryCovector.make(fam.chart.wrap(y_end), eta_end, "outgoing")
-    return GeodesicTrajectory(fam, steps, tau_plus, traj_samples, z_out,
-                              stats)
 
 
 def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
@@ -870,6 +864,8 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     transversal return to rho = 0.  ``tol`` is the stepper's rtol = atol of
     the state and does not cover the arclength; on the half-plane the outgoing
     covector is off by about 6e-11 at tol 1e-10 and 3e-13 at 1e-12.
+    ``t_max`` bounds the gated arclength before the arrival step, which the
+    guard skips: a trajectory that arrives may have ``t_acc`` above it.
     """
     if not isinstance(z, BoundaryCovector):
         y, eta = z
@@ -877,15 +873,14 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     if z.y.size != fam.n or z.eta.size != fam.n:
         raise ValueError("boundary covector dimension mismatch")
     s0 = np.concatenate(([0.0], z.y, [1.0], z.eta))
-    return _finish_trajectory(fam, _drive(fam, s0, tol=tol, t_max=t_max))
+    return _drive(fam, s0, tol=tol, t_max=t_max)
 
 
 def trace_from_state(fam: BoundaryMetricFamily, state: BPhasePoint,
                      tol: float = DEFAULT_TOL) -> GeodesicTrajectory:
     """Trace the forward orbit of an interior phase point to the boundary."""
     s0 = _project_vec(fam, state.as_vector(), fam.n)
-    return _finish_trajectory(fam, _drive(fam, s0, tol=tol,
-                                          t_max=DEFAULT_T_MAX))
+    return _drive(fam, s0, tol=tol, t_max=DEFAULT_T_MAX)
 
 
 def scattering_map(fam: BoundaryMetricFamily, z,
@@ -929,9 +924,8 @@ def scattering_jacobian(fam: BoundaryMetricFamily, z) -> ScatteringJacobian:
     n = fam.n
 
     def out_vec(x):
-        traj = trace_geodesic(fam, BoundaryCovector.make(x[:n], x[n:]))
-        p = traj.samples[-1][1]
-        return np.concatenate((p.y, p.eta))
+        end = trace_geodesic(fam, BoundaryCovector.make(x[:n], x[n:])).end
+        return np.concatenate((end.y, end.eta))
 
     x = np.concatenate((z.y, z.eta))
     M = _central_diff(out_vec, x, 1e-5 * np.maximum(1.0, np.abs(x)))

@@ -228,8 +228,10 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     Newton iteration on the incoming covector with a finite-difference
     Jacobian of the endpoint map and step halving; the first guess is the
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
-    vector dy.  Shooting traces run at ``SHOOT_TOL``; the converged
-    geodesic is traced again at ``DEFAULT_TOL`` for its length.
+    vector dy.  A trial step whose trace raises :class:`FlowError` is
+    halved too, and ``ShootingError`` is raised when all eight trials of
+    one iteration fail.  Shooting traces run at ``SHOOT_TOL``; the
+    converged geodesic is traced again at ``DEFAULT_TOL`` for its length.
     """
     ym = np.atleast_1d(np.asarray(y_minus, dtype=float))
     yp = np.atleast_1d(np.asarray(y_plus, dtype=float))
@@ -252,7 +254,7 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
 
     def miss(traj):
         """Endpoint miss of a traced geodesic from y_plus."""
-        y_out = traj.samples[-1][1].y
+        y_out = traj.end.y
         return np.array([fam.chart.wrapped_diff(float(a), float(b))
                          for a, b in zip(y_out, yp)])
 
@@ -282,14 +284,22 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             d = eta_pred / nrm if nrm > 0 else dy / np.linalg.norm(dy)
             eta = ETA_SNAP * d
             break
-        lam = 1.0
+        lam, traced = 1.0, None
         for _ in range(8):
             eta_new = clamp(eta - lam * step)
-            r_new = residual(eta_new)
-            if np.max(np.abs(r_new)) < np.max(np.abs(r)):
-                break
+            try:
+                r_new = residual(eta_new)
+            except FlowError as exc:
+                failed = exc    # the trial left the collar or the chart
+            else:
+                traced = eta_new, r_new
+                if np.max(np.abs(r_new)) < np.max(np.abs(r)):
+                    break
             lam *= 0.5
-        eta, r = eta_new, r_new
+        if traced is None:
+            raise ShootingError("no damped shooting trial reached the "
+                                "boundary") from failed
+        eta, r = traced
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
     value = renormalized_length(traj).value
     return BoundaryDistanceResult(value=value, eta=eta, iterations=it,
@@ -331,8 +341,8 @@ def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus,
 
     eta_in = -grad_m
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta_in))
-    y_out = traj.samples[-1][1].y
-    eta_out = traj.samples[-1][1].eta
+    y_out = traj.end.y
+    eta_out = traj.end.eta
     mis_y = max(abs(fam.chart.wrapped_diff(float(a), float(b)))
                 for a, b in zip(y_out, yp))
     mis_e = float(np.max(np.abs(eta_out - grad_p)))

@@ -38,7 +38,7 @@ from .metric import BoundaryMetricFamily, christoffel_symbols
 from .quadrature import gauss_nodes, panel_gauss, smoothstep
 
 __all__ = [
-    "SymmetricTensorField", "lift_tensor", "xray_transform",
+    "SymmetricTensorField", "xray_transform",
     "sym_derivative", "gauge_normalize", "GaugeResult",
     "backward_boundary_point", "grazing_eta",
     "santalo_check", "SantaloResult", "adjointness_check", "AdjointnessResult",
@@ -155,13 +155,6 @@ def _lift(field: SymmetricTensorField, rho, y, V) -> np.ndarray:
         c = np.sum(c * V.reshape(V.shape[:-1] + (1,) * (m - 1)
                                  + V.shape[-1:]), axis=-1)
     return c
-
-
-def lift_tensor(field: SymmetricTensorField, fam: BoundaryMetricFamily,
-                state: BPhasePoint) -> float:
-    """Contraction of the field with m copies of the unit tangent."""
-    V = _unit_tangent(fam, state.rho, state.y, state.xi_b, state.eta)
-    return float(_lift(field, state.rho, state.y, V))
 
 
 def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
@@ -560,7 +553,7 @@ def resolvent_zero(fam: BoundaryMetricFamily, func: Callable,
     base = state if sign == +1 else flip_state(state)
     traj = trace_from_state(fam, base)
     n = traj.n
-    endpoint = traj.samples[-1][1]
+    endpoint = traj.end
     if sign == +1:
         f_end = func(endpoint)
     else:

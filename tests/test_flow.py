@@ -9,7 +9,7 @@ from scipy.integrate import DOP853
 
 from ahx import (BoundaryCovector, BPhasePoint, ChartExitError,
                  CollarExitError, FlowError, SymmetricTensorField,
-                 TrappedOrSlowError, constraint_residual, delta_max,
+                 TrappedOrSlowError, delta_max,
                  eval_metric, flip_state, halfplane_family, product_family,
                  scattering_jacobian, scattering_map, trace_from_state,
                  trace_geodesic, xray_transform)
@@ -126,7 +126,9 @@ def test_constraint_preserved_along_flow(y0, eta, flip):
         eta = -eta
     traj = trace_geodesic(fam, (y0, eta))
     for tau in np.linspace(0.0, traj.tau_plus, 9):
-        assert abs(constraint_residual(fam, traj.state_at(float(tau)))) < 1e-9
+        p = traj.state_at(float(tau))
+        e2 = fam.eta_normsq(p.rho, p.y, p.eta)
+        assert abs(p.xi_b ** 2 + p.rho ** 2 * e2 - 1.0) < 1e-9
 
 
 def test_time_reversal_of_scattering(perturbed):
@@ -373,6 +375,8 @@ def test_guard_panels_leave_the_trace_unchanged(disc):
     exact = sum(float(np.sum(flow._arc_panels(st, *flow._rho_samples(st))[1]))
                 for st in traj._steps[:len(ends) - 1])
     assert exact < t_max < bound
+    # the guard skips the arrival step, past which t_acc exceeds t_max
+    assert traj.t_acc > t_max
     assert traj.stats == ref.stats
     taus = np.linspace(0.0, traj.tau_plus, 11)
     assert np.asarray(traj.t_acc).tobytes() == np.asarray(ref.t_acc).tobytes()
@@ -395,6 +399,43 @@ def test_huge_eta_arrives_or_names_its_guard(request, name, guard):
         with pytest.raises(FlowError) as info:
             trace_geodesic(fam, (0.3, eta), tol=1e-8)
         assert info.value.stats.guard == guard
+
+
+def test_arrival_end_that_leaves_the_cosphere_raises(halfplane):
+    # at tol 1e-3 the retaken arrival step ends on a covector that the
+    # projection would move by 89%; unchecked, the trace returns tau_plus
+    # 7.84e-6 for pi/|eta| = 2.07e-6
+    with pytest.raises(FlowError) as info:
+        trace_geodesic(halfplane, (4.268920944706548, 1520019.0558717083),
+                       tol=1e-3)
+    assert info.value.stats.guard == "cosphere"
+    assert info.value.stats.max_constraint_drift > 0.5 * 1520019.0558717083
+
+
+def test_samples_are_the_step_starts_and_the_end(disc):
+    traj = trace_geodesic(disc, (0.3, 1.1), tol=1e-8)
+    field = SymmetricTensorField(rank=0, weight=1,
+                                 components=lambda rho, y: rho * np.exp(-rho))
+    xray_transform(field, traj)
+    assert "samples" not in vars(traj)
+    assert len(traj.samples) == len(traj._steps) + 1
+    for (tau, p), st in zip(traj.samples[:-1], traj._steps):
+        assert tau == st.t_old
+        assert p.as_vector().tobytes() == st.y_old.tobytes()
+    assert traj.samples[-1][0] == traj.tau_plus
+    assert traj.samples[-1][1] is traj.end
+    assert traj.end.rho == 0.0 and traj.end.xi_b == -1.0
+    assert traj.z_out.eta.tobytes() == traj.end.eta.tobytes()
+
+
+def test_trace_from_state_starts_its_samples_at_its_start(disc):
+    # projecting this state a second time moves xi_b and eta by an ulp
+    state = BPhasePoint.make(0.3, 0.0, 0.5, 1.0)
+    start = flow._project_vec(disc, state.as_vector(), 1)
+    assert flow._project_vec(disc, start, 1).tobytes() != start.tobytes()
+    tau, first = trace_from_state(disc, state).samples[0]
+    assert tau == 0.0
+    assert first.as_vector().tobytes() == start.tobytes()
 
 
 def test_trace_stats_count_the_integration(disc):

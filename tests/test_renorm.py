@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahx import (FlowError, ShootingError, boundary_distance, conformal_shift,
-                 deformation_derivative, mellin_length, perturbed_family,
-                 renormalized_length, scattering_from_distance_check,
-                 trace_geodesic)
+from ahx import (CollarExitError, FlowError, ShootingError, boundary_distance,
+                 conformal_shift, deformation_derivative, mellin_length,
+                 perturbed_family, renormalized_length,
+                 scattering_from_distance_check, trace_geodesic)
+from ahx import renorm
 
 
 def hp_length(eta: float) -> float:
@@ -87,6 +88,46 @@ def test_disc_distance_shoots_the_connecting_geodesic(disc):
     res = boundary_distance(disc, 1.0, 2.5)
     end = res.trajectory.samples[-1][1]
     assert end.y[0] % (2.0 * math.pi) == pytest.approx(2.5, abs=1e-7)
+
+
+def test_shooting_halves_a_trial_step_that_leaves_the_collar(monkeypatch):
+    # y_out(eta) folds near eta 4.5; the first Newton step from eta 4.44
+    # leaves the collar, although eta of about 5.2 connects the pair
+    fam = perturbed_family(bump={"amplitude": 0.2, "rho_lo": 0.15,
+                                 "rho_hi": 0.35}, rho_max=0.7)
+    exits = []
+
+    def recording(*args, **kwargs):
+        try:
+            return trace_geodesic(*args, **kwargs)
+        except CollarExitError:
+            exits.append(args[1].eta[0])
+            raise
+
+    monkeypatch.setattr(renorm, "trace_geodesic", recording)
+    res = boundary_distance(fam, 0.0, 0.45)
+    assert exits
+    assert res.residual <= 1e-9
+    assert res.eta[0] == pytest.approx(5.2053, abs=1e-4)
+    assert res.value == pytest.approx(-1.5454, abs=1e-4)
+
+
+def test_shooting_raises_when_every_trial_step_fails(disc, monkeypatch):
+    calls = []
+
+    def failing_after_jacobian(*args, **kwargs):
+        # the first residual and the two Jacobian columns trace; every
+        # damped trial after them fails
+        calls.append(args)
+        if len(calls) > 3:
+            raise CollarExitError("trial left the collar")
+        return trace_geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(renorm, "trace_geodesic", failing_after_jacobian)
+    with pytest.raises(ShootingError) as info:
+        boundary_distance(disc, 0.0, 1.0)
+    assert isinstance(info.value.__cause__, CollarExitError)
+    assert len(calls) == 3 + 8
 
 
 @given(st.floats(0.6, 3.0))

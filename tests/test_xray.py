@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from ahx import (BPhasePoint, SymmetricTensorField, adjointness_check,
-                 backward_boundary_point, gauge_normalize, lift_tensor,
-                 resolvent_zero, santalo_check, sym_derivative,
-                 trace_from_state, trace_geodesic, xray_transform)
+                 backward_boundary_point, gauge_normalize, resolvent_zero,
+                 santalo_check, sym_derivative, trace_from_state,
+                 trace_geodesic, xray_transform)
+from ahx import xray
 from ahx.quadrature import poly_bump
+
+
+def lift(field, fam, p):
+    """Contraction of the field with rank copies of the unit tangent at p."""
+    V = xray._unit_tangent(fam, p.rho, p.y, p.xi_b, p.eta)
+    return float(xray._lift(field, p.rho, p.y, V))
 
 
 def rho_weighted(power):
@@ -127,10 +134,10 @@ def test_derivative_lift_is_flow_derivative(disc):
     traj = trace_geodesic(disc, (0.0, 1.0), tol=1e-12)
     tau, eps = 0.9, 1e-5
     p0 = traj.state_at(tau)
-    lm = lift_tensor(q, disc, traj.state_at(tau - eps))
-    lp = lift_tensor(q, disc, traj.state_at(tau + eps))
+    lm = lift(q, disc, traj.state_at(tau - eps))
+    lp = lift(q, disc, traj.state_at(tau + eps))
     d_dt = p0.rho * (lp - lm) / (2.0 * eps)
-    assert d_dt == pytest.approx(lift_tensor(dq, disc, p0), abs=1e-6)
+    assert d_dt == pytest.approx(lift(dq, disc, p0), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +185,8 @@ def test_array_calls_match_stacked_point_calls(disc):
     rows = traj.eval_many(taus)
     for f in (d_scalar, d_one_form, one_form_potential()):
         per_node = sum(
-            wk * lift_tensor(f, disc, BPhasePoint.make(r[0], r[1:2], r[2],
-                                                       r[3:])) / r[0]
+            wk * lift(f, disc, BPhasePoint.make(r[0], r[1:2], r[2],
+                                                r[3:])) / r[0]
             for wk, r in zip(w, rows) if r[0] > 0.0)
         assert xray_transform(f, traj) == pytest.approx(per_node, abs=1e-12)
 
@@ -202,7 +209,7 @@ def test_boundary_points_invert_each_other(disc):
     bwd = backward_boundary_point(disc, mid)
     assert bwd.y[0] % (2.0 * math.pi) == pytest.approx(0.7, abs=1e-7)
     assert bwd.eta[0] == pytest.approx(1.2, abs=1e-7)
-    out = trace_geodesic(disc, (0.7, 1.2)).samples[-1][1]
+    out = trace_geodesic(disc, (0.7, 1.2)).end
     assert fwd.y[0] == pytest.approx(float(out.y[0]), abs=1e-7)
 
 
@@ -264,7 +271,7 @@ def test_resolvent_flow_identity_single_point(disc):
     d_dtau = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * eps)
     lhs = -state.rho * d_dtau
     # the outgoing limit has reversed radial momentum
-    end = traj.samples[-1][1]
+    end = traj.end
     f_out = func(BPhasePoint.make(0.0, end.y, -1.0, end.eta))
     rhs = func(state) - f_out
     assert lhs == pytest.approx(rhs, abs=1e-5)
