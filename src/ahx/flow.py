@@ -714,6 +714,7 @@ class GeodesicTrajectory:
 # tracing driver
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
            t_max: float) -> GeodesicTrajectory:
     """Integrate until the boundary-arrival event; project every step.
@@ -730,6 +731,9 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     step it did not resolve.  Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  The :class:`_Step`
     rows are the one list kept; the trajectory is built from them.
+    Floating-point overflow, invalid and divide warnings are off for the
+    whole trace: a step too long for the covector's scale may overflow in
+    its stages, and its non-finite error norm rejects it.
     """
     n = fam.n
     rhs = _make_rhs(fam)

@@ -17,8 +17,9 @@ Built-in families:
   the coordinate image of the disc centre and is excluded from the domain.
 * ``perturbed``      n=1, h = exp(2(rho*a(y) + rho**2*b(y))) dy**2 with trig
   polynomials a, b; collar domain [0, rho_max].
-* ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, used as the forward
-  model of jet fitting.
+* ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, the forward model
+  of jet fitting, whose lengths the fit takes from a turning-point
+  integral rather than from traces.
 * ``product``        n=2, h = h1(rho, y1) dy1**2 + h2(rho, y2) dy2**2 from
   two n=1 families.
 

@@ -15,7 +15,9 @@ so each point's jet comes from that point's own table.
 Two independent routes are provided: the asymptotic extraction above
 (``recover_h0`` / ``recover_first_jet``) and a forward-model least-squares
 fit over a truncated radial Taylor family (``recover_jet_fit``), which
-imports scipy's ``least_squares`` when it is first called.
+imports scipy's ``least_squares`` when it is first called.  The Taylor
+model does not depend on y, so its lengths are turning-point integrals
+evaluated by a Gauss rule, and the fit traces no geodesic.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metric import BoundaryMetricFamily, MetricError, taylor1d_family
-from .flow import FlowError, delta_max, trace_geodesic
+from .flow import CollarExitError, delta_max, trace_geodesic
+from .quadrature import gauss_nodes
 from .renorm import renormalized_length
 
 __all__ = [
@@ -303,16 +306,56 @@ def recover_first_jet(sample_sets: Sequence[LengthSampleSet]) -> JetEstimate:
 # forward-model fitting route
 
 
-def _forward_lengths(y0, dirs: np.ndarray, deltas: np.ndarray,
+def _forward_lengths(dirs: np.ndarray, deltas: np.ndarray,
                      params: np.ndarray) -> np.ndarray:
+    """Renormalized lengths of the ``taylor1d`` model's short geodesics.
+
+    The model does not depend on y, so eta = |omega| / delta is conserved.
+    On the cosphere xi_b**2 + rho**2 eta**2 / h = 1 with drho/dtau = xi_b,
+    and tau = rho + O(rho**3) at each end, so the length is
+
+        L = 2 log rho* + 2 int_0^rho* (1 / xi_b - 1) drho / rho,
+
+    where the turning point rho* is the smallest positive root of
+    h(rho) = eta**2 rho**2.  Writing h - eta**2 rho**2 = (rho - rho*) (c1
+    + a (rho + rho*)), a = c2 / 2 - eta**2, and substituting rho = rho* (1
+    - s**2) leaves an integrand smooth on s in [0, 1] and free of
+    cancellation; a 24-node Gauss rule takes it to rounding.  All
+    (direction, delta) pairs are evaluated at once.  ``taylor1d_family``
+    raises MetricError where h is not positive on its collar rho <= 0.35;
+    a geodesic that does not turn inside the collar raises
+    CollarExitError, as its trace would.
+    """
     h0, c1, c2 = params
     fam = taylor1d_family(h0, c1, c2, rho_max=0.35)
-    out = np.empty((dirs.shape[0], deltas.size))
-    for j, om in enumerate(dirs):
-        for k, d in enumerate(deltas):
-            traj = trace_geodesic(fam, (y0, om / d))
-            out[j, k] = renormalized_length(traj).value
-    return out
+    eta2 = (np.abs(dirs[:, 0])[:, None] / deltas) ** 2
+    a = 0.5 * c2 - eta2
+    # h0 + c1 rho + a rho**2 = 0 at rho = 2 h0 / (sqrt(disc) - c1); this
+    # is the smallest positive root whenever the denominator is positive
+    disc = c1 * c1 - 4.0 * a * h0
+    den = np.sqrt(np.maximum(disc, 0.0)) - c1
+    turns = (disc > 0.0) & (den > 0.0)
+    rho_t = 2.0 * h0 / np.where(turns, den, 1.0)
+    if not np.all(turns & (rho_t < fam.rho_max)):
+        raise CollarExitError("a model geodesic does not turn inside "
+                              "rho < %g" % fam.rho_max)
+    s, w = gauss_nodes(0.0, 1.0, 24)
+    rt = rho_t[..., None]
+    rho = rt * (1.0 - s * s)
+    h = fam.profiles[0](rho, 0.0)[0]
+    q = -rt * (c1 + a[..., None] * (rho + rt))     # (h - eta**2 rho**2) / s**2
+    return 2.0 * np.log(rho_t) \
+        + 4.0 * eta2 * rho_t * ((rho / (np.sqrt(q * h) + s * q)) @ w)
+
+
+def _model_misfit(samp: LengthSampleSet, params: np.ndarray) -> np.ndarray:
+    """Model lengths minus the sample table, raveled; 1e3 in every entry
+    when the model is invalid or one of its geodesics leaves the collar."""
+    try:
+        sim = _forward_lengths(samp.directions, samp.deltas, params)
+    except (MetricError, CollarExitError):
+        return np.full(samp.lengths.size, 1e3)
+    return sim.ravel() - samp.lengths.ravel()
 
 
 def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
@@ -321,11 +364,13 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
 
     Per sample point, the parameters (h0, first and second radial
     derivative) of a radially-truncated family are adjusted until its
-    simulated length table matches the samples in least squares.  The
-    model families are defined for rho <= 0.35 and traced at
-    ``flow.DEFAULT_TOL`` (1e-12), the default tolerance of
-    :func:`synthesize_samples`; a trace that fails scores as a large
-    misfit.  The final Jacobian's singular values are reported; a
+    model length table matches the samples in least squares.  The model
+    families are defined for rho <= 0.35, and none of their geodesics is
+    traced: the model does not depend on y, so each length is a
+    one-dimensional integral up to the turning point, exact to rounding
+    (:func:`_forward_lengths`).  A model whose h is not positive on the
+    collar, or one with a geodesic that does not turn inside it, scores as
+    a large misfit.  The final Jacobian's singular values are reported; a
     direction whose singular value is below 1e-4 times the largest is
     returned as ``unresolved``, coefficients the delta-range cannot
     resolve.  ``fit_nfev`` and ``fit_status`` are the solver's residual
@@ -349,23 +394,18 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
     for i, samp in enumerate(sample_sets):
         samp.validate()
         y0s[i, 0] = float(samp.y0[0])
-        target = samp.lengths.ravel()
 
         def misfit(p):
-            full = np.array([p[0], p[1], p[2] if k_max >= 2 else 0.0])
-            try:
-                sim = _forward_lengths(samp.y0, samp.directions,
-                                       samp.deltas, full)
-            except (MetricError, FlowError):
-                return np.full(target.size, 1e3)
-            return sim.ravel() - target
+            return _model_misfit(
+                samp, np.array([p[0], p[1], p[2] if k_max >= 2 else 0.0]))
 
         x0 = np.array([1.0, 0.0, 0.0][:k_max + 1])
-        # the finite-difference step must clear the forward model's
-        # integration noise floor, else the Jacobian is swamped and the
-        # solver stalls far from the minimum
+        # the model lengths are exact to rounding, so scipy's default
+        # forward-difference step, sqrt(eps) max(1, |x|), suits them; a
+        # diff_step is relative to |x| and shrinks to nothing for a
+        # coefficient near zero, such as the flat model's slope
         from scipy.optimize import least_squares
-        res = least_squares(misfit, x0, method="lm", diff_step=1e-6)
+        res = least_squares(misfit, x0, method="lm")
         if not res.success:
             raise RecoveryError("fit did not converge at y0=%s: %s"
                                 % (samp.y0, res.message))

@@ -383,7 +383,6 @@ def test_guard_panels_leave_the_trace_unchanged(disc):
     assert traj.arclength_at(taus).tobytes() == ref.arclength_at(taus).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, guard", [("disc", "cosphere"),
                                          ("halfplane", None),
                                          ("perturbed", None)])
@@ -399,6 +398,31 @@ def test_huge_eta_arrives_or_names_its_guard(request, name, guard):
         with pytest.raises(FlowError) as info:
             trace_geodesic(fam, (0.3, eta), tol=1e-8)
         assert info.value.stats.guard == guard
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_eta_traces_warn_nothing(perturbed):
+    # the first step guesses of these covectors overflow the profile's exp
+    # in stages that the step controller then rejects
+    for eta in (1e10, 1e12, 1e14):
+        traj = trace_geodesic(perturbed, (0.3, eta), tol=1e-8)
+        assert traj.tau_plus == pytest.approx(math.pi / eta, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_error_norm_rejects_the_step(bad):
+    # stages beyond t = 0.1 are non-finite: the first two tries of step
+    # 1 and 0.2 are rejected, and the third, of 0.04, is finite
+    def rhs(t, y):
+        return np.full_like(y, bad) if t > 0.1 else -y
+
+    solver = flow._Dop853(rhs, 0.0, np.array([1.0]), math.inf, 1e-8, 1e-8,
+                          first_step=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = solver.step()
+    assert solver.n_rejected == 2 and solver.n_accepted == 1
+    assert st.h == pytest.approx(0.04)
+    assert np.all(np.isfinite(st.F)) and np.isfinite(solver.y).all()
 
 
 def test_arrival_end_that_leaves_the_cosphere_raises(halfplane):

@@ -12,7 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from ahx import halfplane_family, product_family
+from ahx import (CollarExitError, FlowError, MetricError, halfplane_family,
+                 product_family, renormalized_length, taylor1d_family,
+                 trace_geodesic)
+from ahx import recover
 from ahx.recover import (
     DELTA_GRID,
     LengthSampleSet,
@@ -146,7 +149,85 @@ def test_deep_interior_bump_is_invisible(bump_family, hp_sets):
 
 
 # ---------------------------------------------------------------------------
+# forward model of the fitting route
+
+MODEL_DIRS = np.array([[1.0], [-1.0], [2.0]])
+
+
+def traced_model_lengths(params, dirs=MODEL_DIRS, deltas=DELTA_GRID):
+    fam = taylor1d_family(*params, rho_max=0.35)
+    return np.array([[renormalized_length(
+        trace_geodesic(fam, (0.0, om[0] / d))).value for d in deltas]
+        for om in dirs])
+
+
+def test_flat_model_lengths_are_closed_form():
+    deltas = np.asarray(DELTA_GRID)
+    got = recover._forward_lengths(MODEL_DIRS, deltas, (1.0, 0.0, 0.0))
+    want = 2.0 * np.log(2.0 * deltas / np.abs(MODEL_DIRS))
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("params", [(1.0, 0.2, 0.24), (1.3, -0.5, 0.4),
+                                    (0.8, 0.3, -2.0), (1.0, -0.6, -1.5)])
+def test_model_lengths_match_traced_lengths(params):
+    got = recover._forward_lengths(MODEL_DIRS, np.asarray(DELTA_GRID),
+                                   params)
+    assert np.max(np.abs(got - traced_model_lengths(params))) <= 1e-9
+
+
+@pytest.mark.parametrize("params, error", [
+    ((1.0, 0.0, 40.0), CollarExitError),   # turns at rho = 0.447 for eta 5
+    ((1.0, 0.0, 60.0), CollarExitError),   # never turns for eta 5
+    ((1.0, -10.0, 0.0), MetricError),      # h = 0 at rho = 0.1
+])
+def test_model_without_a_collar_geodesic_scores_1e3(params, error):
+    # the trace of the largest-delta geodesic fails the same way
+    with pytest.raises(error):
+        traced_model_lengths(params, dirs=[[1.0]], deltas=[0.2])
+    samp = LengthSampleSet(y0=np.array([0.0]), directions=MODEL_DIRS,
+                           deltas=np.asarray(DELTA_GRID),
+                           lengths=np.zeros((3, len(DELTA_GRID))))
+    assert np.array_equal(recover._model_misfit(samp, np.array(params)),
+                          np.full(3 * len(DELTA_GRID), 1e3))
+
+
+# ---------------------------------------------------------------------------
 # forward-model fitting route
+
+
+def test_fit_route_traces_no_geodesic(ring_sets, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("recover_jet_fit traced a geodesic")
+
+    monkeypatch.setattr(recover, "trace_geodesic", no_trace)
+    jet = recover_jet_fit([ring_sets[0]])
+    assert jet.fit_status[0] in (1, 2, 3, 4)
+
+
+def traced_fit(samp):
+    """LM fit of the taylor1d model whose lengths come from traces."""
+    from scipy.optimize import least_squares
+
+    def misfit(p):
+        try:
+            sim = traced_model_lengths(p, samp.directions, samp.deltas)
+        except (MetricError, FlowError):
+            return np.full(samp.lengths.size, 1e3)
+        return (sim - samp.lengths).ravel()
+
+    # the traces' integration noise needs a step far above sqrt(eps)
+    return least_squares(misfit, np.array([1.0, 0.0, 0.0]), method="lm",
+                         diff_step=1e-6).x
+
+
+@pytest.mark.parametrize("index", [0, RING_POINTS // 2], ids=["y=0", "y=pi"])
+def test_fit_route_agrees_with_a_traced_model_fit(ring_sets, index):
+    jet = recover_jet_fit([ring_sets[index]])
+    h0, dh, d2h = traced_fit(ring_sets[index])
+    assert jet.h0[0, 0, 0] == pytest.approx(h0, abs=1e-6)
+    assert jet.drho_h[0, 0, 0] == pytest.approx(dh, abs=1e-5)
+    assert jet.d2rho_h[0, 0, 0] == pytest.approx(d2h, abs=1e-4)
 
 
 def test_fit_route_flat_model(hp_sets):
