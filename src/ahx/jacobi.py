@@ -78,9 +78,23 @@ class JacobiSystem:
         return gauss_curvature(self.fam, rho, row[1:1 + self.traj.n])
 
 
+def _require_trajectory_family(fam: BoundaryMetricFamily,
+                               traj: GeodesicTrajectory) -> None:
+    """The curvature and the flow are read from ``fam``, the orbit from
+    ``traj``: they must describe the same metric."""
+    if fam.spec() != traj.family.spec():
+        raise ValueError("family %s is not the trajectory's family %s"
+                         % (fam.spec(), traj.family.spec()))
+
+
 def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                   t_range: float = 32.0) -> JacobiSystem:
-    """Attach the hyperbolic-time map (at ``MAP_TOL``) and curvature trace."""
+    """Attach the hyperbolic-time map (at ``MAP_TOL``) and curvature trace.
+
+    ``fam`` must be the family ``traj`` was traced in (equal ``spec()``);
+    another raises ValueError.
+    """
+    _require_trajectory_family(fam, traj)
     if traj.n != 1:
         raise NotImplementedError(
             "scalar Jacobi bookkeeping needs a 1-dimensional boundary; "
@@ -319,7 +333,10 @@ def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     2n+2), at rtol 1e-10 and atol 1e-12.  The Jacobian action is a centered
     directional difference of the flow's right-hand side about the dense
     base orbit, with a step of 1e-7 * max(1, |base state|) per direction.
+    ``fam`` must be the family ``traj`` was traced in, as for
+    :func:`jacobi_system`.
     """
+    _require_trajectory_family(fam, traj)
     n = traj.n
     dim = 2 * n + 2
     rhs = _make_rhs(fam)

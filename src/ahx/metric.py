@@ -386,9 +386,9 @@ def _validate_family(fam: BoundaryMetricFamily) -> None:
         raise MetricError("dh_drho inconsistent with h")
     # h_kk depends on y_k only, so shifting every y_k at once gives each
     # d h_kk / d y_k
-    fd_y = (fam.diag(rho, y + step)[0] - fam.diag(rho, y - step)[0]) \
+    fd_yk = (fam.diag(rho, y + step)[0] - fam.diag(rho, y - step)[0]) \
         / (2 * step)
-    if not np.allclose(fd_y, an_y, rtol=2e-6, atol=2e-6):
+    if not np.allclose(fd_yk, an_y, rtol=2e-6, atol=2e-6):
         raise MetricError("dh_dy inconsistent with h")
 
 

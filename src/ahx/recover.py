@@ -105,6 +105,8 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
     dd = np.asarray(sorted(set(float(d) for d in deltas), reverse=True))
     if dd.size < 3:
         raise RecoveryError("need at least 3 delta values")
+    if not np.all(dd > 0.0):
+        raise RecoveryError("deltas must be positive")
     if np.any(np.all(dirs == 0.0, axis=1)):
         raise RecoveryError("directions must be nonzero covectors")
     table = np.empty((dirs.shape[0], dd.size))

@@ -28,7 +28,7 @@ import numpy as np
 from .flow import (BoundaryCovector, FlowError, GeodesicTrajectory,
                    _central_diff, trace_geodesic)
 from .metric import BoundaryMetricFamily, eval_metric
-from .quadrature import composite_gauss, gauss_jacobi_left
+from .quadrature import gauss_jacobi_left
 
 __all__ = [
     "RenormLength", "MellinLength", "BoundaryDistanceResult",

@@ -1,15 +1,13 @@
 """Symmetric tensor fields, X-ray transforms, and flow resolvents.
 
-Rank-m symmetric tensors on the collar are stored through their component
-callables in the coordinate frame (d rho, dy^i).  The callables take
+Rank-m symmetric tensors on the collar are stored as one component
+callable in the coordinate frame (d rho, dy^i).  The callable takes
 arrays: ``components(rho, y)`` gets ``rho`` of a batch shape S and ``y`` of
 shape S + (n,), and returns an array that broadcasts to S + (n+1,)*m; a
-scalar call is the case S = ().  The optional exact derivatives follow the
-same rule: ``d_rho`` returns the component shape S + (n+1,)*m and ``d_y``
-returns S + (n,) + (n+1,)*m, the y-direction axis right after the batch
-axes.  :meth:`SymmetricTensorField.comp` is the one reader of
-``components``, so transforms, derivatives and checks evaluate a field on
-all their nodes in one call.
+scalar call is the case S = ().  :meth:`SymmetricTensorField.comp` is the
+one reader of ``components``, so transforms, derivatives and checks
+evaluate a field on all their nodes in one call; partial derivatives are
+central differences of ``comp``.
 
 The transform of a rank-m field integrates its contraction with m copies of
 the unit tangent over a boundary-to-boundary geodesic in hyperbolic
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,28 +56,25 @@ class SymmetricTensorField:
     a value per point for rank 0, a symmetric (n+1, ..., n+1) block per
     point otherwise.  A constant such as ``np.array([0.0, 1.0])`` is valid.
     ``weight`` declares the boundary decay: components are rho^weight times
-    a function smooth up to rho = 0.  Optional ``d_rho``/``d_y`` provide
-    exact partial derivatives, of shapes S + (n+1,)*m and
-    S + (n,) + (n+1,)*m (the y-direction axis right after the batch axes);
-    finite differences are used otherwise.
+    a function smooth up to rho = 0.  Partial derivatives are central
+    differences of the components, with steps ``FD_RHO`` and ``FD_Y``.
     """
 
     rank: int
     weight: int
     components: Callable
-    d_rho: Optional[Callable] = None
-    d_y: Optional[Callable] = None
 
-    def _call(self, fn, rho, y, lead=()):
-        """fn on the broadcast points, as an array of shape
-        S + lead + (n+1,)*rank; a result of another shape is an error."""
+    def comp(self, rho, y) -> np.ndarray:
+        """Components at the broadcast points (rho, y), shape
+        S + (n+1,)*rank; a result of another shape is an error."""
         rho = np.asarray(rho, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         batch = np.broadcast_shapes(rho.shape, y.shape[:-1])
         n = y.shape[-1]
-        out = np.asarray(fn(np.broadcast_to(rho, batch),
-                            np.broadcast_to(y, batch + (n,))), dtype=float)
-        want = batch + lead + (n + 1,) * self.rank
+        out = np.asarray(self.components(np.broadcast_to(rho, batch),
+                                         np.broadcast_to(y, batch + (n,))),
+                         dtype=float)
+        want = batch + (n + 1,) * self.rank
         try:
             return np.broadcast_to(out, want)
         except ValueError:
@@ -87,14 +82,8 @@ class SymmetricTensorField:
                 f"rank-{self.rank} field gave shape {out.shape} on points "
                 f"of shape {batch}; expected {want}") from None
 
-    def comp(self, rho, y) -> np.ndarray:
-        """Components at (rho, y), shape S + (n+1,)*rank."""
-        return self._call(self.components, rho, y)
-
     def partial_rho(self, rho, y) -> np.ndarray:
         """rho-derivatives, shape S + (n+1,)*rank."""
-        if self.d_rho is not None:
-            return self._call(self.d_rho, rho, y)
         rho = np.asarray(rho, dtype=float)
         h = FD_RHO * np.maximum(1.0, np.abs(rho))
         diff = self.comp(rho + h, y) - self.comp(rho - h, y)
@@ -103,11 +92,8 @@ class SymmetricTensorField:
     def partial_y(self, rho, y) -> np.ndarray:
         """y-derivatives, shape S + (n,) + (n+1,)*rank."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        n = y.shape[-1]
-        if self.d_y is not None:
-            return self._call(self.d_y, rho, y, lead=(n,))
         outs = [(self.comp(rho, y + e) - self.comp(rho, y - e)) / (2.0 * FD_Y)
-                for e in FD_Y * np.eye(n)]
+                for e in FD_Y * np.eye(y.shape[-1])]
         return np.stack(outs, axis=outs[0].ndim - self.rank)
 
     def validate(self, fam: BoundaryMetricFamily) -> None:
@@ -225,19 +211,6 @@ class GaugeResult:
     chi_plateau: float                  # rho below which chi == 1
 
 
-def _chi_factory(rho_c: float):
-    lo, hi = 0.35 * rho_c, 0.85 * rho_c
-
-    def chi(rho):
-        return 1.0 - smoothstep((rho - lo) / (hi - lo))
-
-    def chi_prime(rho):
-        t = np.clip((rho - lo) / (hi - lo), 0.0, 1.0)
-        return -30.0 * t * t * (1.0 - t) * (1.0 - t) / (hi - lo)
-
-    return chi, chi_prime, lo
-
-
 class _PeriodicSurface:
     """Quintic spline of a smooth field on [0, rho_edge] x S^1."""
 
@@ -252,10 +225,10 @@ class _PeriodicSurface:
         self._sp = RectBivariateSpline(rho_grid, y_ext, v_ext, kx=5, ky=5)
         self._period = period
 
-    def __call__(self, rho, y, dx=0, dy=0):
-        """Values at the points (rho, y), broadcast against each other."""
-        return self._sp(rho, np.mod(y, self._period), dx=dx, dy=dy,
-                        grid=False)
+    def __call__(self, rho, y, dy=0):
+        """Values (or the dy-th y-derivative) at the points (rho, y),
+        broadcast against each other."""
+        return self._sp(rho, np.mod(y, self._period), dy=dy, grid=False)
 
 
 def _cumulative_integrals(fun, rho_grid, ys):
@@ -279,21 +252,21 @@ def gauge_normalize(field: SymmetricTensorField,
     """Solve the radial gauge ODEs so f - D q has no d rho components near
     the boundary (n = 1, rank 1 or 2).
 
-    The potential vanishes at rho = 0, is cut off by a plateau function chi
-    before the outer edge of the collar, and is returned with spline-backed
-    partial derivatives so repeated covariant differentiation stays cheap.
-    Its splines (scipy's ``RectBivariateSpline``, imported on the first
-    call) interpolate 61 rho levels on [0, 0.85 rho_c] against 64 equally
-    spaced y.  The residual samples the d rho contraction of
-    f - D q on a 9 x 9 grid where chi is one.
+    The potential vanishes at rho = 0 and is cut off by a plateau function
+    chi before the outer edge of the collar: chi is one below 0.35 rho_c
+    and zero above 0.85 rho_c, with rho_c = min(rho_max, 1).  Its
+    components are chi times quintic splines (scipy's
+    ``RectBivariateSpline``, imported on the first call) of 61 rho levels on
+    [0, 0.85 rho_c] against 64 equally spaced y; like any field, it is
+    differentiated by central differences.  The residual samples the d rho
+    contraction of f - D q on a 9 x 9 grid where chi is one.
     """
     if fam.n != 1:
         raise NotImplementedError("gauge reduction is implemented for n = 1")
     if field.rank not in (1, 2):
         raise ValueError("gauge reduction applies to rank 1 or 2")
     rho_c = min(fam.rho_max, 1.0)
-    chi, chi_prime, plateau = _chi_factory(rho_c)
-    rho_edge = 0.85 * rho_c
+    plateau, rho_edge = 0.35 * rho_c, 0.85 * rho_c
     rho_grid = np.linspace(0.0, rho_edge, 61)
     ys = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
@@ -325,24 +298,12 @@ def gauge_normalize(field: SymmetricTensorField,
 
     # the potential's components are chi times the surfaces: one for a
     # scalar potential, (q0, q1) for a one-form
-    slot = (...,) + (None,) * (field.rank - 1)
-
-    def values(rho, y, dx=0, dy=0):
-        v = np.stack([s(rho, y[..., 0], dx=dx, dy=dy) for s in surfs], axis=-1)
-        return v if field.rank == 2 else v[..., 0]
-
     def q_comp(rho, y):
-        return chi(rho)[slot] * values(rho, y)
+        chi = 1.0 - smoothstep((rho - plateau) / (rho_edge - plateau))
+        v = np.stack([s(rho, y[..., 0]) for s in surfs], axis=-1)
+        return chi[..., None] * v if field.rank == 2 else chi * v[..., 0]
 
-    def q_drho(rho, y):
-        return (chi_prime(rho)[slot] * values(rho, y)
-                + chi(rho)[slot] * values(rho, y, dx=1))
-
-    def q_dy(rho, y):
-        return np.expand_dims(chi(rho)[slot] * values(rho, y, dy=1), rho.ndim)
-
-    q = SymmetricTensorField(rank=field.rank - 1, weight=1, components=q_comp,
-                             d_rho=q_drho, d_y=q_dy)
+    q = SymmetricTensorField(rank=field.rank - 1, weight=1, components=q_comp)
 
     # residual: d rho contraction of f - D q where chi == 1
     dq = sym_derivative(q, fam)
@@ -550,21 +511,17 @@ def resolvent_zero(fam: BoundaryMetricFamily, func: Callable,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    base = state if sign == +1 else flip_state(state)
-    traj = trace_from_state(fam, base)
+    if sign == -1:
+        return -resolvent_zero(fam, lambda p: func(flip_state(p)),
+                               flip_state(state))
+    traj = trace_from_state(fam, state)
     n = traj.n
-    endpoint = traj.end
-    if sign == +1:
-        f_end = func(endpoint)
-    else:
-        f_end = func(flip_state(endpoint))
+    f_end = func(traj.end)
     taus, w = traj.quad_nodes(0.0, traj.tau_plus)
     rows = traj.eval_many(taus)
     vals = np.empty(taus.size)
     for i, row in enumerate(rows):
         p = BPhasePoint.make(row[0], row[1:1 + n], row[1 + n],
                              row[2 + n:2 + 2 * n])
-        if sign == -1:
-            p = flip_state(p)
-        vals[i] = (func(p) - f_end) if sign == +1 else (f_end - func(p))
+        vals[i] = func(p) - f_end
     return float(w @ (vals / rows[:, 0]))

@@ -1,4 +1,5 @@
-"""The public surface: what ``ahx`` re-exports is what its modules export."""
+"""The public surface: what ``ahx`` re-exports is what its modules export,
+and no module imports a name it does not use."""
 import ast
 import importlib
 from pathlib import Path
@@ -19,3 +20,34 @@ def test_package_names_match_module_all():
     unresolved = [f"{m}.{name}" for m, mod in modules.items()
                   for name in mod.__all__ if not hasattr(mod, name)]
     assert unresolved == [], "__all__ names nothing of that name"
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads; ``__all__`` entries count as
+    read, so a deliberate re-export is not flagged."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(ahx.__file__).parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"
+              for names in [_unused_imports(path.read_text(encoding="utf-8"))]
+              if names}
+    assert unused == {}

@@ -298,6 +298,20 @@ def test_linearized_flow_matches_retraced_neighbours(perturbed):
             assert np.max(np.abs(out[i, j] - ref)) < 1e-5 * scale
 
 
+def test_family_must_be_the_trajectorys(halfplane, bump_family):
+    # curvature read from another family is wrong: the bump family gives
+    # 22.46 at this orbit's apex, where the half-plane's is -1
+    traj = trace_geodesic(halfplane, (0.0, 2.5))
+    with pytest.raises(ValueError, match="trajectory's family"):
+        jacobi_system(bump_family, traj)
+    with pytest.raises(ValueError, match="trajectory's family"):
+        linearized_flow(bump_family, traj, [[0.0, 1.0, 0.0, 0.0]],
+                        [0.0, 0.5 * traj.tau_plus])
+    # an equal family built anew is the same family
+    system = jacobi_system(halfplane_family(), traj)
+    assert system.curvature(0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_scalar_bookkeeping_rejects_two_factor_family():
     fam2 = product_family(halfplane_family(), halfplane_family())
     traj = trace_geodesic(fam2, ([0.0, 0.0], [1.0, 1.0]))

@@ -312,6 +312,18 @@ def test_synthesis_guards(halfplane):
         synthesize_samples(halfplane, 0.0, [[1.0], [0.0]])
 
 
+def test_synthesis_refuses_non_positive_deltas(halfplane, monkeypatch):
+    with pytest.raises(RecoveryError, match="deltas must be positive"):
+        synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.2, 0.1, 0.0))
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("synthesize_samples traced a geodesic")
+
+    monkeypatch.setattr(recover, "trace_geodesic", no_trace)
+    with pytest.raises(RecoveryError, match="deltas must be positive"):
+        synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.2, 0.1, -0.05))
+
+
 @pytest.mark.parametrize("route", [recover_first_jet, recover_jet_fit],
                          ids=["asymptotic", "fit"])
 def test_no_sample_sets_is_an_error(route):

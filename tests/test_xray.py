@@ -161,6 +161,36 @@ def test_gauge_normalize_removes_radial_component(disc):
     assert abs(res.potential.comp(1e-8, np.array([0.5]))) < 1e-6
 
 
+def gauge_field_rank2():
+    def comp(rho, y):
+        yv = y[..., 0]
+        c = rho * poly_bump(rho / 0.8)
+        rr = c * (1.0 + 0.3 * np.cos(yv))
+        ry = 0.2 * c * np.sin(yv)
+        yy = 0.5 * rho * np.exp(-rho) * np.cos(2.0 * yv)
+        return np.stack([np.stack([rr, ry], axis=-1),
+                         np.stack([ry, yy], axis=-1)], axis=-2)
+
+    return SymmetricTensorField(rank=2, weight=1, components=comp)
+
+
+@pytest.mark.parametrize("make_field", [gauge_field, gauge_field_rank2],
+                         ids=["rank1", "rank2"])
+def test_gauge_potentials_are_potentials(disc, make_field):
+    res = gauge_normalize(make_field(), disc)
+    assert res.residual < 1e-6
+    q = res.potential
+    assert np.max(np.abs(q.comp(1e-8, np.array([0.5])))) < 1e-6
+    # q vanishes at the boundary, so D q transforms to zero; the rule is
+    # cut at the edges of chi (0.35 and 0.85 on the disc), where q is C2
+    assert res.chi_plateau == pytest.approx(0.35)
+    dq = sym_derivative(q, disc)
+    for z in [(0.3, 0.7), (1.1, 1.5), (2.0, -0.9), (4.0, 2.5), (5.5, 0.4)]:
+        got = xray_transform(dq, trace_geodesic(disc, z),
+                             rho_breaks=(0.35, 0.85))
+        assert abs(got) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # array calling convention
 
