@@ -35,8 +35,7 @@ from .jacobi import (
     BundleFrame, DecayFit, JacobiSolution, JacobiSystem, RateBracket,
     SimplicityReport, boundary_rate_bracket, conjugate_points,
     curvature_decay_fit, decay_fit, diagnose_covector, jacobi_solve,
-    jacobi_system, linearized_flow, simplicity_report, stable_unstable,
-    wronskian,
+    jacobi_system, simplicity_report, stable_unstable, wronskian,
 )
 from .recover import (
     H0Recovery, JetEstimate, LengthSampleSet, RecoveryError,

@@ -14,9 +14,10 @@ endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-metric whose boundary is not 1-dimensional, a ``T_asym`` too small and a
-``recover`` config the recovery rejects, such as a delta above the safe
-scale or no ``y0s``).
+metric whose boundary is not 1-dimensional, a covector with eta = 0, a
+negative ``seed``, a ``T_asym`` too small and a ``recover`` config the
+recovery rejects, such as a delta above the safe scale, no ``y0s`` or a
+direction with more than one component).
 """
 from __future__ import annotations
 
@@ -160,6 +161,8 @@ def load_config(path) -> ExperimentConfig:
         seed = _integer(doc.get("seed", 0))
     except TypeError as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from None
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     return ExperimentConfig(metric=doc["metric"], params=params, seed=seed,
                             raw=doc)
 
@@ -296,6 +299,8 @@ def _run_rows(cfg: ExperimentConfig, out: Path, jobs: int, name: str,
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     y0, eta0 = cfg.value("z", lambda z: (_number(z["y"]), _number(z["eta"])))
+    if eta0 == 0.0:
+        raise ConfigError("boundary covectors need nonzero eta")
     tol = cfg.tolerance("tol", DEFAULT_TOL)
     t_max = cfg.tolerance("t_max", DEFAULT_T_MAX)
     n_samples = cfg.value("samples", _integer, 200)
@@ -452,7 +457,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     t_asym = cfg.tolerance("T_asym", T_ASYM)
     t_scan = cfg.tolerance("t_scan", T_SCAN)
     tol = cfg.tolerance("tol", DEFAULT_TOL)
-    if t_scan > t_asym + 2.0:     # the range of the hyperbolic-time map
+    if t_scan > t_asym + 2.0:     # the time range of the Jacobi system
         raise ConfigError(f"t_scan {t_scan} exceeds T_asym + 2 = {t_asym + 2}")
 
     def worker(z):

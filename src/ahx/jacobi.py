@@ -1,11 +1,13 @@
-"""Linearized flow diagnostics along traced geodesics.
+"""Jacobi diagnostics along traced geodesics.
 
 Scalar Jacobi fields in hyperbolic time, conjugate-point detection,
 stable/unstable solutions seeded by their boundary asymptotics, decay-rate
 fits, and the boundary-approach rate bracket.  The hyperbolic time t is
 arclength along the geodesic, anchored at t = 0 where rho peaks, and is
-related to the flow parameter by dtau/dt = rho.  Every integration here
-runs on the traces' DOP853 stepper, ``flow._Solution``.
+related to the flow parameter by dtau/dt = rho.  A :class:`JacobiSystem`
+integrates the geodesic itself in t, from its rho peak outward, so the
+Jacobi equation reads the curvature from one dense solution.  Every
+integration here runs on the traces' DOP853 stepper, ``flow._Solution``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from ._brent import brentq
 from .metric import BoundaryMetricFamily, gauss_curvature
 from .flow import (_TOO_SMALL_STEP, DEFAULT_TOL, BPhasePoint, FlowError,
-                   GeodesicTrajectory, _make_rhs, _Solution,
-                   trace_geodesic)
+                   GeodesicTrajectory, _make_rhs, _project_vec, _Solution,
+                   _split_vec, trace_geodesic)
 
 __all__ = [
     "JacobiSystem", "jacobi_system", "JacobiSolution", "jacobi_solve",
@@ -29,7 +31,7 @@ __all__ = [
     "DecayFit", "decay_fit", "curvature_decay_fit",
     "RateBracket", "boundary_rate_bracket", "AsymptoteError",
     "SimplicityReport", "CovectorDiagnostics", "diagnose_covector",
-    "simplicity_report", "linearized_flow",
+    "simplicity_report",
 ]
 
 MAP_TOL = 1e-13
@@ -46,66 +48,68 @@ class AsymptoteError(ValueError):
 
 @dataclass
 class JacobiSystem:
-    """Base trajectory plus the data needed to integrate normal Jacobi fields.
+    """A geodesic in hyperbolic time, and its curvature.
 
-    Holds the hyperbolic-time parametrization t -> tau (t = 0 at the rho
-    peak) and the sectional curvature along the geodesic.  Scalar curvature
-    bookkeeping restricts construction to one-dimensional boundaries; for
-    higher rank use linearized_flow on the trajectory directly.
+    ``_fwd`` and ``_bwd`` hold the orbit z = [tau, rho, y, xi_b, eta] on
+    [0, t_range] and [-t_range, 0], with t = 0 at the rho peak of ``traj``:
+    the flow parameter tau and the state at each hyperbolic time t.  Every
+    method reads them, and nothing from the trace.  Scalar curvature
+    bookkeeping restricts construction to one-dimensional boundaries.
     """
 
     fam: BoundaryMetricFamily
     traj: GeodesicTrajectory
     tau_peak: float
     t_range: float
-    _fwd: _Solution     # the map on [0, t_range]
+    _fwd: _Solution     # the orbit on [0, t_range]
     _bwd: _Solution     # and on [-t_range, 0]
 
-    def tau_of_t(self, t: float) -> float:
+    def _orbit(self, t: float) -> list:
         if abs(t) > self.t_range * (1.0 + 1e-12):
             raise ValueError("time %g exceeds the mapped range %g"
                              % (t, self.t_range))
-        return (self._fwd if t >= 0.0 else self._bwd)(t)[0]
+        return (self._fwd if t >= 0.0 else self._bwd)(t)
+
+    def tau_of_t(self, t: float) -> float:
+        return self._orbit(t)[0]
 
     def state_at_time(self, t: float) -> BPhasePoint:
-        return self.traj.state_at(self.tau_of_t(t))
+        """The state at hyperbolic time t, projected onto the cosphere."""
+        z = np.array(self._orbit(t)[1:])
+        return _split_vec(1, _project_vec(self.fam, z, 1))
 
     def curvature(self, t: float) -> float:
-        row = self.traj.eval_raw(self.tau_of_t(t))
-        rho = row[0]
+        _, rho, y = self._orbit(t)[:3]
         if rho <= 0.0:
             return -1.0
-        return gauss_curvature(self.fam, rho, row[1:1 + self.traj.n])
-
-
-def _require_trajectory_family(fam: BoundaryMetricFamily,
-                               traj: GeodesicTrajectory) -> None:
-    """The curvature and the flow are read from ``fam``, the orbit from
-    ``traj``: they must describe the same metric."""
-    if fam.spec() != traj.family.spec():
-        raise ValueError("family %s is not the trajectory's family %s"
-                         % (fam.spec(), traj.family.spec()))
+        return gauss_curvature(self.fam, rho, y)
 
 
 def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                   t_range: float = 32.0) -> JacobiSystem:
-    """Attach the hyperbolic-time map (at ``MAP_TOL``) and curvature trace.
+    """Integrate the orbit of ``traj`` in hyperbolic time t.
 
-    ``fam`` must be the family ``traj`` was traced in (equal ``spec()``);
-    another raises ValueError.
+    The orbit z = [tau, rho, y, xi_b, eta] solves dz/dt = rho (1, barX(z))
+    from the trace's state at its rho peak, forward to t_range and backward
+    to -t_range, at rtol and atol ``MAP_TOL``.  ``fam`` must be the family
+    ``traj`` was traced in (equal ``spec()``), since the curvature and the
+    flow are read from ``fam``; another raises ValueError.
     """
-    _require_trajectory_family(fam, traj)
+    if fam.spec() != traj.family.spec():
+        raise ValueError("family %s is not the trajectory's family %s"
+                         % (fam.spec(), traj.family.spec()))
     if traj.n != 1:
         raise NotImplementedError(
-            "scalar Jacobi bookkeeping needs a 1-dimensional boundary; "
-            "use linearized_flow for general rank")
+            "scalar Jacobi bookkeeping needs a 1-dimensional boundary")
     tau_peak, _ = traj.rho_peak()
+    flow_rhs = _make_rhs(fam)
 
-    def rhs(t, s):
-        return np.array([max(traj.eval_raw(s[0])[0], 0.0)])
+    def rhs(t, z):
+        return z[1] * np.append(1.0, flow_rhs(t, z[1:]))
 
-    fwd, bwd = (_Solution(rhs, 0.0, [tau_peak], t, MAP_TOL, MAP_TOL,
-                          "hyperbolic-time map integration failed")
+    z0 = np.append(tau_peak, traj.state_at(tau_peak).as_vector())
+    fwd, bwd = (_Solution(rhs, 0.0, z0, t, MAP_TOL, MAP_TOL,
+                          "orbit integration failed: " + _TOO_SMALL_STEP)
                 for t in (t_range, -t_range))
     return JacobiSystem(fam=fam, traj=traj, tau_peak=tau_peak,
                         t_range=t_range, _fwd=fwd, _bwd=bwd)
@@ -226,7 +230,7 @@ def stable_unstable(system: JacobiSystem,
     u = _unit_with_sign(np.array(u_sol.at(0.0)))
     dot = min(1.0, abs(float(s @ u)))
     det0 = float(s[0] * u[1] - s[1] * u[0])
-    return BundleFrame(point=system.traj.state_at(system.tau_peak),
+    return BundleFrame(point=system.state_at_time(0.0),
                        stable=s, unstable=u,
                        angle_deg=math.degrees(math.acos(dot)),
                        det0=det0, T_asym=T_asym,
@@ -318,52 +322,6 @@ def boundary_rate_bracket(traj: GeodesicTrajectory) -> RateBracket:
     if not np.isfinite(hi):
         raise ValueError("trajectory has no samples in the tail window")
     return RateBracket(c_upper=math.exp(hi), lower_margin=math.exp(lo))
-
-
-# ---------------------------------------------------------------------------
-# general-rank linearized flow
-
-
-def linearized_flow(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
-                    dz0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Evolve tangent vectors of the rescaled flow along a trajectory.
-
-    dz0 has shape (k, 2n+2) in (rho, y, xi_b, eta) order; returns them
-    evolved to the monotone flow parameters taus, shape (len(taus), k,
-    2n+2), at rtol 1e-10 and atol 1e-12.  The Jacobian action is a centered
-    directional difference of the flow's right-hand side about the dense
-    base orbit, with a step of 1e-7 * max(1, |base state|) per direction.
-    ``fam`` must be the family ``traj`` was traced in, as for
-    :func:`jacobi_system`.
-    """
-    _require_trajectory_family(fam, traj)
-    n = traj.n
-    dim = 2 * n + 2
-    rhs = _make_rhs(fam)
-    dz0 = np.atleast_2d(np.asarray(dz0, dtype=float))
-    k = dz0.shape[0]
-
-    def var_rhs(tau, flat):
-        base = traj.eval_raw(tau)
-        out = np.empty_like(flat)
-        for j in range(k):
-            d = flat[j * dim:(j + 1) * dim]
-            nrm = np.linalg.norm(d)
-            if nrm == 0.0:
-                out[j * dim:(j + 1) * dim] = 0.0
-                continue
-            step = 1e-7 * max(1.0, np.linalg.norm(base)) / nrm
-            out[j * dim:(j + 1) * dim] = \
-                (rhs(tau, base + step * d) - rhs(tau, base - step * d)) \
-                / (2.0 * step)
-        return out
-
-    taus = np.asarray(taus, dtype=float)
-    if not (np.all(np.diff(taus) > 0) or np.all(np.diff(taus) < 0)):
-        raise ValueError("taus must be strictly monotone")
-    sol = _Solution(var_rhs, taus[0], dz0.ravel(), taus[-1], 1e-10, 1e-12,
-                    "linearized flow integration failed: " + _TOO_SMALL_STEP)
-    return np.array([sol(t) for t in taus]).reshape(len(taus), k, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,9 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
         raise RecoveryError("need at least 3 delta values")
     if not np.all(dd > 0.0):
         raise RecoveryError("deltas must be positive")
+    if dirs.shape[1] != fam.n:
+        raise RecoveryError("directions need %d components, got %d"
+                            % (fam.n, dirs.shape[1]))
     if np.any(np.all(dirs == 0.0, axis=1)):
         raise RecoveryError("directions must be nonzero covectors")
     table = np.empty((dirs.shape[0], dd.size))

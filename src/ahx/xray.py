@@ -209,6 +209,7 @@ class GaugeResult:
     potential: SymmetricTensorField     # rank m-1
     residual: float                     # max |iota_{d/d rho}(f - D q)| on collar
     chi_plateau: float                  # rho below which chi == 1
+    chi_edge: float                     # rho above which chi == 0
 
 
 class _PeriodicSurface:
@@ -254,7 +255,8 @@ def gauge_normalize(field: SymmetricTensorField,
 
     The potential vanishes at rho = 0 and is cut off by a plateau function
     chi before the outer edge of the collar: chi is one below 0.35 rho_c
-    and zero above 0.85 rho_c, with rho_c = min(rho_max, 1).  Its
+    and zero above 0.85 rho_c, with rho_c = min(rho_max, 1); the result
+    reports both levels, where a quadrature of D q should be cut.  Its
     components are chi times quintic splines (scipy's
     ``RectBivariateSpline``, imported on the first call) of 61 rho levels on
     [0, 0.85 rho_c] against 64 equally spaced y; like any field, it is
@@ -311,7 +313,8 @@ def gauge_normalize(field: SymmetricTensorField,
     y_check = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)[:, None]
     diff = field.comp(rhos, y_check) - dq.comp(rhos, y_check)
     resid = float(np.max(np.abs(diff[:, :, 0])))
-    return GaugeResult(potential=q, residual=resid, chi_plateau=plateau)
+    return GaugeResult(potential=q, residual=resid, chi_plateau=plateau,
+                       chi_edge=rho_edge)
 
 
 # ---------------------------------------------------------------------------

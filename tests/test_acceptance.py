@@ -21,6 +21,7 @@ import pytest
 
 from ahx import (
     BPhasePoint,
+    FlowError,
     SymmetricTensorField,
     adjointness_check,
     boundary_distance,
@@ -43,16 +44,47 @@ from ahx import (
     trace_geodesic,
     xray_transform,
 )
+from ahx import flow
 from ahx.quadrature import poly_bump
 from ahx.recover import recover_first_jet, recover_jet_fit, synthesize_samples
 from conftest import jet_truth
+
+
+# counters of the traces the running criterion made, failed ones included
+_TRACED = {}
+
+
+@pytest.fixture(autouse=True)
+def _count_traces(monkeypatch):
+    """Sum the stats of every trace through ``flow._drive``."""
+    _TRACED.update(traces=0, accepted=0, rejected=0, rhs=0)
+    drive = flow._drive
+
+    def add(stats):
+        _TRACED["traces"] += 1
+        _TRACED["accepted"] += stats.n_accepted
+        _TRACED["rejected"] += stats.n_rejected
+        _TRACED["rhs"] += stats.n_rhs
+
+    def counted(*args, **kwargs):
+        try:
+            traj = drive(*args, **kwargs)
+        except FlowError as exc:
+            add(exc.stats)
+            raise
+        add(traj.stats)
+        return traj
+
+    monkeypatch.setattr(flow, "_drive", counted)
 
 
 def _report(capsys, num, ok, detail, elapsed, budget):
     tag = "PASS" if (ok and elapsed < budget) else "FAIL"
     with capsys.disabled():
         print(f"[{tag}] criterion {num:2d}: {detail} "
-              f"({elapsed:.1f}s / budget {budget:.0f}s)")
+              f"({elapsed:.1f}s / budget {budget:.0f}s; "
+              f"{_TRACED['traces']} traces, {_TRACED['accepted']} steps "
+              f"+ {_TRACED['rejected']} rejected, {_TRACED['rhs']} RHS calls)")
     assert ok, detail
     assert elapsed < budget, f"criterion {num} exceeded {budget}s budget"
 

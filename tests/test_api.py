@@ -51,3 +51,43 @@ def test_no_module_imports_a_name_it_never_uses():
               for names in [_unused_imports(path.read_text(encoding="utf-8"))]
               if names}
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private names (one leading underscore, not dunder) that
+    a module defines by ``def``, ``class`` or assignment, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def test_no_private_name_is_unused():
+    # a private name counts as read when its own module reads it, or when
+    # another module of the package reads it by import or as an attribute
+    package = Path(ahx.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = {(module, name): line for module, tree in trees.items()
+               for name, line in _private_definitions(tree).items()}
+    assert defined
+    unused = sorted(f"{module}: {name} (line {line})"
+                    for (module, name), line in defined.items()
+                    if name not in read)
+    assert unused == []

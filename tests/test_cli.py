@@ -376,6 +376,11 @@ DISC = {"family": "disc-normal"}
                  "deltas": [0.5, 0.25, 0.125]}),      # above the safe scale
     ("recover", {"metric": HALF, "y0s": []}),
     ("recover", {"metric": HALF, "y0s": [0.0], "directions": [[0.0]]}),
+    ("recover", {"metric": HALF, "y0s": [0.0],
+                 "directions": [[1.0, 2.0]]}),      # two components, n = 1
+    ("recover", {"metric": HALF, "y0s": [0.0], "seed": -1, "noise": 1e-6}),
+    # the radial ray eta = 0 never returns to the boundary
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 0.0}}),
 ])
 def test_config_errors_exit_3(tmp_path, payload):
     command, config = payload

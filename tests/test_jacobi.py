@@ -35,13 +35,13 @@ from ahx import (
     halfplane_family,
     jacobi_solve,
     jacobi_system,
-    linearized_flow,
     product_family,
     simplicity_report,
     stable_unstable,
     trace_geodesic,
     wronskian,
 )
+from ahx.flow import _make_rhs
 from ahx.jacobi import MAP_TOL, SOLVE_TOL
 
 ETA_BUMP = 3.2  # turning point inside the bump band of the bump_family
@@ -74,6 +74,20 @@ def test_time_chart_range_is_enforced(halfplane):
         system.tau_of_t(10.5)
     with pytest.raises(ValueError):
         jacobi_solve(system, 0.0, 1.0, (0.0, 12.0))
+
+
+@pytest.mark.parametrize("family,z", [
+    ("perturbed", (0.7, 2.4)), ("bump_family", (1.0, 2.2)),
+    ("disc", (0.0, 1.0)), ("halfplane", (0.0, 1.0))])
+def test_orbit_agrees_with_its_trace(request, family, z):
+    # the orbit integrated in t from the rho peak against the trace read at
+    # the orbit's own flow parameter tau(t)
+    fam = request.getfixturevalue(family)
+    system = jacobi_system(fam, trace_geodesic(fam, z, tol=1e-12))
+    for t in np.linspace(-25.0, 25.0, 51):
+        a = system.state_at_time(t).as_vector()
+        b = system.traj.state_at(system.tau_of_t(t)).as_vector()
+        assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_curvature_along_model_geodesics(halfplane, disc):
@@ -113,21 +127,24 @@ def _same_bits(a, b):
 
 
 def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
-    # the time map and Jacobi fields, forward and backward, against scipy's
-    # DOP853 on the same right-hand sides; step ends are read on the step
-    # that ends there, as scipy's OdeSolution does
+    # the orbit in hyperbolic time and Jacobi fields, forward and backward,
+    # against scipy's DOP853 on the same right-hand sides; step ends are
+    # read on the step that ends there, as scipy's OdeSolution does
     traj = trace_geodesic(perturbed, (0.7, 2.4))
     system = jacobi_system(perturbed, traj)
+    flow_rhs = _make_rhs(perturbed)
 
-    def map_rhs(t, s):
-        return (max(traj.eval_raw(s[0])[0], 0.0),)
+    def orbit_rhs(t, z):
+        return z[1] * np.append(1.0, flow_rhs(t, z[1:]))
 
+    z0 = np.append(system.tau_peak,
+                   traj.state_at(system.tau_peak).as_vector())
     for sol, t_end in ((system._fwd, system.t_range),
                        (system._bwd, -system.t_range)):
-        ref = solve_ivp(map_rhs, (0.0, t_end), [system.tau_peak],
-                        method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
-                        dense_output=True)
+        ref = solve_ivp(orbit_rhs, (0.0, t_end), z0, method="DOP853",
+                        rtol=MAP_TOL, atol=MAP_TOL, dense_output=True)
         assert _same_bits(sol.ts, ref.t)
+        assert _same_bits(sol.ys, ref.y.T)
         ts = np.concatenate((ref.t, np.linspace(0.0, t_end, 23)))
         assert _same_bits([system.tau_of_t(t) for t in ts],
                           [ref.sol(t)[0] for t in ts])
@@ -279,23 +296,7 @@ def test_boundary_rate_bracket(halfplane, perturbed):
 
 
 # ---------------------------------------------------------------------------
-# general-rank linearized flow and fiber seeds
-
-
-def test_linearized_flow_matches_retraced_neighbours(perturbed):
-    fam = perturbed
-    eps = 1e-6
-    base = trace_geodesic(fam, (0.3, 2.6), tol=1e-12)
-    taus = np.linspace(0.0, 0.8 * base.tau_plus, 7)
-    out = linearized_flow(fam, base, [[0.0, 1.0, 0.0, 0.0],
-                                      [0.0, 0.0, 0.0, 1.0]], taus)
-    assert out.shape == (7, 2, 4)
-    for j, z in enumerate([(0.3 + eps, 2.6), (0.3, 2.6 + eps)]):
-        pert = trace_geodesic(fam, z, tol=1e-12)
-        for i, tau in enumerate(taus):
-            ref = (pert.eval_raw(tau)[:4] - base.eval_raw(tau)[:4]) / eps
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(out[i, j] - ref)) < 1e-5 * scale
+# the family check and the rank restriction
 
 
 def test_family_must_be_the_trajectorys(halfplane, bump_family):
@@ -304,9 +305,6 @@ def test_family_must_be_the_trajectorys(halfplane, bump_family):
     traj = trace_geodesic(halfplane, (0.0, 2.5))
     with pytest.raises(ValueError, match="trajectory's family"):
         jacobi_system(bump_family, traj)
-    with pytest.raises(ValueError, match="trajectory's family"):
-        linearized_flow(bump_family, traj, [[0.0, 1.0, 0.0, 0.0]],
-                        [0.0, 0.5 * traj.tau_plus])
     # an equal family built anew is the same family
     system = jacobi_system(halfplane_family(), traj)
     assert system.curvature(0.0) == pytest.approx(-1.0, abs=1e-12)

@@ -312,6 +312,16 @@ def test_synthesis_guards(halfplane):
         synthesize_samples(halfplane, 0.0, [[1.0], [0.0]])
 
 
+def test_synthesis_refuses_directions_of_the_wrong_length(halfplane):
+    # a direction is a covector at y0: it has one component per boundary
+    # coordinate, and a longer one used to end in numpy's matmul error
+    with pytest.raises(RecoveryError, match="need 1 components, got 2"):
+        synthesize_samples(halfplane, 0.0, [[1.0, 2.0]])
+    fam2 = product_family(halfplane, halfplane)
+    with pytest.raises(RecoveryError, match="need 2 components, got 1"):
+        synthesize_samples(fam2, [0.0, 0.0], [[1.0]])
+
+
 def test_synthesis_refuses_non_positive_deltas(halfplane, monkeypatch):
     with pytest.raises(RecoveryError, match="deltas must be positive"):
         synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.2, 0.1, 0.0))

@@ -184,10 +184,11 @@ def test_gauge_potentials_are_potentials(disc, make_field):
     # q vanishes at the boundary, so D q transforms to zero; the rule is
     # cut at the edges of chi (0.35 and 0.85 on the disc), where q is C2
     assert res.chi_plateau == pytest.approx(0.35)
+    assert res.chi_edge == pytest.approx(0.85)
     dq = sym_derivative(q, disc)
     for z in [(0.3, 0.7), (1.1, 1.5), (2.0, -0.9), (4.0, 2.5), (5.5, 0.4)]:
         got = xray_transform(dq, trace_geodesic(disc, z),
-                             rho_breaks=(0.35, 0.85))
+                             rho_breaks=(res.chi_plateau, res.chi_edge))
         assert abs(got) < 1e-9
 
 
