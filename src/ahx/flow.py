@@ -195,12 +195,14 @@ def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
         out = np.empty(2 * n + 2)
         dxi = 0.0
         for k, prof in enumerate(profiles):
-            h, dh_r, dh_y = prof(rho, s[1 + k]) if vals is None else vals[k]
+            h, dh_r, dh_y, _ = prof(rho, s[1 + k]) if vals is None \
+                else vals[k]
             eta = s[2 + n + k]
             u = eta / h
-            out[1 + k] = rho * u
-            out[2 + n + k] = 0.5 * rho * u * u * dh_y
-            dxi -= rho * u * eta - 0.5 * rho * rho * u * u * dh_r
+            ru, half_rho = rho * u, 0.5 * rho
+            out[1 + k] = ru
+            out[2 + n + k] = half_rho * u * u * dh_y
+            dxi -= ru * eta - half_rho * rho * u * u * dh_r
         out[0] = s[1 + n]
         out[1 + n] = dxi
         return out
@@ -219,8 +221,8 @@ def barX_eval(fam: BoundaryMetricFamily, state: BPhasePoint):
 
 
 def _profile_values(fam: BoundaryMetricFamily, s: np.ndarray) -> list:
-    """(h_kk, dh_kk/drho, dh_kk/dy_k) of each coordinate at the (rho, y) of
-    the state s."""
+    """(h_kk, dh_kk/drho, dh_kk/dy_k, d2h_kk/drho2) of each coordinate at the
+    (rho, y) of the state s."""
     return [prof(s[0], s[1 + k]) for k, prof in enumerate(fam.profiles)]
 
 
@@ -449,11 +451,12 @@ class _Solution:
         self.ts = np.array([st.t_old for st in self.steps] + [solver.t])
         self.ys = np.array([st.y_old for st in self.steps] + [solver.y])
         self._direction = solver.direction
+        # step starts, signed so that they ascend, for the lookup
+        self._starts = [solver.direction * st.t_old for st in self.steps]
 
     def __call__(self, t: float) -> list:
         """State at t, read at a step end on the step that ends there."""
-        d = self._direction
-        i = bisect_left(self.steps, d * t, key=lambda st: d * st.t_old) - 1
+        i = bisect_left(self._starts, self._direction * t) - 1
         return self.steps[min(max(i, 0), len(self.steps) - 1)](t)
 
 

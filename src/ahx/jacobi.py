@@ -105,7 +105,10 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     flow_rhs = _make_rhs(fam)
 
     def rhs(t, z):
-        return z[1] * np.append(1.0, flow_rhs(t, z[1:]))
+        out = np.empty(z.size)
+        out[0] = z[1]
+        out[1:] = z[1] * flow_rhs(t, z[1:])
+        return out
 
     z0 = np.append(tau_peak, traj.state_at(tau_peak).as_vector())
     fwd, bwd = (_Solution(rhs, 0.0, z0, t, MAP_TOL, MAP_TOL,

@@ -1,13 +1,14 @@
 """Boundary metric families for asymptotically hyperbolic metrics in normal form.
 
 A family describes g = (d rho**2 + h_rho) / rho**2 near (or on all of) a
-manifold-with-boundary through the rho-dependent boundary metric h_rho and
-its first derivatives in rho and y.  Every family is diagonal, with h_kk a
-function of (rho, y_k) only, and is given by one profile per coordinate
-returning h_kk, dh_kk/drho and dh_kk/dy_k (:class:`BoundaryMetricFamily`).
-Everything downstream consumes only those; second derivatives, where
-needed, are obtained by central differences of the supplied first
-derivatives.  :func:`eval_metric` gives the matrix view.
+manifold-with-boundary through the rho-dependent boundary metric h_rho,
+its first derivatives in rho and y and its second derivative in rho.  Every
+family is diagonal, with h_kk a function of (rho, y_k) only, and is given
+by one profile per coordinate returning h_kk, dh_kk/drho, dh_kk/dy_k and
+d2h_kk/drho2 in closed form (:class:`BoundaryMetricFamily`).  Everything
+downstream consumes only those: the flow reads the first three and
+:func:`gauss_curvature` all four, from one profile call.
+:func:`eval_metric` gives the matrix view.
 
 Built-in families:
 
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import poly_bump, poly_bump_dt
+from .quadrature import poly_bump, poly_bump_dt, poly_bump_dt2
 
 __all__ = [
     "MetricError",
@@ -57,9 +58,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# step for second derivatives of h taken from supplied first derivatives
-FD2_STEP = 1e-5
 
 
 class MetricError(ValueError):
@@ -104,10 +102,11 @@ class Chart:
 class BoundaryMetricFamily:
     """Diagonal h_rho(y) through one profile per boundary coordinate.
 
-    ``profiles[k](rho, y_k)`` returns (h_kk, dh_kk/drho, dh_kk/dy_k); h_kk
-    depends on rho and y_k only, and the boundary dimension n is the number
-    of profiles.  Profiles take floats or arrays, and their outputs
-    broadcast against rho and y_k (a constant may come back as a float).
+    ``profiles[k](rho, y_k)`` returns (h_kk, dh_kk/drho, dh_kk/dy_k,
+    d2h_kk/drho2), all exact; h_kk depends on rho and y_k only, and the
+    boundary dimension n is the number of profiles.  Profiles take floats
+    or arrays, and their outputs broadcast against rho and y_k (a constant
+    may come back as a float).
     """
 
     chart: Chart
@@ -126,13 +125,14 @@ class BoundaryMetricFamily:
         return {"family": self.name, "params": dict(self.params)}
 
     def diag(self, rho, y) -> np.ndarray:
-        """h_kk, dh_kk/drho and dh_kk/dy_k at (rho, y), shape (3, ..., n).
+        """h_kk, dh_kk/drho, dh_kk/dy_k and d2h_kk/drho2 at (rho, y), shape
+        (4, ..., n).
 
         ``y`` has a last axis of length n; rho broadcasts against the other
         axes of y.
         """
         y = np.asarray(y, dtype=float)
-        out = np.empty((3,) + np.broadcast(rho, y[..., 0]).shape + (self.n,))
+        out = np.empty((4,) + np.broadcast(rho, y[..., 0]).shape + (self.n,))
         for k, prof in enumerate(self.profiles):
             for i, v in enumerate(prof(rho, y[..., k])):
                 out[i, ..., k] = v
@@ -218,11 +218,13 @@ def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
     width = rho_hi - rho_lo
 
     def bumped(rho, y):
-        h, dh_r, dh_y = profile(rho, y)
+        h, dh_r, dh_y, dh_rr = profile(rho, y)
         t = (rho - rho_lo) / width
         f = 1.0 + amplitude * poly_bump(t)
         df = amplitude * poly_bump_dt(t) / width
-        return h * f, dh_r * f + h * df, dh_y * f
+        d2f = amplitude * poly_bump_dt2(t) / (width * width)
+        return (h * f, dh_r * f + h * df, dh_y * f,
+                dh_rr * f + 2.0 * dh_r * df + h * d2f)
 
     return bumped
 
@@ -234,15 +236,16 @@ def halfplane_family(y_bounds=None, rho_max: float = math.inf) -> BoundaryMetric
         params["y_bounds"] = [list(b) for b in y_bounds]
     if math.isfinite(rho_max):
         params["rho_max"] = rho_max
-    return _family([lambda rho, y: (1.0, 0.0, 0.0)], chart, rho_max,
+    return _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0)], chart, rho_max,
                    "half-plane", params)
 
 
 def disc_family() -> BoundaryMetricFamily:
     # global normal form of the hyperbolic disc; rho = 2 is the centre
     def profile(rho, y):
-        q = 1.0 - 0.25 * rho * rho
-        return q * q, -rho * q, 0.0
+        r2 = rho * rho
+        q = 1.0 - 0.25 * r2
+        return q * q, -rho * q, 0.0, 0.75 * r2 - 1.0
 
     return _family([profile], Chart("periodic"), 2.0, "disc-normal", {},
                    open_at_max=True)
@@ -258,8 +261,9 @@ def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
         av, da = a.value_and_deriv(y)
         bv, db = b.value_and_deriv(y)
         h = np.exp(2.0 * rho * (av + rho * bv))
-        return (h, h * (2.0 * av + 4.0 * rho * bv),
-                h * (2.0 * rho * da + 2.0 * rho * rho * db))
+        g = 2.0 * av + 4.0 * rho * bv
+        return (h, h * g, h * (2.0 * rho * da + 2.0 * rho * rho * db),
+                h * (g * g + 4.0 * bv))
 
     params = {"a_cos": list(a.c), "a_sin": list(a.s),
               "b_cos": list(b.c), "b_sin": list(b.s), "rho_max": rho_max}
@@ -284,9 +288,14 @@ def radial_power_family(amp: float, power: int,
     params = {"amp": amp, "power": p}
     if math.isfinite(rho_max):
         params["rho_max"] = rho_max
-    return _family(
-        [lambda rho, y: (1.0 + amp * rho ** p, amp * p * rho ** (p - 1), 0.0)],
-        Chart("affine"), rho_max, "radial-power", params)
+
+    def profile(rho, y):
+        # p = 1 has h_rr = 0 exactly; rho ** -1 would fail at rho = 0
+        h_rr = amp * p * (p - 1) * rho ** (p - 2) if p > 1 else 0.0
+        return 1.0 + amp * rho ** p, amp * p * rho ** (p - 1), 0.0, h_rr
+
+    return _family([profile], Chart("affine"), rho_max, "radial-power",
+                   params)
 
 
 def taylor1d_family(h0: float, c1: float, c2: float,
@@ -295,7 +304,7 @@ def taylor1d_family(h0: float, c1: float, c2: float,
     params = {"h0": h0, "c1": c1, "c2": c2, "rho_max": rho_max}
     return _family(
         [lambda rho, y: (h0 + c1 * rho + 0.5 * c2 * rho * rho, c1 + c2 * rho,
-                         0.0)],
+                         0.0, c2)],
         Chart("periodic"), rho_max, "taylor1d", params)
 
 
@@ -366,24 +375,33 @@ def _validation_grid(fam: BoundaryMetricFamily):
 
 
 def _validate_family(fam: BoundaryMetricFamily) -> None:
-    """h positive and the supplied first derivatives consistent with h
+    """h positive and the supplied derivatives consistent with h and dh/drho
     (scaled central differences) on the validation grid, every y_k at the
     grid's y."""
     rhos, ys = _validation_grid(fam)
     step = 1e-6
     rho = rhos[:, None]
     y = np.repeat(ys[None, :, None], fam.n, axis=2)
-    h, an_r, an_y = fam.diag(rho, y)        # each (rho, y, k)
+    h, an_r, an_y, an_rr = fam.diag(rho, y)        # each (rho, y, k)
     bad = np.argwhere(~(h > 0.0))
     if bad.size:
         i, j = bad[0][:2]
         raise MetricError(
             f"h not positive definite at rho={rhos[i]:.4g}, y={ys[j]:.4g}")
     hr = step * np.maximum(1.0, np.abs(rho))
-    fd_r = (fam.diag(rho + hr, y)[0] - fam.diag(rho - hr, y)[0]) \
-        / (2 * hr[..., None])
+    up, down = fam.diag(rho + hr, y), fam.diag(rho - hr, y)
+    fd_r = (up[0] - down[0]) / (2 * hr[..., None])
     if not np.allclose(fd_r, an_r, rtol=2e-6, atol=2e-6):
         raise MetricError("dh_drho inconsistent with h")
+    # d2h/drho2 may have corners (the ends of a C2 bump), where the
+    # difference is off by about step/4 times the jump of d3h/drho3:
+    # 2.4e-3 at rho_hi for amplitude 0.2 on [0.15, 0.35], where |h_rr|
+    # reaches 109.  So the absolute tolerance scales with the largest
+    # |h_rr| on the grid; an error of 1% there still fails.
+    fd_rr = (up[1] - down[1]) / (2 * hr[..., None])
+    rr_scale = np.max(np.abs(an_rr), initial=1.0)
+    if not np.allclose(fd_rr, an_rr, rtol=2e-6, atol=1e-3 * rr_scale):
+        raise MetricError("d2h_drho2 inconsistent with dh_drho")
     # h_kk depends on y_k only, so shifting every y_k at once gives each
     # d h_kk / d y_k
     fd_yk = (fam.diag(rho, y + step)[0] - fam.diag(rho, y - step)[0]) \
@@ -410,7 +428,7 @@ def eval_metric(fam: BoundaryMetricFamily, rho: float, y) -> MetricEval:
     """Evaluate h_rho, its inverse and first derivatives at (rho, y)."""
     _check_domain(fam, rho)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    h, dh_r, dh_y = fam.diag(rho, y)
+    h, dh_r, dh_y = fam.diag(rho, y)[:3]
     if not h.all():
         raise MetricError(f"singular h at rho={rho}, y={y}")
     k = np.arange(fam.n)
@@ -424,19 +442,16 @@ def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:
     """Gauss curvature of g at an interior point (n=1 only).
 
     Written as -1 plus correction terms so the constant-curvature part is
-    exact and the result stays accurate as rho -> 0.  Only the second
-    rho-derivative of h is differenced, with a fixed step; family profiles
-    extend real-analytically through rho = 0, so the stencil may cross zero.
+    exact and the result stays accurate as rho -> 0.  h and its rho
+    derivatives come from one call of the family's profile, in closed form.
     """
     if fam.n != 1:
         raise MetricError("gauss_curvature requires a 1-dimensional boundary")
     if rho <= 0.0:
         raise MetricError("gauss_curvature needs rho > 0")
-    prof = fam.profiles[0]
-    yv = np.atleast_1d(y)[0]
-    h, dh, _ = prof(rho, yv)
-    d2h = (prof(rho + FD2_STEP, yv)[1] - prof(rho - FD2_STEP, yv)[1]) \
-        / (2.0 * FD2_STEP)
+    # the Jacobi solves pass a float, which skips np.atleast_1d (1.6 us)
+    yv = y if isinstance(y, float) else np.atleast_1d(y)[0]
+    h, dh, _, d2h = fam.profiles[0](rho, yv)
     return float(-1.0 + rho * dh / (2.0 * h)
                  - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h)))
 
@@ -454,7 +469,8 @@ def christoffel_symbols(fam: BoundaryMetricFamily, rho, y) -> np.ndarray:
     if not np.all(rho > 0.0):
         raise MetricError("christoffel_symbols needs rho > 0")
     _check_domain(fam, np.max(rho, initial=0.0))
-    h, dh_r, dh_y = fam.diag(rho, np.atleast_1d(np.asarray(y, dtype=float)))
+    h, dh_r, dh_y = fam.diag(
+        rho, np.atleast_1d(np.asarray(y, dtype=float)))[:3]
     n = fam.n
     k = np.arange(1, n + 1)
     inv_rho = 1.0 / rho

@@ -174,3 +174,11 @@ def poly_bump(t):
 def poly_bump_dt(t):
     q = _bump_base(t)
     return 12.0 * q * q * (1.0 - 2.0 * t)
+
+
+def poly_bump_dt2(t):
+    """Second derivative of :func:`poly_bump`: 0 outside [0, 1], continuous
+    with corners at both ends."""
+    q = _bump_base(t)
+    u = 1.0 - 2.0 * t
+    return q * (96.0 * u * u - 24.0 * q)

@@ -1,5 +1,6 @@
 """Geodesic flow: exact half-plane/disc oracles, invariants, error modes."""
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -288,6 +289,30 @@ def test_stepper_matches_scipy_dop853_backward_and_split_tolerances(
         ours = _step_side_by_side(fam, 0.0, np.array([0.0, y, 1.0, eta]),
                                   math.inf, tol, atol=10.0 * tol)
         assert ours.y[0] < 0.0
+
+
+@pytest.mark.parametrize("t_end", [6.0, -6.0])
+def test_solution_reads_each_step_end_on_its_step(t_end):
+    # forward and backward in t: a step end is read on the step that ends
+    # there, bitwise as a lookup keyed on each step's signed start reads it
+    def fun(t, y):
+        return np.array([y[1], math.cos(t) - y[0] - 0.1 * y[1]])
+
+    sol = flow._Solution(fun, 0.0, [1.0, 0.0], t_end, 1e-10, 1e-10, "fail")
+    d = math.copysign(1.0, t_end)
+    assert len(sol.steps) > 5
+
+    def keyed(t):
+        i = bisect_left(sol.steps, d * t, key=lambda st: d * st.t_old) - 1
+        return sol.steps[min(max(i, 0), len(sol.steps) - 1)](t)
+
+    for st in sol.steps:
+        assert sol(st.t) == st(st.t) == keyed(st.t)
+        mid = 0.5 * (st.t_old + st.t)
+        assert sol(mid) == st(mid) == keyed(mid)
+    for t in (0.0, -0.5 * t_end, 1.5 * t_end):
+        assert sol(t) == keyed(t)
+    assert sol(0.0) == sol.steps[0](0.0)
 
 
 @pytest.mark.parametrize("tol", [1e-16, -1.0])

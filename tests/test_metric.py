@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from ahx import (MetricError, TrigPoly, christoffel_symbols, disc_family,
                  eval_metric, gauss_curvature, halfplane_family, make_family,
-                 perturbed_family, product_family, taylor1d_family)
+                 perturbed_family, product_family, radial_power_family,
+                 taylor1d_family)
+from ahx.metric import _family
 
 Y0 = np.array([0.0])
 
@@ -86,6 +88,58 @@ def test_exponential_profile_curvature_closed_form():
         assert gauss_curvature(fam, rho, 2.0) == pytest.approx(want, abs=1e-7)
 
 
+def test_disc_curvature_is_minus_one_in_closed_form(disc):
+    rhos = np.linspace(1e-3, 1.95, 400)
+    err = max(abs(gauss_curvature(disc, r, 0.4) + 1.0) for r in rhos)
+    assert err <= 1e-12
+
+
+def test_exponential_profile_curvature_exact():
+    # the closed form of test_exponential_profile_curvature_closed_form
+    a, b = 0.3, 0.1
+    fam = perturbed_family(a_cos=[a], b_cos=[b])
+    for rho in np.linspace(0.01, 0.5, 50):
+        phi_p = a + 2.0 * b * rho
+        want = -1.0 + rho * phi_p - rho * rho * (2.0 * b + phi_p * phi_p)
+        assert abs(gauss_curvature(fam, rho, 2.0) - want) <= 1e-14
+
+
+def test_bump_curvature_matches_richardson_difference(bump_family):
+    # d2h/drho2 from central differences of dh/drho at steps e and e/2,
+    # Richardson-extrapolated, with the stencil clear of the bump's corners
+    # at rho 0.3 and 0.45
+    prof, e = bump_family.profiles[0], 1e-4
+
+    def diff(rho, y, s):
+        return (prof(rho + s, y)[1] - prof(rho - s, y)[1]) / (2.0 * s)
+
+    rhos = np.concatenate((np.linspace(0.05, 0.28, 8),
+                           np.linspace(0.31, 0.44, 10),
+                           np.linspace(0.47, 0.69, 8)))
+    for rho in rhos:
+        for y in (0.0, 1.3, 4.0):
+            h, dh = prof(rho, y)[:2]
+            d2h = (4.0 * diff(rho, y, e / 2) - diff(rho, y, e)) / 3.0
+            want = -1.0 + rho * dh / (2.0 * h) \
+                - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h))
+            assert abs(gauss_curvature(bump_family, rho, y) - want) < 1e-8
+
+
+def test_curvature_makes_one_profile_call(bump_family):
+    calls = []
+
+    def counted(rho, y):
+        calls.append(rho)
+        return bump_family.profiles[0](rho, y)
+
+    fam = _family([counted], bump_family.chart, bump_family.rho_max,
+                  "counted", {})
+    calls.clear()
+    assert gauss_curvature(fam, 0.37, 1.0) == \
+        gauss_curvature(bump_family, 0.37, 1.0)
+    assert calls == [0.37]
+
+
 def test_bump_raises_curvature_inside_band(bump_family):
     base = perturbed_family(rho_max=0.7)
     inside = gauss_curvature(bump_family, 0.375, 0.0)
@@ -158,6 +212,52 @@ def test_degenerate_taylor_profile_rejected():
         taylor1d_family(1.0, -8.0, 0.0, rho_max=0.25)  # h crosses zero
     with pytest.raises(MetricError):
         taylor1d_family(-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: radial_power_family(0.1, 1),
+    lambda: radial_power_family(0.1, 2),
+    lambda: perturbed_family(bump={"amplitude": 0.2, "rho_lo": 0.15,
+                                   "rho_hi": 0.35}, rho_max=0.7),
+    lambda: perturbed_family(bump={"amplitude": 1.0, "rho_lo": 0.3,
+                                   "rho_hi": 0.45}, rho_max=0.7),
+])
+def test_shipped_families_pass_validation(builder):
+    # the first bump's d2h/drho2 has a corner on a grid point (rho_hi 0.35)
+    fam = builder()
+    assert make_family(fam.spec()).spec() == fam.spec()
+
+
+@pytest.mark.parametrize("base", [disc_family, lambda: perturbed_family(
+    a_cos=[0.0, 0.1], b_cos=[0.05],
+    bump={"amplitude": 0.5, "rho_lo": 0.2, "rho_hi": 0.4})])
+def test_second_derivative_off_by_one_percent_rejected(base):
+    fam = base()
+    prof = fam.profiles[0]
+
+    def off(rho, y):
+        h, dh_r, dh_y, dh_rr = prof(rho, y)
+        return h, dh_r, dh_y, 1.01 * dh_rr
+
+    _family([prof], fam.chart, fam.rho_max, "exact", {},
+            open_at_max=fam.open_at_max)
+    with pytest.raises(MetricError, match="d2h_drho2"):
+        _family([off], fam.chart, fam.rho_max, "off", {},
+                open_at_max=fam.open_at_max)
+
+
+def test_diag_broadcasts_to_four_rows():
+    fam = product_family(perturbed_family(a_cos=[0.1]),
+                         perturbed_family(bump={"amplitude": 0.5,
+                                                "rho_lo": 0.2,
+                                                "rho_hi": 0.4}))
+    rho = np.linspace(0.05, 0.45, 5)[:, None]
+    y = np.random.default_rng(1).uniform(0.0, 6.0, (1, 3, 2))
+    out = fam.diag(rho, y)
+    assert out.shape == (4, 5, 3, 2)
+    for k, prof in enumerate(fam.profiles):
+        for i, v in enumerate(prof(rho[2, 0], y[0, 1, k])):
+            assert out[i, 2, 1, k] == v
 
 
 def test_bump_band_must_be_ordered():
