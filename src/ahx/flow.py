@@ -150,10 +150,6 @@ class BoundaryCovector:
         return cls(np.atleast_1d(np.asarray(y, dtype=float)),
                    np.atleast_1d(np.asarray(eta, dtype=float)), side)
 
-    def as_phase_point(self) -> BPhasePoint:
-        xi = 1.0 if self.side == "incoming" else -1.0
-        return BPhasePoint.make(0.0, self.y, xi, self.eta)
-
 
 def flip_state(p: BPhasePoint) -> BPhasePoint:
     """Time-reversal involution (rho, y, xi_b, eta) -> (rho, y, -xi_b, -eta)."""

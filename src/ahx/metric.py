@@ -19,8 +19,8 @@ Built-in families:
 * ``perturbed``      n=1, h = exp(2(rho*a(y) + rho**2*b(y))) dy**2 with trig
   polynomials a, b; collar domain [0, rho_max].
 * ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, the forward model
-  of jet fitting, whose lengths the fit takes from a turning-point
-  integral rather than from traces.
+  of jet fitting; the fit evaluates this h itself and takes the lengths
+  from a turning-point integral, so it builds no family and traces none.
 * ``product``        n=2, h = h1(rho, y1) dy1**2 + h2(rho, y2) dy2**2 from
   two n=1 families.
 
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import poly_bump, poly_bump_dt, poly_bump_dt2
+from .quadrature import poly_bump_jet
 
 __all__ = [
     "MetricError",
@@ -148,18 +148,13 @@ class BoundaryMetricFamily:
 
 @dataclass(frozen=True, eq=False)
 class MetricEval:
-    """Pointwise data of h_rho: value, inverse, first derivatives."""
+    """Pointwise data of h_rho: value, inverse, radial derivative."""
 
     rho: float
     y: np.ndarray
     h_mat: np.ndarray
     h_inv: np.ndarray
     dh_drho_mat: np.ndarray
-    dh_dy_mats: np.ndarray  # (n, n, n)
-
-    def eta_normsq(self, eta: np.ndarray) -> float:
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        return float(eta @ self.h_inv @ eta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +214,10 @@ def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
 
     def bumped(rho, y):
         h, dh_r, dh_y, dh_rr = profile(rho, y)
-        t = (rho - rho_lo) / width
-        f = 1.0 + amplitude * poly_bump(t)
-        df = amplitude * poly_bump_dt(t) / width
-        d2f = amplitude * poly_bump_dt2(t) / (width * width)
+        b, db, d2b = poly_bump_jet((rho - rho_lo) / width)
+        f = 1.0 + amplitude * b
+        df = amplitude * db / width
+        d2f = amplitude * d2b / (width * width)
         return (h * f, dh_r * f + h * df, dh_y * f,
                 dh_rr * f + 2.0 * dh_r * df + h * d2f)
 
@@ -425,17 +420,14 @@ def _check_domain(fam: BoundaryMetricFamily, rho: float) -> None:
 
 
 def eval_metric(fam: BoundaryMetricFamily, rho: float, y) -> MetricEval:
-    """Evaluate h_rho, its inverse and first derivatives at (rho, y)."""
+    """Evaluate h_rho, its inverse and its radial derivative at (rho, y)."""
     _check_domain(fam, rho)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    h, dh_r, dh_y = fam.diag(rho, y)[:3]
+    h, dh_r = fam.diag(rho, y)[:2]
     if not h.all():
         raise MetricError(f"singular h at rho={rho}, y={y}")
-    k = np.arange(fam.n)
-    dh_dy_mats = np.zeros((fam.n,) * 3)
-    dh_dy_mats[k, k, k] = dh_y
     return MetricEval(rho=rho, y=y, h_mat=np.diag(h), h_inv=np.diag(1.0 / h),
-                      dh_drho_mat=np.diag(dh_r), dh_dy_mats=dh_dy_mats)
+                      dh_drho_mat=np.diag(dh_r))
 
 
 def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:

@@ -171,14 +171,10 @@ def poly_bump(t):
     return _bump_base(t) ** 3
 
 
-def poly_bump_dt(t):
-    q = _bump_base(t)
-    return 12.0 * q * q * (1.0 - 2.0 * t)
-
-
-def poly_bump_dt2(t):
-    """Second derivative of :func:`poly_bump`: 0 outside [0, 1], continuous
-    with corners at both ends."""
+def poly_bump_jet(t):
+    """:func:`poly_bump` and its first and second t-derivatives, from one
+    :func:`_bump_base`.  The second derivative is 0 outside [0, 1] and
+    continuous, with corners at both ends.  Takes a float or an array."""
     q = _bump_base(t)
     u = 1.0 - 2.0 * t
-    return q * (96.0 * u * u - 24.0 * q)
+    return q ** 3, 12.0 * q * q * u, q * (96.0 * u * u - 24.0 * q)

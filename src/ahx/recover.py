@@ -14,10 +14,11 @@ so each point's jet comes from that point's own table.
 
 Two independent routes are provided: the asymptotic extraction above
 (``recover_h0`` / ``recover_first_jet``) and a forward-model least-squares
-fit over a truncated radial Taylor family (``recover_jet_fit``), which
-imports scipy's ``least_squares`` when it is first called.  The Taylor
-model does not depend on y, so its lengths are turning-point integrals
-evaluated by a Gauss rule, and the fit traces no geodesic.
+fit of the second-order radial Taylor model h0 + c1 rho + c2 rho**2 / 2
+(``recover_jet_fit``), which imports scipy's ``least_squares`` when it is
+first called.  The Taylor model does not depend on y, so its lengths are
+turning-point integrals evaluated by a Gauss rule, and the fit traces no
+geodesic and builds no family.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metric import BoundaryMetricFamily, MetricError, taylor1d_family
+from .metric import BoundaryMetricFamily, MetricError
 from .flow import CollarExitError, delta_max, trace_geodesic
 from .quadrature import gauss_nodes
 from .renorm import renormalized_length
@@ -326,13 +327,20 @@ def _forward_lengths(dirs: np.ndarray, deltas: np.ndarray,
     + a (rho + rho*)), a = c2 / 2 - eta**2, and substituting rho = rho* (1
     - s**2) leaves an integrand smooth on s in [0, 1] and free of
     cancellation; a 24-node Gauss rule takes it to rounding.  All
-    (direction, delta) pairs are evaluated at once.  ``taylor1d_family``
-    raises MetricError where h is not positive on its collar rho <= 0.35;
-    a geodesic that does not turn inside the collar raises
-    CollarExitError, as its trace would.
+    (direction, delta) pairs are evaluated at once.  h is evaluated as
+    ``taylor1d_family``'s profile evaluates it, and MetricError is raised
+    where that family's validator would refuse it: h not positive at one
+    of its levels of the collar rho <= 0.35.  A geodesic that does not
+    turn inside the collar raises CollarExitError, as its trace would.
     """
     h0, c1, c2 = params
-    fam = taylor1d_family(h0, c1, c2, rho_max=0.35)
+    rho_max = 0.35
+
+    def h_of(r):
+        return h0 + c1 * r + 0.5 * c2 * r * r
+
+    if not np.all(h_of(np.linspace(0.0, rho_max, 9)) > 0.0):
+        raise MetricError("model h not positive on rho <= %g" % rho_max)
     eta2 = (np.abs(dirs[:, 0])[:, None] / deltas) ** 2
     a = 0.5 * c2 - eta2
     # h0 + c1 rho + a rho**2 = 0 at rho = 2 h0 / (sqrt(disc) - c1); this
@@ -341,13 +349,13 @@ def _forward_lengths(dirs: np.ndarray, deltas: np.ndarray,
     den = np.sqrt(np.maximum(disc, 0.0)) - c1
     turns = (disc > 0.0) & (den > 0.0)
     rho_t = 2.0 * h0 / np.where(turns, den, 1.0)
-    if not np.all(turns & (rho_t < fam.rho_max)):
+    if not np.all(turns & (rho_t < rho_max)):
         raise CollarExitError("a model geodesic does not turn inside "
-                              "rho < %g" % fam.rho_max)
+                              "rho < %g" % rho_max)
     s, w = gauss_nodes(0.0, 1.0, 24)
     rt = rho_t[..., None]
     rho = rt * (1.0 - s * s)
-    h = fam.profiles[0](rho, 0.0)[0]
+    h = h_of(rho)
     q = -rt * (c1 + a[..., None] * (rho + rt))     # (h - eta**2 rho**2) / s**2
     return 2.0 * np.log(rho_t) \
         + 4.0 * eta2 * rho_t * ((rho / (np.sqrt(q * h) + s * q)) @ w)
@@ -363,60 +371,49 @@ def _model_misfit(samp: LengthSampleSet, params: np.ndarray) -> np.ndarray:
     return sim.ravel() - samp.lengths.ravel()
 
 
-def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
-                    k_max: int = 2) -> JetEstimate:
-    """Levenberg-Marquardt fit of a truncated radial Taylor model.
+def recover_jet_fit(sample_sets: Sequence[LengthSampleSet]) -> JetEstimate:
+    """Levenberg-Marquardt fit of the second-order radial Taylor model.
 
     Per sample point, the parameters (h0, first and second radial
-    derivative) of a radially-truncated family are adjusted until its
-    model length table matches the samples in least squares.  The model
-    families are defined for rho <= 0.35, and none of their geodesics is
-    traced: the model does not depend on y, so each length is a
-    one-dimensional integral up to the turning point, exact to rounding
-    (:func:`_forward_lengths`).  A model whose h is not positive on the
-    collar, or one with a geodesic that does not turn inside it, scores as
-    a large misfit.  The final Jacobian's singular values are reported; a
-    direction whose singular value is below 1e-4 times the largest is
-    returned as ``unresolved``, coefficients the delta-range cannot
-    resolve.  ``fit_nfev`` and ``fit_status`` are the solver's residual
-    evaluation count and termination status (1 to 4 on convergence).
+    derivative) of the model h = h0 + c1 rho + c2 rho**2 / 2 are adjusted
+    until its model length table matches the samples in least squares, so
+    the estimate has order 2.  The model is defined for rho <= 0.35, and
+    none of its geodesics is traced: it does not depend on y, so each
+    length is a one-dimensional integral up to the turning point, exact to
+    rounding (:func:`_forward_lengths`).  A model whose h is not positive
+    on the collar, or one with a geodesic that does not turn inside it,
+    scores as a large misfit.  The final Jacobian's singular values are
+    reported; a direction whose singular value is below 1e-4 times the
+    largest is returned as ``unresolved``, coefficients the delta-range
+    cannot resolve.  ``fit_nfev`` and ``fit_status`` are the solver's
+    residual evaluation count and termination status (1 to 4 on
+    convergence).
     """
-    if k_max not in (1, 2):
-        raise RecoveryError("k_max must be 1 or 2")
     if not sample_sets:
         raise RecoveryError("no sample sets to fit")
     _require_one_dimension(sample_sets, "fit route")
     m = len(sample_sets)
     y0s = np.empty((m, 1))
-    h0_out = np.empty((m, 1, 1))
-    drho_out = np.empty((m, 1, 1))
-    d2_out = np.empty((m, 1, 1))
+    fits = np.empty((m, 3))
     resid = np.empty(m)
-    svs = np.empty((m, k_max + 1))
-    unresolved = np.zeros((m, k_max + 1))
+    svs = np.empty((m, 3))
+    unresolved = np.zeros((m, 3))
     nfev = np.empty(m, dtype=int)
     status = np.empty(m, dtype=int)
     for i, samp in enumerate(sample_sets):
         samp.validate()
         y0s[i, 0] = float(samp.y0[0])
-
-        def misfit(p):
-            return _model_misfit(
-                samp, np.array([p[0], p[1], p[2] if k_max >= 2 else 0.0]))
-
-        x0 = np.array([1.0, 0.0, 0.0][:k_max + 1])
         # the model lengths are exact to rounding, so scipy's default
         # forward-difference step, sqrt(eps) max(1, |x|), suits them; a
         # diff_step is relative to |x| and shrinks to nothing for a
         # coefficient near zero, such as the flat model's slope
         from scipy.optimize import least_squares
-        res = least_squares(misfit, x0, method="lm")
+        res = least_squares(lambda p: _model_misfit(samp, p),
+                            np.array([1.0, 0.0, 0.0]), method="lm")
         if not res.success:
             raise RecoveryError("fit did not converge at y0=%s: %s"
                                 % (samp.y0, res.message))
-        h0_out[i, 0, 0] = res.x[0]
-        drho_out[i, 0, 0] = res.x[1]
-        d2_out[i, 0, 0] = res.x[2] if k_max >= 2 else 0.0
+        fits[i] = res.x
         resid[i] = float(np.linalg.norm(res.fun))
         nfev[i] = res.nfev
         status[i] = res.status
@@ -424,9 +421,9 @@ def recover_jet_fit(sample_sets: Sequence[LengthSampleSet],
         svs[i] = s
         if s[-1] < 1e-4 * s[0]:
             unresolved[i] = vt[-1]
-    est = JetEstimate(y0s=y0s, h0=h0_out, drho_h=drho_out,
-                      order=k_max, fit_residuals=resid,
-                      d2rho_h=d2_out if k_max >= 2 else None,
+    est = JetEstimate(y0s=y0s, h0=fits[:, 0, None, None],
+                      drho_h=fits[:, 1, None, None], order=2,
+                      fit_residuals=resid, d2rho_h=fits[:, 2, None, None],
                       jacobian_sv=svs, unresolved=unresolved,
                       fit_nfev=nfev, fit_status=status)
     est.validate()

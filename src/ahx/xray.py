@@ -407,36 +407,35 @@ def _interior_density(fam, f, rhos, ys):
 
 
 def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
-                  rho_supp: tuple, ny_levels=(12, 24, 48),
-                  n_panel_levels=(4, 8, 16), n_rho: int = 60,
-                  ny_lhs: int = 256,
-                  trace_tol: float = 1e-8) -> SantaloResult:
+                  rho_supp: tuple) -> SantaloResult:
     """Compare the invariant-measure integral of a lifted function with the
     boundary integral of its transform (n = 1, rank 0).
 
-    lhs: int f * sqrt(h) / rho^2 * d rho d y * 2 pi over the support;
+    lhs: int f * sqrt(h) / rho^2 * d rho d y * 2 pi over the support, with
+    60 Gauss nodes in rho and a 256-point trapezoid rule in y;
     rhs: int (transform of f)(y, eta) d y d eta over the incoming boundary,
-    on a sequence of refined meshes.  Convergence orders are log2 ratios of
-    successive errors against the lhs reference.
+    on three refined meshes of 12 / 24 / 48 y nodes and 4 / 8 / 16 Gauss
+    nodes per eta panel, each geodesic traced at tol 1e-8.  Convergence
+    orders are log2 ratios of successive errors against the lhs reference.
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
     rho_lo, rho_hi = rho_supp
 
     # interior side: fiber integral of the pullback is just 2 pi f
-    xr, wr = gauss_nodes(rho_lo, rho_hi, n_rho)
-    ys = np.linspace(0.0, 2.0 * math.pi, ny_lhs, endpoint=False)
-    wy = 2.0 * math.pi / ny_lhs
+    xr, wr = gauss_nodes(rho_lo, rho_hi, 60)
+    ys = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    wy = 2.0 * math.pi / 256
     lhs = 2.0 * math.pi * wy * float(
         wr @ _interior_density(fam, f, xr, ys).sum(axis=1))
 
     eta_hi = grazing_eta(fam, rho_lo)
 
     rhs_levels = []
-    for ny, npnl in zip(ny_levels, n_panel_levels):
+    for ny, n_panel in ((12, 4), (24, 8), (48, 16)):
         ys_b, wy_b, etas, weta = _boundary_quad_grid(fam, rho_supp, eta_hi,
-                                                     ny, npnl)
-        table = _transform_table(fam, f, rho_supp, ys_b, etas, trace_tol)
+                                                     ny, n_panel)
+        table = _transform_table(fam, f, rho_supp, ys_b, etas, 1e-8)
         rhs_levels.append(wy_b * float(np.sum(table @ weta)))
 
     rel = tuple(abs(r - lhs) / abs(lhs) for r in rhs_levels)
@@ -454,43 +453,41 @@ class AdjointnessResult:
 
 
 def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
-                      omega: Callable, rho_supp: tuple, ny: int = 24,
-                      n_panel: int = 10, n_rho: int = 12,
-                      ny_i: int = 12, n_theta: int = 32,
-                      trace_tol: float = 1e-9) -> AdjointnessResult:
+                      omega: Callable, rho_supp: tuple) -> AdjointnessResult:
     """Pair the transform with a boundary weight both ways (n = 1).
 
-    boundary side: int (If)(y, eta) omega(y, eta) dy deta;
-    bundle side: int f(rho, y) omega(backward endpoint) dmu, the backward
-    endpoint found by tracing each fiber direction to the incoming boundary.
-    The eta panels are cut where geodesics graze an edge of the support
-    (see :func:`_boundary_quad_grid`), with ``n_panel`` Gauss nodes on each.
-    On the disc with a C2 bump, n_panel 4 / 6 / 8 / 10 give 8.4e-4 /
-    2.8e-5 / 7.3e-8 / 5e-10 relative against a converged bundle side;
-    trace_tol 1e-9 adds ~1e-9.
+    boundary side: int (If)(y, eta) omega(y, eta) dy deta, with 24 y nodes;
+    bundle side: int f(rho, y) omega(backward endpoint) dmu, with 12 Gauss
+    nodes in rho, 12 y nodes and 32 fiber angles, the backward endpoint
+    found by tracing each fiber direction to the incoming boundary.  Every
+    geodesic is traced at tol 1e-9.  The eta panels are cut where geodesics
+    graze an edge of the support (see :func:`_boundary_quad_grid`), with 10
+    Gauss nodes on each.  On the disc with a C2 bump, 4 / 6 / 8 / 10 nodes
+    per panel give 8.4e-4 / 2.8e-5 / 7.3e-8 / 5e-10 relative against a
+    converged bundle side; tracing at tol 1e-9 adds ~1e-9.
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
     ys_b, wy_b, etas, weta = _boundary_quad_grid(
-        fam, rho_supp, grazing_eta(fam, rho_supp[0]), ny, n_panel)
-    table = _transform_table(fam, f, rho_supp, ys_b, etas, trace_tol)
+        fam, rho_supp, grazing_eta(fam, rho_supp[0]), 24, 10)
+    table = _transform_table(fam, f, rho_supp, ys_b, etas, 1e-9)
     om = np.array([[omega(yv, eta) for eta in etas] for yv in ys_b])
     lhs = wy_b * float(np.sum(om * table @ weta))
 
     rho_lo, rho_hi = rho_supp
-    xr, wr = gauss_nodes(rho_lo, rho_hi, n_rho)
-    ys = np.linspace(0.0, 2.0 * math.pi, ny_i, endpoint=False)
-    wy = 2.0 * math.pi / ny_i
+    xr, wr = gauss_nodes(rho_lo, rho_hi, 12)
+    ys = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    wy = 2.0 * math.pi / 12
     # offset fiber grid: the exact inward radial direction can leave the
     # normal-form chart (it runs through the deep interior)
-    wth = 2.0 * math.pi / n_theta
-    thetas = (np.arange(n_theta) + 0.5) * wth
+    wth = 2.0 * math.pi / 32
+    thetas = (np.arange(32) + 0.5) * wth
     dens = _interior_density(fam, f, xr, ys)
     rhs = 0.0
     for i, j in zip(*np.nonzero(dens)):
         for th in thetas:
             state = _fiber_state(fam, xr[i], ys[j], th)
-            zin = backward_boundary_point(fam, state, tol=trace_tol)
+            zin = backward_boundary_point(fam, state, tol=1e-9)
             rhs += wr[i] * wy * wth * dens[i, j] * omega(
                 float(zin.y[0]), float(zin.eta[0]))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 
-from ahx import (BoundaryCovector, BPhasePoint, ChartExitError,
-                 CollarExitError, FlowError, SymmetricTensorField,
-                 TrappedOrSlowError, delta_max,
+from ahx import (BPhasePoint, ChartExitError, CollarExitError, FlowError,
+                 SymmetricTensorField, TrappedOrSlowError, delta_max,
                  eval_metric, flip_state, halfplane_family, product_family,
                  scattering_jacobian, scattering_map, trace_from_state,
                  trace_geodesic, xray_transform)
@@ -160,8 +159,8 @@ def test_flip_state_reverses_momentum(halfplane):
 def test_rescaled_field_is_smooth_at_boundary(halfplane):
     # the generator must evaluate finitely at rho = 0 (the rescaled field
     # extends to the boundary), with unit boundary speed
-    z = BoundaryCovector.make(0.0, 2.0)
-    drho, dy, dxi, deta = barX_eval(halfplane, z.as_phase_point())
+    entry = BPhasePoint.make(0.0, [0.0], 1.0, [2.0])
+    drho, dy, dxi, deta = barX_eval(halfplane, entry)
     assert math.isfinite(drho) and math.isfinite(dxi)
     assert np.all(np.isfinite(dy)) and np.all(np.isfinite(deta))
     assert drho == pytest.approx(1.0)   # d rho / d tau at entry

@@ -23,7 +23,6 @@ def test_halfplane_is_flat_boundary(halfplane):
     ev = eval_metric(halfplane, 0.7, 1.3)
     assert ev.h_mat[0, 0] == 1.0
     assert ev.dh_drho_mat[0, 0] == 0.0
-    assert ev.eta_normsq(np.array([2.0])) == 4.0
 
 
 def test_disc_profile_values(disc):
@@ -53,10 +52,7 @@ def test_first_derivatives_match_finite_differences(perturbed):
     ev = eval_metric(perturbed, rho, y)
     fd_r = (eval_metric(perturbed, rho + eps, y).h_mat
             - eval_metric(perturbed, rho - eps, y).h_mat) / (2 * eps)
-    fd_y = (eval_metric(perturbed, rho, y + eps).h_mat
-            - eval_metric(perturbed, rho, y - eps).h_mat) / (2 * eps)
     assert ev.dh_drho_mat[0, 0] == pytest.approx(fd_r[0, 0], abs=1e-8)
-    assert ev.dh_dy_mats[0, 0, 0] == pytest.approx(fd_y[0, 0], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +228,24 @@ def test_shipped_families_pass_validation(builder):
     a_cos=[0.0, 0.1], b_cos=[0.05],
     bump={"amplitude": 0.5, "rho_lo": 0.2, "rho_hi": 0.4})])
 def test_second_derivative_off_by_one_percent_rejected(base):
+    """A 1% error in dh_drho, dh_dy or d2h_drho2 is refused with that
+    row's own message; d2h_drho2's tolerance allows for bump corners."""
     fam = base()
     prof = fam.profiles[0]
-
-    def off(rho, y):
-        h, dh_r, dh_y, dh_rr = prof(rho, y)
-        return h, dh_r, dh_y, 1.01 * dh_rr
-
     _family([prof], fam.chart, fam.rho_max, "exact", {},
             open_at_max=fam.open_at_max)
-    with pytest.raises(MetricError, match="d2h_drho2"):
-        _family([off], fam.chart, fam.rho_max, "off", {},
-                open_at_max=fam.open_at_max)
+    for row, name in ((1, "dh_drho"), (2, "dh_dy"), (3, "d2h_drho2")):
+        if base is disc_family and name == "dh_dy":
+            continue    # the disc's dh_dy is 0, which 1% leaves exact
+
+        def off(rho, y, row=row):
+            out = list(prof(rho, y))
+            out[row] = 1.01 * out[row]
+            return tuple(out)
+
+        with pytest.raises(MetricError, match=f"^{name} inconsistent"):
+            _family([off], fam.chart, fam.rho_max, "off", {},
+                    open_at_max=fam.open_at_max)
 
 
 def test_diag_broadcasts_to_four_rows():
