@@ -31,9 +31,9 @@ Gauss quadrature the first time :meth:`GeodesicTrajectory.arclength_at` or
 bound of each step's arclength; only once that bound passes ``t_max`` does
 it integrate the steps exactly, and it raises :class:`TrappedOrSlowError`
 when the exact arclength does.  The guard keeps only its running sums.
-A :class:`GeodesicTrajectory` is its accepted steps, its arrival time, its
-projected end state and its stats; it derives its break list, samples, rho
-samples and arclength panels from them.
+A :class:`GeodesicTrajectory` is the :class:`_Solution` (the one
+dense-output type, which the Jacobi layer reads too) of its accepted steps
+and its stats; it derives its samples and arclength panels from them.
 Quadrature along a trajectory states its resolution explicitly: a number of
 Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -305,6 +305,14 @@ def _step_rho(st: _Step, taus):
     return _horner(st.F[:, 0], st.y_old[0], x)
 
 
+def _step_root(st: _Step, k: int, lo: float, hi: float) -> float:
+    """Brent root in [lo, hi] of state component k on a step's dense output,
+    to xtol 1e-14 or, on brackets under 8e-14 (|eta| > 1e13), an eighth."""
+    f, y0 = st.F[:, k], st.y_old[k]
+    return brentq(lambda t: float(_horner(f, y0, (t - st.t_old) / st.h)),
+                  lo, hi, xtol=min(1e-14, (hi - lo) / 8), rtol=8.9e-16)
+
+
 def _norm2(x: np.ndarray):
     """Euclidean norm of a vector, computed as ``np.linalg.norm`` does."""
     return np.sqrt(x.dot(x))
@@ -431,29 +439,60 @@ class _Dop853:
 
 
 class _Solution:
-    """Dense solution of y' = fun(t, y) from t0 to t_bound, either way, as
-    :class:`_Dop853` steps it; a step size below ten ulps of t raises
-    ``FlowError(fail)``.  ``ts`` holds t0 and each step's end in the order
-    of integration, ``ys`` the states there and ``steps`` the step rows."""
+    """Dense output of accepted steps, either way in t, ending at t_end in
+    y_end; ``ts`` holds each step's start and t_end, ``ys`` the states.
 
-    def __init__(self, fun: Callable, t0: float, y0, t_bound: float,
-                 rtol: float, atol: float, fail: str):
-        solver = _Dop853(fun, t0, y0, t_bound, rtol, atol)
-        self.steps = []
-        while solver.direction * (solver.t - t_bound) < 0:
-            self.steps.append(solver.step())
-            if self.steps[-1] is None:
-                raise FlowError(fail)
-        self.ts = np.array([st.t_old for st in self.steps] + [solver.t])
-        self.ys = np.array([st.y_old for st in self.steps] + [solver.y])
-        self._direction = solver.direction
-        # step starts, signed so that they ascend, for the lookup
-        self._starts = [solver.direction * st.t_old for st in self.steps]
+    :meth:`__call__` reads one t in Python floats and :meth:`batch` many t
+    through :func:`_horner`, bit for bit alike, with one lookup: a step end
+    is read on the step that ends there, as scipy's ``OdeSolution`` does.
+    """
+
+    def __init__(self, steps: list, t_end: float, y_end: np.ndarray):
+        self.steps = steps
+        self.ts = np.array([st.t_old for st in steps] + [t_end])
+        self.y_end = y_end
+        self._sign = -1.0 if t_end < self.ts[0] else 1.0
+        # step starts, signed so that they ascend
+        self._starts = [self._sign * st.t_old for st in steps]
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        return np.array([st.y_old for st in self.steps] + [self.y_end])
+
+    @cached_property
+    def _rows(self):
+        """(signed start, t_old, h, y_old, F) of the steps, stacked."""
+        st = self.steps
+        return (np.array(self._starts), self.ts[:-1],
+                np.array([s.h for s in st]), np.array([s.y_old for s in st]),
+                np.stack([s.F for s in st], axis=1))
 
     def __call__(self, t: float) -> list:
-        """State at t, read at a step end on the step that ends there."""
-        i = bisect_left(self._starts, self._direction * t) - 1
+        """State at one t."""
+        i = bisect_left(self._starts, self._sign * t) - 1
         return self.steps[min(max(i, 0), len(self.steps) - 1)](t)
+
+    def batch(self, ts) -> np.ndarray:
+        """States at many t, shape (len(ts), dim)."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        starts, t_old, h, y_old, F = self._rows
+        i = np.clip(np.searchsorted(starts, self._sign * ts) - 1,
+                    0, h.size - 1)
+        return _horner(F[:, i], y_old[i], ((ts - t_old[i]) / h[i])[:, None])
+
+
+def _integrate(fun: Callable, t0: float, y0, t_bound: float, rtol: float,
+               atol: float, what: str) -> _Solution:
+    """Dense solution of y' = fun(t, y) from t0 to t_bound, either way; a
+    step size below ten ulps of t raises ``FlowError`` naming ``what``."""
+    solver = _Dop853(fun, t0, y0, t_bound, rtol, atol)
+    steps = []
+    while solver.direction * (solver.t - t_bound) < 0:
+        st = solver.step()
+        if st is None:
+            raise FlowError(f"{what} failed: {_TOO_SMALL_STEP}")
+        steps.append(st)
+    return _Solution(steps, solver.t, solver.y)
 
 
 # ---------------------------------------------------------------------------
@@ -565,28 +604,23 @@ class TraceStats:
 class GeodesicTrajectory:
     """Dense trajectory of the rescaled flow on [0, tau_plus].
 
-    The trajectory is its accepted steps, one coefficient row each
-    (:class:`_Step`), its arrival time, its ``end`` (the projected outgoing
-    state, y not wrapped) and its :class:`TraceStats` ``stats``; the rest
-    is derived, ``z_out`` at once and every table on first read.  The steps
-    are stacked on the first batch read; :meth:`eval_raw` (one tau),
-    :meth:`state_at` (one tau, projected) and :meth:`eval_many` (a batch of
-    taus) all evaluate the dense output with :func:`_horner`.  The gated
-    hyperbolic arclength from tau = 0 is :meth:`arclength_at`; ``t_acc`` is
-    its value at tau_plus.  A trace that never reads the arclength panels
-    or per-step rho samples, e.g. one whose transforms cut at no rho level,
-    never builds them.
+    The trajectory is the :class:`_Solution` of its accepted steps, which
+    ends at the arrival time ``tau_plus`` in its ``end`` (the projected
+    outgoing state, y not wrapped), and its :class:`TraceStats` ``stats``;
+    the rest is derived, ``z_out`` at once and every table on first read.
+    :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected) and
+    :meth:`eval_many` (a batch of taus) read the solution's dense output.
+    The gated hyperbolic arclength from tau = 0 is :meth:`arclength_at`;
+    ``t_acc`` is its value at tau_plus.  A trace that never reads the
+    arclength panels or per-step rho samples, e.g. one whose transforms cut
+    at no rho level, never builds them.
     """
 
-    def __init__(self, fam, steps, tau_plus, end, stats):
+    def __init__(self, fam, sol: _Solution, end: BPhasePoint, stats):
         self.family = fam
         self.n = fam.n
-        self._steps = steps
-        self.tau_plus = float(tau_plus)
-        # step starts, then the arrival time, which the Newton polish may
-        # move a little off the last step's end
-        self._break_list = [st.t_old for st in steps] + [self.tau_plus]
-        self._breaks = np.asarray(self._break_list)
+        self._sol = sol
+        self.tau_plus = float(sol.ts[-1])
         self.end = end
         self.z_out = BoundaryCovector.make(fam.chart.wrap(end.y), end.eta,
                                            "outgoing")
@@ -596,13 +630,13 @@ class GeodesicTrajectory:
     def samples(self) -> list:
         """(tau, BPhasePoint) at each step's start, then (tau_plus, end)."""
         return [(st.t_old, _split_vec(self.n, st.y_old))
-                for st in self._steps] + [(self.tau_plus, self.end)]
+                for st in self._sol.steps] + [(self.tau_plus, self.end)]
 
     @cached_property
     def _rho_table(self):
         """rho sampled at the _ARC_GRID points of each step, and those taus,
         both of shape (steps, len(_ARC_GRID))."""
-        taus, rho = zip(*map(_rho_samples, self._steps))
+        taus, rho = zip(*map(_rho_samples, self._sol.steps))
         return np.array(taus), np.array(rho)
 
     @cached_property
@@ -610,17 +644,8 @@ class GeodesicTrajectory:
         """Right edges of every arclength panel, and the arclength
         accumulated up to each edge."""
         taus, rho = self._rho_table
-        edges, incr = zip(*map(_arc_panels, self._steps, taus, rho))
+        edges, incr = zip(*map(_arc_panels, self._sol.steps, taus, rho))
         return np.concatenate(edges), np.cumsum(np.concatenate(incr))
-
-    @cached_property
-    def _rows(self):
-        """(t_old, h, y_old, F) of every step, stacked: shapes (steps,),
-        (steps,), (steps, dim) and (7, steps, dim)."""
-        st = self._steps
-        return (self._breaks[:-1], np.array([s.h for s in st]),
-                np.array([s.y_old for s in st]),
-                np.stack([s.F for s in st], axis=1))
 
     @property
     def t_acc(self) -> float:
@@ -631,9 +656,7 @@ class GeodesicTrajectory:
         """Dense state at one tau, not projected."""
         if tau < -1e-12 or tau > self.tau_plus + 1e-12:
             raise ValueError(f"tau={tau} outside [0, {self.tau_plus}]")
-        tau = min(max(tau, 0.0), self.tau_plus)
-        i = bisect_right(self._break_list, tau) - 1
-        return np.array(self._steps[min(max(i, 0), len(self._steps) - 1)](tau))
+        return np.array(self._sol(min(max(tau, 0.0), self.tau_plus)))
 
     def state_at(self, tau: float) -> BPhasePoint:
         return _split_vec(self.n, _project_vec(self.family,
@@ -645,12 +668,7 @@ class GeodesicTrajectory:
         Raw dense output; constraint drift stays below the projection
         tolerance because every accepted step was re-projected.
         """
-        taus = np.asarray(taus, dtype=float).ravel()
-        t_old, h, y_old, F = self._rows
-        idx = np.clip(np.searchsorted(self._breaks, taus, side="right") - 1,
-                      0, h.size - 1)
-        x = (taus - t_old[idx]) / h[idx]
-        return _horner(F[:, idx], y_old[idx], x[:, None])
+        return self._sol.batch(taus)
 
     def quad_nodes(self, a: float, b: float, npts: int = 12, rho_breaks=()):
         """Composite Gauss nodes/weights on [a, b].
@@ -662,7 +680,7 @@ class GeodesicTrajectory:
         smooth (e.g. the edges of a field's support); the rule is also cut
         where the trajectory crosses them.
         """
-        b_ = self._breaks
+        b_ = self._sol.ts
         cuts = np.append(b_[:-1, None] + np.diff(b_)[:, None]
                          * (np.arange(QUAD_PANELS) / QUAD_PANELS), b_[-1])
         if len(rho_breaks):
@@ -683,8 +701,7 @@ class GeodesicTrajectory:
         flat = np.clip(taus.ravel(), 0.0, self.tau_plus)
         arc_edges, arc_cum = self._arc_table
         edges = np.concatenate(([0.0], arc_edges))
-        j = np.clip(np.searchsorted(edges, flat, side="right") - 1,
-                    0, edges.size - 2)
+        j = np.clip(np.searchsorted(edges, flat) - 1, 0, edges.size - 2)
         cum = np.concatenate(([0.0], arc_cum))[j]
         # the piece [edge_j, tau] lies inside one arclength panel
         nodes, w = panel_gauss(edges[j], flat, ARC_NODES)
@@ -693,20 +710,17 @@ class GeodesicTrajectory:
         return out.reshape(taus.shape) if taus.ndim else float(out[0])
 
     def rho_peak(self):
-        """(tau, rho) at the deepest step start, parabolically refined."""
-        taus = self._breaks
-        i = int(np.argmax(np.append(self._rows[2][:, 0], 0.0)))
-        lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
-        grid = np.linspace(lo, hi, 41)
-        vals = self.eval_many(grid)[:, 0]
-        j = int(np.argmax(vals))
-        if 0 < j < grid.size - 1:
-            denom = vals[j - 1] - 2.0 * vals[j] + vals[j + 1]
-            if denom < 0.0:
-                tau = grid[j] + 0.5 * (grid[1] - grid[0]) \
-                    * (vals[j - 1] - vals[j + 1]) / denom
-                return float(tau), float(self.eval_raw(tau)[0])
-        return float(grid[j]), float(vals[j])
+        """(tau, rho) where rho peaks: the Brent root of xi_b = drho/dtau on
+        the one step where xi_b changes sign, or the first step start with
+        xi_b <= 0 (the start itself when rho only falls).  The arrival step
+        ends with xi_b < 0."""
+        k = 1 + self.n
+        for st in self._sol.steps:
+            if st.y_old[k] <= 0.0:
+                return st.t_old, float(st.y_old[0])
+            if _horner(st.F[:, k], st.y_old[k], 1.0) < 0.0:
+                tau = _step_root(st, k, st.t_old, st.t)
+                return tau, float(_step_rho(st, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +743,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     of its covector raises :class:`FlowError`: the step controller passed a
     step it did not resolve.  Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  The :class:`_Step`
-    rows are the one list kept; the trajectory is built from them.
+    rows are the one list kept; the trajectory is their :class:`_Solution`.
     Floating-point overflow, invalid and divide warnings are off for the
     whole trace: a step too long for the covector's scale may overflow in
     its stages, and its non-finite error norm rejects it.
@@ -797,11 +811,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     raise fail(FlowError(
                         "trajectory left the rho > 0 half-space"), "half_space")
                 lo = float(grid[imax])
-            # an eighth of the bracket caps xtol on the arcs of |eta| above
-            # about 1e13, whose arrival brackets are shorter than 8e-14
-            tau_star = brentq(lambda s: float(_step_rho(st, s)), lo, t_hi,
-                              xtol=min(1e-14, (t_hi - lo) / 8),
-                              rtol=8.9e-16)
+            tau_star = _step_root(st, 0, lo, t_hi)
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
             steps.pop()
@@ -824,11 +834,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 # panels of this step end at st.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
                 end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
-            end = project(end, tau_star)[0]
+            vec = project(end, tau_star)[0]
+            end = BPhasePoint.make(0.0, vec[1:1 + n].copy(), -1.0,
+                                   vec[2 + n:2 + 2 * n].copy())
             return GeodesicTrajectory(
-                fam, steps, tau_star,
-                BPhasePoint.make(0.0, end[1:1 + n].copy(), -1.0,
-                                 end[2 + n:2 + 2 * n].copy()), stats())
+                fam, _Solution(steps, tau_star, end.as_vector()), end, stats())
 
         if math.isfinite(rho_limit) and rho_new >= rho_limit:
             raise fail(CollarExitError(

@@ -3,11 +3,11 @@
 Scalar Jacobi fields in hyperbolic time, conjugate-point detection,
 stable/unstable solutions seeded by their boundary asymptotics, decay-rate
 fits, and the boundary-approach rate bracket.  The hyperbolic time t is
-arclength along the geodesic, anchored at t = 0 where rho peaks, and is
-related to the flow parameter by dtau/dt = rho.  A :class:`JacobiSystem`
-integrates the geodesic itself in t, from its rho peak outward, so the
-Jacobi equation reads the curvature from one dense solution.  Every
-integration here runs on the traces' DOP853 stepper, ``flow._Solution``.
+arclength along the geodesic, dt = dtau / rho, anchored at t = 0 at the
+apex, the root of xi_b where rho peaks.  A :class:`JacobiSystem` integrates
+the geodesic's state in t, from its apex outward, so the Jacobi equation
+reads the curvature from one dense solution.  Every integration here runs
+on the traces' DOP853 stepper and dense-output type, ``flow._Solution``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 
 from ._brent import brentq
 from .metric import BoundaryMetricFamily, gauss_curvature
-from .flow import (_TOO_SMALL_STEP, DEFAULT_TOL, BPhasePoint, FlowError,
-                   GeodesicTrajectory, _make_rhs, _project_vec, _Solution,
-                   _split_vec, trace_geodesic)
+from .flow import (DEFAULT_TOL, BPhasePoint, FlowError, GeodesicTrajectory,
+                   _integrate, _make_rhs, _project_vec, _Solution, _split_vec,
+                   trace_geodesic)
 
 __all__ = [
     "JacobiSystem", "jacobi_system", "JacobiSolution", "jacobi_solve",
@@ -50,16 +50,14 @@ class AsymptoteError(ValueError):
 class JacobiSystem:
     """A geodesic in hyperbolic time, and its curvature.
 
-    ``_fwd`` and ``_bwd`` hold the orbit z = [tau, rho, y, xi_b, eta] on
-    [0, t_range] and [-t_range, 0], with t = 0 at the rho peak of ``traj``:
-    the flow parameter tau and the state at each hyperbolic time t.  Every
-    method reads them, and nothing from the trace.  Scalar curvature
-    bookkeeping restricts construction to one-dimensional boundaries.
+    ``_fwd`` and ``_bwd`` hold the orbit, the state [rho, y, xi_b, eta] at
+    each hyperbolic time t, on [0, t_range] and [-t_range, 0], with t = 0
+    at the apex of the trace it started from.  Every method reads them and
+    nothing from the trace.  Scalar curvature bookkeeping restricts
+    construction to one-dimensional boundaries.
     """
 
     fam: BoundaryMetricFamily
-    traj: GeodesicTrajectory
-    tau_peak: float
     t_range: float
     _fwd: _Solution     # the orbit on [0, t_range]
     _bwd: _Solution     # and on [-t_range, 0]
@@ -70,16 +68,13 @@ class JacobiSystem:
                              % (t, self.t_range))
         return (self._fwd if t >= 0.0 else self._bwd)(t)
 
-    def tau_of_t(self, t: float) -> float:
-        return self._orbit(t)[0]
-
     def state_at_time(self, t: float) -> BPhasePoint:
         """The state at hyperbolic time t, projected onto the cosphere."""
-        z = np.array(self._orbit(t)[1:])
+        z = np.array(self._orbit(t))
         return _split_vec(1, _project_vec(self.fam, z, 1))
 
     def curvature(self, t: float) -> float:
-        _, rho, y = self._orbit(t)[:3]
+        rho, y = self._orbit(t)[:2]
         if rho <= 0.0:
             return -1.0
         return gauss_curvature(self.fam, rho, y)
@@ -89,9 +84,10 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                   t_range: float = 32.0) -> JacobiSystem:
     """Integrate the orbit of ``traj`` in hyperbolic time t.
 
-    The orbit z = [tau, rho, y, xi_b, eta] solves dz/dt = rho (1, barX(z))
-    from the trace's state at its rho peak, forward to t_range and backward
-    to -t_range, at rtol and atol ``MAP_TOL``.  ``fam`` must be the family
+    The orbit is the state z = [rho, y, xi_b, eta] alone, dz/dt =
+    rho barX(z), from the trace's state at its apex (``traj.rho_peak()``)
+    forward to t_range and backward to -t_range, at rtol and atol
+    ``MAP_TOL``; it keeps no flow parameter.  ``fam`` must be the family
     ``traj`` was traced in (equal ``spec()``), since the curvature and the
     flow are read from ``fam``; another raises ValueError.
     """
@@ -101,21 +97,16 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     if traj.n != 1:
         raise NotImplementedError(
             "scalar Jacobi bookkeeping needs a 1-dimensional boundary")
-    tau_peak, _ = traj.rho_peak()
     flow_rhs = _make_rhs(fam)
 
     def rhs(t, z):
-        out = np.empty(z.size)
-        out[0] = z[1]
-        out[1:] = z[1] * flow_rhs(t, z[1:])
-        return out
+        return z[0] * flow_rhs(t, z)
 
-    z0 = np.append(tau_peak, traj.state_at(tau_peak).as_vector())
-    fwd, bwd = (_Solution(rhs, 0.0, z0, t, MAP_TOL, MAP_TOL,
-                          "orbit integration failed: " + _TOO_SMALL_STEP)
+    z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
+    fwd, bwd = (_integrate(rhs, 0.0, z0, t, MAP_TOL, MAP_TOL,
+                           "orbit integration")
                 for t in (t_range, -t_range))
-    return JacobiSystem(fam=fam, traj=traj, tau_peak=tau_peak,
-                        t_range=t_range, _fwd=fwd, _bwd=bwd)
+    return JacobiSystem(fam=fam, t_range=t_range, _fwd=fwd, _bwd=bwd)
 
 
 @dataclass
@@ -148,8 +139,8 @@ def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
     def rhs(t, s):
         return np.array([s[1], -system.curvature(t) * s[0]])
 
-    sol = _Solution(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
-                    atol, "Jacobi integration failed: " + _TOO_SMALL_STEP)
+    sol = _integrate(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
+                     atol, "Jacobi integration")
     return JacobiSolution(sol.ts, *sol.ys.T, sol)
 
 
@@ -270,12 +261,16 @@ def decay_fit(frame: BundleFrame) -> DecayFit:
 
 def curvature_decay_fit(system: JacobiSystem) -> float:
     """Smallest C with |K(t)+1| <= C e^{-|t|} over the sampled range: 121
-    times |t| in [1, t_range - 1], one unit inside the mapped range."""
-    ts = np.linspace(1.0, system.t_range - 1.0, 121)
+    times |t| in [1, t_range - 1], one unit inside the mapped range, less
+    those where the orbit's rho is below 1e4 ``MAP_TOL``: there its error of
+    about ``MAP_TOL`` would set K + 1.  rho falls like e^{-|t|}, so at the
+    default 1e-13 the range ends near |t| = 20 for an apex rho near 0.3."""
+    rho_min = 1e4 * MAP_TOL
     c = 0.0
-    for t in ts:
+    for t in np.linspace(1.0, system.t_range - 1.0, 121):
         for s in (t, -t):
-            c = max(c, abs(system.curvature(s) + 1.0) * math.exp(abs(s)))
+            if system._orbit(s)[0] >= rho_min:
+                c = max(c, abs(system.curvature(s) + 1.0) * math.exp(abs(s)))
     return c
 
 

@@ -186,12 +186,6 @@ class TrigPoly:
             der = der + k * (s_ * cos - c * sin)
         return val, der
 
-    def __call__(self, y):
-        return self.value_and_deriv(y)[0]
-
-    def deriv(self, y):
-        return self.value_and_deriv(y)[1]
-
 
 # ---------------------------------------------------------------------------
 # family constructors

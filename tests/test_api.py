@@ -91,3 +91,49 @@ def test_no_private_name_is_unused():
                     for (module, name), line in defined.items()
                     if name not in read)
     assert unused == []
+
+
+def _private_members(tree: ast.Module) -> dict:
+    """Private members (one leading underscore, not dunder) of every class
+    a module defines: methods and properties, fields of the class body and
+    the ``self._x`` attributes its methods assign, with their lines."""
+    defined = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = []
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names.append((node.name, node.lineno))
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                names.append((node.target.id, node.lineno))
+            elif isinstance(node, ast.Assign):
+                names += [(t.id, node.lineno) for t in node.targets
+                          if isinstance(t, ast.Name)]
+        names += [(node.attr, node.lineno) for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"]
+        defined.update(((cls.name, name), line) for name, line in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def test_no_private_class_member_is_unread():
+    # a private member counts as read when any module of the package reads
+    # an attribute of that name; assigning it is not a read
+    package = Path(ahx.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    defined = {(module, cls, name): line for module, tree in trees.items()
+               for (cls, name), line in _private_members(tree).items()}
+    assert defined
+    unread = sorted(f"{module}: {cls}.{name} (line {line})"
+                    for (module, cls, name), line in defined.items()
+                    if name not in read)
+    assert unread == []

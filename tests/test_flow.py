@@ -297,7 +297,7 @@ def test_solution_reads_each_step_end_on_its_step(t_end):
     def fun(t, y):
         return np.array([y[1], math.cos(t) - y[0] - 0.1 * y[1]])
 
-    sol = flow._Solution(fun, 0.0, [1.0, 0.0], t_end, 1e-10, 1e-10, "fail")
+    sol = flow._integrate(fun, 0.0, [1.0, 0.0], t_end, 1e-10, 1e-10, "fail")
     d = math.copysign(1.0, t_end)
     assert len(sol.steps) > 5
 
@@ -312,6 +312,38 @@ def test_solution_reads_each_step_end_on_its_step(t_end):
     for t in (0.0, -0.5 * t_end, 1.5 * t_end):
         assert sol(t) == keyed(t)
     assert sol(0.0) == sol.steps[0](0.0)
+
+
+@pytest.mark.parametrize("name, z", [("disc", (0.3, 1.1)),
+                                     ("perturbed", (1.0, 3.0))])
+def test_trace_reads_one_tau_and_many_bitwise_alike(request, name, z):
+    # eval_raw and eval_many share the lookup of the trace's solution: a
+    # step end is read on the step that ends there
+    traj = trace_geodesic(request.getfixturevalue(name), z, tol=1e-8)
+    steps = traj._sol.steps
+    assert len(steps) > 5
+    taus = []
+    for st in steps:
+        end = min(st.t, traj.tau_plus)   # the polish may move the last end
+        taus += [st.t_old, 0.5 * (st.t_old + st.t), end]
+        assert traj.eval_raw(end).tobytes() == np.array(st(end)).tobytes()
+    one = np.array([traj.eval_raw(tau) for tau in taus])
+    assert one.tobytes() == traj.eval_many(taus).tobytes()
+    for tau, row in zip(taus, one):
+        assert row.tobytes() == traj.eval_many([tau])[0].tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 3.7])
+def test_rho_peak_is_the_root_of_xi_b(halfplane, eta):
+    # rho = sin(eta tau) / eta peaks at tau = pi / (2 eta), where xi_b = 0
+    traj = trace_geodesic(halfplane, (0.0, eta), tol=1e-12)
+    tau, rho = traj.rho_peak()
+    assert abs(tau - 0.5 * math.pi / eta) < 1e-11
+    assert rho == pytest.approx(1.0 / eta, abs=1e-11)
+    # a trace whose rho only falls peaks at its start
+    falling = trace_from_state(halfplane,
+                               BPhasePoint.make(0.5, 0.0, -0.6, 0.8 / 0.5))
+    assert falling.rho_peak() == (0.0, 0.5)
 
 
 @pytest.mark.parametrize("tol", [1e-16, -1.0])
@@ -345,13 +377,13 @@ def test_t_max_guard_fires_on_the_step_the_arclength_passes_it(halfplane):
     assert exc.stats.guard == "t_max"
     # the same covector without the guard takes the same steps
     traj = trace_geodesic(halfplane, z, t_max=1e3)
-    i = int(np.searchsorted(traj._breaks, exc.tau))
-    assert traj._breaks[i] == exc.tau
+    i = int(np.searchsorted(traj._sol.ts, exc.tau))
+    assert traj._sol.ts[i] == exc.tau
     assert exc.stats.n_accepted == i
-    assert traj.arclength_at(traj._breaks[i - 1]) <= t_max < exc.t_acc
+    assert traj.arclength_at(traj._sol.ts[i - 1]) <= t_max < exc.t_acc
     # the guard sums the exact arclength step by step
     running = 0.0
-    for st in traj._steps[:i]:
+    for st in traj._sol.steps[:i]:
         running += float(np.sum(
             flow._arc_panels(st, *flow._rho_samples(st))[1]))
     assert running == exc.t_acc
@@ -364,7 +396,7 @@ def test_step_bound_exceeds_exact_arclength(disc, halfplane, tol):
     for fam, eta in ((disc, 0.05), (disc, 1.3), (halfplane, -0.4)):
         traj = trace_geodesic(fam, (0.2, eta), tol=tol)
         exact = [flow._arc_panels(st, *flow._rho_samples(st))
-                 for st in traj._steps]
+                 for st in traj._sol.steps]
         # every step but the retaken arrival step, which the guard skips
         for (t0, p0), (t1, p1), (_, incr) in zip(traj.samples[:-2],
                                                  traj.samples[1:-1], exact):
@@ -379,12 +411,12 @@ def test_arclength_is_built_only_when_read(disc):
     assert "_rho_table" not in vars(traj) and "_arc_table" not in vars(traj)
     xray_transform(field, traj, rho_breaks=(0.2,))
     assert "_rho_table" in vars(traj)
-    assert len(traj._rho_table[0]) == len(traj._steps)
+    assert len(traj._rho_table[0]) == len(traj._sol.steps)
     assert "_arc_table" not in vars(traj)
     assert traj.t_acc > 0.0
     # panels end at every step's end
     edges = traj._arc_table[0]
-    assert np.isin([st.t for st in traj._steps], edges).all()
+    assert np.isin([st.t for st in traj._sol.steps], edges).all()
 
 
 def test_guard_panels_leave_the_trace_unchanged(disc):
@@ -397,7 +429,7 @@ def test_guard_panels_leave_the_trace_unchanged(disc):
     bound = sum(flow._arc_bound(p0.rho, p1.rho, t1 - t0)
                 for (t0, p0), (t1, p1) in zip(ends, ends[1:]))
     exact = sum(float(np.sum(flow._arc_panels(st, *flow._rho_samples(st))[1]))
-                for st in traj._steps[:len(ends) - 1])
+                for st in traj._sol.steps[:len(ends) - 1])
     assert exact < t_max < bound
     # the guard skips the arrival step, past which t_acc exceeds t_max
     assert traj.t_acc > t_max
@@ -466,8 +498,8 @@ def test_samples_are_the_step_starts_and_the_end(disc):
                                  components=lambda rho, y: rho * np.exp(-rho))
     xray_transform(field, traj)
     assert "samples" not in vars(traj)
-    assert len(traj.samples) == len(traj._steps) + 1
-    for (tau, p), st in zip(traj.samples[:-1], traj._steps):
+    assert len(traj.samples) == len(traj._sol.steps) + 1
+    for (tau, p), st in zip(traj.samples[:-1], traj._sol.steps):
         assert tau == st.t_old
         assert p.as_vector().tobytes() == st.y_old.tobytes()
     assert traj.samples[-1][0] == traj.tau_plus
@@ -491,7 +523,7 @@ def test_trace_stats_count_the_integration(disc):
     st = traj.stats
     assert st.guard is None
     # the arrival step is accepted, then retaken as the last segment
-    assert st.n_accepted == len(traj._steps) + 1
+    assert st.n_accepted == len(traj._sol.steps) + 1
     assert st.n_rejected > 0
     # each DOP853 attempt makes 12 RHS calls
     assert st.n_rhs >= 12 * (st.n_accepted + st.n_rejected)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from ahx import (
@@ -41,6 +41,7 @@ from ahx import (
     trace_geodesic,
     wronskian,
 )
+from ahx import jacobi
 from ahx.flow import _make_rhs
 from ahx.jacobi import MAP_TOL, SOLVE_TOL
 
@@ -71,7 +72,7 @@ def test_time_chart_range_is_enforced(halfplane):
     traj = trace_geodesic(halfplane, (0.0, 1.0))
     system = jacobi_system(halfplane, traj, t_range=10.0)
     with pytest.raises(ValueError):
-        system.tau_of_t(10.5)
+        system.state_at_time(10.5)
     with pytest.raises(ValueError):
         jacobi_solve(system, 0.0, 1.0, (0.0, 12.0))
 
@@ -81,13 +82,29 @@ def test_time_chart_range_is_enforced(halfplane):
     ("disc", (0.0, 1.0)), ("halfplane", (0.0, 1.0))])
 def test_orbit_agrees_with_its_trace(request, family, z):
     # the orbit integrated in t from the rho peak against the trace read at
-    # the orbit's own flow parameter tau(t)
+    # the flow parameter tau(t) = tau_peak + int_0^t rho dt of the orbit
     fam = request.getfixturevalue(family)
-    system = jacobi_system(fam, trace_geodesic(fam, z, tol=1e-12))
+    traj = trace_geodesic(fam, z, tol=1e-12)
+    system = jacobi_system(fam, traj)
+    tau_peak = traj.rho_peak()[0]
     for t in np.linspace(-25.0, 25.0, 51):
+        tau = tau_peak + quad(lambda s: system.state_at_time(s).rho, 0.0, t,
+                              epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         a = system.state_at_time(t).as_vector()
-        b = system.traj.state_at(system.tau_of_t(t)).as_vector()
+        b = traj.state_at(tau).as_vector()
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_curvature_decay_fit_reads_only_what_the_orbit_resolves(
+        perturbed, monkeypatch):
+    # past rho = 1e4 MAP_TOL the orbit's absolute error would set K + 1;
+    # without that floor C_fit moves 1.2% between these orbit tolerances
+    traj = trace_geodesic(perturbed, (0.7, 2.6), tol=1e-10)
+    fits = []
+    for tol in (1e-13, 1e-12):
+        monkeypatch.setattr(jacobi, "MAP_TOL", tol)
+        fits.append(curvature_decay_fit(jacobi_system(perturbed, traj)))
+    assert fits[1] == pytest.approx(fits[0], rel=1e-4)
 
 
 def test_curvature_along_model_geodesics(halfplane, disc):
@@ -135,10 +152,9 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
     flow_rhs = _make_rhs(perturbed)
 
     def orbit_rhs(t, z):
-        return z[1] * np.append(1.0, flow_rhs(t, z[1:]))
+        return z[0] * flow_rhs(t, z)
 
-    z0 = np.append(system.tau_peak,
-                   traj.state_at(system.tau_peak).as_vector())
+    z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
     for sol, t_end in ((system._fwd, system.t_range),
                        (system._bwd, -system.t_range)):
         ref = solve_ivp(orbit_rhs, (0.0, t_end), z0, method="DOP853",
@@ -146,8 +162,7 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
         assert _same_bits(sol.ts, ref.t)
         assert _same_bits(sol.ys, ref.y.T)
         ts = np.concatenate((ref.t, np.linspace(0.0, t_end, 23)))
-        assert _same_bits([system.tau_of_t(t) for t in ts],
-                          [ref.sol(t)[0] for t in ts])
+        assert _same_bits([sol(t) for t in ts], [ref.sol(t) for t in ts])
 
     def rhs(t, s):
         return (s[1], -system.curvature(t) * s[0])

@@ -111,8 +111,9 @@ def test_conjugate_point_brackets_are_scipys_brentq(bump_family, brackets):
         traj = trace_geodesic(bump_family, (0.0, eta))
         found += conjugate_points(jacobi_system(bump_family, traj), 18.0,
                                   t0=-6.0)
-    # each trace's arrival, then the conjugate zeros
-    assert len(found) == 4 and len(brackets) == 8
+    # each trace's arrival, its apex (the root of xi_b that anchors t = 0)
+    # and its conjugate zero
+    assert len(found) == 4 and len(brackets) == 12
     _assert_scipys_roots(brackets)
 
 
