@@ -32,7 +32,7 @@ from .xray import (
     resolvent_zero, santalo_check, sym_derivative, xray_transform,
 )
 from .jacobi import (
-    BundleFrame, DecayFit, JacobiSolution, JacobiSystem, RateBracket,
+    BundleFrame, DecayFit, JacobiSystem, RateBracket,
     SimplicityReport, boundary_rate_bracket, conjugate_points,
     curvature_decay_fit, decay_fit, diagnose_covector, jacobi_solve,
     jacobi_system, simplicity_report, stable_unstable, wronskian,

@@ -143,12 +143,11 @@ class BoundaryCovector:
 
     y: np.ndarray
     eta: np.ndarray
-    side: str  # "incoming" | "outgoing"
 
     @classmethod
-    def make(cls, y, eta, side="incoming") -> "BoundaryCovector":
+    def make(cls, y, eta) -> "BoundaryCovector":
         return cls(np.atleast_1d(np.asarray(y, dtype=float)),
-                   np.atleast_1d(np.asarray(eta, dtype=float)), side)
+                   np.atleast_1d(np.asarray(eta, dtype=float)))
 
 
 def flip_state(p: BPhasePoint) -> BPhasePoint:
@@ -382,14 +381,16 @@ class _Dop853:
 
     def step(self) -> _Step | None:
         """Take one accepted step and return its dense output, or None when
-        the step size falls below ten ulps of t (``_TOO_SMALL_STEP``)."""
+        the step size falls below ten ulps of t (``_TOO_SMALL_STEP``) or is
+        NaN, as from an initial step guess at a zero atol and a zero state
+        component."""
         fun, K, KT = self.fun, self.K, self._KT
         t, y, f, d = self.t, self.y, self.f, self.direction
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:     # true for a NaN step size too
                 return None
             t_new = (min if d > 0 else max)(t + h_abs * d, self.t_bound)
             h = t_new - t
@@ -442,7 +443,7 @@ class _Solution:
     """Dense output of accepted steps, either way in t, ending at t_end in
     y_end; ``ts`` holds each step's start and t_end, ``ys`` the states.
 
-    :meth:`__call__` reads one t in Python floats and :meth:`batch` many t
+    :meth:`at` reads one t in Python floats and :meth:`batch` many t
     through :func:`_horner`, bit for bit alike, with one lookup: a step end
     is read on the step that ends there, as scipy's ``OdeSolution`` does.
     """
@@ -467,7 +468,7 @@ class _Solution:
                 np.array([s.h for s in st]), np.array([s.y_old for s in st]),
                 np.stack([s.F for s in st], axis=1))
 
-    def __call__(self, t: float) -> list:
+    def at(self, t: float) -> list:
         """State at one t."""
         i = bisect_left(self._starts, self._sign * t) - 1
         return self.steps[min(max(i, 0), len(self.steps) - 1)](t)
@@ -622,8 +623,7 @@ class GeodesicTrajectory:
         self._sol = sol
         self.tau_plus = float(sol.ts[-1])
         self.end = end
-        self.z_out = BoundaryCovector.make(fam.chart.wrap(end.y), end.eta,
-                                           "outgoing")
+        self.z_out = BoundaryCovector.make(fam.chart.wrap(end.y), end.eta)
         self.stats = stats
 
     @cached_property
@@ -656,7 +656,7 @@ class GeodesicTrajectory:
         """Dense state at one tau, not projected."""
         if tau < -1e-12 or tau > self.tau_plus + 1e-12:
             raise ValueError(f"tau={tau} outside [0, {self.tau_plus}]")
-        return np.array(self._sol(min(max(tau, 0.0), self.tau_plus)))
+        return np.array(self._sol.at(min(max(tau, 0.0), self.tau_plus)))
 
     def state_at(self, tau: float) -> BPhasePoint:
         return _split_vec(self.n, _project_vec(self.family,
@@ -882,7 +882,7 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     """
     if not isinstance(z, BoundaryCovector):
         y, eta = z
-        z = BoundaryCovector.make(y, eta, "incoming")
+        z = BoundaryCovector.make(y, eta)
     if z.y.size != fam.n or z.eta.size != fam.n:
         raise ValueError("boundary covector dimension mismatch")
     s0 = np.concatenate(([0.0], z.y, [1.0], z.eta))
@@ -933,7 +933,7 @@ def scattering_jacobian(fam: BoundaryMetricFamily, z) -> ScatteringJacobian:
     neighbouring traces.
     """
     if not isinstance(z, BoundaryCovector):
-        z = BoundaryCovector.make(*z, side="incoming")
+        z = BoundaryCovector.make(*z)
     n = fam.n
 
     def out_vec(x):

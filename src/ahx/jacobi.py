@@ -7,7 +7,11 @@ arclength along the geodesic, dt = dtau / rho, anchored at t = 0 at the
 apex, the root of xi_b where rho peaks.  A :class:`JacobiSystem` integrates
 the geodesic's state in t, from its apex outward, so the Jacobi equation
 reads the curvature from one dense solution.  Every integration here runs
-on the traces' DOP853 stepper and dense-output type, ``flow._Solution``.
+on the traces' DOP853 stepper and dense-output type, ``flow._Solution``: a
+Jacobi field is the solution of [y, ydot], read at one t by ``at``, at many
+by ``batch``, and at its steps by ``ts`` and ``ys``.  Its atol is
+``SOLVE_TOL`` times the size of its seed, since the equation is linear and
+the stable and unstable fields start at e^{-T_asym}.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .flow import (DEFAULT_TOL, BPhasePoint, FlowError, GeodesicTrajectory,
                    trace_geodesic)
 
 __all__ = [
-    "JacobiSystem", "jacobi_system", "JacobiSolution", "jacobi_solve",
+    "JacobiSystem", "jacobi_system", "jacobi_solve",
     "conjugate_points", "BundleFrame", "stable_unstable", "wronskian",
     "DecayFit", "decay_fit", "curvature_decay_fit",
     "RateBracket", "boundary_rate_bracket", "AsymptoteError",
@@ -66,7 +70,7 @@ class JacobiSystem:
         if abs(t) > self.t_range * (1.0 + 1e-12):
             raise ValueError("time %g exceeds the mapped range %g"
                              % (t, self.t_range))
-        return (self._fwd if t >= 0.0 else self._bwd)(t)
+        return (self._fwd if t >= 0.0 else self._bwd).at(t)
 
     def state_at_time(self, t: float) -> BPhasePoint:
         """The state at hyperbolic time t, projected onto the cosphere."""
@@ -109,49 +113,38 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     return JacobiSystem(fam=fam, t_range=t_range, _fwd=fwd, _bwd=bwd)
 
 
-@dataclass
-class JacobiSolution:
-    """Samples of a scalar Jacobi field over a time span."""
-
-    ts: np.ndarray
-    y: np.ndarray
-    ydot: np.ndarray
-    _sol: _Solution
-
-    def at(self, t: float) -> Tuple[float, float]:
-        return tuple(self._sol(t))
-
-
 def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
-                 t_span: Tuple[float, float],
-                 atol: float = SOLVE_TOL) -> JacobiSolution:
+                 t_span: Tuple[float, float]) -> _Solution:
     """Integrate ydd + K(t) y = 0 along the base geodesic over t_span, on
-    the traces' stepper at rtol ``SOLVE_TOL`` and the given atol.
+    the traces' stepper at rtol ``SOLVE_TOL`` and atol ``SOLVE_TOL`` times
+    max(|y0|, |ydot0|); the field is the dense solution of [y, ydot].
 
-    t_span may run in either direction; both endpoints must lie inside the
-    system's mapped time range.  Growth over the admissible spans stays many
-    orders below overflow, so no mid-run renormalization is needed.
+    The equation is linear, so the field scales with its seed, and so does
+    this atol: a seed of size e^{-T} is solved as the unit seed would be,
+    where a fixed atol would inject an unstable-mode error of a few atol
+    units near a small seed.  A seed whose atol comes out 0 raises
+    ValueError.  t_span may run in either direction; a time outside the
+    system's mapped range raises ValueError from the curvature read.  No
+    mid-run renormalization is done: where K is near -1 a field grows like
+    e^{|t|}, so a span of more than about 700 overflows and raises
+    ``FlowError``.
     """
-    for t in t_span:
-        if abs(t) > system.t_range * (1.0 + 1e-12):
-            raise ValueError("t_span exceeds the mapped time range")
+    atol = SOLVE_TOL * max(abs(y0), abs(ydot0))
+    if not atol > 0.0:
+        raise ValueError("seed (%g, %g) gives a Jacobi atol of %g"
+                         % (y0, ydot0, atol))
 
     def rhs(t, s):
         return np.array([s[1], -system.curvature(t) * s[0]])
 
-    sol = _integrate(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
-                     atol, "Jacobi integration")
-    return JacobiSolution(sol.ts, *sol.ys.T, sol)
+    return _integrate(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
+                      atol, "Jacobi integration")
 
 
-def wronskian(a: JacobiSolution, b: JacobiSolution, ts) -> np.ndarray:
+def wronskian(a: _Solution, b: _Solution, ts) -> np.ndarray:
     """y_a ydot_b - y_b ydot_a sampled at ts (t-constant for exact fields)."""
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        ya, va = a.at(t)
-        yb, vb = b.at(t)
-        out[i] = ya * vb - yb * va
-    return out
+    (ya, va), (yb, vb) = a.batch(ts).T, b.batch(ts).T
+    return ya * vb - yb * va
 
 
 def conjugate_points(system: JacobiSystem, t_max: float,
@@ -165,7 +158,7 @@ def conjugate_points(system: JacobiSystem, t_max: float,
     """
     sol = jacobi_solve(system, 0.0, 1.0, (t0, t0 + t_max))
     zeros: List[float] = []
-    ts, ys = sol.ts, sol.y
+    ts, ys = sol.ts, sol.ys[:, 0]
     for i in range(1, len(ts) - 1):
         if ys[i] == 0.0:
             zeros.append(float(ts[i]))
@@ -181,14 +174,13 @@ def conjugate_points(system: JacobiSystem, t_max: float,
 class BundleFrame:
     """Stable/unstable data of the linearized flow at the t = 0 anchor."""
 
-    point: BPhasePoint
     stable: np.ndarray
     unstable: np.ndarray
     angle_deg: float
     det0: float
     T_asym: float
-    stable_sol: JacobiSolution = field(repr=False, default=None)
-    unstable_sol: JacobiSolution = field(repr=False, default=None)
+    stable_sol: _Solution = field(repr=False, default=None)
+    unstable_sol: _Solution = field(repr=False, default=None)
 
 
 def _unit_with_sign(v: np.ndarray) -> np.ndarray:
@@ -204,9 +196,16 @@ def stable_unstable(system: JacobiSystem,
 
     Seeds the asymptotic solution e^{-t} of the frozen boundary equation at
     t = +-T_asym and integrates to the anchor, where both directions are
-    normalized.  Requires the curvature to have settled to its boundary
-    value at the seeding times, else raises :class:`AsymptoteError`.
+    normalized.  Raises :class:`AsymptoteError` before any integration when
+    the seed's atol ``SOLVE_TOL`` e^{-T_asym} underflows to 0 (T_asym above
+    about 717) or the curvature has not settled to its boundary value at
+    the seeding times.
     """
+    scale = math.exp(-T_asym)
+    if SOLVE_TOL * scale == 0.0:
+        raise AsymptoteError(
+            "T_asym=%g is too large: the atol of its seed e^-T_asym "
+            "underflows to 0" % T_asym)
     for t_seed in (T_asym, -T_asym):
         resid = abs(system.curvature(t_seed) + 1.0)
         if resid > ASYM_CURV_TOL:
@@ -214,18 +213,13 @@ def stable_unstable(system: JacobiSystem,
                 "curvature has not reached its asymptote at t=%g "
                 "(residual %.2e); increase T_asym or the mapped range"
                 % (t_seed, resid))
-    scale = math.exp(-T_asym)
-    # absolute tolerance scaled to the seed, else the solver injects an
-    # unstable-mode error of a few tolerance units near the seeding time
-    seed_atol = SOLVE_TOL * scale
-    s_sol = jacobi_solve(system, scale, -scale, (T_asym, 0.0), atol=seed_atol)
-    u_sol = jacobi_solve(system, scale, scale, (-T_asym, 0.0), atol=seed_atol)
+    s_sol = jacobi_solve(system, scale, -scale, (T_asym, 0.0))
+    u_sol = jacobi_solve(system, scale, scale, (-T_asym, 0.0))
     s = _unit_with_sign(np.array(s_sol.at(0.0)))
     u = _unit_with_sign(np.array(u_sol.at(0.0)))
     dot = min(1.0, abs(float(s @ u)))
     det0 = float(s[0] * u[1] - s[1] * u[0])
-    return BundleFrame(point=system.state_at_time(0.0),
-                       stable=s, unstable=u,
+    return BundleFrame(stable=s, unstable=u,
                        angle_deg=math.degrees(math.acos(dot)),
                        det0=det0, T_asym=T_asym,
                        stable_sol=s_sol, unstable_sol=u_sol)
@@ -248,10 +242,8 @@ def decay_fit(frame: BundleFrame) -> DecayFit:
     the boundary rate 1).
     """
     ts = np.linspace(2.0, frame.T_asym, 160)
-    logm = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        y, v = frame.stable_sol.at(t)
-        logm[i] = math.log(abs(y) + abs(v))
+    logm = np.array([math.log(abs(y) + abs(v))
+                     for y, v in frame.stable_sol.batch(ts).tolist()])
     nu = -float(np.polyfit(ts, logm, 1)[0])
     r = logm + 0.95 * ts
     run_min = np.minimum.accumulate(r)
@@ -362,12 +354,14 @@ def diagnose_covector(fam: BoundaryMetricFamily, z: Tuple[float, float],
                       trace_tol: float = DEFAULT_TOL
                       ) -> Optional[CovectorDiagnostics]:
     """Stable/unstable frame, conjugate points and decay fits along the
-    geodesic entering at z; None when its trace fails."""
+    geodesic entering at z; None when its trace fails.  The orbit is mapped
+    on |t| <= max(T_asym, t_scan) + 2, so the seeding times and the
+    conjugate scan both lie inside it."""
     try:
         traj = trace_geodesic(fam, z, tol=trace_tol)
     except FlowError:
         return None
-    system = jacobi_system(fam, traj, t_range=T_asym + 2.0)
+    system = jacobi_system(fam, traj, t_range=max(T_asym, t_scan) + 2.0)
     frame = stable_unstable(system, T_asym)
     return CovectorDiagnostics(
         angle_deg=frame.angle_deg,

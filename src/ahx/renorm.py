@@ -368,8 +368,6 @@ def deformation_derivative(family_path: Callable[[float], BoundaryMetricFamily],
     """
     from .xray import SymmetricTensorField, xray_transform
 
-    if not isinstance(z, BoundaryCovector):
-        z = BoundaryCovector.make(*z, side="incoming")
     fam0 = family_path(0.0)
     n = fam0.n
 

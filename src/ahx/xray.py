@@ -325,7 +325,7 @@ def backward_boundary_point(fam: BoundaryMetricFamily, state: BPhasePoint,
                             tol: float = DEFAULT_TOL) -> BoundaryCovector:
     """Incoming boundary covector of the orbit, via time reversal."""
     out = trace_from_state(fam, flip_state(state), tol=tol).z_out
-    return BoundaryCovector.make(out.y, -out.eta, "incoming")
+    return BoundaryCovector.make(out.y, -out.eta)
 
 
 # ---------------------------------------------------------------------------

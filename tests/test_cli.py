@@ -264,31 +264,36 @@ def test_diagnose_parallel_determinism(tmp_path):
     assert payload["trace_failures"] == 0
 
 
-def test_diagnose_scan_beyond_the_mapped_range_exits_3(tmp_path, capsys):
+def test_diagnose_scan_beyond_T_asym_maps_its_range(tmp_path):
+    # the orbit is mapped to max(T_asym, t_scan) + 2, so the scan fits
     cfg = write_config(tmp_path, "c.json", {
         "metric": {"family": "half-plane"},
         "points": [[0.0, 1.0]],
         "T_asym": 10.0,
         "t_scan": 12.5,
     })
-    assert run("diagnose", cfg, tmp_path) == 3
-    assert "t_scan" in capsys.readouterr().err
-    assert not (tmp_path / "diagnose.json").exists()
+    assert run("diagnose", cfg, tmp_path) == 0
+    payload = json.loads((tmp_path / "diagnose.json").read_text())
+    assert payload["conjugate_count"] == 0
+    assert payload["n_geodesics"] == 1
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_diagnose_unsettled_seeding_time_exits_3(tmp_path, capsys, jobs):
-    # at t = 3 the perturbed curvature has not settled to -1
-    cfg = write_config(tmp_path, "c.json", {
-        "metric": {"family": "perturbed",
-                   "params": {"a_cos": [0.0, 0.1], "b_cos": [0.02]}},
-        "points": [[0.0, 3.0], [1.5, 3.5]],
-        "T_asym": 3.0,
-        "t_scan": 4.0,
-    })
-    assert run("diagnose", cfg, tmp_path, "--jobs", jobs) == 3
-    err = capsys.readouterr().err
-    assert "T_asym" in err and "asymptote" in err
+    # at t = 3 the perturbed curvature has not settled to -1; at t = 800
+    # the seed's atol SOLVE_TOL e^-800 underflows to 0
+    for t_asym, why in ((3.0, "asymptote"), (800.0, "underflows")):
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"family": "perturbed",
+                       "params": {"a_cos": [0.0, 0.1], "b_cos": [0.02]}},
+            "points": [[0.0, 3.0], [1.5, 3.5]],
+            "T_asym": t_asym,
+            "t_scan": 4.0,
+        })
+        assert run("diagnose", cfg, tmp_path, "--jobs", jobs) == 3
+        err = capsys.readouterr().err
+        assert "T_asym" in err and why in err
+        assert not (tmp_path / "diagnose.json").exists()
 
 
 def test_recover_rejected_in_a_worker_exits_3(tmp_path, capsys):

@@ -306,12 +306,12 @@ def test_solution_reads_each_step_end_on_its_step(t_end):
         return sol.steps[min(max(i, 0), len(sol.steps) - 1)](t)
 
     for st in sol.steps:
-        assert sol(st.t) == st(st.t) == keyed(st.t)
+        assert sol.at(st.t) == st(st.t) == keyed(st.t)
         mid = 0.5 * (st.t_old + st.t)
-        assert sol(mid) == st(mid) == keyed(mid)
+        assert sol.at(mid) == st(mid) == keyed(mid)
     for t in (0.0, -0.5 * t_end, 1.5 * t_end):
-        assert sol(t) == keyed(t)
-    assert sol(0.0) == sol.steps[0](0.0)
+        assert sol.at(t) == keyed(t)
+    assert sol.at(0.0) == sol.steps[0](0.0)
 
 
 @pytest.mark.parametrize("name, z", [("disc", (0.3, 1.1)),
@@ -539,6 +539,11 @@ def test_flow_errors_carry_their_guard(halfplane, jet_family, monkeypatch):
     with pytest.raises(ChartExitError) as info:
         trace_geodesic(strip, (0.0, 0.4))
     assert info.value.stats.guard == "chart"
+    # atol 0 at the start state's rho = 0 makes the first step guess NaN
+    with pytest.warns(UserWarning, match="rtol"), \
+            pytest.raises(FlowError) as info:
+        trace_geodesic(halfplane, (0.0, 1.0), tol=0.0)
+    assert info.value.stats.guard == "integrator"
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(FlowError) as info:
         trace_geodesic(halfplane, (0.0, 1.0))
