@@ -3,8 +3,9 @@
 Usage: ``ahx <command> --config <file> [--out <dir>] [--jobs N]``.
 
 Configs are JSON documents with a ``metric`` spec (see
-:func:`ahx.metric.make_family`), command-specific parameters, and an
-optional ``seed``.  Outputs are CSV (RFC 4180 payload preceded by one
+:func:`ahx.metric.make_family`: its ``params`` are the family
+constructor's keywords), command-specific parameters, and an optional
+``seed``.  Outputs are CSV (RFC 4180 payload preceded by one
 ``# config_hash=...`` comment line), JSON, and plain SVG line charts.
 Runs are deterministic for a fixed config and seed.
 
@@ -14,11 +15,14 @@ endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-metric whose boundary is not 1-dimensional, a covector with eta = 0, a
-negative ``seed``, a ``T_asym`` too small for the curvature to settle or
-so large that its seed's tolerance underflows, and a ``recover`` config the
-recovery rejects, such as a delta above the safe scale, no ``y0s`` or a
-direction with more than one component).
+metric or field parameter its constructor does not take, a config with
+both ``points`` and ``grid``, a metric whose boundary is not
+1-dimensional, a covector with eta = 0, a negative ``seed``, a ``T_asym``
+too small for the curvature to settle or so large that its seed's
+tolerance underflows, a ``t_scan`` so long that the conjugate scan's field
+overflows, and a ``recover`` config the recovery rejects, such as a delta
+above the safe scale, no ``y0s`` or a direction with more than one
+component).
 """
 from __future__ import annotations
 
@@ -262,6 +266,8 @@ def _map_rows(worker: Callable, rows: Sequence, jobs: int) -> List:
 
 
 def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
+    if "points" in cfg.params and "grid" in cfg.params:
+        raise ConfigError("give 'points' or 'grid', not both")
     if "points" in cfg.params:
         rows = cfg.value("points", _float_pairs)
     elif "grid" in cfg.params:
@@ -377,29 +383,36 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
                      compute)
 
 
+def _bump_field(amplitude=1.0, rho_lo=0.1, rho_hi=0.4, cos_amp=0.0,
+                harmonic=1) -> tuple:
+    """The field amplitude poly_bump((rho - rho_lo) / (rho_hi - rho_lo))
+    (1 + cos_amp cos(harmonic y)) and its support (rho_lo, rho_hi)."""
+    amp, lo, hi, cos_amp = map(_number, (amplitude, rho_lo, rho_hi, cos_amp))
+    harmonic = _integer(harmonic)
+    if hi <= lo:
+        raise ConfigError("field bump needs rho_hi > rho_lo")
+    width = hi - lo
+
+    def comp(rho, y):
+        prof = amp * poly_bump((rho - lo) / width)
+        return prof * (1.0 + cos_amp * np.cos(harmonic * y[..., 0]))
+
+    return SymmetricTensorField(rank=0, weight=1, components=comp), (lo, hi)
+
+
 def _field_from_spec(spec: dict) -> tuple:
-    """The configured field and its support (rho_lo, rho_hi)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("field spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    p = spec.get("params", {})
-    if kind == "bump":
-        amp = _number(p.get("amplitude", 1.0))
-        lo = _number(p.get("rho_lo", 0.1))
-        hi = _number(p.get("rho_hi", 0.4))
-        cos_amp = _number(p.get("cos_amp", 0.0))
-        harmonic = _integer(p.get("harmonic", 1))
-        if hi <= lo:
-            raise ConfigError("field bump needs rho_hi > rho_lo")
-        width = hi - lo
-
-        def comp(rho, y):
-            prof = amp * poly_bump((rho - lo) / width)
-            return prof * (1.0 + cos_amp * np.cos(harmonic * y[..., 0]))
-
-        return (SymmetricTensorField(rank=0, weight=1, components=comp),
-                (lo, hi))
-    raise ConfigError(f"unknown field kind {kind!r}")
+    """The configured field and its support (rho_lo, rho_hi).  ``kind`` is
+    "bump" and ``params`` (default empty) are the keywords of
+    :func:`_bump_field`; a key it does not take raises TypeError naming the
+    key.  The field is read where geodesics go, on the metric's domain
+    0 <= rho < rho_max."""
+    if not isinstance(spec, dict) or "kind" not in spec \
+            or not set(spec) <= {"kind", "params"}:
+        raise ConfigError("field spec must be a dict with a 'kind' key "
+                          "and optional 'params'")
+    if spec["kind"] != "bump":
+        raise ConfigError(f"unknown field kind {spec['kind']!r}")
+    return _bump_field(**spec.get("params", {}))
 
 
 def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:

@@ -840,7 +840,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             return GeodesicTrajectory(
                 fam, _Solution(steps, tau_star, end.as_vector()), end, stats())
 
-        if math.isfinite(rho_limit) and rho_new >= rho_limit:
+        if rho_new >= rho_limit:
             raise fail(CollarExitError(
                 f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
                 "collar")

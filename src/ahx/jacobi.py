@@ -25,9 +25,8 @@ import numpy as np
 
 from ._brent import brentq
 from .metric import BoundaryMetricFamily, gauss_curvature
-from .flow import (DEFAULT_TOL, BPhasePoint, FlowError, GeodesicTrajectory,
-                   _integrate, _make_rhs, _project_vec, _Solution, _split_vec,
-                   trace_geodesic)
+from .flow import (DEFAULT_TOL, FlowError, GeodesicTrajectory, _integrate,
+                   _make_rhs, _Solution, trace_geodesic)
 
 __all__ = [
     "JacobiSystem", "jacobi_system", "jacobi_solve",
@@ -47,7 +46,9 @@ T_SCAN = 12.0
 
 
 class AsymptoteError(ValueError):
-    """The curvature is not yet -1 where :func:`stable_unstable` seeds."""
+    """A Jacobi time span the fields cannot resolve: the curvature is not
+    yet -1 where :func:`stable_unstable` seeds, the seed underflows, or the
+    conjugate scan overflows."""
 
 
 @dataclass
@@ -71,11 +72,6 @@ class JacobiSystem:
             raise ValueError("time %g exceeds the mapped range %g"
                              % (t, self.t_range))
         return (self._fwd if t >= 0.0 else self._bwd).at(t)
-
-    def state_at_time(self, t: float) -> BPhasePoint:
-        """The state at hyperbolic time t, projected onto the cosphere."""
-        z = np.array(self._orbit(t))
-        return _split_vec(1, _project_vec(self.fam, z, 1))
 
     def curvature(self, t: float) -> float:
         rho, y = self._orbit(t)[:2]
@@ -126,8 +122,7 @@ def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
     ValueError.  t_span may run in either direction; a time outside the
     system's mapped range raises ValueError from the curvature read.  No
     mid-run renormalization is done: where K is near -1 a field grows like
-    e^{|t|}, so a span of more than about 700 overflows and raises
-    ``FlowError``.
+    e^{|t|}, so a span of more than about 700 overflows.
     """
     atol = SOLVE_TOL * max(abs(y0), abs(ydot0))
     if not atol > 0.0:
@@ -154,15 +149,23 @@ def conjugate_points(system: JacobiSystem, t_max: float,
     Zeros in (t0, t0 + t_max] of the field with y(t0) = 0, ydot(t0) = 1.
     The default base point is the anchor; moving t0 toward the incoming
     end tests base points whose field crosses the interior both inbound
-    and outbound.
+    and outbound.  The field grows like e^{|t|}, and a scan whose field
+    overflows (t_max above about 700) raises :class:`AsymptoteError`.
     """
-    sol = jacobi_solve(system, 0.0, 1.0, (t0, t0 + t_max))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sol = jacobi_solve(system, 0.0, 1.0, (t0, t0 + t_max))
+    except FloatingPointError:
+        raise AsymptoteError(
+            "t_max=%g is too large: the conjugate scan's field overflows"
+            % t_max) from None
     zeros: List[float] = []
     ts, ys = sol.ts, sol.ys[:, 0]
+    sign = np.sign(ys)
     for i in range(1, len(ts) - 1):
         if ys[i] == 0.0:
             zeros.append(float(ts[i]))
-        elif ys[i] * ys[i + 1] < 0.0:
+        elif sign[i] * sign[i + 1] < 0.0:
             zeros.append(brentq(lambda t: sol.at(t)[0],
                                 ts[i], ts[i + 1], xtol=1e-12))
     if len(ts) > 1 and ys[-1] == 0.0:

@@ -8,16 +8,18 @@ by one profile per coordinate returning h_kk, dh_kk/drho, dh_kk/dy_k and
 d2h_kk/drho2 in closed form (:class:`BoundaryMetricFamily`).  Everything
 downstream consumes only those: the flow reads the first three and
 :func:`gauss_curvature` all four, from one profile call.
-:func:`eval_metric` gives the matrix view.
+:func:`eval_metric` gives the matrix view.  Every family has the domain
+0 <= rho < rho_max; the flow stops a geodesic that reaches rho_max with
+``CollarExitError``.
 
 Built-in families:
 
 * ``half-plane``     n=1, h = dy**2, affine chart, domain unbounded in rho.
 * ``disc-normal``    n=1, h = (1 - rho**2/4)**2 dy**2, periodic chart.  This
-  is the full hyperbolic disc written globally in normal form; rho = 2 is
-  the coordinate image of the disc centre and is excluded from the domain.
+  is the full hyperbolic disc written globally in normal form; rho_max = 2
+  is the coordinate image of the disc centre.
 * ``perturbed``      n=1, h = exp(2(rho*a(y) + rho**2*b(y))) dy**2 with trig
-  polynomials a, b; collar domain [0, rho_max].
+  polynomials a, b on a collar.
 * ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, the forward model
   of jet fitting; the fit evaluates this h itself and takes the lengths
   from a turning-point integral, so it builds no family and traces none.
@@ -30,6 +32,7 @@ away from the boundary, for gauge-insensitivity experiments.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -106,13 +109,12 @@ class BoundaryMetricFamily:
     d2h_kk/drho2), all exact; h_kk depends on rho and y_k only, and the
     boundary dimension n is the number of profiles.  Profiles take floats
     or arrays, and their outputs broadcast against rho and y_k (a constant
-    may come back as a float).
+    may come back as a float).  The domain is 0 <= rho < rho_max.
     """
 
     chart: Chart
     profiles: tuple
     rho_max: float
-    open_at_max: bool = False  # domain is [0, rho_max) when True
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -191,13 +193,25 @@ class TrigPoly:
 # family constructors
 
 
-def _family(profiles, chart: Chart, rho_max: float, name: str, params: dict,
-            open_at_max: bool = False) -> BoundaryMetricFamily:
+def _family(profiles, chart: Chart, rho_max: float, name: str,
+            params: dict) -> BoundaryMetricFamily:
     fam = BoundaryMetricFamily(chart=chart, profiles=tuple(profiles),
-                               rho_max=rho_max, open_at_max=open_at_max,
-                               name=name, params=params)
+                               rho_max=rho_max, name=name, params=params)
     _validate_family(fam)
     return fam
+
+
+def _build(what: str, fn, params, *args):
+    """fn(*args, **params); a ``params`` that is not a dict, or that names
+    a keyword fn does not take or omits one it needs, is a MetricError
+    naming ``what`` and the key."""
+    if not isinstance(params, dict):
+        raise MetricError(f"{what} params must be a dict, got {params!r}")
+    try:
+        inspect.signature(fn).bind(*args, **params)
+    except TypeError as exc:
+        raise MetricError(f"{what}: {exc}") from None
+    return fn(*args, **params)
 
 
 def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
@@ -236,13 +250,14 @@ def disc_family() -> BoundaryMetricFamily:
         q = 1.0 - 0.25 * r2
         return q * q, -rho * q, 0.0, 0.75 * r2 - 1.0
 
-    return _family([profile], Chart("periodic"), 2.0, "disc-normal", {},
-                   open_at_max=True)
+    return _family([profile], Chart("periodic"), 2.0, "disc-normal", {})
 
 
 def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
                      rho_max: float = 0.5, bump=None) -> BoundaryMetricFamily:
-    """h = exp(2 (rho a(y) + rho**2 b(y))) dy**2 on a collar [0, rho_max]."""
+    """h = exp(2 (rho a(y) + rho**2 b(y))) dy**2 on a collar [0, rho_max),
+    times the interior bump that ``bump``, a dict of :func:`_apply_bump`'s
+    keywords, describes."""
     a = TrigPoly(a_cos, a_sin)
     b = TrigPoly(b_cos, b_sin)
 
@@ -257,8 +272,7 @@ def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
     params = {"a_cos": list(a.c), "a_sin": list(a.s),
               "b_cos": list(b.c), "b_sin": list(b.s), "rho_max": rho_max}
     if bump is not None:
-        profile = _apply_bump(profile, bump["amplitude"], bump["rho_lo"],
-                              bump["rho_hi"])
+        profile = _build("bump", _apply_bump, bump, profile)
         params["bump"] = dict(bump)
     return _family([profile], Chart("periodic"), rho_max, "perturbed", params)
 
@@ -287,7 +301,7 @@ def radial_power_family(amp: float, power: int,
                    params)
 
 
-def taylor1d_family(h0: float, c1: float, c2: float,
+def taylor1d_family(h0: float, c1: float = 0.0, c2: float = 0.0,
                     rho_max: float = 0.25) -> BoundaryMetricFamily:
     """Truncated radial Taylor model h = h0 + c1 rho + c2 rho**2 / 2."""
     params = {"h0": h0, "c1": c1, "c2": c2, "rho_max": rho_max}
@@ -306,42 +320,45 @@ def product_family(fam1: BoundaryMetricFamily,
         raise MetricError("product factors must share chart kind")
     return _family(fam1.profiles + fam2.profiles, Chart(fam1.chart.kind),
                    min(fam1.rho_max, fam2.rho_max), "product",
-                   {"factors": [fam1.spec(), fam2.spec()]},
-                   open_at_max=fam1.open_at_max or fam2.open_at_max)
+                   {"factors": [fam1.spec(), fam2.spec()]})
+
+
+def _product_of_specs(factors) -> BoundaryMetricFamily:
+    if not isinstance(factors, list) or len(factors) != 2:
+        raise MetricError("product 'factors' must be a list of two metric "
+                          f"specs, got {factors!r}")
+    return product_family(*map(make_family, factors))
+
+
+_CONSTRUCTORS = {
+    "half-plane": halfplane_family,
+    "disc-normal": disc_family,
+    "perturbed": perturbed_family,
+    "radial-power": radial_power_family,
+    "taylor1d": taylor1d_family,
+    "product": _product_of_specs,
+}
 
 
 def make_family(spec: dict) -> BoundaryMetricFamily:
-    """Build a family from a metric-spec document (parsed JSON)."""
+    """Build a family from a metric-spec document (parsed JSON).
+
+    ``family`` names a constructor and ``params`` (default empty) are its
+    keywords, so the defaults are the constructor's; ``product`` takes
+    ``factors``, a list of two specs.  An unknown family or spec key, and a
+    parameter the constructor does not take or misses, raise MetricError.
+    Every family has the domain 0 <= rho < rho_max.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
         raise MetricError("metric spec must be a dict with a 'family' key")
+    extra = sorted(set(spec) - {"family", "params"})
+    if extra:
+        raise MetricError(f"metric spec has unknown keys {extra}")
     kind = spec["family"]
-    params = dict(spec.get("params", {}))
-    if kind == "half-plane":
-        yb = params.get("y_bounds")
-        if yb is not None:
-            yb = tuple(tuple(float(v) for v in b) for b in yb)
-        return halfplane_family(y_bounds=yb,
-                                rho_max=float(params.get("rho_max", math.inf)))
-    if kind == "disc-normal":
-        return disc_family()
-    if kind == "perturbed":
-        return perturbed_family(
-            a_cos=params.get("a_cos", ()), a_sin=params.get("a_sin", ()),
-            b_cos=params.get("b_cos", ()), b_sin=params.get("b_sin", ()),
-            rho_max=float(params.get("rho_max", 0.5)),
-            bump=params.get("bump"))
-    if kind == "radial-power":
-        return radial_power_family(float(params["amp"]), int(params["power"]),
-                                   rho_max=float(params.get("rho_max",
-                                                            math.inf)))
-    if kind == "taylor1d":
-        return taylor1d_family(float(params["h0"]), float(params.get("c1", 0.0)),
-                               float(params.get("c2", 0.0)),
-                               rho_max=float(params.get("rho_max", 0.25)))
-    if kind == "product":
-        f1, f2 = (make_family(s) for s in params["factors"])
-        return product_family(f1, f2)
-    raise MetricError(f"unknown family {kind!r}")
+    if kind not in _CONSTRUCTORS:
+        raise MetricError(f"unknown family {kind!r}")
+    return _build(f"family {kind!r}", _CONSTRUCTORS[kind],
+                  spec.get("params", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +368,7 @@ def make_family(spec: dict) -> BoundaryMetricFamily:
 def _validation_grid(fam: BoundaryMetricFamily):
     rho_cap = min(fam.rho_max, 8.0)
     rhos = np.linspace(0.0, rho_cap, 9)
-    if fam.open_at_max and rhos[-1] >= fam.rho_max:
+    if rhos[-1] >= fam.rho_max:
         rhos[-1] = fam.rho_max * (1.0 - 1e-6)
     if fam.chart.kind == "periodic":
         ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
@@ -404,13 +421,8 @@ def _validate_family(fam: BoundaryMetricFamily) -> None:
 
 
 def _check_domain(fam: BoundaryMetricFamily, rho: float) -> None:
-    if rho < 0.0:
-        raise MetricError(f"rho={rho} below 0")
-    if fam.open_at_max:
-        if rho >= fam.rho_max:
-            raise MetricError(f"rho={rho} outside [0, {fam.rho_max})")
-    elif rho > fam.rho_max:
-        raise MetricError(f"rho={rho} outside [0, {fam.rho_max}]")
+    if not 0.0 <= rho < fam.rho_max:
+        raise MetricError(f"rho={rho} outside [0, {fam.rho_max})")
 
 
 def eval_metric(fam: BoundaryMetricFamily, rho: float, y) -> MetricEval:

@@ -61,15 +61,13 @@ class LengthSampleSet:
 
     ``lengths[j, k]`` is the renormalized length for direction
     ``directions[j]`` at scale ``deltas[k]`` (covector directions[j] /
-    deltas[k]).  ``noise`` records the amplitude of any synthetic additive
-    noise baked into the table.
+    deltas[k]).
     """
 
     y0: np.ndarray
     directions: np.ndarray
     deltas: np.ndarray
     lengths: np.ndarray
-    noise: float = 0.0
 
     def validate(self) -> None:
         m, k = self.lengths.shape
@@ -81,15 +79,6 @@ class LengthSampleSet:
             raise RecoveryError("deltas must be positive")
         if not np.all(np.isfinite(self.lengths)):
             raise RecoveryError("length table incomplete")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "y0": self.y0.tolist(),
-            "directions": self.directions.tolist(),
-            "deltas": self.deltas.tolist(),
-            "lengths": self.lengths.tolist(),
-            "noise": self.noise,
-        })
 
 
 def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
@@ -126,8 +115,7 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
     if noise:
         rng = np.random.default_rng(seed)
         table = table + rng.uniform(-noise, noise, size=table.shape)
-    out = LengthSampleSet(y0=y0, directions=dirs, deltas=dd,
-                          lengths=table, noise=noise)
+    out = LengthSampleSet(y0=y0, directions=dirs, deltas=dd, lengths=table)
     out.validate()
     return out
 
@@ -179,7 +167,6 @@ class H0Recovery:
     y0: np.ndarray
     norms: np.ndarray          # recovered |omega|_{h_0} per direction
     h0: np.ndarray             # boundary metric (covariant components)
-    h0_inv: np.ndarray         # inverse boundary metric
     fit_residual: float        # worst per-direction extrapolation residual
 
 
@@ -209,8 +196,7 @@ def recover_h0(samples: LengthSampleSet) -> H0Recovery:
     h0 = np.linalg.inv(h0_inv)
     norms = np.array([math.sqrt(float(w @ h0_inv @ w))
                       for w in samples.directions])
-    return H0Recovery(y0=samples.y0, norms=norms, h0=h0, h0_inv=h0_inv,
-                      fit_residual=worst)
+    return H0Recovery(y0=samples.y0, norms=norms, h0=h0, fit_residual=worst)
 
 
 @dataclass(frozen=True)
@@ -329,9 +315,10 @@ def _forward_lengths(dirs: np.ndarray, deltas: np.ndarray,
     cancellation; a 24-node Gauss rule takes it to rounding.  All
     (direction, delta) pairs are evaluated at once.  h is evaluated as
     ``taylor1d_family``'s profile evaluates it, and MetricError is raised
-    where that family's validator would refuse it: h not positive at one
-    of its levels of the collar rho <= 0.35.  A geodesic that does not
-    turn inside the collar raises CollarExitError, as its trace would.
+    where h is not positive at one of nine levels of the collar
+    0 <= rho <= 0.35, as the family validator refuses such an h.  A
+    geodesic that does not turn inside the collar raises CollarExitError,
+    as its trace would.
     """
     h0, c1, c2 = params
     rho_max = 0.35

@@ -140,10 +140,6 @@ def _mellin_i0(traj: GeodesicTrajectory, lam: float,
 class MellinLength:
     value: float          # c0 coefficient, the renormalized length
     residue: float        # c_{-1} coefficient, 2 for every geodesic
-    c1: float
-    c2: float
-    lam_grid: tuple
-    i0_values: tuple
 
 
 def mellin_length(traj: GeodesicTrajectory) -> MellinLength:
@@ -156,11 +152,7 @@ def mellin_length(traj: GeodesicTrajectory) -> MellinLength:
     # one spare power beyond the reported model keeps truncation bias low
     A = np.vander(x, 5, increasing=True)
     coef, *_ = np.linalg.lstsq(A, lam * i0, rcond=None)
-    return MellinLength(value=float(coef[1] / scale), residue=float(coef[0]),
-                        c1=float(coef[2] / scale ** 2),
-                        c2=float(coef[3] / scale ** 3),
-                        lam_grid=tuple(lam.tolist()),
-                        i0_values=tuple(i0.tolist()))
+    return MellinLength(value=float(coef[1] / scale), residue=float(coef[0]))
 
 
 def conformal_shift(traj: GeodesicTrajectory, omega: Callable) -> float:
@@ -218,11 +210,13 @@ ETA_FLOOR = 1e-8
 # length is reported, is traced again at DEFAULT_TOL.
 ENDPOINT_TOL = 1e-9
 SHOOT_TOL = 1e-10
+# Newton iterations before shooting counts as stalled
+MAX_SHOOT_ITER = 50
 
 
 def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
-                      eta0=None, tol: float = ENDPOINT_TOL,
-                      max_iter: int = 50) -> BoundaryDistanceResult:
+                      eta0=None, tol: float = ENDPOINT_TOL
+                      ) -> BoundaryDistanceResult:
     """Renormalized distance between distinct boundary points by shooting.
 
     Newton iteration on the incoming covector with a finite-difference
@@ -230,14 +224,13 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
     vector dy.  A trial step whose trace raises :class:`FlowError` is
     halved too, and ``ShootingError`` is raised when all eight trials of
-    one iteration fail.  Shooting traces run at ``SHOOT_TOL``; the
-    converged geodesic is traced again at ``DEFAULT_TOL`` for its length.
+    one iteration fail or ``MAX_SHOOT_ITER`` iterations do not converge.
+    Shooting traces run at ``SHOOT_TOL``; the converged geodesic is traced
+    again at ``DEFAULT_TOL`` for its length.
     """
     ym = np.atleast_1d(np.asarray(y_minus, dtype=float))
     yp = np.atleast_1d(np.asarray(y_plus, dtype=float))
-    n = fam.n
-    dy = np.array([fam.chart.wrapped_diff(float(b), float(a))
-                   for a, b in zip(ym, yp)])
+    dy = fam.chart.wrapped_diff(yp, ym)
     if np.max(np.abs(dy)) < 1e-12:
         raise ValueError("boundary distance needs distinct endpoints")
     if eta0 is None:
@@ -254,9 +247,7 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
 
     def miss(traj):
         """Endpoint miss of a traced geodesic from y_plus."""
-        y_out = traj.end.y
-        return np.array([fam.chart.wrapped_diff(float(a), float(b))
-                         for a, b in zip(y_out, yp)])
+        return fam.chart.wrapped_diff(traj.end.y, yp)
 
     def residual(e):
         """Endpoint miss of the geodesic entering at (ym, e)."""
@@ -268,7 +259,7 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     it = 0
     while np.max(np.abs(r)) > tol:
         it += 1
-        if it > max_iter:
+        if it > MAX_SHOOT_ITER:
             raise ShootingError(
                 f"boundary-distance shooting stalled, residual {np.max(np.abs(r)):.3e}")
         J = _central_diff(residual, eta, 1e-6 * np.maximum(1.0, np.abs(eta)))
@@ -343,8 +334,7 @@ def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus,
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta_in))
     y_out = traj.end.y
     eta_out = traj.end.eta
-    mis_y = max(abs(fam.chart.wrapped_diff(float(a), float(b)))
-                for a, b in zip(y_out, yp))
+    mis_y = float(np.max(np.abs(fam.chart.wrapped_diff(y_out, yp))))
     mis_e = float(np.max(np.abs(eta_out - grad_p)))
     return ScatteringDistanceCheck(residual=max(mis_y, mis_e),
                                    eta_in_fd=eta_in, eta_out_fd=grad_p,

@@ -96,29 +96,6 @@ class SymmetricTensorField:
                 for e in FD_Y * np.eye(y.shape[-1])]
         return np.stack(outs, axis=outs[0].ndim - self.rank)
 
-    def validate(self, fam: BoundaryMetricFamily) -> None:
-        """Sample symmetry (to 1e-10 times 1 + the largest component at each
-        point) and the declared weight on a 5 x 5 grid: rho in
-        [hi/16, 0.9 hi] with hi = min(rho_max, 1), all y_k in [0, 2 pi)."""
-        hi = min(fam.rho_max, 1.0)
-        rho_grid = np.linspace(hi / 16, hi * 0.9, 5)
-        y_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-        n = fam.n
-        c = self.comp(rho_grid[:, None], np.repeat(y_grid[:, None], n, axis=1))
-        # per point, the tolerance scales with its largest component
-        atol = 1e-10 * (1 + np.max(np.abs(c), axis=tuple(range(2, c.ndim)),
-                                   keepdims=True))
-        for ax in range(2, c.ndim - 1):
-            if not np.allclose(c, np.swapaxes(c, ax, ax + 1), atol=atol):
-                raise ValueError("tensor components are not symmetric")
-        if self.weight > 0:
-            # components must decay like rho^weight toward the boundary
-            c1, c2 = np.max(np.abs(self.comp(np.array([1e-3, 1e-6]),
-                                             np.zeros(n))).reshape(2, -1),
-                            axis=1)
-            if c1 > 0 and c2 > c1 * 10.0 ** (-1.5 * self.weight):
-                raise ValueError("components do not match the declared weight")
-
 
 def _unit_tangent(fam: BoundaryMetricFamily, rho, y, xi_b, eta) -> np.ndarray:
     """Components of the metric-unit tangent vector in (rho, y) coordinates.

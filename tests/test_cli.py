@@ -7,6 +7,7 @@ values the library tests use (half-circle scattering y + 2/eta, lengths
 """
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,46 @@ def test_config_errors_exit_3(tmp_path, payload):
     command, config = payload
     cfg = write_config(tmp_path, "c.json", config)
     assert run(command, cfg, tmp_path) == 3
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("scatter", {"metric": {"family": "perturbed",
+                            "params": {"a_coss": [0.0, 0.3]}},
+                 "points": [[0.0, 2.0]]}, "a_coss"),
+    ("scatter", {"metric": {"family": "disc-normal",
+                            "params": {"rho_max": 1.0}},
+                 "points": [[0.0, 2.0]]}, "rho_max"),
+    ("xray", {"metric": DISC, "points": [[0.0, 1.0]],
+              "field": {"kind": "bump", "params": {"rho_loo": 0.2}}},
+     "rho_loo"),
+    ("scatter", {"metric": HALF, "points": [[0.0, 1.0]],
+                 "grid": {"y": [0.0], "eta": [2.0]}}, "not both"),
+], ids=["metric-param", "disc-rho_max", "field-param", "points-and-grid"])
+def test_unknown_or_conflicting_keys_exit_3(tmp_path, capsys, command, config,
+                                            key):
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run(command, cfg, tmp_path) == 3
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_diagnose_scan_overflow_exits_3(tmp_path, capsys):
+    # the scan's field grows like e^t: at t_scan 400 the sign test sees
+    # values near 1e173 and must not overflow; at 800 the field overflows
+    def config(t_scan):
+        return write_config(tmp_path, "c.json", {
+            "metric": HALF, "points": [[0.0, 1.0]], "t_scan": t_scan})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("diagnose", config(400.0), tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "diagnose.json").read_text())[
+        "conjugate_count"] == 0
+    (tmp_path / "diagnose.json").unlink()
+    assert run("diagnose", config(800.0), tmp_path) == 3
+    assert "t_max=800" in capsys.readouterr().err
+    assert not (tmp_path / "diagnose.json").exists()
 
 
 # one small config per command that takes a tol; each sets no tol

@@ -190,10 +190,26 @@ def test_domain_limits_enforced(disc, jet_family):
         eval_metric(disc, 2.0, 0.0)        # open at the centre
     eval_metric(disc, 2.0 - 1e-9, 0.0)     # but approachable
     with pytest.raises(MetricError):
-        eval_metric(jet_family, 0.5 + 1e-9, 0.0)
-    eval_metric(jet_family, 0.5, 0.0)      # closed collar end
+        eval_metric(jet_family, 0.5, 0.0)  # every collar is open at rho_max
+    eval_metric(jet_family, 0.5 - 1e-9, 0.0)
     with pytest.raises(MetricError):
         eval_metric(disc, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("builder", [
+    perturbed_family, lambda: taylor1d_family(1.0),
+    lambda: halfplane_family(rho_max=3.0),
+    lambda: product_family(perturbed_family(), perturbed_family(rho_max=0.4))],
+    ids=["perturbed", "taylor1d", "half-plane", "product"])
+def test_every_family_has_the_domain_below_rho_max(builder):
+    fam = builder()
+    y = np.zeros(fam.n)
+    with pytest.raises(MetricError, match=r"outside \[0, "):
+        eval_metric(fam, fam.rho_max, y)
+    with pytest.raises(MetricError):
+        christoffel_symbols(fam, np.array([0.1, fam.rho_max]),
+                            np.full((2, fam.n), 0.0))
+    eval_metric(fam, fam.rho_max * (1.0 - 1e-12), y)
 
 
 def test_curvature_needs_interior_point(halfplane):
@@ -232,8 +248,7 @@ def test_second_derivative_off_by_one_percent_rejected(base):
     row's own message; d2h_drho2's tolerance allows for bump corners."""
     fam = base()
     prof = fam.profiles[0]
-    _family([prof], fam.chart, fam.rho_max, "exact", {},
-            open_at_max=fam.open_at_max)
+    _family([prof], fam.chart, fam.rho_max, "exact", {})
     for row, name in ((1, "dh_drho"), (2, "dh_dy"), (3, "d2h_drho2")):
         if base is disc_family and name == "dh_dy":
             continue    # the disc's dh_dy is 0, which 1% leaves exact
@@ -244,8 +259,7 @@ def test_second_derivative_off_by_one_percent_rejected(base):
             return tuple(out)
 
         with pytest.raises(MetricError, match=f"^{name} inconsistent"):
-            _family([off], fam.chart, fam.rho_max, "off", {},
-                    open_at_max=fam.open_at_max)
+            _family([off], fam.chart, fam.rho_max, "off", {})
 
 
 def test_diag_broadcasts_to_four_rows():
@@ -298,6 +312,36 @@ def test_make_family_rejects_unknown_kind():
         make_family({"family": "klein-bottle"})
     with pytest.raises(MetricError):
         make_family({"no": "family key"})
+
+
+BUMP = {"amplitude": 0.5, "rho_lo": 0.2, "rho_hi": 0.4}
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "perturbed", "params": {"a_coss": [0.0, 0.3]}}, "a_coss"),
+    ({"family": "disc-normal", "params": {"rho_max": 1.0}}, "rho_max"),
+    ({"family": "perturbed", "params": {"bump": {**BUMP, "width": 0.1}}},
+     "width"),
+    ({"family": "radial-power", "params": {"amp": 0.1}}, "power"),
+    ({"family": "product"}, "factors"),
+    ({"family": "product", "params": {"factors": [{"family": "half-plane"}]}},
+     "factors"),
+    ({"family": "half-plane", "parms": {"rho_max": 1.0}}, "parms"),
+], ids=["typo", "disc-rho_max", "bump-key", "missing", "no-factors",
+        "one-factor", "spec-key"])
+def test_make_family_refuses_keys_no_constructor_takes(spec, key):
+    with pytest.raises(MetricError, match=key):
+        make_family(spec)
+
+
+def test_spec_params_are_the_constructor_keywords():
+    """A spec without params builds the constructor's defaults."""
+    assert make_family({"family": "taylor1d", "params": {"h0": 1.2}}).spec() \
+        == taylor1d_family(1.2).spec()
+    assert make_family({"family": "perturbed"}).spec() \
+        == perturbed_family().spec()
+    fam = make_family({"family": "perturbed", "params": {"bump": BUMP}})
+    assert fam.spec() == perturbed_family(bump=BUMP).spec()
 
 
 # ---------------------------------------------------------------------------

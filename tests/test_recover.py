@@ -123,8 +123,8 @@ def test_noise_degrades_gracefully(ring_sets):
     rng = np.random.default_rng(42)
     noisy = [LengthSampleSet(
         y0=s.y0, directions=s.directions, deltas=s.deltas,
-        lengths=s.lengths + rng.uniform(-1e-6, 1e-6, s.lengths.shape),
-        noise=1e-6) for s in ring_sets]
+        lengths=s.lengths + rng.uniform(-1e-6, 1e-6, s.lengths.shape))
+        for s in ring_sets]
     jet = recover_first_jet(noisy)
     for i, y in enumerate(ring(RING_POINTS)):
         assert jet.h0[i, 0, 0] == pytest.approx(1.0, abs=1e-4)
@@ -357,9 +357,6 @@ def test_every_sample_set_must_be_one_dimensional(halfplane, hp_sets, route):
 
 
 def test_json_round_trips(ring_sets):
-    payload = json.loads(ring_sets[0].to_json())
-    assert payload["deltas"] == list(DELTA_GRID)
-    assert np.asarray(payload["lengths"]).shape == ring_sets[0].lengths.shape
     jet = recover_first_jet(ring_sets)
     out = json.loads(jet.to_json())
     assert np.allclose(out["drho_h"], jet.drho_h)

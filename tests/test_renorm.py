@@ -78,9 +78,10 @@ def test_disc_distance_closed_form(disc, theta):
         assert math.isfinite(res.residual)
 
 
-def test_stalled_shooting_raises_typed_flow_error(disc):
+def test_stalled_shooting_raises_typed_flow_error(disc, monkeypatch):
+    monkeypatch.setattr(renorm, "MAX_SHOOT_ITER", 1)
     with pytest.raises(ShootingError):
-        boundary_distance(disc, 0.0, 3.0, max_iter=1)
+        boundary_distance(disc, 0.0, 3.0)
     assert issubclass(ShootingError, FlowError)
 
 

@@ -81,14 +81,6 @@ def test_weight_gate_rejects_singular_integrand(halfplane):
         xray_transform(bad, traj)
 
 
-def test_field_validation_flags_asymmetric_components(halfplane):
-    bad = SymmetricTensorField(
-        rank=2, weight=0,
-        components=lambda rho, y: np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        bad.validate(halfplane)
-
-
 # ---------------------------------------------------------------------------
 # potential tensors integrate to zero
 
