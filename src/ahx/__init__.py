@@ -15,7 +15,7 @@ from .metric import (
     radial_power_family, taylor1d_family,
 )
 from .flow import (
-    BoundaryCovector, BPhasePoint, ChartExitError, CollarExitError,
+    BoundaryCovector, BPhasePoint, CollarExitError,
     FlowError, GeodesicTrajectory, TrappedOrSlowError,
     barX_eval, delta_max, flip_state,
     scattering_jacobian, scattering_map, trace_from_state,

@@ -15,8 +15,9 @@ endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
 the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-metric or field parameter its constructor does not take, a config with
-both ``points`` and ``grid``, a metric whose boundary is not
+key at any level that the command does not read, such as a metric or
+field parameter its constructor does not take, a config with both
+``points`` and ``grid``, a metric whose boundary is not
 1-dimensional, a covector with eta = 0, a negative ``seed``, a ``T_asym``
 too small for the curvature to settle or so large that its seed's
 tolerance underflows, a ``t_scan`` so long that the conjugate scan's field
@@ -102,6 +103,13 @@ def _one_of(*choices) -> Callable:
     return parse
 
 
+def _fields(doc: dict, *keys) -> list:
+    """The values of a JSON object that has exactly ``keys``."""
+    if set(doc) != set(keys):
+        raise ValueError(f"expected the keys {list(keys)}, got {sorted(doc)}")
+    return [doc[k] for k in keys]
+
+
 def _directions(value) -> np.ndarray:
     """One direction or a list of them, as rows of finite numbers."""
     rows = value if isinstance(value[0], list) else [value]
@@ -110,12 +118,16 @@ def _directions(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment configuration: metric spec, parameters, seed."""
+    """Parsed experiment configuration: metric spec, parameters, seed.
+
+    ``read`` records the parameters that :meth:`value` has read, so that a
+    command can refuse the rest (:meth:`refuse_unread`)."""
 
     metric: dict
     params: dict
     seed: int = 0
     raw: dict = field(default_factory=dict, repr=False)
+    read: set = field(default_factory=set, repr=False, compare=False)
 
     def family(self) -> BoundaryMetricFamily:
         try:
@@ -132,6 +144,7 @@ class ExperimentConfig:
         """``parse`` applied to the value under ``key``, or to ``default``
         when the key is absent (required if there is no default); a value
         that ``parse`` rejects is a ConfigError."""
+        self.read.add(key)
         if default is None and key not in self.params:
             raise ConfigError(f"config is missing required key {key!r}")
         raw = self.params.get(key, default)
@@ -143,6 +156,15 @@ class ExperimentConfig:
                 TypeError, ValueError) as exc:
             raise ConfigError(f"bad {key!r} value {raw!r}: "
                               f"{type(exc).__name__}: {exc}") from exc
+
+    def refuse_unread(self) -> None:
+        """A ConfigError naming the parameters no :meth:`value` call read;
+        a command calls it once it has read its parameters, before it runs
+        a row or writes a file."""
+        unread = sorted(set(self.params) - self.read)
+        if unread:
+            raise ConfigError(f"config keys {unread} are not read by this "
+                              "command")
 
     def tolerance(self, key: str, default: float) -> float:
         val = self.value(key, _number, default)
@@ -272,7 +294,7 @@ def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
         rows = cfg.value("points", _float_pairs)
     elif "grid" in cfg.params:
         rows = cfg.value("grid", lambda g: list(itertools.product(
-            _floats(g["y"]), _floats(g["eta"]))))
+            *map(_floats, _fields(g, "y", "eta")))))
     else:
         raise ConfigError("need 'points' or 'grid' in config")
     for _, eta in rows:
@@ -287,7 +309,9 @@ def _run_rows(cfg: ExperimentConfig, out: Path, jobs: int, name: str,
     """Write ``<name>.csv`` with one line per row: the row's ``inputs``,
     the ``outputs`` columns that ``compute(*row)`` returns as a dict, and a
     ``status``, "ok" or the type name of the FlowError the row raised (its
-    outputs then left empty)."""
+    outputs then left empty).  A parameter of ``cfg`` that the command has
+    not read by now is a ConfigError."""
+    cfg.refuse_unread()
 
     def worker(row):
         line = dict(zip(inputs, row))
@@ -305,7 +329,8 @@ def _run_rows(cfg: ExperimentConfig, out: Path, jobs: int, name: str,
 
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
-    y0, eta0 = cfg.value("z", lambda z: (_number(z["y"]), _number(z["eta"])))
+    y0, eta0 = cfg.value("z", lambda z: tuple(
+        map(_number, _fields(z, "y", "eta"))))
     if eta0 == 0.0:
         raise ConfigError("boundary covectors need nonzero eta")
     tol = cfg.tolerance("tol", DEFAULT_TOL)
@@ -314,6 +339,7 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     if n_samples < 2:
         raise ConfigError("samples must be at least 2")
     svg = cfg.value("svg", _boolean, False)
+    cfg.refuse_unread()
     traj = trace_geodesic(fam, (y0, eta0), tol=tol, t_max=t_max)
     taus = np.linspace(0.0, traj.tau_plus, n_samples)
     h = config_hash(cfg)
@@ -440,6 +466,7 @@ def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     if noise < 0.0:
         raise ConfigError("noise amplitude must be nonnegative")
     route = cfg.value("route", _one_of("asymptotic", "fit", "both"), "both")
+    cfg.refuse_unread()
 
     def worker(y0):
         return synthesize_samples(fam, y0, directions, deltas, tol=tol,
@@ -471,6 +498,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     t_asym = cfg.tolerance("T_asym", T_ASYM)
     t_scan = cfg.tolerance("t_scan", T_SCAN)
     tol = cfg.tolerance("tol", DEFAULT_TOL)
+    cfg.refuse_unread()
 
     def worker(z):
         return diagnose_covector(fam, z, T_asym=t_asym, t_scan=t_scan,

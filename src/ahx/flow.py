@@ -41,10 +41,11 @@ optional rho levels where the integrand is not smooth
 
 The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
-interpolant outside error control, so the arrival step is retaken exactly
-to the located arrival time and the outgoing covector carries the accuracy
-of an integration step.  A step or arrival end that the projection moves by
-more than ``COSPHERE_SLACK`` of its covector was not resolved, although the
+interpolant outside error control, so the trace's one stepper is rewound
+to the start of the arrival step and retakes it exactly to the located
+arrival time, and the outgoing covector carries the accuracy of an
+integration step.  A step or arrival end that the projection moves by more
+than ``COSPHERE_SLACK`` of its covector was not resolved, although the
 error estimate passed it, and the trace fails rather than go on from it.
 """
 
@@ -65,7 +66,7 @@ from .metric import BoundaryMetricFamily, eval_metric
 from .quadrature import composite_gauss, panel_gauss, smoothstep
 
 __all__ = [
-    "FlowError", "TrappedOrSlowError", "ChartExitError", "CollarExitError",
+    "FlowError", "TrappedOrSlowError", "CollarExitError",
     "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory", "TraceStats",
     "barX_eval", "trace_geodesic", "trace_from_state",
     "scattering_map", "scattering_jacobian", "ScatteringJacobian",
@@ -103,10 +104,6 @@ class TrappedOrSlowError(FlowError):
         super().__init__(msg)
         self.tau = tau
         self.t_acc = t_acc
-
-
-class ChartExitError(FlowError):
-    """Trajectory left the stated bounds of an affine boundary chart."""
 
 
 class CollarExitError(FlowError):
@@ -334,11 +331,12 @@ class _Dop853:
     atol raises ValueError.
     ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS calls and step
     attempts.  After :meth:`step` the caller may replace ``y`` and ``f``
-    (e.g. by a projection) before the next step.
+    (e.g. by a projection) before the next step, or :meth:`rewind` to
+    retake that step toward a nearer ``t_bound``.
     """
 
     def __init__(self, fun: Callable, t0: float, y0, t_bound: float,
-                 rtol: float, atol: float, first_step: float | None = None):
+                 rtol: float, atol: float):
         if rtol < 100 * _EPS:
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
@@ -358,7 +356,7 @@ class _Dop853:
         self.nfev = 1
         self.n_accepted = self.n_rejected = 0
         self.t_old = self.y_old = None
-        self.h_abs = self._initial_step() if first_step is None else first_step
+        self.h_abs = self._initial_step()
         self.K = np.empty((_N_EXTENDED, y0.size))
         self._KT = [self.K[:s].T for s in range(_N_EXTENDED + 1)]
 
@@ -437,6 +435,15 @@ class _Dop853:
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * _dop.D.dot(K)
         return _Step(float(t), float(t_new), float(h), y, F)
+
+    def rewind(self, t_bound: float) -> None:
+        """Go back to the start of the last accepted step, whose slope is
+        still K[0], and aim at ``t_bound`` with the whole distance as the
+        first try.  The steps that follow are those of scipy's ``DOP853``
+        started from that state with that first step, which costs one RHS
+        call more."""
+        self.t, self.y, self.f = self.t_old, self.y_old, self.K[0].copy()
+        self.t_bound, self.h_abs = t_bound, abs(t_bound - self.t_old)
 
 
 class _Solution:
@@ -582,17 +589,17 @@ def _arc_bound(rho_lo: float, rho_hi: float, h: float) -> float:
 class TraceStats:
     """Counters of one trace.
 
-    ``n_accepted`` and ``n_rejected`` count the step attempts the
-    :class:`_Dop853` steppers accepted and rejected, the arrival step and
-    its exact retake both included; ``n_rhs`` is their number of
+    ``n_accepted``, ``n_rejected`` and ``n_rhs`` are the counters of the
+    trace's one :class:`_Dop853` stepper: the step attempts it accepted and
+    rejected, the arrival step and its exact retake both included, and its
     right-hand-side calls (``nfev``).  ``max_constraint_drift`` is the
     largest |proj - y| that the cosphere projection removed from the state
     after an accepted step or from the arrival end state.  ``guard`` names
-    the check that stopped a failed trace: "t_max", "collar", "chart",
-    "step_limit", "integrator", "cosphere" (an accepted step or the arrival
-    end left the unit cosphere by more than ``COSPHERE_SLACK``) or
-    "half_space" (the arrival search found no rho > 0 on an overshooting
-    step); it is None for a trace that arrived.
+    the check that stopped a failed trace: "t_max", "collar", "step_limit",
+    "integrator", "cosphere" (an accepted step or the arrival end left the
+    unit cosphere by more than ``COSPHERE_SLACK``) or "half_space" (the
+    arrival search found no rho > 0 on an overshooting step); it is None
+    for a trace that arrived.
     """
 
     n_accepted: int
@@ -742,8 +749,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     end that the cosphere projection moves by more than ``COSPHERE_SLACK``
     of its covector raises :class:`FlowError`: the step controller passed a
     step it did not resolve.  Every :class:`FlowError` raised here carries
-    the trace's :class:`TraceStats` so far as ``stats``.  The :class:`_Step`
-    rows are the one list kept; the trajectory is their :class:`_Solution`.
+    the trace's :class:`TraceStats` so far as ``stats``.  One
+    :class:`_Dop853` runs the whole trace: at arrival it is rewound to the
+    start of the arrival step and retakes it to the located arrival time.
+    The :class:`_Step` rows are the one list kept; the trajectory is their
+    :class:`_Solution`.
     Floating-point overflow, invalid and divide warnings are off for the
     whole trace: a step too long for the covector's scale may overflow in
     its stages, and its non-finite error norm rejects it.
@@ -751,9 +761,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     n = fam.n
     rhs = _make_rhs(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
-    chart = fam.chart
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
-    solvers = [solver]
     steps = []
     rho_prev = s0[0]
     bound = 0.0     # running upper bound of the arclength
@@ -763,10 +771,8 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
 
     def stats(guard=None):
         return TraceStats(
-            n_accepted=sum(s.n_accepted for s in solvers),
-            n_rejected=sum(s.n_rejected for s in solvers),
-            n_rhs=sum(s.nfev for s in solvers),
-            max_constraint_drift=drift, guard=guard)
+            n_accepted=solver.n_accepted, n_rejected=solver.n_rejected,
+            n_rhs=solver.nfev, max_constraint_drift=drift, guard=guard)
 
     def fail(exc, guard):
         exc.stats = stats(guard)
@@ -815,20 +821,18 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             # retake the arrival step exactly to tau_star: the dense output
             # it would otherwise end on is less accurate than a step
             steps.pop()
-            last = _Dop853(rhs, t_lo, solver.y_old, tau_star, tol, tol,
-                           first_step=tau_star - t_lo)
-            solvers.append(last)
+            solver.rewind(tau_star)
             while True:
-                st = last.step()
+                st = solver.step()
                 if st is None:
                     raise fail(FlowError(
                         f"integrator failure: {_TOO_SMALL_STEP}"), "integrator")
                 steps.append(st)
                 # t_lo + h may fall short of tau_star by rounding
-                if tau_star - last.t <= 4.0 * math.ulp(tau_star):
+                if tau_star - solver.t <= 4.0 * math.ulp(tau_star):
                     break
-            tau_star = last.t
-            end = last.y
+            tau_star = solver.t
+            end = solver.y
             if abs(end[1 + n]) > 1e-8:
                 # one Newton polish using drho/dtau = xi_b; the arclength
                 # panels of this step end at st.t, not at the polished time
@@ -844,11 +848,6 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             raise fail(CollarExitError(
                 f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
                 "collar")
-        if chart.kind == "affine" and chart.y_bounds is not None:
-            if not chart.contains(solver.y[1:1 + n]):
-                raise fail(ChartExitError(
-                    f"y={solver.y[1:1 + n]} left the affine chart at tau={solver.t:.6g}"),
-                    "chart")
         bound += _arc_bound(rho_prev, rho_new, t_hi - t_lo)
         if bound > t_max:
             for done in steps[n_exact:]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -333,14 +333,7 @@ class SimplicityReport:
     n_geodesics: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "min_angle_deg": self.min_angle_deg,
-            "conjugate_count": self.conjugate_count,
-            "nu_fit": self.nu_fit,
-            "C_fit": self.C_fit,
-            "trace_failures": self.trace_failures,
-            "n_geodesics": self.n_geodesics,
-        })
+        return json.dumps(asdict(self))
 
 
 class CovectorDiagnostics(NamedTuple):

@@ -10,16 +10,19 @@ downstream consumes only those: the flow reads the first three and
 :func:`gauss_curvature` all four, from one profile call.
 :func:`eval_metric` gives the matrix view.  Every family has the domain
 0 <= rho < rho_max; the flow stops a geodesic that reaches rho_max with
-``CollarExitError``.
+``CollarExitError``.  Its boundary chart (:class:`Chart`) is periodic or
+the whole line in each coordinate, with no bounds to leave.
 
 Built-in families:
 
-* ``half-plane``     n=1, h = dy**2, affine chart, domain unbounded in rho.
+* ``half-plane``     n=1, h = dy**2 on the whole line, domain unbounded in rho.
 * ``disc-normal``    n=1, h = (1 - rho**2/4)**2 dy**2, periodic chart.  This
   is the full hyperbolic disc written globally in normal form; rho_max = 2
   is the coordinate image of the disc centre.
 * ``perturbed``      n=1, h = exp(2(rho*a(y) + rho**2*b(y))) dy**2 with trig
   polynomials a, b on a collar.
+* ``radial-power``   n=1, h = (1 + amp*rho**p) dy**2 on the whole line, for a
+  whole p >= 1.
 * ``taylor1d``       n=1, h = h0 + c1*rho + c2*rho**2/2, the forward model
   of jet fitting; the fit evaluates this h itself and takes the lengths
   from a turning-point integral, so it builds no family and traces none.
@@ -34,9 +37,9 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional
 
 import numpy as np
 
@@ -69,10 +72,10 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """Boundary chart: periodic (angles mod 2 pi per coordinate) or affine."""
+    """Boundary chart: periodic (angles mod 2 pi per coordinate) or affine
+    (the whole line in each coordinate)."""
 
     kind: str  # "periodic" | "affine"
-    y_bounds: Optional[tuple] = None  # affine only: ((lo, hi), ...) or None
 
     def __post_init__(self):
         if self.kind not in ("periodic", "affine"):
@@ -90,15 +93,6 @@ class Chart:
             d = np.mod(d + math.pi, TWO_PI) - math.pi
             d = np.where(d == -math.pi, math.pi, d)
         return d
-
-    def contains(self, y: np.ndarray) -> bool:
-        if self.kind == "periodic" or self.y_bounds is None:
-            return True
-        y = np.atleast_1d(y)
-        for yi, (lo, hi) in zip(y, self.y_bounds):
-            if yi < lo or yi > hi:
-                return False
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +226,10 @@ def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
     return bumped
 
 
-def halfplane_family(y_bounds=None, rho_max: float = math.inf) -> BoundaryMetricFamily:
-    chart = Chart("affine", y_bounds=y_bounds)
-    params = {}
-    if y_bounds is not None:
-        params["y_bounds"] = [list(b) for b in y_bounds]
-    if math.isfinite(rho_max):
-        params["rho_max"] = rho_max
-    return _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0)], chart, rho_max,
-                   "half-plane", params)
+def halfplane_family(rho_max: float = math.inf) -> BoundaryMetricFamily:
+    params = {"rho_max": rho_max} if math.isfinite(rho_max) else {}
+    return _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0)], Chart("affine"),
+                   rho_max, "half-plane", params)
 
 
 def disc_family() -> BoundaryMetricFamily:
@@ -282,11 +271,14 @@ def radial_power_family(amp: float, power: int,
     """Flat boundary metric with monomial radial profile h = 1 + amp rho^p.
 
     Used for deformation paths whose metric derivative vanishes to a
-    prescribed order at the boundary.
+    prescribed order at the boundary.  ``power`` is a whole number p >= 1
+    (2 and 2.0 alike); a bool or a fraction raises MetricError.
     """
+    if isinstance(power, bool) or not isinstance(power, numbers.Real) \
+            or not float(power).is_integer() or power < 1:
+        raise MetricError(
+            f"radial power must be a whole number >= 1, got power={power!r}")
     p = int(power)
-    if p < 1:
-        raise MetricError("radial power must be a positive integer")
 
     params = {"amp": amp, "power": p}
     if math.isfinite(rho_max):
@@ -373,10 +365,7 @@ def _validation_grid(fam: BoundaryMetricFamily):
     if fam.chart.kind == "periodic":
         ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     else:
-        lo, hi = (-3.0, 3.0)
-        if fam.chart.y_bounds is not None:
-            lo, hi = fam.chart.y_bounds[0]
-        ys = np.linspace(lo, hi, 8)
+        ys = np.linspace(-3.0, 3.0, 8)
     return rhos, ys
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,23 +220,11 @@ class JetEstimate:
                 raise RecoveryError("h0 estimate not positive definite")
 
     def to_json(self) -> str:
-        payload = {
-            "y0s": self.y0s.tolist(),
-            "h0": self.h0.tolist(),
-            "drho_h": self.drho_h.tolist(),
-            "order": self.order,
-            "fit_residuals": self.fit_residuals.tolist(),
-        }
-        if self.d2rho_h is not None:
-            payload["d2rho_h"] = self.d2rho_h.tolist()
-        if self.jacobian_sv is not None:
-            payload["jacobian_sv"] = self.jacobian_sv.tolist()
-        if self.unresolved is not None:
-            payload["unresolved"] = self.unresolved.tolist()
-        if self.fit_nfev is not None:
-            payload["fit_nfev"] = self.fit_nfev.tolist()
-            payload["fit_status"] = self.fit_status.tolist()
-        return json.dumps(payload)
+        """The fields as a JSON object, arrays as lists, None fields left
+        out."""
+        return json.dumps({
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in asdict(self).items() if v is not None})
 
 
 def _require_one_dimension(sample_sets, route: str):

@@ -303,8 +303,6 @@ class ScatteringDistanceCheck:
     residual: float
     eta_in_fd: np.ndarray     # -d/dy_minus of the distance
     eta_out_fd: np.ndarray    # +d/dy_plus of the distance
-    y_out: np.ndarray
-    eta_out: np.ndarray
 
 
 def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus,
@@ -332,13 +330,10 @@ def scattering_from_distance_check(fam: BoundaryMetricFamily, y_minus,
 
     eta_in = -grad_m
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta_in))
-    y_out = traj.end.y
-    eta_out = traj.end.eta
-    mis_y = float(np.max(np.abs(fam.chart.wrapped_diff(y_out, yp))))
-    mis_e = float(np.max(np.abs(eta_out - grad_p)))
+    mis_y = float(np.max(np.abs(fam.chart.wrapped_diff(traj.end.y, yp))))
+    mis_e = float(np.max(np.abs(traj.end.eta - grad_p)))
     return ScatteringDistanceCheck(residual=max(mis_y, mis_e),
-                                   eta_in_fd=eta_in, eta_out_fd=grad_p,
-                                   y_out=y_out, eta_out=eta_out)
+                                   eta_in_fd=eta_in, eta_out_fd=grad_p)
 
 
 # ---------------------------------------------------------------------------

@@ -317,9 +317,7 @@ def _fiber_state(fam, rho, yv, theta):
 
 @dataclass(frozen=True)
 class SantaloResult:
-    lhs: float                # invariant-measure integral over the bundle
-    rhs_levels: tuple         # boundary-side integrals, coarse to fine
-    rel_errors: tuple
+    rel_errors: tuple         # against the bundle side, coarse to fine
     orders: tuple
 
 
@@ -418,14 +416,11 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     rel = tuple(abs(r - lhs) / abs(lhs) for r in rhs_levels)
     orders = tuple(math.log2(rel[i] / rel[i + 1]) if rel[i + 1] > 0 else
                    float("inf") for i in range(len(rel) - 1))
-    return SantaloResult(lhs=lhs, rhs_levels=tuple(rhs_levels),
-                         rel_errors=rel, orders=orders)
+    return SantaloResult(rel_errors=rel, orders=orders)
 
 
 @dataclass(frozen=True)
 class AdjointnessResult:
-    boundary_pairing: float
-    bundle_pairing: float
     rel_error: float
 
 
@@ -468,8 +463,7 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
             rhs += wr[i] * wy * wth * dens[i, j] * omega(
                 float(zin.y[0]), float(zin.eta[0]))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return AdjointnessResult(boundary_pairing=lhs, bundle_pairing=rhs,
-                             rel_error=rel)
+    return AdjointnessResult(rel_error=rel)
 
 
 # ---------------------------------------------------------------------------

@@ -406,13 +406,26 @@ def test_config_errors_exit_3(tmp_path, payload):
      "rho_loo"),
     ("scatter", {"metric": HALF, "points": [[0.0, 1.0]],
                  "grid": {"y": [0.0], "eta": [2.0]}}, "not both"),
-], ids=["metric-param", "disc-rho_max", "field-param", "points-and-grid"])
+    # a misspelled tol used to leave the rows at the default 1e-12
+    ("scatter", {"metric": HALF, "points": [[0.0, 1.0]], "tols": 1e-3},
+     "tols"),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "sample": 20},
+     "sample"),
+    ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0, "tol": 1e-3}},
+     "tol"),
+    ("scatter", {"metric": HALF, "grid": {"y": [0.0], "eta": [2.0],
+                                          "etas": [1.0]}}, "etas"),
+    ("scatter", {"metric": {"family": "half-plane",
+                            "params": {"y_bounds": [[-1.0, 1.0]]}},
+                 "points": [[0.0, 1.0]]}, "y_bounds"),
+], ids=["metric-param", "disc-rho_max", "field-param", "points-and-grid",
+        "row-command-key", "trace-key", "z-key", "grid-key", "y_bounds"])
 def test_unknown_or_conflicting_keys_exit_3(tmp_path, capsys, command, config,
                                             key):
     cfg = write_config(tmp_path, "c.json", config)
     assert run(command, cfg, tmp_path) == 3
     assert key in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_diagnose_scan_overflow_exits_3(tmp_path, capsys):

@@ -327,11 +327,30 @@ BUMP = {"amplitude": 0.5, "rho_lo": 0.2, "rho_hi": 0.4}
     ({"family": "product", "params": {"factors": [{"family": "half-plane"}]}},
      "factors"),
     ({"family": "half-plane", "parms": {"rho_max": 1.0}}, "parms"),
+    # a half-plane chart is the whole line: it has no bounds to set
+    ({"family": "half-plane", "params": {"y_bounds": [[-1.0, 1.0]]}},
+     "y_bounds"),
 ], ids=["typo", "disc-rho_max", "bump-key", "missing", "no-factors",
-        "one-factor", "spec-key"])
+        "one-factor", "spec-key", "y_bounds"])
 def test_make_family_refuses_keys_no_constructor_takes(spec, key):
     with pytest.raises(MetricError, match=key):
         make_family(spec)
+
+
+@pytest.mark.parametrize("power", [2.5, True, "2", math.nan, math.inf, 0, -2])
+def test_radial_power_must_be_whole(power):
+    # int() used to truncate 2.5 to 2 and True to 1 without a word
+    with pytest.raises(MetricError, match="power"):
+        make_family({"family": "radial-power",
+                     "params": {"amp": 0.1, "power": power}})
+
+
+def test_whole_float_radial_power_builds_the_integer_power():
+    two = radial_power_family(0.1, 2)
+    assert radial_power_family(0.1, 2.0).spec() == two.spec()
+    assert two.spec()["params"]["power"] == 2
+    assert radial_power_family(0.1, 2.0).profiles[0](0.5, 0.0) \
+        == two.profiles[0](0.5, 0.0)
 
 
 def test_spec_params_are_the_constructor_keywords():
