@@ -406,7 +406,7 @@ def test_config_errors_exit_3(tmp_path, payload):
      "rho_loo"),
     ("scatter", {"metric": HALF, "points": [[0.0, 1.0]],
                  "grid": {"y": [0.0], "eta": [2.0]}}, "not both"),
-    # a misspelled tol used to leave the rows at the default 1e-12
+    # a misspelled tol must not leave the rows at the default 1e-12
     ("scatter", {"metric": HALF, "points": [[0.0, 1.0]], "tols": 1e-3},
      "tols"),
     ("trace", {"metric": HALF, "z": {"y": 0.0, "eta": 1.0}, "sample": 20},

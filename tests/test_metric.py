@@ -339,7 +339,7 @@ def test_make_family_refuses_keys_no_constructor_takes(spec, key):
 
 @pytest.mark.parametrize("power", [2.5, True, "2", math.nan, math.inf, 0, -2])
 def test_radial_power_must_be_whole(power):
-    # int() used to truncate 2.5 to 2 and True to 1 without a word
+    # a fraction or a bool must not round silently to a whole power
     with pytest.raises(MetricError, match="power"):
         make_family({"family": "radial-power",
                      "params": {"amp": 0.1, "power": power}})
