@@ -17,7 +17,7 @@ from .metric import (
 from .flow import (
     BoundaryCovector, BPhasePoint, CollarExitError,
     FlowError, GeodesicTrajectory, TrappedOrSlowError,
-    barX_eval, delta_max, flip_state,
+    barX_eval, flip_state,
     scattering_jacobian, scattering_map, trace_from_state,
     trace_geodesic,
 )
@@ -38,7 +38,7 @@ from .jacobi import (
     jacobi_system, simplicity_report, stable_unstable, wronskian,
 )
 from .recover import (
-    H0Recovery, JetEstimate, LengthSampleSet, RecoveryError,
+    H0Recovery, JetEstimate, LengthSampleSet, RecoveryError, delta_max,
     recover_first_jet, recover_h0, recover_jet_fit, synthesize_samples,
 )
 

@@ -7,7 +7,8 @@ Configs are JSON documents with a ``metric`` spec (see
 constructor's keywords), command-specific parameters, and an optional
 ``seed``.  Outputs are CSV (RFC 4180 payload preceded by one
 ``# config_hash=...`` comment line), JSON, and plain SVG line charts.
-Runs are deterministic for a fixed config and seed.
+Runs are deterministic for a fixed config and seed.  The ``xray`` field is
+a bump whose edges ``rho_lo`` and ``rho_hi`` are its breaks.
 
 Every number in a config must be a finite JSON number.  Each command's
 ``tol`` defaults to the library's ``flow.DEFAULT_TOL`` (1e-12), except the
@@ -22,8 +23,8 @@ field parameter its constructor does not take, a config with both
 too small for the curvature to settle or so large that its seed's
 tolerance underflows, a ``t_scan`` so long that the conjugate scan's field
 overflows, and a ``recover`` config the recovery rejects, such as a delta
-above the safe scale, no ``y0s`` or a direction with more than one
-component).
+above the safe scale, a negative ``noise``, no ``y0s`` or a direction with
+more than one component).
 """
 from __future__ import annotations
 
@@ -77,6 +78,8 @@ def _floats(values) -> List[float]:
 
 
 def _float_pairs(pairs) -> List[tuple]:
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("every entry must have two numbers")
     return [(_number(p[0]), _number(p[1])) for p in pairs]
 
 
@@ -410,9 +413,9 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 
 
 def _bump_field(amplitude=1.0, rho_lo=0.1, rho_hi=0.4, cos_amp=0.0,
-                harmonic=1) -> tuple:
+                harmonic=1) -> SymmetricTensorField:
     """The field amplitude poly_bump((rho - rho_lo) / (rho_hi - rho_lo))
-    (1 + cos_amp cos(harmonic y)) and its support (rho_lo, rho_hi)."""
+    (1 + cos_amp cos(harmonic y)), with its edges as ``breaks``."""
     amp, lo, hi, cos_amp = map(_number, (amplitude, rho_lo, rho_hi, cos_amp))
     harmonic = _integer(harmonic)
     if hi <= lo:
@@ -423,15 +426,16 @@ def _bump_field(amplitude=1.0, rho_lo=0.1, rho_hi=0.4, cos_amp=0.0,
         prof = amp * poly_bump((rho - lo) / width)
         return prof * (1.0 + cos_amp * np.cos(harmonic * y[..., 0]))
 
-    return SymmetricTensorField(rank=0, weight=1, components=comp), (lo, hi)
+    return SymmetricTensorField(rank=0, weight=1, components=comp,
+                                breaks=(lo, hi))
 
 
-def _field_from_spec(spec: dict) -> tuple:
-    """The configured field and its support (rho_lo, rho_hi).  ``kind`` is
-    "bump" and ``params`` (default empty) are the keywords of
-    :func:`_bump_field`; a key it does not take raises TypeError naming the
-    key.  The field is read where geodesics go, on the metric's domain
-    0 <= rho < rho_max."""
+def _field_from_spec(spec: dict) -> SymmetricTensorField:
+    """The configured field.  ``kind`` is "bump" and ``params`` (default
+    empty) are the keywords of :func:`_bump_field`; a key it does not take
+    raises TypeError naming the key.  The field is read where geodesics go,
+    on the metric's domain 0 <= rho < rho_max, and the bump's edges are its
+    breaks."""
     if not isinstance(spec, dict) or "kind" not in spec \
             or not set(spec) <= {"kind", "params"}:
         raise ConfigError("field spec must be a dict with a 'kind' key "
@@ -444,11 +448,11 @@ def _field_from_spec(spec: dict) -> tuple:
 def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", DEFAULT_TOL)
-    fld, supp = cfg.value("field", _field_from_spec)
+    fld = cfg.value("field", _field_from_spec)
 
     def compute(y, eta):
         traj = trace_geodesic(fam, (y, eta), tol=tol)
-        return {"integral": xray_transform(fld, traj, rho_breaks=supp)}
+        return {"integral": xray_transform(fld, traj)}
 
     return _run_rows(cfg, out, jobs, "xray", ["y", "eta"], ["integral"],
                      _covector_rows(cfg), compute)
@@ -460,11 +464,7 @@ def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     y0s = cfg.value("y0s", _floats)
     directions = cfg.value("directions", _directions, [[1.0]])
     deltas = cfg.value("deltas", _floats, DELTA_GRID)
-    if any(d <= 0.0 for d in deltas):
-        raise ConfigError("deltas must be positive")
     noise = cfg.value("noise", _number, 0.0)
-    if noise < 0.0:
-        raise ConfigError("noise amplitude must be nonnegative")
     route = cfg.value("route", _one_of("asymptotic", "fit", "both"), "both")
     cfg.refuse_unread()
 

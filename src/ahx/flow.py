@@ -62,7 +62,7 @@ import numpy as np
 
 from . import _dop853_tableau as _dop
 from ._brent import brentq
-from .metric import BoundaryMetricFamily, eval_metric
+from .metric import BoundaryMetricFamily
 from .quadrature import composite_gauss, panel_gauss, smoothstep
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
     "BPhasePoint", "BoundaryCovector", "GeodesicTrajectory", "TraceStats",
     "barX_eval", "trace_geodesic", "trace_from_state",
     "scattering_map", "scattering_jacobian", "ScatteringJacobian",
-    "delta_max", "flip_state",
+    "flip_state",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -82,7 +82,6 @@ QUAD_PANELS = 4      # sub-panels per step in quad_nodes
 _ARC_GRID = np.linspace(0.0, 1.0, 9)   # per-step rho samples for crossings
 RHO_CEILING = 1.0e7
 MAX_STEPS = 250_000
-DELTA_CAP = 0.2
 COSPHERE_SLACK = 0.1  # largest relative move of the projection after a step
 
 
@@ -592,9 +591,11 @@ class TraceStats:
     ``n_accepted``, ``n_rejected`` and ``n_rhs`` are the counters of the
     trace's one :class:`_Dop853` stepper: the step attempts it accepted and
     rejected, the arrival step and its exact retake both included, and its
-    right-hand-side calls (``nfev``).  ``max_constraint_drift`` is the
-    largest |proj - y| that the cosphere projection removed from the state
-    after an accepted step or from the arrival end state.  ``guard`` names
+    right-hand-side calls (``nfev``), to which :func:`_drive` adds the slope
+    it refreshes after each projection that moves the state.
+    ``max_constraint_drift`` is the largest |proj - y| that the cosphere
+    projection removed from the state after an accepted step or from the
+    arrival end state.  ``guard`` names
     the check that stopped a failed trace: "t_max", "collar", "step_limit",
     "integrator", "cosphere" (an accepted step or the arrival end left the
     unit cosphere by more than ``COSPHERE_SLACK``) or "half_space" (the
@@ -864,6 +865,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         if not np.array_equal(proj, solver.y):
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
+            solver.nfev += 1
         rho_prev = proj[0]
 
 
@@ -949,24 +951,3 @@ def scattering_jacobian(fam: BoundaryMetricFamily, z) -> ScatteringJacobian:
     resid = float(np.max(np.abs(M.T @ J @ M - J)))
     return ScatteringJacobian(matrix=M, det=float(np.linalg.det(M)),
                               symplectic_residual=resid)
-
-
-def delta_max(fam: BoundaryMetricFamily, y0, omega0) -> float:
-    """Largest safe size delta of a short geodesic from y0 along omega0.
-
-    In the blown-up chart rho |omega|_h = delta sin(theta), the angle theta
-    advances at the rate 1 + delta Q, where at rho = 0 the size of Q is at
-    most |d|omega|_h^2/drho| / (2 |omega|_h^3).  The returned delta stays a
-    factor 1.5 below the size at which that rate could vanish, and at most
-    ``DELTA_CAP`` (0.2, the largest scale of ``recover.DELTA_GRID``).
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
-    ev = eval_metric(fam, 0.0, y0)
-    hio = ev.h_inv @ omega0
-    n2 = float(omega0 @ hio)
-    dP = -float(hio @ ev.dh_drho_mat @ hio)
-    qt_max = abs(dP) / (2.0 * n2 ** 1.5)  # max over s of |Q| on theta = s
-    if qt_max == 0.0:
-        return DELTA_CAP
-    return min(DELTA_CAP, 1.0 / qt_max / 1.5)

@@ -29,15 +29,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metric import BoundaryMetricFamily, MetricError
-from .flow import CollarExitError, delta_max, trace_geodesic
+from .metric import BoundaryMetricFamily, MetricError, eval_metric
+from .flow import CollarExitError, trace_geodesic
 from .quadrature import gauss_nodes
 from .renorm import renormalized_length
 
 __all__ = [
     "RecoveryError", "LengthSampleSet", "H0Recovery", "JetEstimate",
     "synthesize_samples", "recover_h0", "recover_first_jet",
-    "recover_jet_fit", "DELTA_GRID",
+    "recover_jet_fit", "DELTA_GRID", "delta_max",
 ]
 
 #: geometric ratio-1/2 grid; small end limited by double-precision fitting
@@ -53,6 +53,27 @@ class RecoveryError(ValueError):
 
 # ---------------------------------------------------------------------------
 # sample synthesis (forward model)
+
+
+def delta_max(fam: BoundaryMetricFamily, y0, omega0) -> float:
+    """Largest safe size delta of a short geodesic from y0 along omega0.
+
+    In the blown-up chart rho |omega|_h = delta sin(theta), the angle theta
+    advances at the rate 1 + delta Q, where at rho = 0 the size of Q is at
+    most |d|omega|_h^2/drho| / (2 |omega|_h^3).  The returned delta stays a
+    factor 1.5 below the size at which that rate could vanish, and at most
+    the largest scale of ``DELTA_GRID``.
+    """
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
+    ev = eval_metric(fam, 0.0, y0)
+    hio = ev.h_inv @ omega0
+    n2 = float(omega0 @ hio)
+    dP = -float(hio @ ev.dh_drho_mat @ hio)
+    qt_max = abs(dP) / (2.0 * n2 ** 1.5)  # max over s of |Q| on theta = s
+    if qt_max == 0.0:
+        return max(DELTA_GRID)
+    return min(max(DELTA_GRID), 1.0 / qt_max / 1.5)
 
 
 @dataclass(frozen=True)
@@ -97,6 +118,8 @@ def synthesize_samples(fam: BoundaryMetricFamily, y0, directions,
         raise RecoveryError("need at least 3 delta values")
     if not np.all(dd > 0.0):
         raise RecoveryError("deltas must be positive")
+    if not noise >= 0.0:
+        raise RecoveryError("noise amplitude must be nonnegative")
     if dirs.shape[1] != fam.n:
         raise RecoveryError("directions need %d components, got %d"
                             % (fam.n, dirs.shape[1]))

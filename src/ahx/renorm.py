@@ -95,44 +95,46 @@ def renormalized_length(traj: GeodesicTrajectory) -> RenormLength:
 # Mellin route
 
 
-def _mellin_i0(traj: GeodesicTrajectory, lam: float,
-               extra: Optional[Callable] = None) -> float:
-    """int_0^{tau+} rho^{lam-1} W dtau with W = extra(lam, y) or 1.
+def _mellin_i0(traj: GeodesicTrajectory,
+               omega: Optional[Callable] = None) -> np.ndarray:
+    """int_0^{tau+} rho^{lam-1} W dtau for every lam of
+    ``DEFAULT_LAMBDA_GRID``, with W = expm1(lam omega(y)) or 1.
 
     Endpoint thirds use a 24-point Gauss rule with exact u^{lam-1} weight;
     the remaining smooth factor (rho/u)^{lam-1} is evaluated from dense
     output, switching to a local Taylor expansion of rho below u_cut where
     the tau_plus uncertainty would otherwise be amplified.  The middle
-    third uses 12 Gauss nodes per quadrature panel.
+    third uses 12 Gauss nodes per quadrature panel, shared by every lam.
+    Each third reads the dense output once, and omega is read once per node.
     """
     tp = traj.tau_plus
     m = tp / 3.0
     u_cut = 3e-5 * tp
-    e2_in = _endpoint_normsq(traj, at_end=False)
-    e2_out = _endpoint_normsq(traj, at_end=True)
+    lam = np.asarray(DEFAULT_LAMBDA_GRID, dtype=float)[:, None]
+    u, w = map(np.array, zip(*(gauss_jacobi_left(m, lv) for lv in lam[:, 0])))
 
-    total = 0.0
-    for from_end, e2 in ((False, e2_in), (True, e2_out)):
-        u, w = gauss_jacobi_left(m, lam)
-        taus = (tp - u) if from_end else u
-        states = traj.eval_many(taus)
-        rho = states[:, 0]
-        ratio = rho / u
+    def weighted(f, states):
+        if omega is None:
+            return f
+        ys = states[:, 1:1 + traj.n]
+        vals = np.array([omega(float(y[0])) if traj.n == 1 else omega(y)
+                         for y in ys])
+        return f * np.expm1(lam * vals.reshape(-1, f.shape[1]))
+
+    total = np.zeros(lam.size)
+    for from_end in (False, True):
+        e2 = _endpoint_normsq(traj, at_end=from_end)
+        states = traj.eval_many(((tp - u) if from_end else u).ravel())
+        ratio = states[:, 0].reshape(u.shape) / u
         small = u < u_cut
-        if np.any(small):
-            ratio[small] = 1.0 - e2 * u[small] ** 2 / 6.0
-        f = ratio ** (lam - 1.0)
-        if extra is not None:
-            ys = states[:, 1:1 + traj.n]
-            f = f * extra(lam, ys)
-        total += float(w @ f)
+        ratio[small] = 1.0 - e2 * u[small] ** 2 / 6.0
+        f = weighted(ratio ** (lam - 1.0), states)
+        total += [float(wr @ fr) for wr, fr in zip(w, f)]
 
     tm, wm = traj.quad_nodes(m, tp - m)
     states = traj.eval_many(tm)
-    f = states[:, 0] ** (lam - 1.0)
-    if extra is not None:
-        f = f * extra(lam, states[:, 1:1 + traj.n])
-    total += float(wm @ f)
+    f = weighted(states[:, 0] ** (lam - 1.0), states)
+    total += [float(wm @ fr) for fr in f]
     return total
 
 
@@ -146,7 +148,7 @@ def mellin_length(traj: GeodesicTrajectory) -> MellinLength:
     """Renormalized length from a Laurent fit of the Mellin family I0 on
     ``DEFAULT_LAMBDA_GRID``."""
     lam = np.asarray(DEFAULT_LAMBDA_GRID, dtype=float)
-    i0 = np.array([_mellin_i0(traj, lv) for lv in lam])
+    i0 = _mellin_i0(traj)
     scale = lam.max()
     x = lam / scale
     # one spare power beyond the reported model keeps truncation bias low
@@ -166,15 +168,7 @@ def conformal_shift(traj: GeodesicTrajectory, omega: Callable) -> float:
     omega(y_in) + omega(y_out).
     """
     lam = np.asarray(DEFAULT_LAMBDA_GRID, dtype=float)
-
-    def extra(lv, ys):
-        if ys.shape[1] == 1:
-            vals = np.array([omega(float(y[0])) for y in ys])
-        else:
-            vals = np.array([omega(y) for y in ys])
-        return np.expm1(lv * vals)
-
-    d = np.array([_mellin_i0(traj, lv, extra=extra) for lv in lam])
+    d = _mellin_i0(traj, omega)
     scale = lam.max()
     A = np.vander(lam / scale, 4, increasing=True)
     coef, *_ = np.linalg.lstsq(A, d, rcond=None)

@@ -56,13 +56,16 @@ class SymmetricTensorField:
     a value per point for rank 0, a symmetric (n+1, ..., n+1) block per
     point otherwise.  A constant such as ``np.array([0.0, 1.0])`` is valid.
     ``weight`` declares the boundary decay: components are rho^weight times
-    a function smooth up to rho = 0.  Partial derivatives are central
+    a function smooth up to rho = 0.  ``breaks`` are the rho levels where
+    the components are not smooth, such as the edges of a support; a
+    transform cuts its quadrature there.  Partial derivatives are central
     differences of the components, with steps ``FD_RHO`` and ``FD_Y``.
     """
 
     rank: int
     weight: int
     components: Callable
+    breaks: tuple = ()
 
     def comp(self, rho, y) -> np.ndarray:
         """Components at the broadcast points (rho, y), shape
@@ -120,20 +123,20 @@ def _lift(field: SymmetricTensorField, rho, y, V) -> np.ndarray:
     return c
 
 
-def xray_transform(field: SymmetricTensorField, traj: GeodesicTrajectory,
-                   rho_breaks=()) -> float:
+def xray_transform(field: SymmetricTensorField,
+                   traj: GeodesicTrajectory) -> float:
     """Arclength integral of the lifted field along the trajectory.
 
     The rule is :meth:`GeodesicTrajectory.quad_nodes` with its default 12
-    nodes per panel.  ``rho_breaks`` are rho levels where the field is not
-    smooth, such as the edges of its support, where the rule is also cut.
+    nodes per panel, also cut where the trajectory crosses the field's
+    ``breaks``.
     """
     if field.weight < 1 - field.rank:
         raise ValueError(
             f"rank-{field.rank} transform needs weight >= {1 - field.rank}, "
             f"got {field.weight}")
     n = traj.n
-    taus, w = traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=rho_breaks)
+    taus, w = traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=field.breaks)
     rows = traj.eval_many(taus)
     # with weight + rank >= 1 the integrand vanishes at the boundary
     inside = rows[:, 0] > 0.0
@@ -152,7 +155,8 @@ def sym_derivative(field: SymmetricTensorField,
     """Symmetrization of the Levi-Civita covariant derivative, rank m+1.
 
     Component evaluation uses the field's partial derivatives and the
-    collar Christoffel symbols; the result is assembled on demand.
+    collar Christoffel symbols; the result is assembled on demand and keeps
+    the field's ``breaks``.
     """
     m = field.rank
     slots = "bcdefghijk"[:m]
@@ -174,7 +178,7 @@ def sym_derivative(field: SymmetricTensorField,
             / (m + 1)
 
     return SymmetricTensorField(rank=m + 1, weight=field.weight - 1,
-                                components=components)
+                                components=components, breaks=field.breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +189,6 @@ def sym_derivative(field: SymmetricTensorField,
 class GaugeResult:
     potential: SymmetricTensorField     # rank m-1
     residual: float                     # max |iota_{d/d rho}(f - D q)| on collar
-    chi_plateau: float                  # rho below which chi == 1
-    chi_edge: float                     # rho above which chi == 0
 
 
 class _PeriodicSurface:
@@ -232,12 +234,11 @@ def gauge_normalize(field: SymmetricTensorField,
 
     The potential vanishes at rho = 0 and is cut off by a plateau function
     chi before the outer edge of the collar: chi is one below 0.35 rho_c
-    and zero above 0.85 rho_c, with rho_c = min(rho_max, 1); the result
-    reports both levels, where a quadrature of D q should be cut.  Its
-    components are chi times quintic splines (scipy's
-    ``RectBivariateSpline``, imported on the first call) of 61 rho levels on
-    [0, 0.85 rho_c] against 64 equally spaced y; like any field, it is
-    differentiated by central differences.  The residual samples the d rho
+    and zero above 0.85 rho_c, with rho_c = min(rho_max, 1); both levels
+    are the potential's ``breaks``.  Its components are chi times quintic
+    splines (scipy's ``RectBivariateSpline``, imported on the first call) of
+    61 rho levels on [0, 0.85 rho_c] against 64 equally spaced y; like any
+    field, it is differentiated by central differences.  The residual samples the d rho
     contraction of f - D q on a 9 x 9 grid where chi is one.
     """
     if fam.n != 1:
@@ -282,7 +283,8 @@ def gauge_normalize(field: SymmetricTensorField,
         v = np.stack([s(rho, y[..., 0]) for s in surfs], axis=-1)
         return chi[..., None] * v if field.rank == 2 else chi * v[..., 0]
 
-    q = SymmetricTensorField(rank=field.rank - 1, weight=1, components=q_comp)
+    q = SymmetricTensorField(rank=field.rank - 1, weight=1, components=q_comp,
+                             breaks=(plateau, rho_edge))
 
     # residual: d rho contraction of f - D q where chi == 1
     dq = sym_derivative(q, fam)
@@ -290,8 +292,7 @@ def gauge_normalize(field: SymmetricTensorField,
     y_check = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)[:, None]
     diff = field.comp(rhos, y_check) - dq.comp(rhos, y_check)
     resid = float(np.max(np.abs(diff[:, :, 0])))
-    return GaugeResult(potential=q, residual=resid, chi_plateau=plateau,
-                       chi_edge=rho_edge)
+    return GaugeResult(potential=q, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +366,11 @@ def _boundary_quad_grid(fam, rho_supp, eta_hi, ny, n_panel):
     return ys, wy, etas.ravel(), weta.ravel()
 
 
-def _transform_table(fam, f, rho_supp, ys, etas, trace_tol):
+def _transform_table(fam, f, ys, etas, trace_tol):
     """Transforms of f along the geodesics entering at each covector of the
     grid ys x etas, shape (len(ys), len(etas))."""
     return np.array([[xray_transform(f, trace_geodesic(fam, (yv, eta),
-                                                       tol=trace_tol),
-                                     rho_breaks=rho_supp)
+                                                       tol=trace_tol))
                       for eta in etas] for yv in ys])
 
 
@@ -386,12 +386,13 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     """Compare the invariant-measure integral of a lifted function with the
     boundary integral of its transform (n = 1, rank 0).
 
-    lhs: int f * sqrt(h) / rho^2 * d rho d y * 2 pi over the support, with
-    60 Gauss nodes in rho and a 256-point trapezoid rule in y;
+    lhs: int f * sqrt(h) / rho^2 * d rho d y * 2 pi over the support
+    rho_supp, with 60 Gauss nodes in rho and a 256-point trapezoid rule in y;
     rhs: int (transform of f)(y, eta) d y d eta over the incoming boundary,
-    on three refined meshes of 12 / 24 / 48 y nodes and 4 / 8 / 16 Gauss
-    nodes per eta panel, each geodesic traced at tol 1e-8.  Convergence
-    orders are log2 ratios of successive errors against the lhs reference.
+    each transform cut at ``f.breaks``, on three refined meshes of 12 / 24 /
+    48 y nodes and 4 / 8 / 16 Gauss nodes per eta panel, each geodesic
+    traced at tol 1e-8.  Convergence orders are log2 ratios of successive
+    errors against the lhs reference.
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
@@ -410,7 +411,7 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     for ny, n_panel in ((12, 4), (24, 8), (48, 16)):
         ys_b, wy_b, etas, weta = _boundary_quad_grid(fam, rho_supp, eta_hi,
                                                      ny, n_panel)
-        table = _transform_table(fam, f, rho_supp, ys_b, etas, 1e-8)
+        table = _transform_table(fam, f, ys_b, etas, 1e-8)
         rhs_levels.append(wy_b * float(np.sum(table @ weta)))
 
     rel = tuple(abs(r - lhs) / abs(lhs) for r in rhs_levels)
@@ -432,9 +433,10 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     bundle side: int f(rho, y) omega(backward endpoint) dmu, with 12 Gauss
     nodes in rho, 12 y nodes and 32 fiber angles, the backward endpoint
     found by tracing each fiber direction to the incoming boundary.  Every
-    geodesic is traced at tol 1e-9.  The eta panels are cut where geodesics
-    graze an edge of the support (see :func:`_boundary_quad_grid`), with 10
-    Gauss nodes on each.  On the disc with a C2 bump, 4 / 6 / 8 / 10 nodes
+    geodesic is traced at tol 1e-9, and each transform is cut at
+    ``f.breaks``.  The eta panels are cut where geodesics graze an edge of
+    the support (see :func:`_boundary_quad_grid`), with 10 Gauss nodes on
+    each.  On the disc with a C2 bump, 4 / 6 / 8 / 10 nodes
     per panel give 8.4e-4 / 2.8e-5 / 7.3e-8 / 5e-10 relative against a
     converged bundle side; tracing at tol 1e-9 adds ~1e-9.
     """
@@ -442,7 +444,7 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
         raise NotImplementedError("measure check implemented for n = 1")
     ys_b, wy_b, etas, weta = _boundary_quad_grid(
         fam, rho_supp, grazing_eta(fam, rho_supp[0]), 24, 10)
-    table = _transform_table(fam, f, rho_supp, ys_b, etas, 1e-9)
+    table = _transform_table(fam, f, ys_b, etas, 1e-9)
     om = np.array([[omega(yv, eta) for eta in etas] for yv in ys_b])
     lhs = wy_b * float(np.sum(om * table @ weta))
 

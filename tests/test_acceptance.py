@@ -196,14 +196,15 @@ def _gaussian_bump_field():
         return gauss * poly_bump((rho - lo) / (hi - lo)) \
             * (1.0 + 0.3 * np.cos(y[..., 0]))
 
-    return SymmetricTensorField(rank=0, weight=1, components=comp), (lo, hi)
+    return SymmetricTensorField(rank=0, weight=1, components=comp,
+                                breaks=(lo, hi))
 
 
 def test_criterion_06_santalo(capsys, disc):
     """Phase-space integral equals the boundary integral of the transform."""
     t0 = time.perf_counter()
-    field, supp = _gaussian_bump_field()
-    res = santalo_check(disc, field, supp)
+    field = _gaussian_bump_field()
+    res = santalo_check(disc, field, field.breaks)
     elapsed = time.perf_counter() - t0
     ok = res.rel_errors[-1] < 1e-4 and min(res.orders) >= 3.0
     _report(capsys, 6, ok,
@@ -215,12 +216,12 @@ def test_criterion_06_santalo(capsys, disc):
 def test_criterion_07_adjointness(capsys, disc):
     """Boundary pairing of the transform equals the bundle pairing."""
     t0 = time.perf_counter()
-    field, supp = _gaussian_bump_field()
+    field = _gaussian_bump_field()
 
     def om(yv, ev):
         return math.exp(-0.5 * ev * ev) * (1.0 + 0.5 * math.sin(yv))
 
-    res = adjointness_check(disc, field, om, supp)
+    res = adjointness_check(disc, field, om, field.breaks)
     elapsed = time.perf_counter() - t0
     _report(capsys, 7, res.rel_error < 1e-4,
             f"adjointness relative error {res.rel_error:.2e} < 1e-4",

@@ -429,7 +429,9 @@ def test_arclength_is_built_only_when_read(disc):
                                  components=lambda rho, y: rho * np.exp(-rho))
     xray_transform(field, traj)
     assert "_rho_table" not in vars(traj) and "_arc_table" not in vars(traj)
-    xray_transform(field, traj, rho_breaks=(0.2,))
+    xray_transform(SymmetricTensorField(rank=0, weight=1,
+                                        components=field.components,
+                                        breaks=(0.2,)), traj)
     assert "_rho_table" in vars(traj)
     assert len(traj._rho_table[0]) == len(traj._sol.steps)
     assert "_arc_table" not in vars(traj)
@@ -548,6 +550,39 @@ def test_trace_stats_count_the_integration(disc):
     # each DOP853 attempt makes 12 RHS calls
     assert st.n_rhs >= 12 * (st.n_accepted + st.n_rejected)
     assert 0.0 < st.max_constraint_drift < 1e-10
+
+
+@pytest.mark.parametrize("name, z, t_max, guard", [
+    ("disc", (0.3, 1.2), 60.0, None),
+    ("disc", (0.3, 1.2), 1.0, "t_max"),
+    ("halfplane", (0.0, 1.5), 60.0, None),
+    ("halfplane", (0.0, 0.01), 5.0, "t_max"),
+    ("perturbed", (2.0, -2.5), 60.0, None),
+    ("perturbed", (0.3, 1.2), 60.0, "collar"),
+])
+def test_trace_stats_count_every_rhs_call(request, monkeypatch, name, z,
+                                          t_max, guard):
+    # the slope refreshed after a projection that moves the state counts
+    # as much as a stage of the stepper
+    calls = []
+    make_rhs = flow._make_rhs
+
+    def counting_make_rhs(fam):
+        rhs = make_rhs(fam)
+
+        def counted(*args):
+            calls.append(args[0])
+            return rhs(*args)
+        return counted
+
+    monkeypatch.setattr(flow, "_make_rhs", counting_make_rhs)
+    try:
+        st = trace_geodesic(request.getfixturevalue(name), z, tol=1e-8,
+                            t_max=t_max).stats
+    except FlowError as exc:
+        st = exc.stats
+    assert st.guard == guard
+    assert st.n_rhs == len(calls)
 
 
 def test_one_stepper_per_trace(disc, monkeypatch):

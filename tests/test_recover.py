@@ -337,6 +337,16 @@ def test_synthesis_refuses_non_positive_deltas(halfplane, monkeypatch):
         synthesize_samples(halfplane, 0.0, [[1.0]], deltas=(0.2, 0.1, -0.05))
 
 
+def test_synthesis_refuses_negative_noise_before_tracing(halfplane,
+                                                       monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("synthesize_samples traced a geodesic")
+
+    monkeypatch.setattr(recover, "trace_geodesic", no_trace)
+    with pytest.raises(RecoveryError, match="noise"):
+        synthesize_samples(halfplane, 0.0, [[1.0]], noise=-1e-3)
+
+
 @pytest.mark.parametrize("route", [recover_first_jet, recover_jet_fit],
                          ids=["asymptotic", "fit"])
 def test_no_sample_sets_is_an_error(route):

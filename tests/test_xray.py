@@ -147,7 +147,7 @@ def gauge_field():
 def test_gauge_normalize_removes_radial_component(disc):
     res = gauge_normalize(gauge_field(), disc)
     assert res.residual < 1e-6
-    assert res.chi_plateau > 0.0
+    assert res.potential.breaks[0] > 0.0
     # the potential vanishes at the boundary
     assert abs(res.potential.comp(1e-8, np.array([0.5]))) < 1e-6
 
@@ -172,15 +172,21 @@ def test_gauge_potentials_are_potentials(disc, make_field):
     assert res.residual < 1e-6
     q = res.potential
     assert np.max(np.abs(q.comp(1e-8, np.array([0.5])))) < 1e-6
-    # q vanishes at the boundary, so D q transforms to zero; the rule is
-    # cut at the edges of chi (0.35 and 0.85 on the disc), where q is C2
-    assert res.chi_plateau == pytest.approx(0.35)
-    assert res.chi_edge == pytest.approx(0.85)
-    dq = sym_derivative(q, disc)
+    # q is only C2 at the edges of chi (0.35 and 0.85 on the disc), its
+    # breaks, and D q keeps them
+    assert q.breaks == pytest.approx((0.35, 0.85))
+    assert sym_derivative(q, disc).breaks == q.breaks
+
+
+@pytest.mark.parametrize("make_field", [gauge_field, gauge_field_rank2],
+                         ids=["rank1", "rank2"])
+def test_gauge_potential_transforms_to_zero_without_cut_levels(disc,
+                                                               make_field):
+    # q vanishes at the boundary, so D q transforms to zero once the rule is
+    # cut where q is not smooth; the field says where, not the caller
+    dq = sym_derivative(gauge_normalize(make_field(), disc).potential, disc)
     for z in [(0.3, 0.7), (1.1, 1.5), (2.0, -0.9), (4.0, 2.5), (5.5, 0.4)]:
-        got = xray_transform(dq, trace_geodesic(disc, z),
-                             rho_breaks=(res.chi_plateau, res.chi_edge))
-        assert abs(got) < 1e-9
+        assert abs(xray_transform(dq, trace_geodesic(disc, z))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
