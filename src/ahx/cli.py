@@ -20,9 +20,9 @@ key at any level that the command does not read, such as a metric or
 field parameter its constructor does not take, a config with both
 ``points`` and ``grid``, a metric whose boundary is not
 1-dimensional, a covector with eta = 0, a negative ``seed``, a ``T_asym``
-too small for the curvature to settle or so large that its seed's
-tolerance underflows, a ``t_scan`` so long that the conjugate scan's field
-overflows, and a ``recover`` config the recovery rejects, such as a delta
+too small for the curvature to settle or so large that its seed
+e^-T_asym is not a normal float, a ``t_scan`` so long that the conjugate
+scan's field overflows, and a ``recover`` config the recovery rejects, such as a delta
 above the safe scale, a negative ``noise``, no ``y0s`` or a direction with
 more than one component).
 """

@@ -5,13 +5,18 @@ stable/unstable solutions seeded by their boundary asymptotics, decay-rate
 fits, and the boundary-approach rate bracket.  The hyperbolic time t is
 arclength along the geodesic, dt = dtau / rho, anchored at t = 0 at the
 apex, the root of xi_b where rho peaks.  A :class:`JacobiSystem` integrates
-the geodesic's state in t, from its apex outward, so the Jacobi equation
-reads the curvature from one dense solution.  Every integration here runs
-on the traces' DOP853 stepper and dense-output type, ``flow._Solution``: a
-Jacobi field is the solution of [y, ydot], read at one t by ``at``, at many
-by ``batch``, and at its steps by ``ts`` and ``ys``.  Its atol is
-``SOLVE_TOL`` times the size of its seed, since the equation is linear and
-the stable and unstable fields start at e^{-T_asym}.
+the geodesic's state in t from its apex outward, on the traces' DOP853
+stepper, and tabulates the Jacobi equation ydd + K y = 0 once along it.
+Its grid is the orbit's steps, cut where rho crosses a level of the
+family's ``breaks`` (where K is not smooth) and split into ``PIECES``
+pieces; each piece carries its transfer matrix, the 6th-order Magnus step
+on K at 3 Gauss nodes (Blanes, Casas and Ros, BIT 40 (2000); Blanes,
+Casas, Oteo and Ros, Phys. Rep. 470 (2009)), in closed form.  A Jacobi
+field is a run of these 2 x 2 products, with no ODE solve of its own: it
+holds [y, ydot] at the grid nodes of its span (``ts``, ``ys``) and reads
+between them (``at`` one t, ``batch`` many) by one more Magnus step from
+the node before.  The field is linear in its seed, so its accuracy does
+not depend on the seed's size.
 """
 
 from __future__ import annotations
@@ -38,51 +43,148 @@ __all__ = [
 ]
 
 MAP_TOL = 1e-13
-SOLVE_TOL = 1e-12
 ASYM_CURV_TOL = 1e-10
 # default seeding time of the stable/unstable frame and conjugate-scan span
 T_ASYM = 25.0
 T_SCAN = 12.0
+# Magnus pieces per orbit step: across the bump's band, where K swings
+# from -76 to +37, 4 pieces leave about 1e-11 in a field at the anchor and
+# 8 pieces 1.4e-13
+PIECES = 8
+# the 3 Gauss-Legendre nodes on [0, 1], 1/2 -+ sqrt(15)/10, and sqrt(15)/3
+_GAUSS = (0.1127016653792583, 0.5, 0.8872983346207417)
+_SQRT15_3 = 1.2909944487358056
+_TINY = 2.2250738585072014e-308    # the smallest normal float
 
 
 class AsymptoteError(ValueError):
     """A Jacobi time span the fields cannot resolve: the curvature is not
-    yet -1 where :func:`stable_unstable` seeds, the seed underflows, or the
-    conjugate scan overflows."""
+    yet -1 where :func:`stable_unstable` seeds, the seed underflows, or a
+    field overflows."""
+
+
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] of traceless 2 x 2 matrices held as rows (p, q, r) of
+    [[p, q], [r, -p]]; the last axis runs over pieces."""
+    return np.stack((a[1] * b[2] - b[1] * a[2],
+                     2.0 * (a[0] * b[1] - a[1] * b[0]),
+                     2.0 * (a[2] * b[0] - a[0] * b[2])))
+
+
+def _transfer(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Transfer matrices of ydd + K y = 0 over pieces of length h, from K at
+    each piece's 3 Gauss nodes (k, shape (pieces, 3)): rows (m11, m12, m21,
+    m22).
+
+    Omega is the 6th-order Magnus expansion of A = [[0, 1], [-K, 0]] from
+    its Gauss values, in the commutator form of Blanes, Casas and Ros
+    (BIT 40 (2000)).  It is traceless, so Omega^2 = q I with q = -det
+    Omega, and exp(Omega) = c I + s Omega with c = cosh sqrt(q) and s =
+    sinh sqrt(q) / sqrt(q) (cos and sin of sqrt(-q) for q < 0).  The
+    method is symmetric, so the transfer back over a piece is exp(-Omega),
+    the adjugate.
+    """
+    zero = np.zeros_like(h)
+    k1, k2, k3 = k.T
+    a1 = np.stack((zero, h, -h * k2))
+    a2 = np.stack((zero, zero, -_SQRT15_3 * h * (k3 - k1)))
+    a3 = np.stack((zero, zero,
+                   -3.3333333333333335 * h * (k3 - 2.0 * k2 + k1)))
+    c1 = _comm(a1, a2)
+    c2 = -_comm(a1, 2.0 * a3 + c1) / 60.0
+    p, q, r = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    det = p * p + q * r
+    w = np.sqrt(np.abs(det))
+    grow = det > 0.0
+    c = np.where(grow, np.cosh(w), np.cos(w))
+    s = np.divide(np.where(grow, np.sinh(w), np.sin(w)), w,
+                  out=np.ones_like(w), where=w > 0.0)
+    return np.stack((c + s * p, s * q, s * r, c - s * p), axis=1)
 
 
 @dataclass
 class JacobiSystem:
-    """A geodesic in hyperbolic time, and its curvature.
+    """A geodesic in hyperbolic time, its curvature, and its Magnus grid.
 
     ``_fwd`` and ``_bwd`` hold the orbit, the state [rho, y, xi_b, eta] at
     each hyperbolic time t, on [0, t_range] and [-t_range, 0], with t = 0
-    at the apex of the trace it started from.  Every method reads them and
-    nothing from the trace.  Scalar curvature bookkeeping restricts
-    construction to one-dimensional boundaries.
+    at the apex of the trace it started from.  ``_nodes`` are the piece
+    ends over [-t_range, t_range], ascending, and ``_mats`` the forward
+    transfer matrix (m11, m12, m21, m22) of each piece.  Every method reads
+    these and nothing from the trace.  Scalar curvature bookkeeping
+    restricts construction to one-dimensional boundaries.
     """
 
     fam: BoundaryMetricFamily
     t_range: float
     _fwd: _Solution     # the orbit on [0, t_range]
     _bwd: _Solution     # and on [-t_range, 0]
-
-    def _orbit(self, t: float) -> list:
-        if abs(t) > self.t_range * (1.0 + 1e-12):
-            raise ValueError("time %g exceeds the mapped range %g"
-                             % (t, self.t_range))
-        return (self._fwd if t >= 0.0 else self._bwd).at(t)
+    _nodes: np.ndarray = field(repr=False, default=None)
+    _mats: list = field(repr=False, default=None)
 
     def curvature(self, t: float) -> float:
-        rho, y = self._orbit(t)[:2]
-        if rho <= 0.0:
-            return -1.0
-        return gauss_curvature(self.fam, rho, y)
+        return float(self._curvature(self._states(np.array([float(t)])))[0])
+
+    def _states(self, ts: np.ndarray) -> np.ndarray:
+        """Orbit states at many t, with one ``batch`` read per side."""
+        t_far = np.max(np.abs(ts), initial=0.0)
+        if t_far > self.t_range * (1.0 + 1e-12):
+            raise ValueError("time %g exceeds the mapped range %g"
+                             % (t_far, self.t_range))
+        z = np.empty((ts.size, 4))
+        fwd = ts >= 0.0
+        for side, sol in ((fwd, self._fwd), (~fwd, self._bwd)):
+            if side.any():
+                z[side] = sol.batch(ts[side])
+        return z
+
+    def _curvature(self, z: np.ndarray) -> np.ndarray:
+        """K at orbit states z, with one array call; -1 where rho, which
+        falls like e^{-|t|}, has reached 0 within the mapped range."""
+        k = np.full(len(z), -1.0)
+        inside = z[:, 0] > 0.0
+        if inside.any():
+            k[inside] = gauss_curvature(self.fam, z[inside, 0],
+                                        z[inside, 1])
+        return k
+
+    def _magnus(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Magnus transfer matrices from each t0 to its t1 (either way in
+        t), from K at the 3 Gauss nodes between them: rows (m11, m12, m21,
+        m22), with one orbit read per side and one curvature call."""
+        h = t1 - t0
+        k = self._curvature(self._states(
+            (t0[:, None] + h[:, None] * _GAUSS).ravel()))
+        return _transfer(h, k.reshape(-1, 3))
+
+
+def _side_nodes(fam: BoundaryMetricFamily, sol: _Solution) -> np.ndarray:
+    """Piece ends of one side of the orbit, ascending.
+
+    The orbit's steps are cut where rho crosses a level of ``fam.breaks``,
+    located by Brent on the dense rho to 1e-14 in t; rho is compared with
+    the levels at the step ends, which finds every crossing where rho is
+    monotone across a step, as it is on a geodesic's arc away from its
+    apex.  Each cut step is split into ``PIECES`` equal pieces.
+    """
+    ts, rho = sol.ts, sol.ys[:, 0]
+    cuts = []
+    for level in fam.breaks:
+        d = rho - level
+        for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+            cuts.append(brentq(lambda t: sol.at(t)[0] - level,
+                               ts[i], ts[i + 1], xtol=1e-14))
+    edges = np.unique(np.concatenate((ts, cuts)))
+    width = np.diff(edges) / PIECES
+    return np.append((edges[:-1, None]
+                      + width[:, None] * np.arange(PIECES)).ravel(),
+                     edges[-1])
 
 
 def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
                   t_range: float = 32.0) -> JacobiSystem:
-    """Integrate the orbit of ``traj`` in hyperbolic time t.
+    """Integrate the orbit of ``traj`` in hyperbolic time t and tabulate the
+    Jacobi equation's transfer matrices along it.
 
     The orbit is the state z = [rho, y, xi_b, eta] alone, dz/dt =
     rho barX(z), from the trace's state at its apex (``traj.rho_peak()``)
@@ -106,37 +208,92 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     fwd, bwd = (_integrate(rhs, 0.0, z0, t, MAP_TOL, MAP_TOL,
                            "orbit integration")
                 for t in (t_range, -t_range))
-    return JacobiSystem(fam=fam, t_range=t_range, _fwd=fwd, _bwd=bwd)
+    nodes = np.concatenate((_side_nodes(fam, bwd)[:-1],
+                            _side_nodes(fam, fwd)))
+    system = JacobiSystem(fam=fam, t_range=t_range, _fwd=fwd, _bwd=bwd,
+                          _nodes=nodes)
+    system._mats = system._magnus(nodes[:-1], nodes[1:]).tolist()
+    return system
+
+
+class _Field:
+    """A Jacobi field [y, ydot] along its span.
+
+    ``ts`` are the span's ends and the grid nodes between them, in the
+    span's direction, and ``ys`` the field there, shape (len(ts), 2).
+    Between nodes the field is read by one Magnus step from the node before
+    t, as the grid's own pieces are built; :meth:`at` is :meth:`batch` at
+    one t, so the two agree bit for bit.  A t outside the span is read from
+    the span's end node.
+    """
+
+    def __init__(self, system: JacobiSystem, ts: np.ndarray,
+                 ys: np.ndarray):
+        self.ts, self.ys = ts, ys
+        self._system = system
+        self._sign = -1.0 if ts[-1] < ts[0] else 1.0
+        self._starts = self._sign * ts[:-1]
+
+    def at(self, t: float) -> list:
+        """Field [y, ydot] at one t."""
+        return self.batch([t])[0].tolist()
+
+    def batch(self, ts) -> np.ndarray:
+        """Field at many t, shape (len(ts), 2)."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        i = np.clip(np.searchsorted(self._starts, self._sign * ts,
+                                    side="right") - 1,
+                    0, self._starts.size - 1)
+        m11, m12, m21, m22 = self._system._magnus(self.ts[i], ts).T
+        y, v = self.ys[i].T
+        return np.stack((m11 * y + m12 * v, m21 * y + m22 * v), axis=1)
 
 
 def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
-                 t_span: Tuple[float, float]) -> _Solution:
-    """Integrate ydd + K(t) y = 0 along the base geodesic over t_span, on
-    the traces' stepper at rtol ``SOLVE_TOL`` and atol ``SOLVE_TOL`` times
-    max(|y0|, |ydot0|); the field is the dense solution of [y, ydot].
+                 t_span: Tuple[float, float]) -> _Field:
+    """The Jacobi field, ydd + K(t) y = 0 along the base geodesic, with
+    [y, ydot] = [y0, ydot0] at t_span[0], over t_span.
 
-    The equation is linear, so the field scales with its seed, and so does
-    this atol: a seed of size e^{-T} is solved as the unit seed would be,
-    where a fixed atol would inject an unstable-mode error of a few atol
-    units near a small seed.  A seed whose atol comes out 0 raises
-    ValueError.  t_span may run in either direction; a time outside the
-    system's mapped range raises ValueError from the curvature read.  No
-    mid-run renormalization is done: where K is near -1 a field grows like
-    e^{|t|}, so a span of more than about 700 overflows.
+    It is the product of the system's transfer matrices over the grid
+    pieces inside t_span; where t_span starts or ends inside a piece, that
+    part gets its own Magnus step.  t_span may run in either direction; a
+    time outside the system's mapped range raises ValueError.  No
+    renormalization is done: where K is near -1 a field grows like
+    e^{|t|}, and a field that overflows (a span of more than about 700)
+    raises :class:`AsymptoteError`.
     """
-    atol = SOLVE_TOL * max(abs(y0), abs(ydot0))
-    if not atol > 0.0:
-        raise ValueError("seed (%g, %g) gives a Jacobi atol of %g"
-                         % (y0, ydot0, atol))
+    a, b = float(t_span[0]), float(t_span[1])
+    lo, hi = min(a, b), max(a, b)
+    nodes, mats = system._nodes, system._mats
+    # the ascending points lo, the nodes strictly inside, hi; the intervals
+    # between inner nodes are the grid's pieces, and each end interval,
+    # which may be part of a piece, gets its own Magnus step
+    i_lo = int(np.searchsorted(nodes, lo, side="right"))
+    i_hi = int(np.searchsorted(nodes, hi, side="left"))
+    pts = np.concatenate(([lo], nodes[i_lo:i_hi], [hi]))
+    first, last = system._magnus(pts[[0, -2]], pts[[1, -1]]).tolist()
+    seq = [first] + mats[i_lo:i_hi - 1] + [last] if pts.size > 2 \
+        else [first]
+    y, v = float(y0), float(ydot0)
+    states = [(y, v)]
+    if a <= b:
+        for m11, m12, m21, m22 in seq:
+            y, v = m11 * y + m12 * v, m21 * y + m22 * v
+            states.append((y, v))
+    else:
+        # back over a piece by the adjugate, exp(-Omega)
+        for m11, m12, m21, m22 in reversed(seq):
+            y, v = m22 * y - m12 * v, m11 * v - m21 * y
+            states.append((y, v))
+        pts = pts[::-1]
+    ys = np.array(states)
+    if not np.isfinite(ys).all():
+        raise AsymptoteError("the Jacobi field from t=%g overflows before "
+                             "t=%g" % (a, b))
+    return _Field(system, pts, ys)
 
-    def rhs(t, s):
-        return np.array([s[1], -system.curvature(t) * s[0]])
 
-    return _integrate(rhs, t_span[0], [y0, ydot0], t_span[1], SOLVE_TOL,
-                      atol, "Jacobi integration")
-
-
-def wronskian(a: _Solution, b: _Solution, ts) -> np.ndarray:
+def wronskian(a: _Field, b: _Field, ts) -> np.ndarray:
     """y_a ydot_b - y_b ydot_a sampled at ts (t-constant for exact fields)."""
     (ya, va), (yb, vb) = a.batch(ts).T, b.batch(ts).T
     return ya * vb - yb * va
@@ -146,16 +303,17 @@ def conjugate_points(system: JacobiSystem, t_max: float,
                      t0: float = 0.0) -> List[float]:
     """Times conjugate to the base time t0 along the geodesic.
 
-    Zeros in (t0, t0 + t_max] of the field with y(t0) = 0, ydot(t0) = 1.
-    The default base point is the anchor; moving t0 toward the incoming
-    end tests base points whose field crosses the interior both inbound
-    and outbound.  The field grows like e^{|t|}, and a scan whose field
-    overflows (t_max above about 700) raises :class:`AsymptoteError`.
+    Zeros in (t0, t0 + t_max] of the field with y(t0) = 0, ydot(t0) = 1:
+    a sign change of y between grid nodes is refined by Brent on the
+    field's reader.  The default base point is the anchor; moving t0
+    toward the incoming end tests base points whose field crosses the
+    interior both inbound and outbound.  The field grows like e^{|t|}, and
+    a scan whose field overflows (t_max above about 700) raises
+    :class:`AsymptoteError`.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            sol = jacobi_solve(system, 0.0, 1.0, (t0, t0 + t_max))
-    except FloatingPointError:
+        sol = jacobi_solve(system, 0.0, 1.0, (t0, t0 + t_max))
+    except AsymptoteError:
         raise AsymptoteError(
             "t_max=%g is too large: the conjugate scan's field overflows"
             % t_max) from None
@@ -182,8 +340,8 @@ class BundleFrame:
     angle_deg: float
     det0: float
     T_asym: float
-    stable_sol: _Solution = field(repr=False, default=None)
-    unstable_sol: _Solution = field(repr=False, default=None)
+    stable_sol: _Field = field(repr=False, default=None)
+    unstable_sol: _Field = field(repr=False, default=None)
 
 
 def _unit_with_sign(v: np.ndarray) -> np.ndarray:
@@ -198,17 +356,17 @@ def stable_unstable(system: JacobiSystem,
     """Solutions decaying at t -> +inf (stable) and t -> -inf (unstable).
 
     Seeds the asymptotic solution e^{-t} of the frozen boundary equation at
-    t = +-T_asym and integrates to the anchor, where both directions are
-    normalized.  Raises :class:`AsymptoteError` before any integration when
-    the seed's atol ``SOLVE_TOL`` e^{-T_asym} underflows to 0 (T_asym above
-    about 717) or the curvature has not settled to its boundary value at
+    t = +-T_asym and carries it to the anchor, where both directions are
+    normalized.  Raises :class:`AsymptoteError` before any field is built
+    when the seed e^{-T_asym} is not a normal float (T_asym above about
+    708), or when the curvature has not settled to its boundary value at
     the seeding times.
     """
     scale = math.exp(-T_asym)
-    if SOLVE_TOL * scale == 0.0:
+    if scale < _TINY:
         raise AsymptoteError(
-            "T_asym=%g is too large: the atol of its seed e^-T_asym "
-            "underflows to 0" % T_asym)
+            "T_asym=%g is too large: its seed e^-T_asym underflows below "
+            "the normal floats" % T_asym)
     for t_seed in (T_asym, -T_asym):
         resid = abs(system.curvature(t_seed) + 1.0)
         if resid > ASYM_CURV_TOL:
@@ -260,13 +418,13 @@ def curvature_decay_fit(system: JacobiSystem) -> float:
     those where the orbit's rho is below 1e4 ``MAP_TOL``: there its error of
     about ``MAP_TOL`` would set K + 1.  rho falls like e^{-|t|}, so at the
     default 1e-13 the range ends near |t| = 20 for an apex rho near 0.3."""
-    rho_min = 1e4 * MAP_TOL
-    c = 0.0
-    for t in np.linspace(1.0, system.t_range - 1.0, 121):
-        for s in (t, -t):
-            if system._orbit(s)[0] >= rho_min:
-                c = max(c, abs(system.curvature(s) + 1.0) * math.exp(abs(s)))
-    return c
+    t = np.linspace(1.0, system.t_range - 1.0, 121)
+    ts = np.concatenate((t, -t))
+    z = system._states(ts)
+    keep = z[:, 0] >= 1e4 * MAP_TOL
+    k = gauss_curvature(system.fam, z[keep, 0], z[keep, 1])
+    return float(np.max(np.abs(k + 1.0) * np.exp(np.abs(ts[keep])),
+                        initial=0.0))
 
 
 @dataclass

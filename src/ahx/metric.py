@@ -30,7 +30,10 @@ Built-in families:
   two n=1 families.
 
 ``perturbed`` accepts an optional multiplicative interior bump, supported
-away from the boundary, for gauge-insensitivity experiments.
+away from the boundary, for gauge-insensitivity experiments.  h_rr has a
+corner at the bump's edges, so they are the family's ``breaks``, the rho
+levels where it is not smooth; the Jacobi layer cuts its Magnus grid there
+(:func:`ahx.jacobi.jacobi_system`).  Every other family has none.
 """
 
 from __future__ import annotations
@@ -115,6 +118,13 @@ class BoundaryMetricFamily:
     @property
     def n(self) -> int:
         return len(self.profiles)
+
+    @property
+    def breaks(self) -> tuple:
+        """The rho levels where h is not smooth: ``(rho_lo, rho_hi)`` of an
+        interior bump, else none."""
+        bump = self.params.get("bump")
+        return (float(bump["rho_lo"]), float(bump["rho_hi"])) if bump else ()
 
     def spec(self) -> dict:
         """JSON-serializable document that reconstructs this family."""
@@ -425,22 +435,27 @@ def eval_metric(fam: BoundaryMetricFamily, rho: float, y) -> MetricEval:
                       dh_drho_mat=np.diag(dh_r))
 
 
-def gauss_curvature(fam: BoundaryMetricFamily, rho: float, y) -> float:
-    """Gauss curvature of g at an interior point (n=1 only).
+def gauss_curvature(fam: BoundaryMetricFamily, rho, y):
+    """Gauss curvature of g at interior points (n=1 only).
 
+    ``rho`` is a float or an array, and ``y`` holds one boundary coordinate
+    per rho (a float, or an array of rho's size); a float rho gives a float.
     Written as -1 plus correction terms so the constant-curvature part is
     exact and the result stays accurate as rho -> 0.  h and its rho
     derivatives come from one call of the family's profile, in closed form.
     """
     if fam.n != 1:
         raise MetricError("gauss_curvature requires a 1-dimensional boundary")
-    if rho <= 0.0:
+    rho_a = np.asarray(rho, dtype=float)
+    if not rho_a.min(initial=1.0) > 0.0:
         raise MetricError("gauss_curvature needs rho > 0")
-    # the Jacobi solves pass a float, which skips np.atleast_1d (1.6 us)
-    yv = y if isinstance(y, float) else np.atleast_1d(y)[0]
-    h, dh, _, d2h = fam.profiles[0](rho, yv)
-    return float(-1.0 + rho * dh / (2.0 * h)
-                 - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h)))
+    # [()] makes a 0-d y a numpy scalar, on which a profile runs about as
+    # fast as on a float, and leaves an array as it is
+    h, dh, _, d2h = fam.profiles[0](
+        rho, np.asarray(y, dtype=float).reshape(rho_a.shape)[()])
+    k = -1.0 + rho * dh / (2.0 * h) \
+        - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h))
+    return k if rho_a.ndim else float(k)
 
 
 def christoffel_symbols(fam: BoundaryMetricFamily, rho, y) -> np.ndarray:

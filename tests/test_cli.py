@@ -282,7 +282,7 @@ def test_diagnose_scan_beyond_T_asym_maps_its_range(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_diagnose_unsettled_seeding_time_exits_3(tmp_path, capsys, jobs):
     # at t = 3 the perturbed curvature has not settled to -1; at t = 800
-    # the seed's atol SOLVE_TOL e^-800 underflows to 0
+    # the seed e^-800 underflows below the normal floats
     for t_asym, why in ((3.0, "asymptote"), (800.0, "underflows")):
         cfg = write_config(tmp_path, "c.json", {
             "metric": {"family": "perturbed",

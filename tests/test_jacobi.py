@@ -32,6 +32,7 @@ from ahx import (
     decay_fit,
     diagnose_covector,
     eval_metric,
+    gauss_curvature,
     halfplane_family,
     jacobi_solve,
     jacobi_system,
@@ -43,12 +44,12 @@ from ahx import (
 )
 from ahx import jacobi
 from ahx.flow import _make_rhs, _project_vec, _split_vec
-from ahx.jacobi import MAP_TOL, SOLVE_TOL
+from ahx.jacobi import MAP_TOL
 
 
 def orbit_state(system, t):
     """The orbit's state at hyperbolic time t, projected onto the cosphere."""
-    z = np.array(system._orbit(t))
+    z = system._states(np.array([t]))[0]
     return _split_vec(1, _project_vec(system.fam, z, 1))
 
 
@@ -151,9 +152,9 @@ def _same_bits(a, b):
 
 
 def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
-    # the orbit in hyperbolic time and Jacobi fields, forward and backward,
-    # against scipy's DOP853 on the same right-hand sides; step ends are
-    # read on the step that ends there, as scipy's OdeSolution does
+    # the orbit in hyperbolic time, forward and backward, against scipy's
+    # DOP853 on the same right-hand side; step ends are read on the step
+    # that ends there, as scipy's OdeSolution does
     traj = trace_geodesic(perturbed, (0.7, 2.4))
     system = jacobi_system(perturbed, traj)
     flow_rhs = _make_rhs(perturbed)
@@ -171,24 +172,68 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
         ts = np.concatenate((ref.t, np.linspace(0.0, t_end, 23)))
         assert _same_bits([sol.at(t) for t in ts], [ref.sol(t) for t in ts])
 
-    def rhs(t, s):
-        return (s[1], -system.curvature(t) * s[0])
 
-    # the field's atol is SOLVE_TOL times the larger seed component
-    for span in ((-4.0, 4.0), (3.0, -6.0), (20.0, 0.0)):
-        for scale in (1.0, math.exp(-20.0)):
-            y0 = [0.3 * scale, -0.7 * scale]
-            sol = jacobi_solve(system, *y0, span)
-            ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=SOLVE_TOL,
-                            atol=SOLVE_TOL * 0.7 * scale, dense_output=True)
-            assert sol.ts.size > 3
-            assert _same_bits(sol.ts, ref.t)
-            assert _same_bits(sol.ys, ref.y.T)
-            ts = np.concatenate((ref.t, np.linspace(*span, 17)))
-            at = [sol.at(t) for t in ts]
-            assert _same_bits(at, [ref.sol(t) for t in ts])
-            assert _same_bits(sol.ys, at[:sol.ts.size])
-            assert _same_bits(sol.batch(ts), at)
+# the perturbed covector and three bump covectors: the first bump orbit
+# crosses both edges rho_lo = 0.3 and rho_hi = 0.45, the second rho_lo
+# only, and the third turns below the bump
+@pytest.mark.parametrize("family,z", [
+    ("perturbed", (0.7, 2.4)), ("bump_family", (1.0, 2.2)),
+    ("bump_family", (3.0, 3.2)), ("bump_family", (5.0, 4.2))])
+def test_jacobi_fields_match_solve_ivp(request, family, z):
+    # the transfer-matrix fields of stable_unstable, and fields over spans
+    # that start and end inside pieces, either way in t and from a seed of
+    # size e^-20, against ydd + K y = 0 solved by scipy's DOP853 at rtol
+    # 1e-13 and an atol scaled to the seed
+    fam = request.getfixturevalue(family)
+    system = jacobi_system(fam, trace_geodesic(fam, z, tol=1e-10))
+    frame = stable_unstable(system)
+    T = frame.T_asym
+    scale, small = math.exp(-T), math.exp(-20.0)
+    seed = [0.3 * small, -0.7 * small]
+    cases = [(frame.stable_sol, (T, 0.0), [scale, -scale]),
+             (frame.unstable_sol, (-T, 0.0), [scale, scale])]
+    cases += [(jacobi_solve(system, *seed, span), span, seed)
+              for span in ((-4.0, 4.0), (3.0, -6.0))]
+
+    def rhs(t, s):
+        # K read on the orbit one t at a time in floats, a faster read than
+        # system.curvature; rho stays positive out to |t| = T
+        rho, y = (system._fwd if t >= 0.0 else system._bwd).at(t)[:2]
+        return (s[1], -gauss_curvature(fam, rho, y) * s[0])
+
+    for field, span, y0 in cases:
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13,
+                        atol=1e-13 * max(map(abs, y0)), dense_output=True)
+        end = ref.y[:, -1]
+        assert np.max(np.abs(np.array(field.at(span[1])) - end)) \
+            < 1e-11 * np.max(np.abs(end))
+        ts = np.linspace(*span, 19)[1:-1]
+        at = [field.at(t) for t in ts]
+        assert _same_bits(at, field.batch(ts))
+        want = ref.sol(ts).T
+        assert np.max(np.abs(np.array(at) - want)
+                      / np.max(np.abs(want), axis=1)[:, None]) < 1e-10
+
+
+def test_grid_cuts_the_orbit_at_the_familys_breaks(bump_family):
+    # K has a corner where rho crosses a bump edge; the grid has a node at
+    # every crossing, located here on a dense sampling of the orbit
+    system = jacobi_system(bump_family,
+                           trace_geodesic(bump_family, (1.0, 2.2), tol=1e-10))
+    nodes = system._nodes
+    found = 0
+    for sol, sign in ((system._fwd, 1.0), (system._bwd, -1.0)):
+        ts = sign * np.linspace(0.0, system.t_range, 20001)
+        for level in bump_family.breaks:
+            d = sol.batch(ts)[:, 0] - level
+            for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+                t_cross = brentq(lambda t: sol.at(t)[0] - level,
+                                 ts[i], ts[i + 1], xtol=1e-15)
+                node = nodes[np.argmin(np.abs(nodes - t_cross))]
+                assert abs(node - t_cross) < 1e-12
+                assert abs(sol.at(node)[0] - level) < 1e-12
+                found += 1
+    assert found == 4
 
 
 # ---------------------------------------------------------------------------

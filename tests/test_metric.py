@@ -136,6 +136,26 @@ def test_curvature_makes_one_profile_call(bump_family):
     assert calls == [0.37]
 
 
+def test_curvature_of_arrays_is_the_curvature_of_floats():
+    # one path: arrays of rho and y give the floats' values, bit for bit
+    fam = perturbed_family(a_cos=[0.0, 0.1], b_cos=[0.02], rho_max=0.7,
+                           bump={"amplitude": 1.0, "rho_lo": 0.3,
+                                 "rho_hi": 0.45})
+    rho, y = np.linspace(0.05, 0.69, 37), np.linspace(0.0, 6.0, 37)
+    k = gauss_curvature(fam, rho, y)
+    assert k.shape == (37,)
+    assert k.tobytes() == np.array(
+        [gauss_curvature(fam, r, v) for r, v in zip(rho, y)]).tobytes()
+
+
+def test_breaks_are_the_bump_edges(halfplane, disc, perturbed, bump_family):
+    assert bump_family.breaks == (0.3, 0.45)
+    assert make_family(bump_family.spec()).breaks == (0.3, 0.45)
+    for fam in (halfplane, disc, perturbed, radial_power_family(0.1, 2),
+                taylor1d_family(1.0), product_family(halfplane, halfplane)):
+        assert fam.breaks == ()
+
+
 def test_bump_raises_curvature_inside_band(bump_family):
     base = perturbed_family(rho_max=0.7)
     inside = gauss_curvature(bump_family, 0.375, 0.0)

@@ -111,9 +111,10 @@ def test_conjugate_point_brackets_are_scipys_brentq(bump_family, brackets):
         traj = trace_geodesic(bump_family, (0.0, eta))
         found += conjugate_points(jacobi_system(bump_family, traj), 18.0,
                                   t0=-6.0)
-    # each trace's arrival, its apex (the root of xi_b that anchors t = 0)
-    # and its conjugate zero
-    assert len(found) == 4 and len(brackets) == 12
+    # each trace's arrival, its apex (the root of xi_b that anchors t = 0),
+    # the two crossings of the bump's edge rho_lo that cut its Magnus grid,
+    # one on each side of the apex, and its conjugate zero
+    assert len(found) == 4 and len(brackets) == 20
     _assert_scipys_roots(brackets)
 
 
