@@ -39,6 +39,14 @@ Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
 (:meth:`GeodesicTrajectory.quad_nodes`).
 
+Derivatives of the scattering map come from the same tracing loop: a
+trace can carry the 2n tangent columns d/d(y_in, eta_in) of its state,
+integrated with it through the variational equation (Hairer, Norsett &
+Wanner, *Solving ODEs I*, I.14), whose Jacobian the profiles give in closed
+form.  One such trace gives :func:`scattering_jacobian`, and one gives
+each Newton step of the boundary-distance shooting in :mod:`ahx.renorm`;
+neither differences traces.
+
 The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
 interpolant outside error control, so the trace's one stepper is rewound
@@ -46,7 +54,9 @@ to the start of the arrival step and retakes it exactly to the located
 arrival time, and the outgoing covector carries the accuracy of an
 integration step.  A step or arrival end that the projection moves by more
 than ``COSPHERE_SLACK`` of its covector was not resolved, although the
-error estimate passed it, and the trace fails rather than go on from it.
+error estimate passed it: the trace retakes such a step at a tenth of its
+size, and fails rather than go on from it after ``COSPHERE_RETAKES``
+retakes or from such an arrival end.
 """
 
 from __future__ import annotations
@@ -83,6 +93,8 @@ _ARC_GRID = np.linspace(0.0, 1.0, 9)   # per-step rho samples for crossings
 RHO_CEILING = 1.0e7
 MAX_STEPS = 250_000
 COSPHERE_SLACK = 0.1  # largest relative move of the projection after a step
+COSPHERE_RETAKES = 3  # retakes of a step that leaves the cosphere
+RETAKE_FACTOR = 0.1   # step size of each such retake, relative to the last
 
 
 class FlowError(RuntimeError):
@@ -168,6 +180,12 @@ _GATE_SUP = 1.001 * float(np.max(_gate_over_rho(
     np.linspace(RHO_GATE_LO, RHO_GATE_HI, 1001))))
 
 
+# Python floats raise these where numpy scalars give inf or NaN, as on a
+# stage far off the trajectory where h underflows to 0; the RHS then returns
+# NaN, and the non-finite error norm makes the stepper reject the step
+_FLOAT_ERRORS = (ZeroDivisionError, OverflowError)
+
+
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
     """Flow RHS on the state [rho, y, xi_b, eta], built afresh on each call
     (a closure over the family's profiles is cheaper to build than to look
@@ -176,27 +194,90 @@ def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
     With u_k = eta_k / h_kk: |eta|_h^2 = sum u_k eta_k, its rho-derivative
     is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.
     ``rhs(tau, s, vals)`` takes the profile values at (rho, y) of s
-    (:func:`_profile_values`) when the caller already has them.
+    (:func:`_profile_values`) when the caller already has them.  The state
+    is read once into Python floats, which are cheaper than numpy scalars
+    on so few values.
     """
     n = fam.n
     profiles = fam.profiles
 
     def rhs(tau, s, vals=None):
-        rho = s[0]
-        out = np.empty(2 * n + 2)
+        x = s.tolist()
+        rho = x[0]
+        half_rho = 0.5 * rho
+        dy, deta = [], []
         dxi = 0.0
-        for k, prof in enumerate(profiles):
-            h, dh_r, dh_y, _ = prof(rho, s[1 + k]) if vals is None \
-                else vals[k]
-            eta = s[2 + n + k]
-            u = eta / h
-            ru, half_rho = rho * u, 0.5 * rho
-            out[1 + k] = ru
-            out[2 + n + k] = half_rho * u * u * dh_y
-            dxi -= ru * eta - half_rho * rho * u * u * dh_r
-        out[0] = s[1 + n]
-        out[1 + n] = dxi
-        return out
+        try:
+            for k, prof in enumerate(profiles):
+                h, dh_r, dh_y = (prof(rho, x[1 + k]) if vals is None
+                                 else vals[k])[:3]
+                eta = x[2 + n + k]
+                u = eta / h
+                ru = rho * u
+                dy.append(ru)
+                deta.append(half_rho * u * u * dh_y)
+                dxi -= ru * eta - half_rho * rho * u * u * dh_r
+        except _FLOAT_ERRORS:
+            return np.full(s.size, math.nan)
+        return np.array([x[1 + n], *dy, dxi, *deta])
+
+    return rhs
+
+
+def _make_tangent_rhs(fam: BoundaryMetricFamily) -> Callable:
+    """Variational RHS on [s, T]: the state s of :func:`_make_rhs`, then
+    tangent columns of its size, each a derivative of s.
+
+    Returns [f(s), J(s) T_1, J(s) T_2, ...] with J = df/ds in closed form
+    from the six profile entries (Hairer, Norsett & Wanner, *Solving ODEs
+    I*, I.14).  f(s) is computed as :func:`_make_rhs` computes it.  y_k'
+    and eta_k' depend on (rho, y_k, xi_b, eta_k) through rho, y_k and
+    eta_k only, and xi_b' on everything but xi_b.
+    """
+    n = fam.n
+    m = 2 * n + 2
+    profiles = fam.profiles
+
+    def rhs(tau, s, vals=None):
+        x = s.tolist()
+        rho = x[0]
+        half_rho = 0.5 * rho
+        dy, deta, jac = [], [], []
+        dxi = 0.0
+        try:
+            for k, prof in enumerate(profiles):
+                h, h_r, h_y, h_rr, h_ry, h_yy = (prof(rho, x[1 + k])
+                                                 if vals is None else vals[k])
+                eta = x[2 + n + k]
+                u = eta / h
+                ru = rho * u
+                dy.append(ru)
+                deta.append(half_rho * u * u * h_y)
+                dxi -= ru * eta - half_rho * rho * u * u * h_r
+                w, a, b = u * u, h_r / h, h_y / h
+                # d/d(rho, y_k, eta_k) of y_k', of eta_k' and of xi_b'
+                jac.append((
+                    u - ru * a, -ru * b, rho / h,
+                    w * (0.5 * h_y - rho * a * h_y + half_rho * h_ry),
+                    half_rho * w * (h_yy - 2.0 * b * h_y), ru * b,
+                    rho * w * (2.0 * h_r - rho * a * h_r + half_rho * h_rr)
+                    - u * eta,
+                    rho * w * (h_y - rho * a * h_y + half_rho * h_ry),
+                    ru * (rho * a - 2.0)))
+        except _FLOAT_ERRORS:
+            return np.full(s.size, math.nan)
+        out = [x[1 + n], *dy, dxi, *deta]
+        for c in range(m, len(x), m):
+            t_rho = x[c]
+            t_y, t_eta = [], []
+            t_xi = 0.0
+            for k, (yr, yy, ye, er, ey, ee, xr, xy, xe) in enumerate(jac):
+                d_y, d_eta = x[c + 1 + k], x[c + 2 + n + k]
+                t_y.append(yr * t_rho + yy * d_y + ye * d_eta)
+                t_eta.append(er * t_rho + ey * d_y + ee * d_eta)
+                t_xi += xr * t_rho + xy * d_y + xe * d_eta
+            out += [x[c + 1 + n], *t_y, t_xi, *t_eta]
+        return np.array(out)
 
     return rhs
 
@@ -212,8 +293,8 @@ def barX_eval(fam: BoundaryMetricFamily, state: BPhasePoint):
 
 
 def _profile_values(fam: BoundaryMetricFamily, s: np.ndarray) -> list:
-    """(h_kk, dh_kk/drho, dh_kk/dy_k, d2h_kk/drho2) of each coordinate at the
-    (rho, y) of the state s."""
+    """The six profile entries of each coordinate at the (rho, y) of the
+    state s."""
     return [prof(s[0], s[1 + k]) for k, prof in enumerate(fam.profiles)]
 
 
@@ -223,7 +304,8 @@ def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
 
     ``vals`` are the profile values at s (:func:`_profile_values`) when the
     caller already has them; the projection keeps rho and y, so they also
-    hold at the projected state.
+    hold at the projected state.  Entries after the state, such as tangent
+    columns, are kept.
     """
     if vals is None:
         vals = _profile_values(fam, s)
@@ -444,6 +526,15 @@ class _Dop853:
         self.t, self.y, self.f = self.t_old, self.y_old, self.K[0].copy()
         self.t_bound, self.h_abs = t_bound, abs(t_bound - self.t_old)
 
+    def retake(self, factor: float) -> None:
+        """Discard the last accepted step, counted as a rejection, and try
+        it again from its start at ``factor`` times its size."""
+        h_abs = abs(self.t - self.t_old)
+        self.rewind(self.t_bound)
+        self.h_abs = factor * h_abs
+        self.n_accepted -= 1
+        self.n_rejected += 1
+
 
 class _Solution:
     """Dense output of accepted steps, either way in t, ending at t_end in
@@ -590,15 +681,17 @@ class TraceStats:
 
     ``n_accepted``, ``n_rejected`` and ``n_rhs`` are the counters of the
     trace's one :class:`_Dop853` stepper: the step attempts it accepted and
-    rejected, the arrival step and its exact retake both included, and its
+    rejected, the arrival step and its exact retake both included, a step
+    retaken because it left the cosphere counted as rejected, and its
     right-hand-side calls (``nfev``), to which :func:`_drive` adds the slope
     it refreshes after each projection that moves the state.
     ``max_constraint_drift`` is the largest |proj - y| that the cosphere
     projection removed from the state after an accepted step or from the
     arrival end state.  ``guard`` names
     the check that stopped a failed trace: "t_max", "collar", "step_limit",
-    "integrator", "cosphere" (an accepted step or the arrival end left the
-    unit cosphere by more than ``COSPHERE_SLACK``) or "half_space" (the
+    "integrator", "cosphere" (a step still left the unit cosphere by more
+    than ``COSPHERE_SLACK`` after ``COSPHERE_RETAKES`` retakes, or the
+    arrival end did) or "half_space" (the
     arrival search found no rho > 0 on an overshooting step); it is None
     for a trace that arrived.
     """
@@ -617,6 +710,10 @@ class GeodesicTrajectory:
     ends at the arrival time ``tau_plus`` in its ``end`` (the projected
     outgoing state, y not wrapped), and its :class:`TraceStats` ``stats``;
     the rest is derived, ``z_out`` at once and every table on first read.
+    A trace made with its tangent (:func:`_trace_tangent`) holds the
+    tangent columns after each state of its solution and the derivative
+    d(y_out, eta_out)/d(y_in, eta_in) as ``tangent``; for any other trace
+    ``tangent`` is None.
     :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected) and
     :meth:`eval_many` (a batch of taus) read the solution's dense output.
     The gated hyperbolic arclength from tau = 0 is :meth:`arclength_at`;
@@ -625,7 +722,8 @@ class GeodesicTrajectory:
     at no rho level, never builds them.
     """
 
-    def __init__(self, fam, sol: _Solution, end: BPhasePoint, stats):
+    def __init__(self, fam, sol: _Solution, end: BPhasePoint, stats,
+                 tangent=None):
         self.family = fam
         self.n = fam.n
         self._sol = sol
@@ -633,6 +731,7 @@ class GeodesicTrajectory:
         self.end = end
         self.z_out = BoundaryCovector.make(fam.chart.wrap(end.y), end.eta)
         self.stats = stats
+        self.tangent = tangent
 
     @cached_property
     def samples(self) -> list:
@@ -740,16 +839,28 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
            t_max: float) -> GeodesicTrajectory:
     """Integrate until the boundary-arrival event; project every step.
 
+    ``s0`` is the start state, optionally followed by tangent columns of
+    its size: then the trace integrates them with it through the
+    variational RHS (:func:`_make_tangent_rhs`), and the step control runs
+    over every component.  The cosphere projection rescales the state and
+    leaves the columns as they are: the exact tangent already lies along
+    the cosphere, and mapping the columns by the projection's derivative
+    made the scattering derivative less symplectic.  Nor do the columns
+    need a correction for the arrival time: at rho = 0 the flow has no y
+    or eta component, so d tau_plus moves only the end's rho and xi_b.
     The ``t_max`` guard adds the closed-form bound :func:`_arc_bound` of
     each accepted step's arclength.  Once that running bound passes
     ``t_max``, the exact arclength (:func:`_arc_panels`) of each step not
     yet integrated is added to a running exact sum, which raises
     :class:`TrappedOrSlowError` above ``t_max``; a trace whose bound stays
     below ``t_max`` computes no panel.  The guard skips the arrival step:
-    a geodesic that arrives is not trapped.  A step's end or the arrival
-    end that the cosphere projection moves by more than ``COSPHERE_SLACK``
-    of its covector raises :class:`FlowError`: the step controller passed a
-    step it did not resolve.  Every :class:`FlowError` raised here carries
+    a geodesic that arrives is not trapped.  An interior step whose end the
+    cosphere projection would move by more than ``COSPHERE_SLACK`` of its
+    covector was not resolved, although the step controller passed it: it
+    is retaken from its start at ``RETAKE_FACTOR`` of its size, counted as
+    a rejection, up to ``COSPHERE_RETAKES`` times in a row before the trace
+    raises :class:`FlowError`; an arrival end that leaves the cosphere
+    raises at once.  Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  One
     :class:`_Dop853` runs the whole trace: at arrival it is rewound to the
     start of the arrival step and retakes it to the located arrival time.
@@ -760,7 +871,9 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     its stages, and its non-finite error norm rejects it.
     """
     n = fam.n
-    rhs = _make_rhs(fam)
+    m = 2 * n + 2
+    tangent = s0.size > m
+    rhs = (_make_tangent_rhs if tangent else _make_rhs)(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     steps = []
@@ -769,6 +882,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     t_acc = 0.0     # exact arclength of steps[:n_exact]
     n_exact = 0
     drift = 0.0
+    retakes = 0     # of the current step
 
     def stats(guard=None):
         return TraceStats(
@@ -779,19 +893,22 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         exc.stats = stats(guard)
         return exc
 
-    def project(y, tau):
-        """y projected onto the cosphere, and the profile values there."""
-        nonlocal drift
+    def project(y):
+        """(y projected onto the cosphere, tangent columns kept; the profile
+        values there; the largest move of the projection; whether that move
+        is within ``COSPHERE_SLACK`` of the covector)."""
         vals = _profile_values(fam, y)
         proj = _project_vec(fam, y, n, vals)
         jump = float(np.max(np.abs(proj - y)))
+        scale = max(map(abs, y[1 + n:m].tolist()))
+        return proj, vals, jump, jump <= COSPHERE_SLACK * scale
+
+    def off_cosphere(jump, tau):
+        nonlocal drift
         drift = max(drift, jump)
-        if jump > COSPHERE_SLACK * max(map(abs, y[1 + n:].tolist())):
-            raise fail(FlowError(
-                f"an accepted step left the unit cosphere at tau={tau:.6g}"
-                " (the step is too long for the covector's scale)"),
-                "cosphere")
-        return proj, vals
+        return fail(FlowError(
+            f"an accepted step left the unit cosphere at tau={tau:.6g}"
+            " (the step is too long for the covector's scale)"), "cosphere")
 
     while True:
         if solver.n_accepted >= MAX_STEPS:
@@ -839,16 +956,31 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 # panels of this step end at st.t, not at the polished time
                 tau_star -= float(end[0] / end[1 + n])
                 end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
-            vec = project(end, tau_star)[0]
-            end = BPhasePoint.make(0.0, vec[1:1 + n].copy(), -1.0,
-                                   vec[2 + n:2 + 2 * n].copy())
-            return GeodesicTrajectory(
-                fam, _Solution(steps, tau_star, end.as_vector()), end, stats())
+            vec, _, jump, resolved = project(end)
+            if not resolved:
+                raise off_cosphere(jump, tau_star)
+            drift = max(drift, jump)
+            out = BPhasePoint.make(0.0, vec[1:1 + n].copy(), -1.0,
+                                   vec[2 + n:m].copy())
+            sol = _Solution(steps, tau_star,
+                            np.concatenate((out.as_vector(), vec[m:])))
+            tan = (vec[m:].reshape(-1, m)[:, np.r_[1:1 + n, 2 + n:m]].T
+                   if tangent else None)
+            return GeodesicTrajectory(fam, sol, out, stats(), tan)
 
         if rho_new >= rho_limit:
             raise fail(CollarExitError(
                 f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
                 "collar")
+        proj, vals, jump, resolved = project(solver.y)
+        if not resolved:
+            if retakes == COSPHERE_RETAKES:
+                raise off_cosphere(jump, solver.t)
+            retakes += 1
+            steps.pop()
+            solver.retake(RETAKE_FACTOR)
+            continue
+        retakes = 0
         bound += _arc_bound(rho_prev, rho_new, t_hi - t_lo)
         if bound > t_max:
             for done in steps[n_exact:]:
@@ -860,13 +992,23 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     f"interior arclength exceeded t_max={t_max:.6g} at tau={solver.t:.6g}"
                     " (trapped or nearly trapped trajectory)",
                     tau=float(solver.t), t_acc=t_acc), "t_max")
-
-        proj, vals = project(solver.y, solver.t)
+        drift = max(drift, jump)
         if not np.array_equal(proj, solver.y):
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
             solver.nfev += 1
         rho_prev = proj[0]
+
+
+def _start_state(fam: BoundaryMetricFamily, z) -> np.ndarray:
+    """(rho, y, xi_b, eta) = (0, y, +1, eta) of a BoundaryCovector or a
+    (y, eta) pair."""
+    if not isinstance(z, BoundaryCovector):
+        y, eta = z
+        z = BoundaryCovector.make(y, eta)
+    if z.y.size != fam.n or z.eta.size != fam.n:
+        raise ValueError("boundary covector dimension mismatch")
+    return np.concatenate(([0.0], z.y, [1.0], z.eta))
 
 
 def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
@@ -881,13 +1023,22 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     ``t_max`` bounds the gated arclength before the arrival step, which the
     guard skips: a trajectory that arrives may have ``t_acc`` above it.
     """
-    if not isinstance(z, BoundaryCovector):
-        y, eta = z
-        z = BoundaryCovector.make(y, eta)
-    if z.y.size != fam.n or z.eta.size != fam.n:
-        raise ValueError("boundary covector dimension mismatch")
-    s0 = np.concatenate(([0.0], z.y, [1.0], z.eta))
-    return _drive(fam, s0, tol=tol, t_max=t_max)
+    return _drive(fam, _start_state(fam, z), tol=tol, t_max=t_max)
+
+
+def _trace_tangent(fam: BoundaryMetricFamily, z,
+                   tol: float) -> GeodesicTrajectory:
+    """:func:`trace_geodesic` with its tangent: the trace carries the 2n
+    columns d/d(y_in, eta_in) of its state, and its ``tangent`` is the
+    derivative d(y_out, eta_out)/d(y_in, eta_in) of the scattering map
+    (unwrapped), accurate to the tolerance.  The step control runs over the
+    columns too, so the trace takes other steps than a plain one."""
+    s0 = _start_state(fam, z)
+    n, m = fam.n, s0.size
+    cols = np.zeros((2 * n, m))
+    cols[np.arange(2 * n), np.r_[1:1 + n, 2 + n:m]] = 1.0
+    return _drive(fam, np.concatenate((s0, cols.ravel())), tol=tol,
+                  t_max=DEFAULT_T_MAX)
 
 
 def trace_from_state(fam: BoundaryMetricFamily, state: BPhasePoint,
@@ -917,7 +1068,8 @@ def _central_diff(f: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringJacobian:
-    """Finite-difference derivative of the scattering map at one covector."""
+    """Derivative of the scattering map at one covector, from the tangent
+    of one trace."""
 
     matrix: np.ndarray           # d(y_out, eta_out)/d(y_in, eta_in)
     det: float
@@ -925,25 +1077,16 @@ class ScatteringJacobian:
 
 
 def scattering_jacobian(fam: BoundaryMetricFamily, z) -> ScatteringJacobian:
-    """Central finite differences of the scattering map.
+    """Derivative of the scattering map from one trace at ``DEFAULT_TOL``
+    that integrates the variational equation with the flow
+    (:func:`_trace_tangent`).
 
-    Each coordinate of (y, eta) moves by +-1e-5 * max(1, |coordinate|);
-    traces run at ``DEFAULT_TOL`` (1e-12), far below the step, which keeps
-    |det - 1| below 1e-10 on the acceptance grids.  Uses unwrapped outgoing
-    coordinates so periodic charts do not introduce jumps between
-    neighbouring traces.
+    Its error is that of the integration: on the acceptance grids
+    |det - 1| stays below 1e-12.  It is taken in unwrapped outgoing
+    coordinates, so periodic charts introduce no jumps.
     """
-    if not isinstance(z, BoundaryCovector):
-        z = BoundaryCovector.make(*z)
     n = fam.n
-
-    def out_vec(x):
-        end = trace_geodesic(fam, BoundaryCovector.make(x[:n], x[n:])).end
-        return np.concatenate((end.y, end.eta))
-
-    x = np.concatenate((z.y, z.eta))
-    M = _central_diff(out_vec, x, 1e-5 * np.maximum(1.0, np.abs(x)))
-
+    M = _trace_tangent(fam, z, DEFAULT_TOL).tangent
     J = np.zeros((2 * n, 2 * n))
     for i in range(n):
         J[i, n + i] = -1.0

@@ -1,13 +1,17 @@
 """Boundary metric families for asymptotically hyperbolic metrics in normal form.
 
 A family describes g = (d rho**2 + h_rho) / rho**2 near (or on all of) a
-manifold-with-boundary through the rho-dependent boundary metric h_rho,
-its first derivatives in rho and y and its second derivative in rho.  Every
-family is diagonal, with h_kk a function of (rho, y_k) only, and is given
-by one profile per coordinate returning h_kk, dh_kk/drho, dh_kk/dy_k and
-d2h_kk/drho2 in closed form (:class:`BoundaryMetricFamily`).  Everything
-downstream consumes only those: the flow reads the first three and
-:func:`gauss_curvature` all four, from one profile call.
+manifold-with-boundary through the rho-dependent boundary metric h_rho
+and its first and second derivatives in rho and y.  Every family is
+diagonal, with h_kk a function of (rho, y_k) only, and is given by one
+profile per coordinate returning the six entries h_kk, dh_kk/drho,
+dh_kk/dy_k, d2h_kk/drho2, d2h_kk/drho dy_k and d2h_kk/dy_k2 in closed form
+(:class:`BoundaryMetricFamily`).  Everything downstream consumes only
+those: the flow reads the first three, its tangent (the variational
+equation behind the scattering Jacobian) all six, and
+:func:`gauss_curvature` the first four, from one profile call.  A float
+(rho, y) gives floats where a family computes with numpy, since a numpy
+scalar costs several times a float per operation.
 :func:`eval_metric` gives the matrix view.  Every family has the domain
 0 <= rho < rho_max; the flow stops a geodesic that reaches rho_max with
 ``CollarExitError``.  Its boundary chart (:class:`Chart`) is periodic or
@@ -103,10 +107,11 @@ class BoundaryMetricFamily:
     """Diagonal h_rho(y) through one profile per boundary coordinate.
 
     ``profiles[k](rho, y_k)`` returns (h_kk, dh_kk/drho, dh_kk/dy_k,
-    d2h_kk/drho2), all exact; h_kk depends on rho and y_k only, and the
-    boundary dimension n is the number of profiles.  Profiles take floats
-    or arrays, and their outputs broadcast against rho and y_k (a constant
-    may come back as a float).  The domain is 0 <= rho < rho_max.
+    d2h_kk/drho2, d2h_kk/drho dy_k, d2h_kk/dy_k2), all exact; h_kk depends
+    on rho and y_k only, and the boundary dimension n is the number of
+    profiles.  Profiles take floats or arrays, and their outputs broadcast
+    against rho and y_k (a constant may come back as a float).  The domain
+    is 0 <= rho < rho_max.
     """
 
     chart: Chart
@@ -131,14 +136,14 @@ class BoundaryMetricFamily:
         return {"family": self.name, "params": dict(self.params)}
 
     def diag(self, rho, y) -> np.ndarray:
-        """h_kk, dh_kk/drho, dh_kk/dy_k and d2h_kk/drho2 at (rho, y), shape
-        (4, ..., n).
+        """The six profile entries of every h_kk at (rho, y), shape
+        (6, ..., n).
 
         ``y`` has a last axis of length n; rho broadcasts against the other
         axes of y.
         """
         y = np.asarray(y, dtype=float)
-        out = np.empty((4,) + np.broadcast(rho, y[..., 0]).shape + (self.n,))
+        out = np.empty((6,) + np.broadcast(rho, y[..., 0]).shape + (self.n,))
         for k, prof in enumerate(self.profiles):
             for i, v in enumerate(prof(rho, y[..., k])):
                 out[i, ..., k] = v
@@ -182,15 +187,20 @@ class TrigPoly:
             in enumerate(zip_longest(self.c, self.s, fillvalue=0.0))
             if k and (c or s_)]
 
-    def value_and_deriv(self, y):
-        """(value, d/dy) at y, with one cos and one sin per harmonic."""
+    def jet(self, y):
+        """(value, d/dy, d2/dy2) at y, with one cos and one sin per
+        harmonic; a float y gives floats."""
         val = self.c[0] if self.c else 0.0
-        der = 0.0
+        der = der2 = 0.0
         for k, c, s_ in self._harmonics:
             cos, sin = np.cos(k * y), np.sin(k * y)
+            if isinstance(cos, float):
+                # a numpy scalar costs several times a float per operation
+                cos, sin = float(cos), float(sin)
             val = val + c * cos + s_ * sin
             der = der + k * (s_ * cos - c * sin)
-        return val, der
+            der2 = der2 - k * k * (c * cos + s_ * sin)
+        return val, der, der2
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +235,22 @@ def _apply_bump(profile, amplitude: float, rho_lo: float, rho_hi: float):
     width = rho_hi - rho_lo
 
     def bumped(rho, y):
-        h, dh_r, dh_y, dh_rr = profile(rho, y)
+        h, dh_r, dh_y, dh_rr, dh_ry, dh_yy = profile(rho, y)
         b, db, d2b = poly_bump_jet((rho - rho_lo) / width)
         f = 1.0 + amplitude * b
         df = amplitude * db / width
         d2f = amplitude * d2b / (width * width)
         return (h * f, dh_r * f + h * df, dh_y * f,
-                dh_rr * f + 2.0 * dh_r * df + h * d2f)
+                dh_rr * f + 2.0 * dh_r * df + h * d2f,
+                dh_ry * f + dh_y * df, dh_yy * f)
 
     return bumped
 
 
 def halfplane_family(rho_max: float = math.inf) -> BoundaryMetricFamily:
     params = {"rho_max": rho_max} if math.isfinite(rho_max) else {}
-    return _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0)], Chart("affine"),
-                   rho_max, "half-plane", params)
+    return _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+                   Chart("affine"), rho_max, "half-plane", params)
 
 
 def disc_family() -> BoundaryMetricFamily:
@@ -247,7 +258,7 @@ def disc_family() -> BoundaryMetricFamily:
     def profile(rho, y):
         r2 = rho * rho
         q = 1.0 - 0.25 * r2
-        return q * q, -rho * q, 0.0, 0.75 * r2 - 1.0
+        return q * q, -rho * q, 0.0, 0.75 * r2 - 1.0, 0.0, 0.0
 
     return _family([profile], Chart("periodic"), 2.0, "disc-normal", {})
 
@@ -261,12 +272,17 @@ def perturbed_family(a_cos=(), a_sin=(), b_cos=(), b_sin=(),
     b = TrigPoly(b_cos, b_sin)
 
     def profile(rho, y):
-        av, da = a.value_and_deriv(y)
-        bv, db = b.value_and_deriv(y)
+        av, da, d2a = a.jet(y)
+        bv, db, d2b = b.jet(y)
         h = np.exp(2.0 * rho * (av + rho * bv))
+        if isinstance(h, float):
+            h = float(h)    # as in TrigPoly.jet
+        # the exponent's rho- and y-derivatives
         g = 2.0 * av + 4.0 * rho * bv
-        return (h, h * g, h * (2.0 * rho * da + 2.0 * rho * rho * db),
-                h * (g * g + 4.0 * bv))
+        p = 2.0 * rho * da + 2.0 * rho * rho * db
+        return (h, h * g, h * p, h * (g * g + 4.0 * bv),
+                h * (g * p + 2.0 * da + 4.0 * rho * db),
+                h * (p * p + 2.0 * rho * d2a + 2.0 * rho * rho * d2b))
 
     params = {"a_cos": list(a.c), "a_sin": list(a.s),
               "b_cos": list(b.c), "b_sin": list(b.s), "rho_max": rho_max}
@@ -297,7 +313,8 @@ def radial_power_family(amp: float, power: int,
     def profile(rho, y):
         # p = 1 has h_rr = 0 exactly; rho ** -1 would fail at rho = 0
         h_rr = amp * p * (p - 1) * rho ** (p - 2) if p > 1 else 0.0
-        return 1.0 + amp * rho ** p, amp * p * rho ** (p - 1), 0.0, h_rr
+        return (1.0 + amp * rho ** p, amp * p * rho ** (p - 1), 0.0, h_rr,
+                0.0, 0.0)
 
     return _family([profile], Chart("affine"), rho_max, "radial-power",
                    params)
@@ -309,7 +326,7 @@ def taylor1d_family(h0: float, c1: float = 0.0, c2: float = 0.0,
     params = {"h0": h0, "c1": c1, "c2": c2, "rho_max": rho_max}
     return _family(
         [lambda rho, y: (h0 + c1 * rho + 0.5 * c2 * rho * rho, c1 + c2 * rho,
-                         0.0, c2)],
+                         0.0, c2, 0.0, 0.0)],
         Chart("periodic"), rho_max, "taylor1d", params)
 
 
@@ -380,14 +397,14 @@ def _validation_grid(fam: BoundaryMetricFamily):
 
 
 def _validate_family(fam: BoundaryMetricFamily) -> None:
-    """h positive and the supplied derivatives consistent with h and dh/drho
-    (scaled central differences) on the validation grid, every y_k at the
-    grid's y."""
+    """h positive and the supplied derivatives consistent with h and its
+    first derivatives (scaled central differences) on the validation grid,
+    every y_k at the grid's y."""
     rhos, ys = _validation_grid(fam)
     step = 1e-6
     rho = rhos[:, None]
     y = np.repeat(ys[None, :, None], fam.n, axis=2)
-    h, an_r, an_y, an_rr = fam.diag(rho, y)        # each (rho, y, k)
+    h, an_r, an_y, an_rr, an_ry, an_yy = fam.diag(rho, y)  # (rho, y, k)
     bad = np.argwhere(~(h > 0.0))
     if bad.size:
         i, j = bad[0][:2]
@@ -408,11 +425,16 @@ def _validate_family(fam: BoundaryMetricFamily) -> None:
     if not np.allclose(fd_rr, an_rr, rtol=2e-6, atol=1e-3 * rr_scale):
         raise MetricError("d2h_drho2 inconsistent with dh_drho")
     # h_kk depends on y_k only, so shifting every y_k at once gives each
-    # d h_kk / d y_k
-    fd_yk = (fam.diag(rho, y + step)[0] - fam.diag(rho, y - step)[0]) \
+    # y_k-derivative; the y-differences of dh_drho and dh_dy are smooth
+    # across the bump's corners, which lie at fixed rho
+    fd_y = (fam.diag(rho, y + step)[:3] - fam.diag(rho, y - step)[:3]) \
         / (2 * step)
-    if not np.allclose(fd_yk, an_y, rtol=2e-6, atol=2e-6):
-        raise MetricError("dh_dy inconsistent with h")
+    for fd, an, what in ((fd_y[0], an_y, "dh_dy inconsistent with h"),
+                         (fd_y[1], an_ry,
+                          "d2h_drho_dy inconsistent with dh_drho"),
+                         (fd_y[2], an_yy, "d2h_dy2 inconsistent with dh_dy")):
+        if not np.allclose(fd, an, rtol=2e-6, atol=2e-6):
+            raise MetricError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +474,7 @@ def gauss_curvature(fam: BoundaryMetricFamily, rho, y):
     # [()] makes a 0-d y a numpy scalar, on which a profile runs about as
     # fast as on a float, and leaves an array as it is
     h, dh, _, d2h = fam.profiles[0](
-        rho, np.asarray(y, dtype=float).reshape(rho_a.shape)[()])
+        rho, np.asarray(y, dtype=float).reshape(rho_a.shape)[()])[:4]
     k = -1.0 + rho * dh / (2.0 * h) \
         - rho * rho * (d2h / (2.0 * h) - dh * dh / (4.0 * h * h))
     return k if rho_a.ndim else float(k)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flow import (BoundaryCovector, FlowError, GeodesicTrajectory,
-                   _central_diff, trace_geodesic)
+                   _central_diff, _trace_tangent, trace_geodesic)
 from .metric import BoundaryMetricFamily, eval_metric
 from .quadrature import gauss_jacobi_left
 
@@ -213,8 +213,10 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
                       ) -> BoundaryDistanceResult:
     """Renormalized distance between distinct boundary points by shooting.
 
-    Newton iteration on the incoming covector with a finite-difference
-    Jacobian of the endpoint map and step halving; the first guess is the
+    Newton iteration on the incoming covector with step halving; each
+    shooting trace carries its tangent (:func:`ahx.flow._trace_tangent`),
+    so one trace gives both the endpoint miss and its Jacobian in eta.  The
+    first guess is the
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
     vector dy.  A trial step whose trace raises :class:`FlowError` is
     halved too, and ``ShootingError`` is raised when all eight trials of
@@ -243,20 +245,20 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
         """Endpoint miss of a traced geodesic from y_plus."""
         return fam.chart.wrapped_diff(traj.end.y, yp)
 
-    def residual(e):
-        """Endpoint miss of the geodesic entering at (ym, e)."""
-        return miss(trace_geodesic(fam, BoundaryCovector.make(ym, e),
-                                   tol=SHOOT_TOL))
+    def shoot(e):
+        """Endpoint miss of the geodesic entering at (ym, e), and its
+        derivative in e."""
+        traj = _trace_tangent(fam, BoundaryCovector.make(ym, e), SHOOT_TOL)
+        return miss(traj), traj.tangent[:fam.n, fam.n:]
 
     eta = clamp(eta)
-    r = residual(eta)
+    r, J = shoot(eta)
     it = 0
     while np.max(np.abs(r)) > tol:
         it += 1
         if it > MAX_SHOOT_ITER:
             raise ShootingError(
                 f"boundary-distance shooting stalled, residual {np.max(np.abs(r)):.3e}")
-        J = _central_diff(residual, eta, 1e-6 * np.maximum(1.0, np.abs(eta)))
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -273,18 +275,18 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
         for _ in range(8):
             eta_new = clamp(eta - lam * step)
             try:
-                r_new = residual(eta_new)
+                r_new, J_new = shoot(eta_new)
             except FlowError as exc:
                 failed = exc    # the trial left the collar or the chart
             else:
-                traced = eta_new, r_new
+                traced = eta_new, r_new, J_new
                 if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                     break
             lam *= 0.5
         if traced is None:
             raise ShootingError("no damped shooting trial reached the "
                                 "boundary") from failed
-        eta, r = traced
+        eta, r, J = traced
     traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
     value = renormalized_length(traj).value
     return BoundaryDistanceResult(value=value, eta=eta, iterations=it,

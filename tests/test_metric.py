@@ -282,7 +282,57 @@ def test_second_derivative_off_by_one_percent_rejected(base):
             _family([off], fam.chart, fam.rho_max, "off", {})
 
 
-def test_diag_broadcasts_to_four_rows():
+@pytest.mark.parametrize("base", [
+    lambda: perturbed_family(a_cos=[0.0, 0.1], b_cos=[0.02],
+                             b_sin=[0.0, 0.03]),
+    lambda: product_family(disc_family(), perturbed_family(
+        a_cos=[0.0, 0.1], b_cos=[0.05],
+        bump={"amplitude": 0.5, "rho_lo": 0.2, "rho_hi": 0.4}))],
+    ids=["perturbed", "product"])
+def test_mixed_and_tangential_second_derivatives_off_by_one_percent_rejected(
+        base):
+    """A 1% error in d2h_drho_dy or d2h_dy2 of any one factor is refused
+    with that row's own message."""
+    fam = base()
+    _family(fam.profiles, fam.chart, fam.rho_max, "exact", {})
+    for row, name in ((4, "d2h_drho_dy"), (5, "d2h_dy2")):
+        prof = fam.profiles[-1]
+
+        def off(rho, y, row=row):
+            out = list(prof(rho, y))
+            out[row] = 1.01 * out[row]
+            return tuple(out)
+
+        with pytest.raises(MetricError, match=f"^{name} inconsistent"):
+            _family(fam.profiles[:-1] + (off,), fam.chart, fam.rho_max,
+                    "off", {})
+
+
+def test_tangential_second_derivatives_match_richardson_differences(
+        perturbed):
+    # d2h/dy2 and d2h/drho dy from central differences of dh/dy and dh/drho
+    # in y at steps e and e/2, Richardson-extrapolated (measured: 1.8e-13)
+    e = 1e-3
+    bumped = perturbed_family(a_cos=[0.0, 0.1], b_cos=[0.05], rho_max=0.7,
+                              bump={"amplitude": 1.0, "rho_lo": 0.3,
+                                    "rho_hi": 0.45})
+    for fam in (perturbed, bumped):
+        prof = fam.profiles[0]
+
+        def diff(rho, y, s, row):
+            return (prof(rho, y + s)[row] - prof(rho, y - s)[row]) / (2.0 * s)
+
+        for rho in (0.05, 0.2, 0.37, 0.49):
+            for y in (0.0, 1.3, 4.0, 5.5):
+                out = prof(rho, y)
+                for row, want_row in ((2, 5), (1, 4)):
+                    fd = (4.0 * diff(rho, y, e / 2, row)
+                          - diff(rho, y, e, row)) / 3.0
+                    assert abs(out[want_row] - fd) <= 1e-10 * max(
+                        1.0, abs(fd))
+
+
+def test_diag_broadcasts_to_six_rows():
     fam = product_family(perturbed_family(a_cos=[0.1]),
                          perturbed_family(bump={"amplitude": 0.5,
                                                 "rho_lo": 0.2,
@@ -290,7 +340,7 @@ def test_diag_broadcasts_to_four_rows():
     rho = np.linspace(0.05, 0.45, 5)[:, None]
     y = np.random.default_rng(1).uniform(0.0, 6.0, (1, 3, 2))
     out = fam.diag(rho, y)
-    assert out.shape == (4, 5, 3, 2)
+    assert out.shape == (6, 5, 3, 2)
     for k, prof in enumerate(fam.profiles):
         for i, v in enumerate(prof(rho[2, 0], y[0, 1, k])):
             assert out[i, 2, 1, k] == v
@@ -416,9 +466,15 @@ def test_trigpoly_eval_and_derivative(y):
     p = TrigPoly(cos_coeffs=[0.2, -0.3], sin_coeffs=[0.0, 0.5, 0.1])
     want = 0.2 - 0.3 * math.cos(y) + 0.5 * math.sin(y) \
         + 0.1 * math.sin(2.0 * y)
-    val, der = p.value_and_deriv(y)
+    val, der, der2 = p.jet(y)
     assert val == pytest.approx(want, abs=1e-12)
     eps = 1e-6
-    assert der == pytest.approx((p.value_and_deriv(y + eps)[0]
-                                 - p.value_and_deriv(y - eps)[0]) / (2 * eps),
+    assert der == pytest.approx((p.jet(y + eps)[0]
+                                 - p.jet(y - eps)[0]) / (2 * eps),
                                 abs=1e-7)
+    assert der2 == pytest.approx((p.jet(y + eps)[1]
+                                  - p.jet(y - eps)[1]) / (2 * eps),
+                                 abs=1e-7)
+    # arrays give the floats' values, bit for bit
+    arr = p.jet(np.array([y, y]))
+    assert all(np.all(a == v) for a, v in zip(arr, (val, der, der2)))

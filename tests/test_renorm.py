@@ -11,6 +11,7 @@ from ahx import (CollarExitError, FlowError, ShootingError, boundary_distance,
                  perturbed_family, renormalized_length,
                  scattering_from_distance_check, trace_geodesic)
 from ahx import renorm
+from ahx.flow import _trace_tangent
 
 
 def hp_length(eta: float) -> float:
@@ -100,12 +101,12 @@ def test_shooting_halves_a_trial_step_that_leaves_the_collar(monkeypatch):
 
     def recording(*args, **kwargs):
         try:
-            return trace_geodesic(*args, **kwargs)
+            return _trace_tangent(*args, **kwargs)
         except CollarExitError:
             exits.append(args[1].eta[0])
             raise
 
-    monkeypatch.setattr(renorm, "trace_geodesic", recording)
+    monkeypatch.setattr(renorm, "_trace_tangent", recording)
     res = boundary_distance(fam, 0.0, 0.45)
     assert exits
     assert res.residual <= 1e-9
@@ -116,19 +117,19 @@ def test_shooting_halves_a_trial_step_that_leaves_the_collar(monkeypatch):
 def test_shooting_raises_when_every_trial_step_fails(disc, monkeypatch):
     calls = []
 
-    def failing_after_jacobian(*args, **kwargs):
-        # the first residual and the two Jacobian columns trace; every
-        # damped trial after them fails
+    def failing_after_first(*args, **kwargs):
+        # the first shooting trace gives the residual and its Jacobian;
+        # every damped trial after it fails
         calls.append(args)
-        if len(calls) > 3:
+        if len(calls) > 1:
             raise CollarExitError("trial left the collar")
-        return trace_geodesic(*args, **kwargs)
+        return _trace_tangent(*args, **kwargs)
 
-    monkeypatch.setattr(renorm, "trace_geodesic", failing_after_jacobian)
+    monkeypatch.setattr(renorm, "_trace_tangent", failing_after_first)
     with pytest.raises(ShootingError) as info:
         boundary_distance(disc, 0.0, 1.0)
     assert isinstance(info.value.__cause__, CollarExitError)
-    assert len(calls) == 3 + 8
+    assert len(calls) == 1 + 8
 
 
 @given(st.floats(0.6, 3.0))
