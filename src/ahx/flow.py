@@ -39,13 +39,15 @@ Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
 (:meth:`GeodesicTrajectory.quad_nodes`).
 
-Derivatives of the scattering map come from the same tracing loop: a
-trace can carry the 2n tangent columns d/d(y_in, eta_in) of its state,
-integrated with it through the variational equation (Hairer, Norsett &
-Wanner, *Solving ODEs I*, I.14), whose Jacobian the profiles give in closed
-form.  One such trace gives :func:`scattering_jacobian`, and one gives
-each Newton step of the boundary-distance shooting in :mod:`ahx.renorm`;
-neither differences traces.
+Derivatives of the scattering map come from the same tracing loop and the
+same vector field: a trace can carry the 2n tangent columns d/d(y_in,
+eta_in) of its state, which the flow's one right-hand side
+(:func:`_make_rhs`) integrates with it through the variational equation
+(Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), whose Jacobian the
+profiles give in closed form.  One such trace gives
+:func:`scattering_jacobian`, and one gives each Newton step of the
+boundary-distance shooting in :mod:`ahx.renorm`; neither differences
+traces.
 
 The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
@@ -187,52 +189,22 @@ _FLOAT_ERRORS = (ZeroDivisionError, OverflowError)
 
 
 def _make_rhs(fam: BoundaryMetricFamily) -> Callable:
-    """Flow RHS on the state [rho, y, xi_b, eta], built afresh on each call
-    (a closure over the family's profiles is cheaper to build than to look
-    up in a cache).
+    """The flow and its variational equation on [s, T]: the state s =
+    [rho, y, xi_b, eta], optionally followed by tangent columns of its
+    size, each a derivative of s.  Built afresh on each call (a closure over
+    the family's profiles is cheaper to build than to look up in a cache).
 
+    Returns [f(s), J(s) T_1, J(s) T_2, ...], just f(s) on a bare state.
     With u_k = eta_k / h_kk: |eta|_h^2 = sum u_k eta_k, its rho-derivative
-    is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.
-    ``rhs(tau, s, vals)`` takes the profile values at (rho, y) of s
-    (:func:`_profile_values`) when the caller already has them.  The state
-    is read once into Python floats, which are cheaper than numpy scalars
-    on so few values.
-    """
-    n = fam.n
-    profiles = fam.profiles
-
-    def rhs(tau, s, vals=None):
-        x = s.tolist()
-        rho = x[0]
-        half_rho = 0.5 * rho
-        dy, deta = [], []
-        dxi = 0.0
-        try:
-            for k, prof in enumerate(profiles):
-                h, dh_r, dh_y = (prof(rho, x[1 + k]) if vals is None
-                                 else vals[k])[:3]
-                eta = x[2 + n + k]
-                u = eta / h
-                ru = rho * u
-                dy.append(ru)
-                deta.append(half_rho * u * u * dh_y)
-                dxi -= ru * eta - half_rho * rho * u * u * dh_r
-        except _FLOAT_ERRORS:
-            return np.full(s.size, math.nan)
-        return np.array([x[1 + n], *dy, dxi, *deta])
-
-    return rhs
-
-
-def _make_tangent_rhs(fam: BoundaryMetricFamily) -> Callable:
-    """Variational RHS on [s, T]: the state s of :func:`_make_rhs`, then
-    tangent columns of its size, each a derivative of s.
-
-    Returns [f(s), J(s) T_1, J(s) T_2, ...] with J = df/ds in closed form
-    from the six profile entries (Hairer, Norsett & Wanner, *Solving ODEs
-    I*, I.14).  f(s) is computed as :func:`_make_rhs` computes it.  y_k'
-    and eta_k' depend on (rho, y_k, xi_b, eta_k) through rho, y_k and
-    eta_k only, and xi_b' on everything but xi_b.
+    is -sum u_k^2 dh_kk/drho and its y_k-derivative -u_k^2 dh_kk/dy_k.  The
+    Jacobian J = df/ds (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14)
+    is built in closed form from the six profile entries only when columns
+    follow the state; f(s) is computed alike either way.  y_k' and eta_k'
+    depend on (rho, y_k, xi_b, eta_k) through rho, y_k and eta_k only, and
+    xi_b' on everything but xi_b.  ``rhs(tau, s, vals)`` takes the profile
+    values at (rho, y) of s (:func:`_profile_values`) when the caller
+    already has them.  The state is read once into Python floats, which
+    are cheaper than numpy scalars on so few values.
     """
     n = fam.n
     m = 2 * n + 2
@@ -242,8 +214,9 @@ def _make_tangent_rhs(fam: BoundaryMetricFamily) -> Callable:
         x = s.tolist()
         rho = x[0]
         half_rho = 0.5 * rho
-        dy, deta, jac = [], [], []
+        dy, deta = [], []
         dxi = 0.0
+        jac = [] if len(x) > m else None
         try:
             for k, prof in enumerate(profiles):
                 h, h_r, h_y, h_rr, h_ry, h_yy = (prof(rho, x[1 + k])
@@ -254,6 +227,8 @@ def _make_tangent_rhs(fam: BoundaryMetricFamily) -> Callable:
                 dy.append(ru)
                 deta.append(half_rho * u * u * h_y)
                 dxi -= ru * eta - half_rho * rho * u * u * h_r
+                if jac is None:
+                    continue
                 w, a, b = u * u, h_r / h, h_y / h
                 # d/d(rho, y_k, eta_k) of y_k', of eta_k' and of xi_b'
                 jac.append((
@@ -267,6 +242,8 @@ def _make_tangent_rhs(fam: BoundaryMetricFamily) -> Callable:
         except _FLOAT_ERRORS:
             return np.full(s.size, math.nan)
         out = [x[1 + n], *dy, dxi, *deta]
+        if jac is None:
+            return np.array(out)
         for c in range(m, len(x), m):
             t_rho = x[c]
             t_y, t_eta = [], []
@@ -840,14 +817,15 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     """Integrate until the boundary-arrival event; project every step.
 
     ``s0`` is the start state, optionally followed by tangent columns of
-    its size: then the trace integrates them with it through the
-    variational RHS (:func:`_make_tangent_rhs`), and the step control runs
-    over every component.  The cosphere projection rescales the state and
-    leaves the columns as they are: the exact tangent already lies along
-    the cosphere, and mapping the columns by the projection's derivative
-    made the scattering derivative less symplectic.  Nor do the columns
-    need a correction for the arrival time: at rho = 0 the flow has no y
-    or eta component, so d tau_plus moves only the end's rho and xi_b.
+    its size, which the flow's RHS (:func:`_make_rhs`) carries through the
+    variational equation; the step control runs over every component, and
+    the trajectory gets a ``tangent`` when there are columns.  The cosphere
+    projection rescales the state and leaves the columns as they are: the
+    exact tangent already lies along the cosphere, and mapping the columns
+    by the projection's derivative made the scattering derivative less
+    symplectic.  Nor do the columns need a correction for the arrival
+    time: at rho = 0 the flow has no y or eta component, so d tau_plus
+    moves only the end's rho and xi_b.
     The ``t_max`` guard adds the closed-form bound :func:`_arc_bound` of
     each accepted step's arclength.  Once that running bound passes
     ``t_max``, the exact arclength (:func:`_arc_panels`) of each step not
@@ -863,7 +841,9 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     raises at once.  Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  One
     :class:`_Dop853` runs the whole trace: at arrival it is rewound to the
-    start of the arrival step and retakes it to the located arrival time.
+    start of the arrival step and retakes it to the located arrival time,
+    unless that time is the step's start, where the trace arrives without
+    a retake (a retake of size 0 has no dense output).
     The :class:`_Step` rows are the one list kept; the trajectory is their
     :class:`_Solution`.
     Floating-point overflow, invalid and divide warnings are off for the
@@ -872,8 +852,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     """
     n = fam.n
     m = 2 * n + 2
-    tangent = s0.size > m
-    rhs = (_make_tangent_rhs if tangent else _make_rhs)(fam)
+    rhs = _make_rhs(fam)
     rho_limit = min(fam.rho_max, RHO_CEILING)
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     steps = []
@@ -936,21 +915,25 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                         "trajectory left the rho > 0 half-space"), "half_space")
                 lo = float(grid[imax])
             tau_star = _step_root(st, 0, lo, t_hi)
-            # retake the arrival step exactly to tau_star: the dense output
-            # it would otherwise end on is less accurate than a step
-            steps.pop()
-            solver.rewind(tau_star)
-            while True:
-                st = solver.step()
-                if st is None:
-                    raise fail(FlowError(
-                        f"integrator failure: {_TOO_SMALL_STEP}"), "integrator")
-                steps.append(st)
-                # t_lo + h may fall short of tau_star by rounding
-                if tau_star - solver.t <= 4.0 * math.ulp(tau_star):
-                    break
-            tau_star = solver.t
-            end = solver.y
+            end = st.y_old
+            if tau_star > t_lo:
+                # retake the arrival step exactly to tau_star: the dense
+                # output it would otherwise end on is less accurate than a
+                # step
+                steps.pop()
+                solver.rewind(tau_star)
+                while True:
+                    st = solver.step()
+                    if st is None:
+                        raise fail(FlowError(
+                            f"integrator failure: {_TOO_SMALL_STEP}"),
+                            "integrator")
+                    steps.append(st)
+                    # t_lo + h may fall short of tau_star by rounding
+                    if tau_star - solver.t <= 4.0 * math.ulp(tau_star):
+                        break
+                tau_star = solver.t
+                end = solver.y
             if abs(end[1 + n]) > 1e-8:
                 # one Newton polish using drho/dtau = xi_b; the arclength
                 # panels of this step end at st.t, not at the polished time
@@ -965,7 +948,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
             sol = _Solution(steps, tau_star,
                             np.concatenate((out.as_vector(), vec[m:])))
             tan = (vec[m:].reshape(-1, m)[:, np.r_[1:1 + n, 2 + n:m]].T
-                   if tangent else None)
+                   if s0.size > m else None)
             return GeodesicTrajectory(fam, sol, out, stats(), tan)
 
         if rho_new >= rho_limit:

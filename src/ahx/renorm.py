@@ -218,9 +218,12 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     so one trace gives both the endpoint miss and its Jacobian in eta.  The
     first guess is the
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
-    vector dy.  A trial step whose trace raises :class:`FlowError` is
-    halved too, and ``ShootingError`` is raised when all eight trials of
-    one iteration fail or ``MAX_SHOOT_ITER`` iterations do not converge.
+    vector dy.  A first guess whose trace raises :class:`FlowError` is
+    doubled, up to eight times, since a larger |eta| is a shallower
+    geodesic; a trial step whose trace raises it is halved.
+    ``ShootingError`` is raised when every first guess fails, when all
+    eight trials of one iteration fail, or when ``MAX_SHOOT_ITER``
+    iterations do not converge.
     Shooting traces run at ``SHOOT_TOL``; the converged geodesic is traced
     again at ``DEFAULT_TOL`` for its length.
     """
@@ -252,7 +255,16 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
         return miss(traj), traj.tangent[:fam.n, fam.n:]
 
     eta = clamp(eta)
-    r, J = shoot(eta)
+    for _ in range(9):
+        try:
+            r, J = shoot(eta)
+        except FlowError as exc:
+            failed = exc
+            eta = 2.0 * eta
+        else:
+            break
+    else:
+        raise ShootingError("no first guess reached the boundary") from failed
     it = 0
     while np.max(np.abs(r)) > tol:
         it += 1

@@ -11,8 +11,8 @@ from scipy.integrate import DOP853
 from ahx import (BPhasePoint, CollarExitError, FlowError,
                  SymmetricTensorField, TrappedOrSlowError, delta_max,
                  eval_metric, flip_state, product_family,
-                 scattering_jacobian, scattering_map, trace_from_state,
-                 trace_geodesic, xray_transform)
+                 radial_power_family, scattering_jacobian, scattering_map,
+                 trace_from_state, trace_geodesic, xray_transform)
 from ahx import flow
 from ahx.flow import barX_eval
 
@@ -184,6 +184,11 @@ def product(disc, perturbed):
     return product_family(disc, perturbed)
 
 
+@pytest.fixture(scope="module")
+def radial_power():
+    return radial_power_family(0.1, 4)
+
+
 # the bump family is the bench's; (1.0, 2.2) crosses its band; the product
 # family (n = 2) carries four tangent columns
 CURVED_COVECTORS = [("disc", (0.4, 1.1)), ("perturbed", (1.0, 3.0)),
@@ -218,20 +223,23 @@ def test_tangent_matches_central_differences_of_plain_traces(request, name,
     assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
-@pytest.mark.parametrize("name", ["disc", "perturbed", "bump_family",
-                                  "product"])
+@pytest.mark.parametrize("name", ["disc", "halfplane", "perturbed",
+                                  "bump_family", "radial_power", "product"])
 def test_tangent_rhs_is_the_jacobian_of_the_flow_rhs(request, name):
-    # J T against central differences of the flow RHS, column by column,
-    # at seeded states off the cosphere; f(s) is the flow RHS bit for bit
+    # the flow RHS on a state followed by columns: the state part is its
+    # value on the bare state bit for bit, and J T matches central
+    # differences of that value, column by column, at seeded states off
+    # the cosphere
     fam = request.getfixturevalue(name)
     n, m = fam.n, 2 * fam.n + 2
-    rhs, tangent_rhs = flow._make_rhs(fam), flow._make_tangent_rhs(fam)
+    rhs = flow._make_rhs(fam)
     rng = np.random.default_rng(3)
     for rho in (0.05, 0.33, 0.42):
         s = np.concatenate(([rho], rng.uniform(0.0, 6.0, n),
                             rng.uniform(-1.0, 1.0, 1 + n)))
         cols = rng.normal(size=(2, m))
-        out = tangent_rhs(0.0, np.concatenate((s, cols.ravel())))
+        out = rhs(0.0, np.concatenate((s, cols.ravel())))
+        assert out.shape == (3 * m,)
         assert out[:m].tobytes() == rhs(0.0, s).tobytes()
         for col, got in zip(cols, out[m:].reshape(2, m)):
             e = 1e-6
@@ -526,21 +534,25 @@ def test_guard_panels_leave_the_trace_unchanged(disc):
 
 @pytest.mark.parametrize("name, guard", [("disc", None),
                                          ("halfplane", None),
-                                         ("perturbed", None)])
+                                         ("perturbed", None),
+                                         ("radial_power", None)])
 def test_huge_eta_arrives_or_names_its_guard(request, monkeypatch, name,
                                              guard):
-    # the arc lasts pi/|eta| = 3.1e-14, and its arrival bracket is shorter
-    # than 1e-14; on the disc the error estimate passes a first step that
-    # leaves the cosphere, and the trace retakes it at a tenth of its size
-    fam, eta = request.getfixturevalue(name), 1e14
-    traj = trace_geodesic(fam, (0.3, eta), tol=1e-8)
+    # the arc lasts pi/|eta| = 3.1e-14 at eta 1e14, and its arrival bracket
+    # is shorter than 1e-14; on the disc the error estimate passes a first
+    # step that leaves the cosphere, and the trace retakes it at a tenth of
+    # its size.  The radial-power arrival root at eta 1e12 lies at the
+    # start of the arrival step, so there is no step to retake to it.
+    z = (0.0, 1e12) if name == "radial_power" else (0.3, 1e14)
+    fam, eta = request.getfixturevalue(name), z[1]
+    traj = trace_geodesic(fam, z, tol=1e-8)
     assert traj.stats.guard is guard
     assert traj.tau_plus == pytest.approx(math.pi / eta, rel=1e-6)
     # without retakes the disc's first step names the guard
     monkeypatch.setattr(flow, "COSPHERE_RETAKES", 0)
     if name == "disc":
         with pytest.raises(FlowError) as info:
-            trace_geodesic(fam, (0.3, eta), tol=1e-8)
+            trace_geodesic(fam, z, tol=1e-8)
         assert info.value.stats.guard == "cosphere"
         assert info.value.stats.n_accepted == 1
 
@@ -650,11 +662,14 @@ def test_trace_stats_count_the_integration(disc):
     ("halfplane", (0.0, 0.01), 5.0, "t_max"),
     ("perturbed", (2.0, -2.5), 60.0, None),
     ("perturbed", (0.3, 1.2), 60.0, "collar"),
+    # t_max None: a tangent trace, at its default t_max
+    ("disc", (0.3, 1.2), None, None),
+    ("perturbed", (0.3, 1.2), None, "collar"),
 ])
 def test_trace_stats_count_every_rhs_call(request, monkeypatch, name, z,
                                           t_max, guard):
     # the slope refreshed after a projection that moves the state counts
-    # as much as a stage of the stepper
+    # as much as a stage of the stepper; a tangent trace calls the same RHS
     calls = []
     make_rhs = flow._make_rhs
 
@@ -667,9 +682,10 @@ def test_trace_stats_count_every_rhs_call(request, monkeypatch, name, z,
         return counted
 
     monkeypatch.setattr(flow, "_make_rhs", counting_make_rhs)
+    fam = request.getfixturevalue(name)
     try:
-        st = trace_geodesic(request.getfixturevalue(name), z, tol=1e-8,
-                            t_max=t_max).stats
+        st = (flow._trace_tangent(fam, z, 1e-8) if t_max is None else
+              trace_geodesic(fam, z, tol=1e-8, t_max=t_max)).stats
     except FlowError as exc:
         st = exc.stats
     assert st.guard == guard

@@ -132,6 +132,42 @@ def test_shooting_raises_when_every_trial_step_fails(disc, monkeypatch):
     assert len(calls) == 1 + 8
 
 
+def test_shooting_doubles_a_first_guess_that_leaves_the_collar(perturbed,
+                                                              monkeypatch):
+    # the exact-hyperbolic first guess, eta near 2, leaves the collar (rho_max
+    # 0.5); the doubled one is shallower and arrives
+    exits = []
+
+    def recording(*args, **kwargs):
+        try:
+            return _trace_tangent(*args, **kwargs)
+        except CollarExitError:
+            exits.append(args[1].eta[0])
+            raise
+
+    monkeypatch.setattr(renorm, "_trace_tangent", recording)
+    res = boundary_distance(perturbed, 0.6, 1.6)
+    assert exits[0] == pytest.approx(2.0, abs=1e-3)
+    assert res.residual <= 1e-9
+    assert res.eta[0] == pytest.approx(2.09749839, abs=1e-6)
+    assert res.value == pytest.approx(0.0507260103, abs=1e-9)
+
+
+def test_shooting_raises_when_every_first_guess_fails(disc, monkeypatch):
+    etas = []
+
+    def failing(*args, **kwargs):
+        etas.append(args[1].eta[0])
+        raise CollarExitError("guess left the collar")
+
+    monkeypatch.setattr(renorm, "_trace_tangent", failing)
+    with pytest.raises(ShootingError) as info:
+        boundary_distance(disc, 0.0, 1.0, eta0=0.5)
+    assert isinstance(info.value.__cause__, CollarExitError)
+    # the guess and eight doublings
+    assert etas == [0.5 * 2.0 ** k for k in range(9)]
+
+
 @given(st.floats(0.6, 3.0))
 @settings(max_examples=8, deadline=None)
 def test_disc_distance_symmetric(theta):
