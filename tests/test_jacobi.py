@@ -32,7 +32,6 @@ from ahx import (
     decay_fit,
     diagnose_covector,
     eval_metric,
-    gauss_curvature,
     halfplane_family,
     jacobi_solve,
     jacobi_system,
@@ -43,8 +42,8 @@ from ahx import (
     wronskian,
 )
 from ahx import jacobi
-from ahx.flow import _make_rhs, _project_vec, _split_vec
-from ahx.jacobi import MAP_TOL
+from ahx.flow import FlowError, _make_rhs, _project_vec, _split_vec
+from ahx.jacobi import MAP_TOL, AsymptoteError
 
 
 def orbit_state(system, t):
@@ -76,6 +75,39 @@ def test_halfplane_time_chart_closed_form(halfplane, y0, eta):
         assert float(state.eta[0]) == pytest.approx(eta, abs=1e-9)
 
 
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+def test_halfplane_tails_follow_the_closed_form_out_to_t_30(halfplane, eta):
+    # the tails run in rho, so rho keeps its relative accuracy as it falls
+    # like e^-|t|; in t it lost three digits by |t| = 30
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, eta)))
+    ts = np.linspace(-30.0, 30.0, 601)
+    rho = system._states(ts)[:, 0]
+    assert np.max(np.abs(rho * eta * np.cosh(ts) - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("t_range", [math.inf, math.nan, 0.0, -1.0])
+def test_t_range_must_be_finite_and_positive(halfplane, monkeypatch,
+                                             t_range):
+    traj = trace_geodesic(halfplane, (0.0, 1.0))
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking t_range")
+
+    monkeypatch.setattr(jacobi, "_integrate", no_integration)
+    with pytest.raises(ValueError, match="t_range"):
+        jacobi_system(halfplane, traj, t_range=t_range)
+
+
+def test_tail_that_turns_back_raises(halfplane, monkeypatch):
+    # no traced covector turns twice, so the floor is raised above every
+    # |xi_b| < 1: the first tail step end trips it, and the run stops there
+    monkeypatch.setattr(jacobi, "XI_FLOOR", 1.0)
+    traj = trace_geodesic(halfplane, (0.0, 1.0))
+    with pytest.raises(jacobi.TurningPointError, match="turns back"):
+        jacobi_system(halfplane, traj)
+    assert issubclass(jacobi.TurningPointError, FlowError)
+
+
 def test_time_chart_range_is_enforced(halfplane):
     traj = trace_geodesic(halfplane, (0.0, 1.0))
     system = jacobi_system(halfplane, traj, t_range=10.0)
@@ -105,8 +137,8 @@ def test_orbit_agrees_with_its_trace(request, family, z):
 
 def test_curvature_decay_fit_reads_only_what_the_orbit_resolves(
         perturbed, monkeypatch):
-    # past rho = 1e4 MAP_TOL the orbit's absolute error would set K + 1;
-    # without that floor C_fit moves 1.2% between these orbit tolerances
+    # the tails hold rho to its relative precision, and below the floor
+    # rho = 1e4 MAP_TOL the rounding of K, times e^|t|, would set K + 1
     traj = trace_geodesic(perturbed, (0.7, 2.6), tol=1e-10)
     fits = []
     for tol in (1e-13, 1e-12):
@@ -152,9 +184,11 @@ def _same_bits(a, b):
 
 
 def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
-    # the orbit in hyperbolic time, forward and backward, against scipy's
-    # DOP853 on the same right-hand side; step ends are read on the step
-    # that ends there, as scipy's OdeSolution does
+    # each side of the orbit against scipy's DOP853 on the same right-hand
+    # sides, read through the system's own reader: the interior in t up to
+    # the first step end at half the peak rho, where step ends are read on
+    # the step that ends there, as scipy's OdeSolution does; then the tail
+    # in rho from that state down to 0, read at the rho the reader found
     traj = trace_geodesic(perturbed, (0.7, 2.4))
     system = jacobi_system(perturbed, traj)
     flow_rhs = _make_rhs(perturbed)
@@ -162,23 +196,47 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
     def orbit_rhs(t, z):
         return z[0] * flow_rhs(t, z)
 
+    def tail_rhs(rho, x):
+        y, xi, eta, _ = x.tolist()
+        _, dy, dxi, deta = flow_rhs(rho, np.array([rho, y, xi, eta])).tolist()
+        a = abs(xi)
+        return np.array([dy / xi, dxi / xi, deta / xi,
+                         -(eta * dy) / ((1.0 + a) * a)])
+
     z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
-    for sol, t_end in ((system._fwd, system.t_range),
-                       (system._bwd, -system.t_range)):
-        ref = solve_ivp(orbit_rhs, (0.0, t_end), z0, method="DOP853",
-                        rtol=MAP_TOL, atol=MAP_TOL, dense_output=True)
-        assert _same_bits(sol.ts, ref.t)
-        assert _same_bits(sol.ys, ref.y.T)
-        ts = np.concatenate((ref.t, np.linspace(0.0, t_end, 23)))
-        assert _same_bits([sol.at(t) for t in ts], [ref.sol(t) for t in ts])
+    for sign in (1.0, -1.0):
+        ref = solve_ivp(orbit_rhs, (0.0, sign * system.t_range), z0,
+                        method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
+                        dense_output=True)
+        j = int(np.argmax(ref.y[0] <= 0.5 * z0[0]))
+        assert j > 0
+        ts = np.concatenate((ref.t[:j + 1], np.linspace(0.0, ref.t[j], 23)))
+        assert _same_bits(system._states(ts), [ref.sol(t) for t in ts])
+        rho0 = ref.y[0, j]
+        tail = solve_ivp(tail_rhs, (rho0, 0.0),
+                         [*ref.y[1:, j], abs(ref.t[j]) + math.log(rho0)],
+                         method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
+                         dense_output=True)
+        assert tail.t.size > 2
+        # the tail's step ends and points out to t_range
+        t_ends = tail.y[3, 1:-1] - np.log(tail.t[1:-1])
+        tt = np.concatenate((t_ends[t_ends < system.t_range],
+                             np.linspace(abs(ref.t[j]), system.t_range, 23)))
+        z = system._states(sign * tt)
+        want = np.array([tail.sol(rho) for rho in z[:, 0]])
+        assert _same_bits(z[:, 1:], want[:, :3])
+        # the reader's rho lies at its t: |t| = w(rho) - log rho
+        assert np.max(np.abs(want[:, 3] - np.log(z[:, 0]) - tt)) < 1e-13
 
 
-# the perturbed covector and three bump covectors: the first bump orbit
+# the perturbed covector and four bump covectors: the first bump orbit
 # crosses both edges rho_lo = 0.3 and rho_hi = 0.45, the second rho_lo
-# only, and the third turns below the bump
+# only, the third turns below the bump, and the fourth turns above it, so
+# that its tails, which run in rho, start inside the band
 @pytest.mark.parametrize("family,z", [
     ("perturbed", (0.7, 2.4)), ("bump_family", (1.0, 2.2)),
-    ("bump_family", (3.0, 3.2)), ("bump_family", (5.0, 4.2))])
+    ("bump_family", (3.0, 3.2)), ("bump_family", (5.0, 4.2)),
+    ("bump_family", (1.0, 1.5))])
 def test_jacobi_fields_match_solve_ivp(request, family, z):
     # the transfer-matrix fields of stable_unstable, and fields over spans
     # that start and end inside pieces, either way in t and from a seed of
@@ -196,10 +254,7 @@ def test_jacobi_fields_match_solve_ivp(request, family, z):
               for span in ((-4.0, 4.0), (3.0, -6.0))]
 
     def rhs(t, s):
-        # K read on the orbit one t at a time in floats, a faster read than
-        # system.curvature; rho stays positive out to |t| = T
-        rho, y = (system._fwd if t >= 0.0 else system._bwd).at(t)[:2]
-        return (s[1], -gauss_curvature(fam, rho, y) * s[0])
+        return (s[1], -system.curvature(t) * s[0])
 
     for field, span, y0 in cases:
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13,
@@ -217,23 +272,32 @@ def test_jacobi_fields_match_solve_ivp(request, family, z):
 
 def test_grid_cuts_the_orbit_at_the_familys_breaks(bump_family):
     # K has a corner where rho crosses a bump edge; the grid has a node at
-    # every crossing, located here on a dense sampling of the orbit
-    system = jacobi_system(bump_family,
-                           trace_geodesic(bump_family, (1.0, 2.2), tol=1e-10))
-    nodes = system._nodes
-    found = 0
-    for sol, sign in ((system._fwd, 1.0), (system._bwd, -1.0)):
-        ts = sign * np.linspace(0.0, system.t_range, 20001)
-        for level in bump_family.breaks:
-            d = sol.batch(ts)[:, 0] - level
-            for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
-                t_cross = brentq(lambda t: sol.at(t)[0] - level,
-                                 ts[i], ts[i + 1], xtol=1e-15)
-                node = nodes[np.argmin(np.abs(nodes - t_cross))]
-                assert abs(node - t_cross) < 1e-12
-                assert abs(sol.at(node)[0] - level) < 1e-12
-                found += 1
-    assert found == 4
+    # every crossing, located here on a dense sampling of the orbit.  The
+    # first orbit crosses both edges in its interior; the second peaks at
+    # rho 0.667, so it crosses rho_lo = 0.3 on its tails, which run in rho
+    for z, in_tails in (((1.0, 2.2), 0), ((1.0, 1.5), 2)):
+        system = jacobi_system(bump_family,
+                               trace_geodesic(bump_family, z, tol=1e-10))
+        nodes = system._nodes
+
+        def rho(t):
+            return system._states(np.array([t]))[0, 0]
+
+        found = tails = 0
+        for sign in (1.0, -1.0):
+            ts = sign * np.linspace(0.0, system.t_range, 20001)
+            for level in bump_family.breaks:
+                d = system._states(ts)[:, 0] - level
+                for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+                    t_cross = brentq(lambda t: rho(t) - level,
+                                     ts[i], ts[i + 1], xtol=1e-15)
+                    node = nodes[np.argmin(np.abs(nodes - t_cross))]
+                    assert abs(node - t_cross) < 1e-12
+                    assert abs(rho(node) - level) < 1e-12
+                    found += 1
+                    tails += (abs(t_cross)
+                              > system._sides[sign > 0].t_switch)
+        assert (found, tails) == (4, in_tails)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +311,27 @@ def test_models_have_no_conjugate_points(halfplane, disc):
             system = jacobi_system(fam, trace_geodesic(fam, z))
             assert conjugate_points(system, 12.0) == []
             assert conjugate_points(system, 10.0, t0=-5.0) == []
+
+
+def test_conjugate_scan_never_reports_its_base_point(halfplane):
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)))
+    assert conjugate_points(system, 0.0) == []
+    assert conjugate_points(system, 0.0, t0=-3.0) == []
+
+
+@pytest.mark.parametrize("t_max", [-1.0, math.nan])
+def test_conjugate_scan_rejects_a_negative_span(halfplane, t_max):
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)))
+    with pytest.raises(ValueError, match="t_max"):
+        conjugate_points(system, t_max)
+
+
+@pytest.mark.parametrize("T_asym", [-5.0, 0.0, math.nan, math.inf])
+def test_frame_rejects_a_seeding_time_that_is_not_positive(halfplane,
+                                                           T_asym):
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)))
+    with pytest.raises(AsymptoteError, match="finite and positive"):
+        stable_unstable(system, T_asym=T_asym)
 
 
 def test_bump_conjugate_point_detection(bump_family):
