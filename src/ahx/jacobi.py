@@ -6,23 +6,19 @@ fits, and the boundary-approach rate bracket.  The hyperbolic time t is
 arclength along the geodesic, dt = dtau / rho, anchored at t = 0 at the
 apex, the root of xi_b where rho peaks.  A :class:`JacobiSystem` integrates
 the geodesic's state outward from its apex on the traces' DOP853 stepper,
-in two parts on each side.  The interior runs in t and stops at the first
-step end where rho has fallen to half its peak.  The tail runs from there
-to the boundary with rho itself as the independent variable: the rescaled
-flow is smooth up to rho = 0, so the state is a smooth function of rho
-there, where in t it approaches its limit like e^{-|t|}.  The tail carries
-w = |t| + log rho in place of t, and a read at a given t finds its rho by
-Newton's method on |t| = w(rho) - log rho.
+once on each side, in the flow parameter tau: the rescaled flow is smooth
+up to rho = 0, so each side reaches the boundary at a finite tau, where in
+t its state approaches its limit like e^{-|t|}.  The run carries w = |t| +
+log rho, and a read at a given t finds its tau by Newton's method on rho =
+e^{w - |t|} and takes rho from w, so rho keeps its relative precision as
+it falls.
 
 The Jacobi equation ydd + K y = 0 is tabulated once along the orbit.  Its
-grid is the interior's steps, cut where rho crosses a level of the family's
-``breaks`` (where K is not smooth) and split into ``PIECES`` pieces, and
-the tails' steps, which end at every break level, split into at least
-``PIECES`` pieces in s = -log rho, where dt/ds = +-1/|xi_b|, under a bound
-on their length that grows with s; the last tail step, which reaches
-rho = 0, is cut by that bound alone.  Each piece carries its transfer
-matrix, the 6th-order Magnus step on A = c [[0, 1], [-K, 0]] (c = dt/ds,
-and 1 in the interior) from c and K at 3 Gauss nodes (Blanes, Casas and
+grid has an edge at each step end of the run and where rho crosses a level
+of the family's ``breaks`` (where K is not smooth); each interval is split
+into at least ``PIECES`` pieces in t, no longer than a bound that grows
+with |t|.  Each piece carries its transfer matrix, the 6th-order Magnus
+step on A = [[0, 1], [-K, 0]] from K at 3 Gauss nodes (Blanes, Casas and
 Ros, BIT 40 (2000); Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009)),
 in closed form.  A Jacobi field is a run of these 2 x 2 products, with no
 ODE solve of its own: it holds [y, ydot] at the grid nodes of its span
@@ -50,7 +46,7 @@ __all__ = [
     "conjugate_points", "BundleFrame", "stable_unstable", "wronskian",
     "DecayFit", "decay_fit", "curvature_decay_fit",
     "RateBracket", "boundary_rate_bracket", "AsymptoteError",
-    "TurningPointError", "SimplicityReport", "CovectorDiagnostics",
+    "SimplicityReport", "CovectorDiagnostics",
     "diagnose_covector", "simplicity_report",
 ]
 
@@ -59,22 +55,16 @@ ASYM_CURV_TOL = 1e-10
 # default seeding time of the stable/unstable frame and conjugate-scan span
 T_ASYM = 25.0
 T_SCAN = 12.0
-# Magnus pieces per interior step: across the bump's band, where K swings
+# Magnus pieces per grid interval: across the bump's band, where K swings
 # from -76 to +37, 4 pieces leave about 1e-11 in a field at the anchor and
 # 8 pieces 1.4e-13
 PIECES = 8
-# the interior hands over to the tail at the first step end where rho is at
-# most this share of its peak; there |xi_b|, which the tail divides by, is
-# sqrt(3)/2 on the half-plane
-TAIL_SWITCH = 0.5
-# |xi_b| below this at a tail step end is a second turning point
-XI_FLOOR = 0.25
-# tail pieces in s = -log rho are at most 0.1 long at the switch, and the
-# bound grows by e every 7 in s, up to 1: K + 1 and dt/ds -+ 1 fall like
-# rho = e^-s
-_TAIL_PIECE = 0.1
-_TAIL_GROWTH = 7.0
-# Newton on log rho stops after a step below this: the next would be below
+# no piece is longer than 0.05 e^{|t|/7} in t, as K + 1 falls like rho =
+# e^-|t|: on a field of perturbed (0.7, 2.4) over (-4, 4), bounds of 0.08,
+# 0.06 and 0.05 e^{|t|/7} left 4.5e-12, 9.4e-13 and 3.7e-13
+_PIECE = 0.05
+_PIECE_GROWTH = 7.0
+# Newton on tau stops after a step below this: the next would be below
 # 1e-16 (the iteration converges quadratically)
 _NEWTON_DONE = 1e-8
 _NEWTON_MAX = 10
@@ -90,12 +80,6 @@ class AsymptoteError(ValueError):
     field overflows."""
 
 
-class TurningPointError(FlowError):
-    """A tail of the orbit turns back from the boundary: |xi_b| fell below
-    ``XI_FLOOR`` on its way to rho = 0, where rho stops being a coordinate
-    along the geodesic."""
-
-
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] of traceless 2 x 2 matrices held as rows (p, q, r) of
     [[p, q], [r, -p]]; the last axis runs over pieces."""
@@ -104,35 +88,29 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      2.0 * (a[2] * b[0] - a[0] * b[2])))
 
 
-def _transfer(h: np.ndarray, dt: np.ndarray, k: np.ndarray,
-              c: np.ndarray) -> np.ndarray:
-    """Transfer matrices of y' = A y, A = c [[0, 1], [-K, 0]], over pieces
-    of length h in s and dt in t, from c = dt/ds and K at each piece's 3
-    Gauss nodes (shape (pieces, 3)): rows (m11, m12, m21, m22).  This is
-    the Jacobi equation ydd + K y = 0 in the variable s; s = t has c = 1.
+def _transfer(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Transfer matrices of the Jacobi equation ydd + K y = 0, y' = A y with
+    A = [[0, 1], [-K, 0]], over pieces of length h in t, from K at each
+    piece's 3 Gauss nodes (shape (pieces, 3)): rows (m11, m12, m21, m22).
 
     Omega is the 6th-order Magnus expansion of A from its Gauss values, in
     the commutator form of Blanes, Casas and Ros (BIT 40 (2000)), whose
-    first term is the integral of A, [[0, dt], [dt - int c (K + 1), 0]]:
-    it takes dt as given and Gauss's rule only for the integral of c (K +
-    1), so where K = -1 a run of pieces spans exactly the t between its
-    ends.  Omega is traceless, so Omega^2 = q I with q = -det Omega, and
+    first term is the integral of A, [[0, h], [h - int (K + 1), 0]]: Gauss's
+    rule applies to K + 1 alone, so where K = -1 the first term is exact.
+    Omega is traceless, so Omega^2 = q I with q = -det Omega, and
     exp(Omega) = ch I + sh Omega with ch = cosh sqrt(q) and sh = sinh
     sqrt(q) / sqrt(q) (cos and sin of sqrt(-q) for q < 0).  The method is
     symmetric, so the transfer back over a piece is exp(-Omega), the
     adjugate.
     """
     zero = np.zeros_like(h)
-    c1, c2, c3 = c.T
-    k1, k2, k3 = (c * k).T
-    e1, e2, e3 = (c * (k + 1.0)).T
-    a1 = np.stack((zero, h * c2, -h * k2))
-    a2 = np.stack((zero, _SQRT15_3 * h * (c3 - c1),
-                   -_SQRT15_3 * h * (k3 - k1)))
-    a3 = np.stack((zero, 3.3333333333333335 * h * (c3 - 2.0 * c2 + c1),
+    k1, k2, k3 = k.T
+    e1, e2, e3 = (k + 1.0).T
+    a1 = np.stack((zero, h, -h * k2))
+    a2 = np.stack((zero, zero, -_SQRT15_3 * h * (k3 - k1)))
+    a3 = np.stack((zero, zero,
                    -3.3333333333333335 * h * (k3 - 2.0 * k2 + k1)))
-    first = np.stack((zero, dt,
-                      dt - h * (5.0 * (e1 + e3) + 8.0 * e2) / 18.0))
+    first = np.stack((zero, h, h - h * (5.0 * (e1 + e3) + 8.0 * e2) / 18.0))
     com1 = _comm(a1, a2)
     com2 = -_comm(a1, 2.0 * a3 + com1) / 60.0
     p, q, r = first + _comm(-20.0 * a1 - a3 + com1, a2 + com2) / 240.0
@@ -148,52 +126,57 @@ def _transfer(h: np.ndarray, dt: np.ndarray, k: np.ndarray,
 class _Side:
     """One side of the orbit: t >= 0 (``sign`` 1) or t <= 0 (``sign`` -1).
 
-    ``inner`` is the state [rho, y, xi_b, eta] in t, from the apex to
-    ``sign * t_switch``.  ``tail``, None when the interior reaches the
-    mapped range, is [y, xi_b, eta, w] in rho, from rho at t_switch down to
-    0, with w = |t| + log rho.
+    ``sol`` is the state [rho, y, xi_b, eta, w] in the flow parameter tau,
+    from the apex at tau = 0 out to the first step end where rho <= 0 or
+    |t| >= t_range, with w = |t| + log rho; ``t`` holds |t| at its step
+    starts, ascending.
     """
 
-    def __init__(self, sign: float, inner: _Solution,
-                 tail: Optional[_Solution]):
-        self.sign, self.inner, self.tail = sign, inner, tail
-        self.t_switch = abs(float(inner.ts[-1]))
-        if tail is not None:
-            # w and |t| at the tail's step starts, |t| ascending
-            self._w = tail.ys[:-1, 3]
-            self._t = self._w - np.log(tail.ts[:-1])
+    def __init__(self, sign: float, sol: _Solution):
+        self.sign, self.sol = sign, sol
+        self.t = sol.ys[:-1, 4] - np.log(sol.ys[:-1, 0])
 
-    def log_rho(self, tt: np.ndarray) -> np.ndarray:
-        """log rho on the tail at the times |t| = tt, by Newton's method on
-        tt = w(rho) - log rho, whose log-rho derivative is -1/|xi_b|,
-        started with w of the step start before each tt.  Each tt iterates
-        until its own step is below ``_NEWTON_DONE``, so its result does not
-        depend on the other times read with it."""
-        j = np.clip(np.searchsorted(self._t, tt, side="right") - 1,
-                    0, self._t.size - 1)
-        u = self._w[j] - tt
+    def taus(self, tt: np.ndarray) -> np.ndarray:
+        """The flow parameters tau at the times |t| = tt: roots of F(tau) =
+        rho - e^{w - tt} by Newton's method, started at the start of the
+        step that holds each tt and clipped to that step.  F' = xi_b -
+        (e^{w - tt} / rho) (xi_b + sign) is -sign at the root, and Newton
+        takes it so throughout: it divides by no rho, it still converges
+        quadratically, and since tau + sign F(tau) has the slope (1 + sign
+        xi_b) (1 - e^{w - tt} / rho), in [0, 1) on the side's arc before the
+        root, no iterate passes the root.  Each tt iterates until its own
+        step is below ``_NEWTON_DONE``, so its result does not depend on the
+        other times read with it."""
+        j = np.clip(np.searchsorted(self.t, tt, side="right") - 1,
+                    0, self.t.size - 1)
+        ends = self.sol.ts[j], self.sol.ts[j + 1]
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
+        tau = ends[0].copy()
         todo = np.arange(tt.size)
         for _ in range(_NEWTON_MAX):
-            x = self.tail.batch(np.exp(u[todo]))
-            du = (x[:, 3] - u[todo] - tt[todo]) * np.abs(x[:, 1])
-            u[todo] += du
-            todo = todo[np.abs(du) > _NEWTON_DONE]
+            x = self.sol.batch(tau[todo])
+            new = np.clip(tau[todo] + self.sign
+                          * (x[:, 0] - np.exp(x[:, 4] - tt[todo])),
+                          lo[todo], hi[todo])
+            done = np.abs(new - tau[todo]) <= _NEWTON_DONE
+            tau[todo] = new
+            todo = todo[~done]
             if not todo.size:
                 break
-        return u
+        return tau
 
 
 @dataclass
 class JacobiSystem:
     """A geodesic in hyperbolic time, its curvature, and its Magnus grid.
 
-    ``_sides`` hold the orbit on [-t_range, 0] and on [0, t_range] (each a
-    :class:`_Side`: an interior in t and a tail in rho), with t = 0 at the
-    apex of the trace it started from.  ``_nodes`` are the piece ends over
-    [-t_range, t_range], ascending, and ``_mats`` the forward transfer
-    matrix (m11, m12, m21, m22) of each piece.  Every method reads these and
-    nothing from the trace.  Scalar curvature bookkeeping restricts
-    construction to one-dimensional boundaries.
+    ``_sides`` hold the orbit on [-t_range, 0] and on [0, t_range], each a
+    :class:`_Side` run in the flow parameter, with t = 0 at the apex of the
+    trace it started from.  ``_nodes`` are the piece ends over [-t_range,
+    t_range], ascending, and ``_mats`` the forward transfer matrix (m11,
+    m12, m21, m22) of each piece.  Every method reads these and nothing from
+    the trace.  Scalar curvature bookkeeping restricts construction to
+    one-dimensional boundaries.
     """
 
     fam: BoundaryMetricFamily
@@ -207,31 +190,29 @@ class JacobiSystem:
         return float(self._curvature(z[:, 0], z[:, 1])[0])
 
     def _check(self, ts: np.ndarray) -> None:
-        t_far = np.max(np.abs(ts), initial=0.0)
-        if t_far > self.t_range * (1.0 + 1e-12):
-            raise ValueError("time %g exceeds the mapped range %g"
-                             % (t_far, self.t_range))
+        """ValueError unless every t is finite and in the mapped range."""
+        out = ~(np.abs(ts) <= self.t_range * (1.0 + 1e-12))
+        if out.any():
+            raise ValueError("time %g is outside the mapped range [-%g, %g]"
+                             % (ts[out][0], self.t_range, self.t_range))
 
     def _states(self, ts: np.ndarray) -> np.ndarray:
-        """Orbit states [rho, y, xi_b, eta] at many t, with one read of each
-        part of each side (the tail's by Newton on log rho)."""
+        """Orbit states [rho, y, xi_b, eta] at many t, with one Newton read
+        of each side; rho is e^{w - |t|}."""
         self._check(ts)
         z = np.empty((ts.size, 4))
         for side in self._sides:
-            tt = side.sign * ts
             on = (ts >= 0.0) == (side.sign > 0.0)
-            tail = on & (tt > side.t_switch) & (side.tail is not None)
-            inner = on & ~tail
-            if inner.any():
-                z[inner] = side.inner.batch(ts[inner])
-            if tail.any():
-                z[tail, 0] = rho = np.exp(side.log_rho(tt[tail]))
-                z[tail, 1:] = side.tail.batch(rho)[:, :3]
+            if on.any():
+                tt = side.sign * ts[on]
+                x = side.sol.batch(side.taus(tt))
+                z[on, 0] = np.exp(x[:, 4] - tt)
+                z[on, 1:] = x[:, 1:4]
         return z
 
     def _curvature(self, rho: np.ndarray, y: np.ndarray) -> np.ndarray:
         """K at orbit points, with one array call; -1 where rho, about
-        e^{-|t|} on the tails, underflows to 0 (|t| above about 745)."""
+        e^{-|t|}, underflows to 0 (|t| above about 745)."""
         k = np.full(len(rho), -1.0)
         inside = rho > 0.0
         if inside.any():
@@ -240,142 +221,41 @@ class JacobiSystem:
 
     def _magnus(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Magnus transfer matrices from each t0 to its t1 (either way in
-        t): rows (m11, m12, m21, m22).  A pair on one side's tail steps in
-        s between the log rho of its ends; any other steps in t, reading the
-        orbit at its Gauss nodes with one curvature call."""
+        t): rows (m11, m12, m21, m22), from one orbit read at the Gauss nodes
+        and one curvature call."""
         self._check(np.concatenate((t0, t1)))
-        out = np.empty((t0.size, 4))
-        rest = np.ones(t0.size, dtype=bool)
-        for side in self._sides:
-            if side.tail is None:
-                continue
-            a, b = side.sign * t0, side.sign * t1
-            tail = (a >= side.t_switch) & (b >= side.t_switch)
-            if tail.any():
-                s = -side.log_rho(np.concatenate((a[tail], b[tail])))
-                out[tail] = self._tail_transfer(side, *np.split(s, 2),
-                                                t1[tail] - t0[tail])
-                rest &= ~tail
-        if rest.any():
-            h = t1[rest] - t0[rest]
-            z = self._states((t0[rest][:, None] + h[:, None] * _GAUSS).ravel())
-            k = self._curvature(z[:, 0], z[:, 1]).reshape(-1, 3)
-            out[rest] = _transfer(h, h, k, np.ones_like(k))
-        return out
+        h = t1 - t0
+        z = self._states((t0[:, None] + h[:, None] * _GAUSS).ravel())
+        return _transfer(h, self._curvature(z[:, 0], z[:, 1]).reshape(-1, 3))
 
-    def _tail_transfer(self, side: _Side, s0: np.ndarray, s1: np.ndarray,
-                       dt: np.ndarray) -> np.ndarray:
-        """Transfer matrices over tail pieces from each s0 to its s1 (s =
-        -log rho), which span dt in t, with c = dt/ds = +-1/|xi_b| and K
-        read at the Gauss nodes straight from the tail."""
-        h = s1 - s0
-        rho = np.exp(-(s0[:, None] + h[:, None] * _GAUSS).ravel())
-        y, xi, eta, _ = side.tail.batch(rho).T
-        a = np.abs(xi)
-        # 1/|xi_b| through the cosphere identity, as in the tail's dw/drho
-        c = 1.0 + rho * rho * eta * eta / (
-            self.fam.profiles[0](rho, y)[0] * (1.0 + a) * a)
-        return _transfer(h, dt, self._curvature(rho, y).reshape(-1, 3),
-                         side.sign * c.reshape(-1, 3))
+    def _side_nodes(self, side: _Side) -> np.ndarray:
+        """Piece ends of one side in |t|, ascending from 0 to t_range.
 
-    def _tail_grid(self, side: _Side) -> Tuple[np.ndarray, np.ndarray]:
-        """Piece ends, ascending in t, and transfer matrices of one side's
-        tail from the switch to t_range, in s = -log rho.  No piece is
-        longer than a bound that grows with s (``_TAIL_PIECE``); each tail
-        step but the last, which reaches rho = 0, is split into equal
-        pieces, at least ``PIECES`` of them.  Break levels end tail steps,
-        so no piece straddles a corner of K.  A node's t is +-(w + s), read
-        at its rho; no t is inverted.  A side with no tail has one node."""
-        if side.tail is None:
-            return np.array([side.sign * side.t_switch]), np.empty((0, 4))
-        s_steps = -np.log(side.tail.ts[:-1])
-        s_end = max(s_steps[0],
-                    -float(side.log_rho(np.array([self.t_range]))[0]))
-
-        def longest(s):
-            return min(1.0, _TAIL_PIECE * math.exp((s - s_steps[0])
-                                                   / _TAIL_GROWTH))
-
-        pts = [s_steps[:0]]
-        for a, b in zip(s_steps[:-1], s_steps[1:]):
-            n = max(PIECES, math.ceil((b - a) / longest(a)))
-            pts.append(a + (b - a) / n * np.arange(n))
-        s = s_steps[-1]
-        while s < s_end:
-            pts.append([s])
-            s += longest(s)
-        s = np.concatenate(pts)
-        s = np.append(s[s < s_end], s_end)
-        t = side.sign * (side.tail.batch(np.exp(-s))[:, 3] + s)
-        t[0], t[-1] = side.sign * side.t_switch, side.sign * self.t_range
-        if side.sign < 0.0:
-            s, t = s[::-1], t[::-1]
-        return t, self._tail_transfer(side, s[:-1], s[1:], np.diff(t))
-
-
-def _side_nodes(fam: BoundaryMetricFamily, sol: _Solution) -> np.ndarray:
-    """Piece ends of one side's interior, ascending.
-
-    The interior's steps are cut where rho crosses a level of
-    ``fam.breaks``, located by Brent on the dense rho to 1e-14 in t; rho is
-    compared with the levels at the step ends, which finds every crossing
-    where rho is monotone across a step, as it is on a geodesic's arc away
-    from its apex.  Each cut step is split into ``PIECES`` equal pieces.
-    """
-    ts, rho = sol.ts, sol.ys[:, 0]
-    cuts = []
-    for level in fam.breaks:
-        d = rho - level
-        for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
-            cuts.append(brentq(lambda t: sol.at(t)[0] - level,
-                               ts[i], ts[i + 1], xtol=1e-14))
-    edges = np.unique(np.concatenate((ts, cuts)))
-    width = np.diff(edges) / PIECES
-    return np.append((edges[:-1, None]
-                      + width[:, None] * np.arange(PIECES)).ravel(),
-                     edges[-1])
-
-
-def _tail(fam: BoundaryMetricFamily, flow_rhs, inner: _Solution) -> _Solution:
-    """The orbit's tail [y, xi_b, eta, w] from the end of ``inner`` down to
-    rho = 0, with rho as the independent variable.
-
-    dz/drho = barX / xi_b, and w = |t| + log rho has dw/drho = (1 -
-    1/|xi_b|) / rho, written through the cosphere identity 1 - xi_b^2 =
-    rho^2 |eta|_h^2 as -rho |eta|_h^2 / ((1 + |xi_b|) |xi_b|), in which no
-    1 + xi_b cancels.  The run is at rtol and atol ``MAP_TOL`` and ends at
-    each break level on its way, so no step straddles a corner of K.  A
-    step end with |xi_b| below ``XI_FLOOR`` raises
-    :class:`TurningPointError`.
-    """
-    rho0, y0, xi0, eta0 = inner.y_end.tolist()
-    x = np.array([y0, xi0, eta0, abs(float(inner.ts[-1])) + math.log(rho0)])
-
-    def rhs(rho, x):
-        y, xi, eta, _ = x.tolist()
-        _, dy, dxi, deta = flow_rhs(rho, np.array([rho, y, xi, eta])).tolist()
-        a = abs(xi)
-        try:
-            return np.array([dy / xi, dxi / xi, deta / xi,
-                             -(eta * dy) / ((1.0 + a) * a)])
-        except ZeroDivisionError:
-            return np.full(4, math.nan)
-
-    def turned(x):
-        return abs(x[1]) < XI_FLOOR
-
-    steps = []
-    levels = sorted((lv for lv in fam.breaks if 0.0 < lv < rho0), reverse=True)
-    for end in levels + [0.0]:
-        sol = _integrate(rhs, rho0, x, end, MAP_TOL, MAP_TOL,
-                         "orbit tail integration", until=turned)
-        steps += sol.steps
-        if turned(sol.y_end):
-            raise TurningPointError(
-                "the orbit turns back from the boundary at rho=%g: |xi_b| "
-                "%.3g < %g" % (sol.ts[-1], abs(sol.y_end[1]), XI_FLOOR))
-        rho0, x = end, sol.y_end
-    return _Solution(steps, 0.0, x)
+        The edges are the run's step ends and the crossings of the levels
+        of ``fam.breaks``, located by Brent on the dense rho to 1e-14 in tau
+        and placed at |t| = w - log(level); rho is compared with the levels
+        at the step ends, which finds every crossing where rho is monotone
+        across a step, as it is on each side of a geodesic that turns once.
+        Each interval is split into n equal pieces, at least ``PIECES`` and
+        none longer than ``_PIECE`` e^{|t| / ``_PIECE_GROWTH``} at its start.
+        """
+        sol = side.sol
+        tau, rho = sol.ts, sol.ys[:, 0]
+        edges = [0.0, *side.t[1:]]
+        for level in self.fam.breaks:
+            d = rho - level
+            for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+                cut = brentq(lambda s: sol.at(s)[0] - level,
+                             tau[i], tau[i + 1], xtol=1e-14)
+                edges.append(sol.at(cut)[4] - math.log(level))
+        edges = np.unique(edges)
+        edges = np.append(edges[edges < self.t_range], self.t_range)
+        a, h = edges[:-1], np.diff(edges)
+        n = np.maximum(PIECES, np.ceil(
+            h / (_PIECE * np.exp(a / _PIECE_GROWTH)))).astype(int)
+        i = np.repeat(np.arange(h.size), n)
+        k = np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+        return np.append(a[i] + h[i] / n[i] * k, self.t_range)
 
 
 def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
@@ -383,15 +263,16 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     """Integrate the orbit of ``traj`` out to hyperbolic time +-t_range and
     tabulate the Jacobi equation's transfer matrices along it.
 
-    The orbit is the state z = [rho, y, xi_b, eta] alone; it keeps no flow
-    parameter.  From the trace's state at its apex (``traj.rho_peak()``)
-    each side runs in t, dz/dt = rho barX(z), to the first step end where
-    rho is at most ``TAIL_SWITCH`` of its peak, then in rho down to rho = 0
-    (the tail), both at rtol and atol ``MAP_TOL``.  t_range must be finite
-    and positive, and ``fam`` must be the family ``traj`` was traced in
-    (equal ``spec()``), since the curvature and the flow are read from
-    ``fam``; else ValueError.  A tail that turns back before rho = 0 raises
-    :class:`TurningPointError`.
+    From the trace's state at its apex (``traj.rho_peak()``) each side runs
+    once in the flow parameter tau, at rtol and atol ``MAP_TOL``, on the
+    flow's right-hand side (``flow._make_rhs``) and w = |t| + log rho, with
+    dw/dtau = (sign + xi_b) / rho written through the cosphere identity 1 -
+    xi_b^2 = rho^2 |eta|_h^2 as sign eta (dy/dtau) / (1 - sign xi_b), in
+    which nothing cancels on the side's own arc.  A run stops at the first
+    step end where rho <= 0 or |t| >= t_range.  t_range must be finite and
+    positive, and ``fam`` must be the family ``traj`` was traced in (equal
+    ``spec()``), since the curvature and the flow are read from ``fam``;
+    else ValueError.
     """
     if not (math.isfinite(t_range) and t_range > 0.0):
         raise ValueError("t_range must be finite and positive, got %r"
@@ -403,27 +284,27 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
         raise NotImplementedError(
             "scalar Jacobi bookkeeping needs a 1-dimensional boundary")
     flow_rhs = _make_rhs(fam)
-
-    def rhs(t, z):
-        return z[0] * flow_rhs(t, z)
-
     z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
-    rho_switch = TAIL_SWITCH * z0[0]
+    x0 = np.append(z0, math.log(z0[0]))
+
+    def past(x):
+        return x[0] <= 0.0 or x[4] - math.log(x[0]) >= t_range
+
     sides = []
     for sign in (-1.0, 1.0):
-        inner = _integrate(rhs, 0.0, z0, sign * t_range, MAP_TOL, MAP_TOL,
-                           "orbit integration",
-                           until=lambda z: z[0] <= rho_switch)
-        tail = (_tail(fam, flow_rhs, inner)
-                if abs(inner.ts[-1]) < t_range else None)
-        sides.append(_Side(sign, inner, tail))
+        def rhs(tau, x, sign=sign):
+            f = flow_rhs(tau, x[:4]).tolist()    # f[0] = drho/dtau = xi_b
+            return np.array(
+                f + [sign * float(x[3]) * f[1] / (1.0 - sign * f[0])])
+
+        sides.append(_Side(sign, _integrate(
+            rhs, 0.0, x0, sign * math.inf, MAP_TOL, MAP_TOL,
+            "orbit integration", until=past)))
     system = JacobiSystem(fam=fam, t_range=t_range, _sides=tuple(sides))
-    inner = np.concatenate((_side_nodes(fam, sides[0].inner)[:-1],
-                            _side_nodes(fam, sides[1].inner)))
-    (t_bwd, m_bwd), (t_fwd, m_fwd) = map(system._tail_grid, sides)
-    system._nodes = np.concatenate((t_bwd[:-1], inner, t_fwd[1:]))
-    system._mats = np.concatenate(
-        (m_bwd, system._magnus(inner[:-1], inner[1:]), m_fwd)).tolist()
+    bwd, fwd = map(system._side_nodes, sides)
+    system._nodes = np.concatenate((-bwd[:0:-1], fwd))
+    system._mats = system._magnus(system._nodes[:-1],
+                                  system._nodes[1:]).tolist()
     return system
 
 
@@ -468,12 +349,13 @@ def jacobi_solve(system: JacobiSystem, y0: float, ydot0: float,
     It is the product of the system's transfer matrices over the grid
     pieces inside t_span; where t_span starts or ends inside a piece, that
     part gets its own Magnus step.  t_span may run in either direction; a
-    time outside the system's mapped range raises ValueError.  No
+    time outside the system's mapped range, or NaN, raises ValueError.  No
     renormalization is done: where K is near -1 a field grows like
     e^{|t|}, and a field that overflows (a span of more than about 700)
     raises :class:`AsymptoteError`.
     """
     a, b = float(t_span[0]), float(t_span[1])
+    system._check(np.array([a, b]))
     lo, hi = min(a, b), max(a, b)
     nodes, mats = system._nodes, system._mats
     # the ascending points lo, the nodes strictly inside, hi; the intervals
@@ -634,7 +516,7 @@ def decay_fit(frame: BundleFrame) -> DecayFit:
 def curvature_decay_fit(system: JacobiSystem) -> float:
     """Smallest C with |K(t)+1| <= C e^{-|t|} over the sampled range: 121
     times |t| in [1, t_range - 1], one unit inside the mapped range, less
-    those where the orbit's rho is below 1e4 ``MAP_TOL``.  The tails hold
+    those where the orbit's rho is below 1e4 ``MAP_TOL``.  The orbit holds
     rho to its relative precision, but K is -1 plus a term of size rho, so
     its rounding, about 1e-16, is multiplied by e^{|t|}, about 1/rho: at
     rho near 1e-14 it moves C by 1%, and at the floor by about 1e-6.  rho

@@ -413,7 +413,8 @@ def test_criterion_12_dynamics_diagnostics(capsys, halfplane, disc,
     ok = nu_ok and conj == 0 and frame_gap < 1e-8 and c_upper <= 1.5
     _report(capsys, 12, ok,
             f"decay exponent error {abs(nu - 1.0):.1e} < 1e-3, conjugate "
-            f"count {conj}, frame seeding gap {frame_gap:.1e} < 1e-8, "
+            f"count {conj}, frame seeding gap {frame_gap:.1e} "
+            f"({frame_gap / np.finfo(float).eps:.1f} eps) < 1e-8, "
             f"rate constant {c_upper:.3f} <= 1.5",
             elapsed, 180.0)
 

@@ -42,7 +42,7 @@ from ahx import (
     wronskian,
 )
 from ahx import jacobi
-from ahx.flow import FlowError, _make_rhs, _project_vec, _split_vec
+from ahx.flow import _make_rhs, _project_vec, _split_vec
 from ahx.jacobi import MAP_TOL, AsymptoteError
 
 
@@ -77,8 +77,8 @@ def test_halfplane_time_chart_closed_form(halfplane, y0, eta):
 
 @pytest.mark.parametrize("eta", [1.0, 2.0])
 def test_halfplane_tails_follow_the_closed_form_out_to_t_30(halfplane, eta):
-    # the tails run in rho, so rho keeps its relative accuracy as it falls
-    # like e^-|t|; in t it lost three digits by |t| = 30
+    # rho is read from w = |t| + log rho, so it keeps its relative accuracy
+    # as it falls like e^-|t|; integrated in t it lost three digits by 30
     system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, eta)))
     ts = np.linspace(-30.0, 30.0, 601)
     rho = system._states(ts)[:, 0]
@@ -98,16 +98,6 @@ def test_t_range_must_be_finite_and_positive(halfplane, monkeypatch,
         jacobi_system(halfplane, traj, t_range=t_range)
 
 
-def test_tail_that_turns_back_raises(halfplane, monkeypatch):
-    # no traced covector turns twice, so the floor is raised above every
-    # |xi_b| < 1: the first tail step end trips it, and the run stops there
-    monkeypatch.setattr(jacobi, "XI_FLOOR", 1.0)
-    traj = trace_geodesic(halfplane, (0.0, 1.0))
-    with pytest.raises(jacobi.TurningPointError, match="turns back"):
-        jacobi_system(halfplane, traj)
-    assert issubclass(jacobi.TurningPointError, FlowError)
-
-
 def test_time_chart_range_is_enforced(halfplane):
     traj = trace_geodesic(halfplane, (0.0, 1.0))
     system = jacobi_system(halfplane, traj, t_range=10.0)
@@ -115,6 +105,27 @@ def test_time_chart_range_is_enforced(halfplane):
         orbit_state(system, 10.5)
     with pytest.raises(ValueError):
         jacobi_solve(system, 0.0, 1.0, (0.0, 12.0))
+
+
+def _nan_wronskian(system):
+    a, b = (jacobi_solve(system, *y0, (0.0, 1.0))
+            for y0 in ((1.0, 0.0), (0.0, 1.0)))
+    return wronskian(a, b, [math.nan, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda system: jacobi_solve(system, 0.0, 1.0, (0.0, math.nan)),
+    lambda system: system.curvature(math.nan),
+    lambda system: conjugate_points(system, 5.0, t0=math.nan),
+    _nan_wronskian,
+], ids=["jacobi_solve", "curvature", "conjugate_points", "wronskian"])
+def test_a_time_that_is_not_a_number_is_refused(halfplane, call):
+    # NaN fails every comparison with the range's ends, so the range check
+    # asks that |t| lie within it rather than that it not exceed it
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)))
+    with pytest.raises(ValueError, match="outside the mapped range") as err:
+        call(system)
+    assert not isinstance(err.value, AsymptoteError)
 
 
 @pytest.mark.parametrize("family,z", [
@@ -137,7 +148,7 @@ def test_orbit_agrees_with_its_trace(request, family, z):
 
 def test_curvature_decay_fit_reads_only_what_the_orbit_resolves(
         perturbed, monkeypatch):
-    # the tails hold rho to its relative precision, and below the floor
+    # the orbit holds rho to its relative precision, and below the floor
     # rho = 1e4 MAP_TOL the rounding of K, times e^|t|, would set K + 1
     traj = trace_geodesic(perturbed, (0.7, 2.6), tol=1e-10)
     fits = []
@@ -185,54 +196,49 @@ def _same_bits(a, b):
 
 def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
     # each side of the orbit against scipy's DOP853 on the same right-hand
-    # sides, read through the system's own reader: the interior in t up to
-    # the first step end at half the peak rho, where step ends are read on
-    # the step that ends there, as scipy's OdeSolution does; then the tail
-    # in rho from that state down to 0, read at the rho the reader found
+    # side, the flow's and w = |t| + log rho, run in tau from the apex until
+    # rho <= 0: the dense output at the step ends, where a step end is read
+    # on the step that ends there, as scipy's OdeSolution does, and between
+    # them; then the system's reader at times out to t_range, whose state
+    # is the dense output at the tau it found and whose rho lies at its t
     traj = trace_geodesic(perturbed, (0.7, 2.4))
     system = jacobi_system(perturbed, traj)
     flow_rhs = _make_rhs(perturbed)
 
-    def orbit_rhs(t, z):
-        return z[0] * flow_rhs(t, z)
+    def reached_boundary(tau, x):
+        return x[0]
 
-    def tail_rhs(rho, x):
-        y, xi, eta, _ = x.tolist()
-        _, dy, dxi, deta = flow_rhs(rho, np.array([rho, y, xi, eta])).tolist()
-        a = abs(xi)
-        return np.array([dy / xi, dxi / xi, deta / xi,
-                         -(eta * dy) / ((1.0 + a) * a)])
-
+    reached_boundary.terminal = True
     z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
-    for sign in (1.0, -1.0):
-        ref = solve_ivp(orbit_rhs, (0.0, sign * system.t_range), z0,
-                        method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
-                        dense_output=True)
-        j = int(np.argmax(ref.y[0] <= 0.5 * z0[0]))
-        assert j > 0
-        ts = np.concatenate((ref.t[:j + 1], np.linspace(0.0, ref.t[j], 23)))
-        assert _same_bits(system._states(ts), [ref.sol(t) for t in ts])
-        rho0 = ref.y[0, j]
-        tail = solve_ivp(tail_rhs, (rho0, 0.0),
-                         [*ref.y[1:, j], abs(ref.t[j]) + math.log(rho0)],
-                         method="DOP853", rtol=MAP_TOL, atol=MAP_TOL,
-                         dense_output=True)
-        assert tail.t.size > 2
-        # the tail's step ends and points out to t_range
-        t_ends = tail.y[3, 1:-1] - np.log(tail.t[1:-1])
-        tt = np.concatenate((t_ends[t_ends < system.t_range],
-                             np.linspace(abs(ref.t[j]), system.t_range, 23)))
+    for side in system._sides:
+        sign = side.sign
+
+        def orbit_rhs(tau, x):
+            f = flow_rhs(tau, x[:4])
+            return np.append(f, sign * x[3] * f[1] / (1.0 - sign * f[0]))
+
+        ref = solve_ivp(orbit_rhs, (0.0, sign * math.inf),
+                        np.append(z0, math.log(z0[0])), method="DOP853",
+                        rtol=MAP_TOL, atol=MAP_TOL, dense_output=True,
+                        events=reached_boundary)
+        sol = side.sol
+        assert ref.status == 1 and sol.y_end[0] <= 0.0
+        assert sol.ts.size > 3 and _same_bits(sol.ts[:-1], ref.t[:-1])
+        taus = np.concatenate((sol.ts[:-1], np.linspace(0.0, ref.t[-1], 23)))
+        assert _same_bits(sol.batch(taus), [ref.sol(tau) for tau in taus])
+        tt = np.concatenate((side.t[side.t < system.t_range],
+                             np.linspace(0.0, system.t_range, 23)))
+        tau = side.taus(tt)
         z = system._states(sign * tt)
-        want = np.array([tail.sol(rho) for rho in z[:, 0]])
-        assert _same_bits(z[:, 1:], want[:, :3])
-        # the reader's rho lies at its t: |t| = w(rho) - log rho
-        assert np.max(np.abs(want[:, 3] - np.log(z[:, 0]) - tt)) < 1e-13
+        want = np.array([ref.sol(s) for s in tau])
+        assert _same_bits(z[:, 1:], want[:, 1:4])
+        assert np.max(np.abs(want[:, 4] - np.log(z[:, 0]) - tt)) < 1e-13
 
 
 # the perturbed covector and four bump covectors: the first bump orbit
 # crosses both edges rho_lo = 0.3 and rho_hi = 0.45, the second rho_lo
-# only, the third turns below the bump, and the fourth turns above it, so
-# that its tails, which run in rho, start inside the band
+# only, the third turns below the bump, and the fourth turns above it, at
+# rho 0.667, and meets the band only on the way out
 @pytest.mark.parametrize("family,z", [
     ("perturbed", (0.7, 2.4)), ("bump_family", (1.0, 2.2)),
     ("bump_family", (3.0, 3.2)), ("bump_family", (5.0, 4.2)),
@@ -272,10 +278,10 @@ def test_jacobi_fields_match_solve_ivp(request, family, z):
 
 def test_grid_cuts_the_orbit_at_the_familys_breaks(bump_family):
     # K has a corner where rho crosses a bump edge; the grid has a node at
-    # every crossing, located here on a dense sampling of the orbit.  The
-    # first orbit crosses both edges in its interior; the second peaks at
-    # rho 0.667, so it crosses rho_lo = 0.3 on its tails, which run in rho
-    for z, in_tails in (((1.0, 2.2), 0), ((1.0, 1.5), 2)):
+    # every crossing, located here on a dense sampling of the orbit.  Both
+    # orbits cross both edges on each side: the first peaks at rho 0.4545,
+    # just above rho_hi = 0.45, and the second at 0.667
+    for z in ((1.0, 2.2), (1.0, 1.5)):
         system = jacobi_system(bump_family,
                                trace_geodesic(bump_family, z, tol=1e-10))
         nodes = system._nodes
@@ -283,7 +289,7 @@ def test_grid_cuts_the_orbit_at_the_familys_breaks(bump_family):
         def rho(t):
             return system._states(np.array([t]))[0, 0]
 
-        found = tails = 0
+        found = 0
         for sign in (1.0, -1.0):
             ts = sign * np.linspace(0.0, system.t_range, 20001)
             for level in bump_family.breaks:
@@ -295,9 +301,7 @@ def test_grid_cuts_the_orbit_at_the_familys_breaks(bump_family):
                     assert abs(node - t_cross) < 1e-12
                     assert abs(rho(node) - level) < 1e-12
                     found += 1
-                    tails += (abs(t_cross)
-                              > system._sides[sign > 0].t_switch)
-        assert (found, tails) == (4, in_tails)
+        assert found == 4
 
 
 # ---------------------------------------------------------------------------
