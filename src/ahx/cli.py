@@ -1,6 +1,8 @@
 """Configuration-driven command line front end.
 
 Usage: ``ahx <command> --config <file> [--out <dir>] [--jobs N]``.
+``--jobs N`` evaluates rows in up to N forked worker processes, and never
+in more than the machine's CPUs (``os.cpu_count()``) or the rows.
 
 Configs are JSON documents with a ``metric`` spec (see
 :func:`ahx.metric.make_family`: its ``params`` are the family
@@ -280,7 +282,8 @@ def _map_rows(worker: Callable, rows: Sequence, jobs: int) -> List:
     _POOL_WORKER = worker
     try:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(rows))) as pool:
+        with ctx.Pool(processes=min(jobs, len(rows),
+                                    os.cpu_count() or 1)) as pool:
             return pool.map(_pool_call, rows)
     finally:
         _POOL_WORKER = None

@@ -32,8 +32,8 @@ bound of each step's arclength; only once that bound passes ``t_max`` does
 it integrate the steps exactly, and it raises :class:`TrappedOrSlowError`
 when the exact arclength does.  The guard keeps only its running sums.
 A :class:`GeodesicTrajectory` is the :class:`_Solution` (the one
-dense-output type, which the Jacobi layer reads too) of its accepted steps
-and its stats; it derives its samples and arclength panels from them.
+dense-output type, read at any number of times by ``batch``, which the
+Jacobi layer reads too) of its accepted steps and its stats.
 Quadrature along a trajectory states its resolution explicitly: a number of
 Gauss nodes per sub-panel and ``QUAD_PANELS`` sub-panels per step, plus
 optional rho levels where the integrand is not smooth
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -332,12 +331,6 @@ class _Step(NamedTuple):
     y_old: np.ndarray    # (dim,)
     F: np.ndarray        # (7, dim)
 
-    def __call__(self, t: float) -> list:
-        """State at t in Python floats, cheaper than numpy on so few values."""
-        x = float((t - self.t_old) / self.h)
-        return [_horner(f, y0, x) for f, y0
-                in zip(self.F.T.tolist(), self.y_old.tolist())]
-
 
 def _horner(F, y_old, x):
     """Dense state at the step fraction x from the coefficients F[0..6].
@@ -538,9 +531,9 @@ class _Solution:
     """Dense output of accepted steps, either way in t, ending at t_end in
     y_end; ``ts`` holds each step's start and t_end, ``ys`` the states.
 
-    :meth:`at` reads one t in Python floats and :meth:`batch` many t
-    through :func:`_horner`, bit for bit alike, with one lookup: a step end
-    is read on the step that ends there, as scipy's ``OdeSolution`` does.
+    :meth:`batch` reads it at any number of t through :func:`_horner`; a
+    step end is read on the step that ends there, as scipy's
+    ``OdeSolution`` does.
     """
 
     def __init__(self, steps: list, t_end: float, y_end: np.ndarray):
@@ -548,8 +541,6 @@ class _Solution:
         self.ts = np.array([st.t_old for st in steps] + [t_end])
         self.y_end = y_end
         self._sign = -1.0 if t_end < self.ts[0] else 1.0
-        # step starts, signed so that they ascend
-        self._starts = [self._sign * st.t_old for st in steps]
 
     @cached_property
     def ys(self) -> np.ndarray:
@@ -559,14 +550,9 @@ class _Solution:
     def _rows(self):
         """(signed start, t_old, h, y_old, F) of the steps, stacked."""
         st = self.steps
-        return (np.array(self._starts), self.ts[:-1],
+        return (self._sign * self.ts[:-1], self.ts[:-1],
                 np.array([s.h for s in st]), np.array([s.y_old for s in st]),
                 np.stack([s.F for s in st], axis=1))
-
-    def at(self, t: float) -> list:
-        """State at one t."""
-        i = bisect_left(self._starts, self._sign * t) - 1
-        return self.steps[min(max(i, 0), len(self.steps) - 1)](t)
 
     def batch(self, ts) -> np.ndarray:
         """States at many t, shape (len(ts), dim)."""
@@ -765,7 +751,7 @@ class GeodesicTrajectory:
         """Dense state at one tau, not projected."""
         if tau < -1e-12 or tau > self.tau_plus + 1e-12:
             raise ValueError(f"tau={tau} outside [0, {self.tau_plus}]")
-        return np.array(self._sol.at(min(max(tau, 0.0), self.tau_plus)))
+        return self._sol.batch([min(max(tau, 0.0), self.tau_plus)])[0]
 
     def state_at(self, tau: float) -> BPhasePoint:
         return _split_vec(self.n, _project_vec(self.family,

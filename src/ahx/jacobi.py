@@ -8,23 +8,25 @@ apex, the root of xi_b where rho peaks.  A :class:`JacobiSystem` integrates
 the geodesic's state outward from its apex on the traces' DOP853 stepper,
 once on each side, in the flow parameter tau: the rescaled flow is smooth
 up to rho = 0, so each side reaches the boundary at a finite tau, where in
-t its state approaches its limit like e^{-|t|}.  The run carries w = |t| +
-log rho, and a read at a given t finds its tau by Newton's method on rho =
-e^{w - |t|} and takes rho from w, so rho keeps its relative precision as
-it falls.
+t its state approaches its limit like e^{-|t|}; a run restarts where rho
+crosses a level of the family's ``breaks``, where the flow is not smooth.
+The run carries w = |t| + log rho, and a read at a given t finds its tau
+by Newton's method on rho = e^{w - |t|} and takes rho from w, so rho keeps
+its relative precision as it falls.  Every root of the layer is found by
+:func:`_newton`, with one read per iteration for all its brackets.
 
 The Jacobi equation ydd + K y = 0 is tabulated once along the orbit.  Its
-grid has an edge at each step end of the run and where rho crosses a level
-of the family's ``breaks`` (where K is not smooth); each interval is split
-into at least ``PIECES`` pieces in t, no longer than a bound that grows
-with |t|.  Each piece carries its transfer matrix, the 6th-order Magnus
-step on A = [[0, 1], [-K, 0]] from K at 3 Gauss nodes (Blanes, Casas and
-Ros, BIT 40 (2000); Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009)),
-in closed form.  A Jacobi field is a run of these 2 x 2 products, with no
-ODE solve of its own: it holds [y, ydot] at the grid nodes of its span
-(``ts``, ``ys``) and reads between them (``at`` one t, ``batch`` many) by
-one more Magnus step from the node before.  The field is linear in its
-seed, so its accuracy does not depend on the seed's size.
+grid has an edge at each step start of the run, and so at each break
+crossing; each interval is split into at least ``PIECES`` pieces in t, no
+longer than a bound that grows with |t|.  Each piece carries its transfer
+matrix, the 6th-order Magnus step on A = [[0, 1], [-K, 0]] from K at 3
+Gauss nodes (Blanes, Casas and Ros, BIT 40 (2000); Blanes, Casas, Oteo and
+Ros, Phys. Rep. 470 (2009)), in closed form.  A Jacobi field is a run of
+these 2 x 2 products, with no ODE solve of its own: it holds [y, ydot] at
+the grid nodes of its span (``ts``, ``ys``) and reads between them
+(``at`` one t, ``batch`` many) by one more Magnus step from the node
+before.  The field is linear in its seed, so its accuracy does not depend
+on the seed's size.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._brent import brentq
 from .metric import BoundaryMetricFamily, gauss_curvature
 from .flow import (DEFAULT_TOL, FlowError, GeodesicTrajectory, _integrate,
                    _make_rhs, _Solution, trace_geodesic)
@@ -64,8 +66,8 @@ PIECES = 8
 # 0.06 and 0.05 e^{|t|/7} left 4.5e-12, 9.4e-13 and 3.7e-13
 _PIECE = 0.05
 _PIECE_GROWTH = 7.0
-# Newton on tau stops after a step below this: the next would be below
-# 1e-16 (the iteration converges quadratically)
+# Newton stops after a step below this: the iteration converges
+# quadratically, so the next step would be below about 1e-16
 _NEWTON_DONE = 1e-8
 _NEWTON_MAX = 10
 # the 3 Gauss-Legendre nodes on [0, 1], 1/2 -+ sqrt(15)/10, and sqrt(15)/3
@@ -123,6 +125,43 @@ def _transfer(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.stack((ch + sh * p, sh * q, sh * r, ch - sh * p), axis=1)
 
 
+def _newton(step: Callable, x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """Roots by Newton's method from the starts x, each clipped to its [lo,
+    hi]; ``step(x, i)`` gives -f/f' at the points x of the indices i, all
+    those not yet done in one call.  A point stops after its own step falls
+    below ``_NEWTON_DONE``, so its root does not depend on the others."""
+    x = np.array(x, dtype=float)
+    todo = np.arange(x.size)
+    for _ in range(_NEWTON_MAX):
+        if not todo.size:
+            break
+        new = np.clip(x[todo] + step(x[todo], todo), lo[todo], hi[todo])
+        done = np.abs(new - x[todo]) <= _NEWTON_DONE
+        x[todo] = new
+        todo = todo[~done]
+    return x
+
+
+def _crossings(sol: _Solution, levels) -> Tuple[np.ndarray, np.ndarray]:
+    """The levels rho crosses on the steps of ``sol``, and the tau of each
+    crossing: a root of rho - level on a step whose ends straddle it, by
+    :func:`_newton` with the slope xi_b, from the chord.  The step ends
+    find every crossing where rho is monotone across a step, as it is on
+    each side of a geodesic that turns once."""
+    levels = np.asarray(levels, dtype=float)
+    d = sol.ys[:, 0] - levels[:, None]
+    k, i = np.nonzero(d[:, :-1] * d[:, 1:] <= 0.0)
+    d0, d1, a, b = d[k, i], d[k, i + 1], sol.ts[i], sol.ts[i + 1]
+
+    def step(tau, j):
+        x = sol.batch(tau)
+        return (levels[k[j]] - x[:, 0]) / x[:, 2]
+
+    return levels[k], _newton(step, a + (b - a) * d0 / (d0 - d1),
+                              np.minimum(a, b), np.maximum(a, b))
+
+
 class _Side:
     """One side of the orbit: t >= 0 (``sign`` 1) or t <= 0 (``sign`` -1).
 
@@ -138,32 +177,22 @@ class _Side:
 
     def taus(self, tt: np.ndarray) -> np.ndarray:
         """The flow parameters tau at the times |t| = tt: roots of F(tau) =
-        rho - e^{w - tt} by Newton's method, started at the start of the
+        rho - e^{w - tt} by :func:`_newton`, started at the start of the
         step that holds each tt and clipped to that step.  F' = xi_b -
         (e^{w - tt} / rho) (xi_b + sign) is -sign at the root, and Newton
         takes it so throughout: it divides by no rho, it still converges
         quadratically, and since tau + sign F(tau) has the slope (1 + sign
         xi_b) (1 - e^{w - tt} / rho), in [0, 1) on the side's arc before the
-        root, no iterate passes the root.  Each tt iterates until its own
-        step is below ``_NEWTON_DONE``, so its result does not depend on the
-        other times read with it."""
+        root, no iterate passes the root."""
         j = np.clip(np.searchsorted(self.t, tt, side="right") - 1,
                     0, self.t.size - 1)
         ends = self.sol.ts[j], self.sol.ts[j + 1]
-        lo, hi = np.minimum(*ends), np.maximum(*ends)
-        tau = ends[0].copy()
-        todo = np.arange(tt.size)
-        for _ in range(_NEWTON_MAX):
-            x = self.sol.batch(tau[todo])
-            new = np.clip(tau[todo] + self.sign
-                          * (x[:, 0] - np.exp(x[:, 4] - tt[todo])),
-                          lo[todo], hi[todo])
-            done = np.abs(new - tau[todo]) <= _NEWTON_DONE
-            tau[todo] = new
-            todo = todo[~done]
-            if not todo.size:
-                break
-        return tau
+
+        def step(tau, i):
+            x = self.sol.batch(tau)
+            return self.sign * (x[:, 0] - np.exp(x[:, 4] - tt[i]))
+
+        return _newton(step, ends[0], np.minimum(*ends), np.maximum(*ends))
 
 
 @dataclass
@@ -184,10 +213,6 @@ class JacobiSystem:
     _sides: Tuple[_Side, _Side]     # t <= 0, then t >= 0
     _nodes: np.ndarray = field(repr=False, default=None)
     _mats: list = field(repr=False, default=None)
-
-    def curvature(self, t: float) -> float:
-        z = self._states(np.array([float(t)]))
-        return float(self._curvature(z[:, 0], z[:, 1])[0])
 
     def _check(self, ts: np.ndarray) -> None:
         """ValueError unless every t is finite and in the mapped range."""
@@ -231,24 +256,12 @@ class JacobiSystem:
     def _side_nodes(self, side: _Side) -> np.ndarray:
         """Piece ends of one side in |t|, ascending from 0 to t_range.
 
-        The edges are the run's step ends and the crossings of the levels
-        of ``fam.breaks``, located by Brent on the dense rho to 1e-14 in tau
-        and placed at |t| = w - log(level); rho is compared with the levels
-        at the step ends, which finds every crossing where rho is monotone
-        across a step, as it is on each side of a geodesic that turns once.
-        Each interval is split into n equal pieces, at least ``PIECES`` and
-        none longer than ``_PIECE`` e^{|t| / ``_PIECE_GROWTH``} at its start.
+        The edges are the run's step starts, among them the crossings of
+        the levels of ``fam.breaks``.  Each interval is split into n equal
+        pieces, at least ``PIECES`` and none longer than
+        ``_PIECE`` e^{|t| / ``_PIECE_GROWTH``} at its start.
         """
-        sol = side.sol
-        tau, rho = sol.ts, sol.ys[:, 0]
-        edges = [0.0, *side.t[1:]]
-        for level in self.fam.breaks:
-            d = rho - level
-            for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
-                cut = brentq(lambda s: sol.at(s)[0] - level,
-                             tau[i], tau[i + 1], xtol=1e-14)
-                edges.append(sol.at(cut)[4] - math.log(level))
-        edges = np.unique(edges)
+        edges = np.append(0.0, side.t[1:])
         edges = np.append(edges[edges < self.t_range], self.t_range)
         a, h = edges[:-1], np.diff(edges)
         n = np.maximum(PIECES, np.ceil(
@@ -269,10 +282,12 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     dw/dtau = (sign + xi_b) / rho written through the cosphere identity 1 -
     xi_b^2 = rho^2 |eta|_h^2 as sign eta (dy/dtau) / (1 - sign xi_b), in
     which nothing cancels on the side's own arc.  A run stops at the first
-    step end where rho <= 0 or |t| >= t_range.  t_range must be finite and
-    positive, and ``fam`` must be the family ``traj`` was traced in (equal
-    ``spec()``), since the curvature and the flow are read from ``fam``;
-    else ValueError.
+    step end where rho <= 0 or |t| >= t_range.  A step that crosses a level
+    of ``fam.breaks`` is retaken to the crossing (:func:`_crossings`), where
+    a new run starts, so no step spans a corner of the flow.  t_range must
+    be finite and positive, and ``fam`` must be the family ``traj`` was
+    traced in (equal ``spec()``), since the curvature and the flow are read
+    from ``fam``; else ValueError.
     """
     if not (math.isfinite(t_range) and t_range > 0.0):
         raise ValueError("t_range must be finite and positive, got %r"
@@ -287,8 +302,8 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
     z0 = traj.state_at(traj.rho_peak()[0]).as_vector()
     x0 = np.append(z0, math.log(z0[0]))
 
-    def past(x):
-        return x[0] <= 0.0 or x[4] - math.log(x[0]) >= t_range
+    def past(x, level=0.0):
+        return x[0] <= level or x[4] - math.log(x[0]) >= t_range
 
     sides = []
     for sign in (-1.0, 1.0):
@@ -297,9 +312,20 @@ def jacobi_system(fam: BoundaryMetricFamily, traj: GeodesicTrajectory,
             return np.array(
                 f + [sign * float(x[3]) * f[1] / (1.0 - sign * f[0])])
 
-        sides.append(_Side(sign, _integrate(
-            rhs, 0.0, x0, sign * math.inf, MAP_TOL, MAP_TOL,
-            "orbit integration", until=past)))
+        steps, tau, x = [], 0.0, x0
+        for level in [lv for lv in sorted(fam.breaks, reverse=True)
+                      if lv < x0[0]] + [0.0]:
+            run = _integrate(rhs, tau, x, sign * math.inf, MAP_TOL, MAP_TOL,
+                             "orbit integration", partial(past, level=level))
+            if level == 0.0 or run.y_end[0] > level:
+                break
+            tau = float(_crossings(run, [level])[1][-1])
+            last = run.steps.pop()
+            cut = _integrate(rhs, last.t_old, last.y_old, tau, MAP_TOL,
+                             MAP_TOL, "orbit integration")
+            steps, x = steps + run.steps + cut.steps, cut.y_end
+        sides.append(_Side(sign, _Solution(steps + run.steps,
+                                           float(run.ts[-1]), run.y_end)))
     system = JacobiSystem(fam=fam, t_range=t_range, _sides=tuple(sides))
     bwd, fwd = map(system._side_nodes, sides)
     system._nodes = np.concatenate((-bwd[:0:-1], fwd))
@@ -397,13 +423,14 @@ def conjugate_points(system: JacobiSystem, t_max: float,
     """Times conjugate to the base time t0 along the geodesic.
 
     Zeros in (t0, t0 + t_max] of the field with y(t0) = 0, ydot(t0) = 1:
-    a sign change of y between grid nodes is refined by Brent on the
-    field's reader; the base point itself is never reported.  The default
-    base point is the anchor; moving t0 toward the incoming end tests base
-    points whose field crosses the interior both inbound and outbound.
-    A t_max that is negative or NaN raises ValueError.  The field grows
-    like e^{|t|}, and a scan whose field overflows (t_max above about 700)
-    raises :class:`AsymptoteError`.
+    grid nodes where y is 0, and a root of y wherever it changes sign
+    between nodes, all by :func:`_newton` with the slope ydot, from the
+    chord; the base point itself is never reported.  The default base point
+    is the anchor; moving t0 toward the incoming end tests base points whose
+    field crosses the interior both inbound and outbound.  A t_max that is
+    negative or NaN raises ValueError.  The field grows like e^{|t|}, and a
+    scan whose field overflows (t_max above about 700) raises
+    :class:`AsymptoteError`.
     """
     if not t_max >= 0.0:
         raise ValueError("t_max=%g must not be negative" % t_max)
@@ -415,18 +442,17 @@ def conjugate_points(system: JacobiSystem, t_max: float,
         raise AsymptoteError(
             "t_max=%g is too large: the conjugate scan's field overflows"
             % t_max) from None
-    zeros: List[float] = []
     ts, ys = sol.ts, sol.ys[:, 0]
     sign = np.sign(ys)
-    for i in range(1, len(ts) - 1):
-        if ys[i] == 0.0:
-            zeros.append(float(ts[i]))
-        elif sign[i] * sign[i + 1] < 0.0:
-            zeros.append(brentq(lambda t: sol.at(t)[0],
-                                ts[i], ts[i + 1], xtol=1e-12))
-    if len(ts) > 1 and ys[-1] == 0.0:
-        zeros.append(float(ts[-1]))
-    return zeros
+    i = np.flatnonzero(sign[1:-1] * sign[2:] < 0.0) + 1
+    a, b = ts[i], ts[i + 1]
+
+    def step(t, j):
+        y, v = sol.batch(t).T
+        return -y / v
+
+    roots = _newton(step, a + (b - a) * ys[i] / (ys[i] - ys[i + 1]), a, b)
+    return sorted(np.concatenate((ts[1:][ys[1:] == 0.0], roots)).tolist())
 
 
 @dataclass
@@ -468,8 +494,9 @@ def stable_unstable(system: JacobiSystem,
         raise AsymptoteError(
             "T_asym=%g is too large: its seed e^-T_asym underflows below "
             "the normal floats" % T_asym)
-    for t_seed in (T_asym, -T_asym):
-        resid = abs(system.curvature(t_seed) + 1.0)
+    z = system._states(np.array([T_asym, -T_asym]))
+    resids = np.abs(system._curvature(z[:, 0], z[:, 1]) + 1.0).tolist()
+    for t_seed, resid in zip((T_asym, -T_asym), resids):
         if resid > ASYM_CURV_TOL:
             raise AsymptoteError(
                 "curvature has not reached its asymptote at t=%g "
@@ -477,8 +504,7 @@ def stable_unstable(system: JacobiSystem,
                 % (t_seed, resid))
     s_sol = jacobi_solve(system, scale, -scale, (T_asym, 0.0))
     u_sol = jacobi_solve(system, scale, scale, (-T_asym, 0.0))
-    s = _unit_with_sign(np.array(s_sol.at(0.0)))
-    u = _unit_with_sign(np.array(u_sol.at(0.0)))
+    s, u = _unit_with_sign(s_sol.ys[-1]), _unit_with_sign(u_sol.ys[-1])
     dot = min(1.0, abs(float(s @ u)))
     det0 = float(s[0] * u[1] - s[1] * u[0])
     return BundleFrame(stable=s, unstable=u,
@@ -507,10 +533,14 @@ def decay_fit(frame: BundleFrame) -> DecayFit:
     logm = np.array([math.log(abs(y) + abs(v))
                      for y, v in frame.stable_sol.batch(ts).tolist()])
     nu = -float(np.polyfit(ts, logm, 1)[0])
-    r = logm + 0.95 * ts
-    run_min = np.minimum.accumulate(r)
-    c = float(np.max(r[1:] - run_min[:-1]))
+    c = _spread(logm + 0.95 * ts)[0]
     return DecayFit(nu=nu, growth_const=math.exp(max(c, 0.0)))
+
+
+def _spread(r: np.ndarray) -> Tuple[float, float]:
+    """The largest and the smallest r[j] - r[i] over ordered pairs i < j."""
+    return (float(np.max(r[1:] - np.minimum.accumulate(r)[:-1])),
+            float(np.min(r[1:] - np.maximum.accumulate(r)[:-1])))
 
 
 def curvature_decay_fit(system: JacobiSystem) -> float:
@@ -535,47 +565,37 @@ def curvature_decay_fit(system: JacobiSystem) -> float:
 class RateBracket:
     """Two-sided bracket of the exponential boundary approach.
 
-    Along each escaping tail, rho(t2) / (rho(t1) e^{-(t2-t1)}) lies in
-    [lower_margin, c_upper] over all ordered sample pairs; the exact lower
-    bound is 1.
+    Along each escaping tail, rho(t2) / (rho(t1) e^{-(|t2| - |t1|)}) lies
+    in [lower_margin, c_upper] over all ordered pairs of times in its
+    window; the exact lower bound is 1.
     """
 
     c_upper: float
     lower_margin: float
 
 
-def boundary_rate_bracket(traj: GeodesicTrajectory) -> RateBracket:
-    """Measure rho(t) against e^{-t} decay on both escaping tails.
+def boundary_rate_bracket(system: JacobiSystem) -> RateBracket:
+    """Measure rho(t) against e^{-|t|} decay on both sides of the orbit.
 
-    rho is sampled at 600 equally spaced flow parameters.  The window
-    starts once rho has dropped to half the peak, capped at 0.25, and stops
-    at rho = 0.012, above the arclength gate ``flow.RHO_GATE_HI`` so
-    differences of :meth:`GeodesicTrajectory.arclength_at` are exact
-    arclength.
+    On one side, rho(t2) / (rho(t1) e^{-(|t2| - |t1|)}) is e^{w(t2) -
+    w(t1)}, so the bracket is the spread of w.  Each side's window starts
+    where rho crosses rho_enter = min(0.25, rho_peak / 2) (a root by
+    :func:`_crossings`) and runs over the grid nodes beyond it, out to
+    t_range.  ValueError when rho does not reach rho_enter inside t_range.
     """
-    tau_peak, rho_pk = traj.rho_peak()
-    rho_enter = min(0.25, 0.5 * rho_pk)
-    rho_floor = 0.012
-    taus = np.linspace(0.0, traj.tau_plus, 600)
-    rho = traj.eval_many(taus)[:, 0]
-    t_acc = traj.arclength_at(taus)
-    hi, lo = -np.inf, np.inf
-    for outgoing in (True, False):
-        if outgoing:
-            mask = (taus > tau_peak) & (rho <= rho_enter) & (rho >= rho_floor)
-            r = np.log(rho[mask]) + t_acc[mask]
-        else:
-            mask = (taus < tau_peak) & (rho <= rho_enter) & (rho >= rho_floor)
-            # reversed order so the tail is traversed away from the peak
-            r = np.log(rho[mask][::-1]) - t_acc[mask][::-1]
-        if r.size < 2:
-            continue
-        run_min = np.minimum.accumulate(r)
-        run_max = np.maximum.accumulate(r)
-        hi = max(hi, float(np.max(r[1:] - run_min[:-1])))
-        lo = min(lo, float(np.min(r[1:] - run_max[:-1])))
-    if not np.isfinite(hi):
-        raise ValueError("trajectory has no samples in the tail window")
+    rho_enter = min(0.25, 0.5 * float(system._sides[0].sol.ys[0, 0]))
+    hi, lo = -math.inf, math.inf
+    for side in system._sides:
+        w1 = side.sol.batch(_crossings(side.sol, [rho_enter])[1][:1])[:, 4]
+        t1 = w1 - math.log(rho_enter)
+        if not (t1.size and t1[0] < system.t_range):
+            raise ValueError("rho does not fall to %g inside |t| <= %g"
+                             % (rho_enter, system.t_range))
+        tt = np.sort(side.sign * system._nodes)
+        tt = tt[tt > t1[0]]
+        w = side.sol.batch(side.taus(tt))[:, 4]
+        top, bottom = _spread(np.concatenate((w1, w)))
+        hi, lo = max(hi, top), min(lo, bottom)
     return RateBracket(c_upper=math.exp(hi), lower_margin=math.exp(lo))
 
 
@@ -587,15 +607,15 @@ def boundary_rate_bracket(traj: GeodesicTrajectory) -> RateBracket:
 class SimplicityReport:
     """Aggregate linearized-flow diagnostics over a covector grid."""
 
-    min_angle_deg: float
+    min_angle_deg: Optional[float]
     conjugate_count: int
-    nu_fit: float
-    C_fit: float
+    nu_fit: Optional[float]
+    C_fit: Optional[float]
     trace_failures: int
     n_geodesics: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(asdict(self), allow_nan=False)
 
 
 class CovectorDiagnostics(NamedTuple):
@@ -632,22 +652,12 @@ def simplicity_report(rows: Sequence[Optional[CovectorDiagnostics]]
     """Reduce per-covector diagnostics, in row order, to the minimal
     transversality angle, the total number of conjugate points, the slowest
     decay exponent, the largest curvature-decay constant, and the number of
-    failed traces (the None rows)."""
-    min_angle = math.inf
-    count = 0
-    failures = 0
-    nu_min = math.inf
-    c_max = 0.0
-    for row in rows:
-        if row is None:
-            failures += 1
-            continue
-        min_angle = min(min_angle, row.angle_deg)
-        count += row.conjugate_count
-        nu_min = min(nu_min, row.nu_fit)
-        c_max = max(c_max, row.C_fit)
-    return SimplicityReport(min_angle_deg=min_angle, conjugate_count=count,
-                            nu_fit=nu_min, C_fit=c_max,
-                            trace_failures=failures,
-                            n_geodesics=len(rows) - failures)
-
+    failed traces (the None rows).  With no diagnosed row the angle and the
+    fits are None."""
+    ok = [row for row in rows if row is not None]
+    return SimplicityReport(
+        min_angle_deg=min((row.angle_deg for row in ok), default=None),
+        conjugate_count=sum(row.conjugate_count for row in ok),
+        nu_fit=min((row.nu_fit for row in ok), default=None),
+        C_fit=max((row.C_fit for row in ok), default=None),
+        trace_failures=len(rows) - len(ok), n_geodesics=len(ok))

@@ -397,9 +397,9 @@ def test_criterion_12_dynamics_diagnostics(capsys, halfplane, disc,
     for fam, ys, etas in grids:
         for y in ys:
             for eta in etas:
-                traj = trace_geodesic(fam, (y, eta))
-                conj += len(conjugate_points(jacobi_system(fam, traj), 12.0))
-                c_upper = max(c_upper, boundary_rate_bracket(traj).c_upper)
+                system = jacobi_system(fam, trace_geodesic(fam, (y, eta)))
+                conj += len(conjugate_points(system, 12.0))
+                c_upper = max(c_upper, boundary_rate_bracket(system).c_upper)
 
     frame_gap = 0.0
     for fam, z in ((halfplane, (0.0, 1.0)), (disc, (1.0, 1.3)),

@@ -7,12 +7,15 @@ values the library tests use (half-circle scattering y + 2/eta, lengths
 """
 import json
 import math
+import multiprocessing
+import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ahx import trace_geodesic, xray_transform
+from ahx import cli, trace_geodesic, xray_transform
 from ahx.cli import config_hash, load_config, main, read_csv
 from ahx.flow import DEFAULT_T_MAX, DEFAULT_TOL
 from ahx.quadrature import poly_bump
@@ -246,6 +249,54 @@ def test_diagnose_command(tmp_path):
     assert payload["conjugate_count"] == 0
     assert payload["min_angle_deg"] == pytest.approx(90.0, abs=1e-6)
     assert payload["nu_fit"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_diagnose_with_every_trace_failed_writes_null_fits(tmp_path):
+    # eta 0.5 leaves the perturbed collar on every row: with no geodesic
+    # diagnosed, the angle and the fits are null, not the Infinity that
+    # JSON (RFC 8259) does not have, and C_fit is not the 0 of perfect decay
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "perturbed"},
+        "grid": {"y": [0.0, 1.0], "eta": [0.5]},
+        "tol": 1e-10,
+    })
+    assert run("diagnose", cfg, tmp_path) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads((tmp_path / "diagnose.json").read_text(),
+                         parse_constant=refuse)
+    assert payload == {"min_angle_deg": None, "conjugate_count": 0,
+                       "nu_fit": None, "C_fit": None, "trace_failures": 2,
+                       "n_geodesics": 0}
+
+
+def test_jobs_never_fork_more_workers_than_cpus(monkeypatch):
+    # a fake pool records its size and maps in this process, so no process
+    # starts: --jobs 64 on 49 rows of a 2-CPU machine gets 2 workers
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            return [fn(r) for r in rows]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows = list(range(49))
+    assert cli._map_rows(lambda r: r * r, rows, 64) == [r * r for r in rows]
+    assert cli._map_rows(lambda r: -r, rows[:1] * 2, 64) == [0, 0]
+    assert sizes == [2, 2]
 
 
 def test_diagnose_parallel_determinism(tmp_path):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ahx import (
@@ -32,6 +32,7 @@ from ahx import (
     decay_fit,
     diagnose_covector,
     eval_metric,
+    gauss_curvature,
     halfplane_family,
     jacobi_solve,
     jacobi_system,
@@ -44,12 +45,19 @@ from ahx import (
 from ahx import jacobi
 from ahx.flow import _make_rhs, _project_vec, _split_vec
 from ahx.jacobi import MAP_TOL, AsymptoteError
+from ahx.quadrature import panel_gauss
 
 
 def orbit_state(system, t):
     """The orbit's state at hyperbolic time t, projected onto the cosphere."""
     z = system._states(np.array([t]))[0]
     return _split_vec(1, _project_vec(system.fam, z, 1))
+
+
+def curvature(system, t):
+    """K at the orbit's state at hyperbolic time t."""
+    z = system._states(np.array([t]))
+    return float(gauss_curvature(system.fam, z[:, 0], z[:, 1])[0])
 
 
 ETA_BUMP = 3.2  # turning point inside the bump band of the bump_family
@@ -115,7 +123,7 @@ def _nan_wronskian(system):
 
 @pytest.mark.parametrize("call", [
     lambda system: jacobi_solve(system, 0.0, 1.0, (0.0, math.nan)),
-    lambda system: system.curvature(math.nan),
+    lambda system: curvature(system, math.nan),
     lambda system: conjugate_points(system, 5.0, t0=math.nan),
     _nan_wronskian,
 ], ids=["jacobi_solve", "curvature", "conjugate_points", "wronskian"])
@@ -132,17 +140,23 @@ def test_a_time_that_is_not_a_number_is_refused(halfplane, call):
     ("perturbed", (0.7, 2.4)), ("bump_family", (1.0, 2.2)),
     ("disc", (0.0, 1.0)), ("halfplane", (0.0, 1.0))])
 def test_orbit_agrees_with_its_trace(request, family, z):
-    # the orbit integrated in t from the rho peak against the trace read at
-    # the flow parameter tau(t) = tau_peak + int_0^t rho dt of the orbit
+    # the orbit read at hyperbolic times t against the trace read at the
+    # flow parameter tau(t) = tau_peak + int_0^t rho dt of the orbit, by an
+    # 8-point Gauss rule on each interval between the times and the grid's
+    # nodes (where rho crosses a break and may lose smoothness), from one
+    # read of the orbit
     fam = request.getfixturevalue(family)
     traj = trace_geodesic(fam, z, tol=1e-12)
     system = jacobi_system(fam, traj)
-    tau_peak = traj.rho_peak()[0]
-    for t in np.linspace(-25.0, 25.0, 51):
-        tau = tau_peak + quad(lambda s: orbit_state(system, s).rho, 0.0, t,
-                              epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    ts = np.linspace(-25.0, 25.0, 51)
+    cuts = np.union1d(ts, system._nodes[np.abs(system._nodes) < 25.0])
+    nodes, weights = panel_gauss(cuts[:-1], cuts[1:], 8)
+    rho = system._states(nodes.ravel())[:, 0].reshape(nodes.shape)
+    tau = np.concatenate(([0.0], np.cumsum(np.sum(weights * rho, axis=1))))
+    tau += traj.rho_peak()[0] - tau[np.searchsorted(cuts, 0.0)]
+    for t, tau_t in zip(ts, tau[np.searchsorted(cuts, ts)]):
         a = orbit_state(system, t).as_vector()
-        b = traj.state_at(tau).as_vector()
+        b = traj.state_at(tau_t).as_vector()
         assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -163,7 +177,7 @@ def test_curvature_along_model_geodesics(halfplane, disc):
                    (disc, (2.0, 0.7))]:
         system = jacobi_system(fam, trace_geodesic(fam, z))
         for t in (-5.0, -2.0, 0.0, 1.3, 4.0, 20.0):
-            assert system.curvature(t) == pytest.approx(-1.0, abs=1e-9)
+            assert curvature(system, t) == pytest.approx(-1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +249,72 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
         assert np.max(np.abs(want[:, 4] - np.log(z[:, 0]) - tt)) < 1e-13
 
 
+def _dense(runs):
+    """Reader at one t of dense outputs [(start, OdeSolution)], each from
+    its start to the next one's."""
+    runs = sorted(runs, key=lambda run: run[0])
+    starts = [lo for lo, _ in runs]
+    return lambda t: runs[max(np.searchsorted(starts, t) - 1, 0)][1](t)
+
+
+def _orbit_in_t(fam, apex, t_max):
+    """The orbit state x = [rho, y, xi_b, eta] from the apex out to t =
+    -t_max and to t_max, dx/dt = rho f(x) in hyperbolic time t with f the
+    flow, by scipy's DOP853; rho has an atol of its own, far below
+    e^-t_max, so that it keeps its relative precision.  The rtol, 3e-14,
+    sits near scipy's floor: at 1e-13 this orbit's own error put the frame
+    fields of bump (1.0, 2.2) 1.6e-11 from the library's, above their
+    bound, and at 3e-14 2.2e-12.  Each crossing of a level of
+    ``fam.breaks``, where K has a corner, ends a run and starts the next.
+    Returns a reader of the orbit and the crossing times.
+    """
+    flow_rhs = _make_rhs(fam)
+    runs, cuts = [], []
+    for t_end in (-t_max, t_max):
+        t0, x0 = 0.0, apex
+        # rho falls on each side, and crosses each level below the apex once
+        levels = [level for level in fam.breaks if level < apex[0]]
+        while True:
+            events = []
+            for level in levels:
+                def cross(t, x, level=level):
+                    return x[0] - level
+                cross.terminal = True
+                events.append(cross)
+            ref = solve_ivp(lambda t, x: x[0] * flow_rhs(t, x), (t0, t_end),
+                            x0, method="DOP853", rtol=3e-14,
+                            atol=[1e-30, 1e-13, 1e-13, 1e-13],
+                            dense_output=True, events=events or None)
+            runs.append((min(t0, ref.t[-1]), ref.sol))
+            t0, x0 = ref.t[-1], ref.y[:, -1]
+            if ref.status == 0:
+                break
+            cuts.append(t0)
+            del levels[next(k for k, te in enumerate(ref.t_events)
+                            if te.size)]
+    return _dense(runs), cuts
+
+
+def _field_in_t(fam, orbit, cuts, span, y0):
+    """[y, ydot] of ydd + K y = 0 over span, with K from ``gauss_curvature``
+    at the orbit's state, by scipy's DOP853 at rtol 1e-13 and an atol
+    scaled to the seed, restarted at each crossing time inside the span.
+    Returns the end value and a reader of the field."""
+    def rhs(t, s):
+        return (s[1], -gauss_curvature(fam, *orbit(t)[:2]) * s[0])
+
+    a, b = span
+    inner = sorted((c for c in cuts if min(a, b) < c < max(a, b)),
+                   reverse=b < a)
+    runs, end = [], y0
+    for t0, t1 in zip([a] + inner, inner + [b]):
+        ref = solve_ivp(rhs, (t0, t1), end, method="DOP853", rtol=1e-13,
+                        atol=1e-13 * max(map(abs, y0)), dense_output=True)
+        runs.append((min(t0, t1), ref.sol))
+        end = ref.y[:, -1]
+    return end, _dense(runs)
+
+
 # the perturbed covector and four bump covectors: the first bump orbit
 # crosses both edges rho_lo = 0.3 and rho_hi = 0.45, the second rho_lo
 # only, the third turns below the bump, and the fourth turns above it, at
@@ -246,10 +326,13 @@ def test_integrations_match_scipy_solve_ivp_bitwise(perturbed):
 def test_jacobi_fields_match_solve_ivp(request, family, z):
     # the transfer-matrix fields of stable_unstable, and fields over spans
     # that start and end inside pieces, either way in t and from a seed of
-    # size e^-20, against ydd + K y = 0 solved by scipy's DOP853 at rtol
-    # 1e-13 and an atol scaled to the seed
+    # size e^-20, against ydd + K y = 0 solved by scipy's DOP853 on an orbit
+    # that scipy's DOP853 integrates in t, outward from the trace's apex,
+    # both restarted at each break crossing.  The orbit runs outward only:
+    # run back inward from |t| = 25, its rounding grows like e^|t|
     fam = request.getfixturevalue(family)
-    system = jacobi_system(fam, trace_geodesic(fam, z, tol=1e-10))
+    traj = trace_geodesic(fam, z, tol=1e-10)
+    system = jacobi_system(fam, traj)
     frame = stable_unstable(system)
     T = frame.T_asym
     scale, small = math.exp(-T), math.exp(-20.0)
@@ -258,20 +341,17 @@ def test_jacobi_fields_match_solve_ivp(request, family, z):
              (frame.unstable_sol, (-T, 0.0), [scale, scale])]
     cases += [(jacobi_solve(system, *seed, span), span, seed)
               for span in ((-4.0, 4.0), (3.0, -6.0))]
-
-    def rhs(t, s):
-        return (s[1], -system.curvature(t) * s[0])
+    orbit, cuts = _orbit_in_t(
+        fam, traj.state_at(traj.rho_peak()[0]).as_vector(), T)
 
     for field, span, y0 in cases:
-        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13,
-                        atol=1e-13 * max(map(abs, y0)), dense_output=True)
-        end = ref.y[:, -1]
+        end, read = _field_in_t(fam, orbit, cuts, span, y0)
         assert np.max(np.abs(np.array(field.at(span[1])) - end)) \
             < 1e-11 * np.max(np.abs(end))
         ts = np.linspace(*span, 19)[1:-1]
         at = [field.at(t) for t in ts]
         assert _same_bits(at, field.batch(ts))
-        want = ref.sol(ts).T
+        want = np.array([read(t) for t in ts])
         assert np.max(np.abs(np.array(at) - want)
                       / np.max(np.abs(want), axis=1)[:, None]) < 1e-10
 
@@ -446,13 +526,41 @@ def test_curvature_decay_constants(halfplane, perturbed):
 
 
 def test_boundary_rate_bracket(halfplane, perturbed):
-    rb = boundary_rate_bracket(trace_geodesic(halfplane, (0.0, 1.0)))
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)))
+    rb = boundary_rate_bracket(system)
     # half-plane ratio is (1 + e^{-2 t1}) / (1 + e^{-2 t2}) with entry at
     # rho = 0.25, so the upper constant sits just above 1
     assert 1.0 <= rb.c_upper <= 1.02
     assert rb.lower_margin >= 1.0 - 1e-9
-    rb = boundary_rate_bracket(trace_geodesic(perturbed, (0.7, 2.4)))
+    system = jacobi_system(perturbed, trace_geodesic(perturbed, (0.7, 2.4)))
+    rb = boundary_rate_bracket(system)
     assert 1.0 - 1e-9 <= rb.lower_margin <= rb.c_upper <= 1.5
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0, 100.0])
+def test_boundary_rate_bracket_closed_form(halfplane, eta):
+    # on the half-plane w = |t| + log rho = log(2 / eta) - log(1 +
+    # e^{-2|t|}) rises with |t|, so over the window from the entry time t1,
+    # cosh t1 = rho_peak / rho_enter, out to t_range the largest ratio is
+    # its two ends' and the smallest is 1; at eta 100 (rho_peak 0.01) the
+    # window lies wholly below rho = 0.012, where a bracket sampled from
+    # the trace had no samples
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, eta)))
+    rb = boundary_rate_bracket(system)
+    rho_peak = 1.0 / eta
+    t1 = math.acosh(rho_peak / min(0.25, 0.5 * rho_peak))
+    want = (1.0 + math.exp(-2.0 * t1)) \
+        / (1.0 + math.exp(-2.0 * system.t_range))
+    assert abs(rb.c_upper - want) < 1e-11
+    assert rb.lower_margin >= 1.0 - 1e-12
+
+
+def test_boundary_rate_bracket_needs_the_window_inside_t_range(halfplane):
+    # rho = sech(t) falls to rho_enter = 0.25 at |t| = acosh 4 = 2.06
+    system = jacobi_system(halfplane, trace_geodesic(halfplane, (0.0, 1.0)),
+                           t_range=1.0)
+    with pytest.raises(ValueError, match="inside"):
+        boundary_rate_bracket(system)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +575,7 @@ def test_family_must_be_the_trajectorys(halfplane, bump_family):
         jacobi_system(bump_family, traj)
     # an equal family built anew is the same family
     system = jacobi_system(halfplane_family(), traj)
-    assert system.curvature(0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert curvature(system, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scalar_bookkeeping_rejects_two_factor_family():

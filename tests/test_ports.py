@@ -56,9 +56,9 @@ def test_dop853_tableau_is_scipys():
 
 @pytest.fixture
 def brackets(monkeypatch):
-    """Every Brent call of flow, jacobi and xray, also solved by scipy's
-    brentq on the same function, bracket and tolerances: a list of
-    (a, b, ours, scipy's)."""
+    """Every Brent call of flow and xray, also solved by scipy's brentq on
+    the same function, bracket and tolerances: a list of (a, b, ours,
+    scipy's)."""
     calls = []
 
     def both(f, a, b, **kw):
@@ -66,7 +66,7 @@ def brackets(monkeypatch):
         calls.append((a, b, ours, scipy_brentq(f, a, b, **kw)))
         return ours
 
-    for mod in (flow, jacobi, xray):
+    for mod in (flow, xray):
         monkeypatch.setattr(mod, "brentq", both)
     return calls
 
@@ -106,15 +106,33 @@ def test_overshoot_bracket_is_scipys_brentq(halfplane, brackets,
 
 
 def test_conjugate_point_brackets_are_scipys_brentq(bump_family, brackets):
-    found = []
+    # the Jacobi layer's roots are Newton's (jacobi._newton): the crossings
+    # of the bump's edges on a dense output, and the conjugate zeros of a
+    # field, against scipy's brentq on the same functions and brackets
+    found, crossings = [], 0
     for eta in (3.0, 3.1, 3.2, -3.2):
         traj = trace_geodesic(bump_family, (0.0, eta))
-        found += conjugate_points(jacobi_system(bump_family, traj), 18.0,
-                                  t0=-6.0)
-    # each trace's arrival, its apex (the root of xi_b that anchors t = 0),
-    # the two crossings of the bump's edge rho_lo that cut its Magnus grid,
-    # one on each side of the apex, and its conjugate zero
-    assert len(found) == 4 and len(brackets) == 20
+        system = jacobi_system(bump_family, traj)
+        zeros = conjugate_points(system, 18.0, t0=-6.0)
+        field = jacobi.jacobi_solve(system, 0.0, 1.0, (-6.0, 12.0))
+        y = field.ys[:, 0]
+        i = np.flatnonzero(np.sign(y[1:-1]) * np.sign(y[2:]) < 0.0) + 1
+        assert len(zeros) == i.size
+        for t, a, b in zip(zeros, field.ts[i], field.ts[i + 1]):
+            ref = scipy_brentq(lambda t: field.at(t)[0], a, b, xtol=1e-15)
+            assert abs(t - ref) < 1e-12
+        found += zeros
+        sol = traj._sol
+        for level, tau in zip(*jacobi._crossings(sol, bump_family.breaks)):
+            j = np.searchsorted(sol.ts, tau) - 1
+            ref = scipy_brentq(lambda s: sol.batch([s])[0, 0] - level,
+                               sol.ts[j], sol.ts[j + 1], xtol=1e-15)
+            assert abs(tau - ref) < 1e-12
+            crossings += 1
+    # each trace's arrival and its apex (the root of xi_b that anchors t =
+    # 0) are Brent's; each trace crosses the bump's edge rho_lo on both
+    # sides of its apex, and each field has one conjugate zero
+    assert len(found) == 4 and crossings == 8 and len(brackets) == 8
     _assert_scipys_roots(brackets)
 
 
