@@ -48,7 +48,8 @@ import numpy as np
 
 from .metric import BoundaryMetricFamily, MetricError, make_family
 from .flow import (DEFAULT_T_MAX, DEFAULT_TOL, FlowError,
-                   TrappedOrSlowError, scattering_map, trace_geodesic)
+                   TrappedOrSlowError, _project_vec, scattering_map,
+                   trace_geodesic)
 from .renorm import (ENDPOINT_TOL, boundary_distance, mellin_length,
                      renormalized_length)
 from .xray import SymmetricTensorField, xray_transform
@@ -349,12 +350,14 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     traj = trace_geodesic(fam, (y0, eta0), tol=tol, t_max=t_max)
     taus = np.linspace(0.0, traj.tau_plus, n_samples)
     h = config_hash(cfg)
+    n = fam.n
     rows = []
-    for tau, t_acc in zip(taus, traj.arclength_at(taus)):
-        p = traj.state_at(float(tau))
-        rows.append({"tau": float(tau), "rho": p.rho, "y0": float(p.y[0]),
-                     "xi_b": p.xi_b, "eta0": float(p.eta[0]),
-                     "t": float(t_acc)})
+    # one read of the dense output, each row projected as state_at does
+    for tau, t_acc, x in zip(taus.tolist(), traj.arclength_at(taus).tolist(),
+                             traj.eval_many(taus)):
+        p = _project_vec(fam, x, n).tolist()
+        rows.append({"tau": tau, "rho": p[0], "y0": p[1], "xi_b": p[1 + n],
+                     "eta0": p[2 + n], "t": t_acc})
     write_csv(out / "trace.csv", ["tau", "rho", "y0", "xi_b", "eta0", "t"],
               rows, h)
     if svg:

@@ -17,9 +17,16 @@ constraint after every accepted step.  Each accepted step leaves one
 coefficient row: its start ``t_old``, size ``h``, start state ``y_old`` and
 the 7 x dim interpolant ``F`` of its dense output, which :func:`_horner`
 evaluates.  The module runs on numpy alone: the stepper's tableau
-(:mod:`ahx._dop853_tableau`) and the Brent root finder that locates
-boundary arrival (:mod:`ahx._brent`) are in the package, and the tests pin
-both to scipy's bit for bit.
+(:mod:`ahx._dop853_tableau`) is in the package, and the tests pin it and
+the stepper to scipy's bit for bit.
+
+Every root of the package is found by one batched Newton's method
+(:func:`_newton`), which reads all its brackets once per iteration.  The
+turning points of rho along a trace are the roots of xi_b on the steps
+whose end states differ in its sign (:func:`_turning_points`); cut there,
+rho is monotone on every piece, and :func:`_crossings` finds each level
+crossing as a root of rho - level with the slope xi_b.  Boundary arrival
+is the crossing of rho = 0 on the arrival step, past its turning point.
 
 Hyperbolic arclength is not part of the integrated state, so it does not
 take part in step-size control, and a trace computes it only when it is
@@ -58,7 +65,7 @@ integration step.  A step or arrival end that the projection moves by more
 than ``COSPHERE_SLACK`` of its covector was not resolved, although the
 error estimate passed it: the trace retakes such a step at a tenth of its
 size, and fails rather than go on from it after ``COSPHERE_RETAKES``
-retakes or from such an arrival end.
+retakes, or at once from such an arrival step or arrival end.
 """
 
 from __future__ import annotations
@@ -72,7 +79,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _dop853_tableau as _dop
-from ._brent import brentq
 from .metric import BoundaryMetricFamily
 from .quadrature import composite_gauss, panel_gauss, smoothstep
 
@@ -90,12 +96,16 @@ RHO_GATE_LO = 0.005
 RHO_GATE_HI = 0.01
 ARC_NODES = 12       # Gauss nodes per arclength panel
 QUAD_PANELS = 4      # sub-panels per step in quad_nodes
-_ARC_GRID = np.linspace(0.0, 1.0, 9)   # per-step rho samples for crossings
 RHO_CEILING = 1.0e7
 MAX_STEPS = 250_000
 COSPHERE_SLACK = 0.1  # largest relative move of the projection after a step
 COSPHERE_RETAKES = 3  # retakes of a step that leaves the cosphere
 RETAKE_FACTOR = 0.1   # step size of each such retake, relative to the last
+# Newton stops where its next step would be below this fraction of its
+# bracket; a point still moving after _NEWTON_MAX steps keeps its last
+# iterate
+_NEWTON_DONE = 3e-14
+_NEWTON_MAX = 16
 
 
 class FlowError(RuntimeError):
@@ -323,13 +333,29 @@ _STAGE = [(_dop.A[s, :s], float(_dop.C[s])) for s in range(_N_EXTENDED)]
 
 class _Step(NamedTuple):
     """Dense output of one accepted step on [t_old, t]: the state at
-    t_old + x h is ``_horner(F, y_old, x)`` with h = t - t_old."""
+    t_old + x h is ``_horner(F, y_old, x)`` with h = t - t_old.  The root
+    finders read it as a :class:`_Solution` of this step alone: ``ts`` and
+    ``ys`` are its two ends (the end on its dense output), and
+    :meth:`batch` reads it as ``_Solution.batch`` does, bit for bit."""
 
     t_old: float
     t: float
     h: float
     y_old: np.ndarray    # (dim,)
     F: np.ndarray        # (7, dim)
+
+    @property
+    def ts(self) -> np.ndarray:
+        return np.array([self.t_old, self.t])
+
+    @property
+    def ys(self) -> np.ndarray:
+        return np.array((self.y_old, self.y_old + self.F[0]))
+
+    def batch(self, ts) -> np.ndarray:
+        """States at many t, shape (len(ts), dim)."""
+        x = (np.asarray(ts, dtype=float).ravel() - self.t_old) / self.h
+        return _horner(self.F, self.y_old, x[:, None])
 
 
 def _horner(F, y_old, x):
@@ -365,20 +391,6 @@ class _Rows:
     def __getitem__(self, k):
         # take gathers thousands of rows in under half the time of F[k, i]
         return self.F[k].take(self.i, axis=0)
-
-
-def _step_rho(st: _Step, taus):
-    """rho on the dense output of one step, at a float or an array of taus."""
-    x = (np.asarray(taus) - st.t_old) / st.h
-    return _horner(st.F[:, 0], st.y_old[0], x)
-
-
-def _step_root(st: _Step, k: int, lo: float, hi: float) -> float:
-    """Brent root in [lo, hi] of state component k on a step's dense output,
-    to xtol 1e-14 or, on brackets under 8e-14 (|eta| > 1e13), an eighth."""
-    f, y0 = st.F[:, k], st.y_old[k]
-    return brentq(lambda t: float(_horner(f, y0, (t - st.t_old) / st.h)),
-                  lo, hi, xtol=min(1e-14, (hi - lo) / 8), rtol=8.9e-16)
 
 
 def _norm2(x: np.ndarray):
@@ -558,8 +570,7 @@ class _Solution:
         """States at many t, shape (len(ts), dim)."""
         ts = np.asarray(ts, dtype=float).ravel()
         starts, t_old, h, y_old, F = self._rows
-        i = np.clip(np.searchsorted(starts, self._sign * ts) - 1,
-                    0, h.size - 1)
+        i = np.maximum(np.searchsorted(starts, self._sign * ts), 1) - 1
         return _horner(_Rows(F, i), y_old[i],
                        ((ts - t_old[i]) / h[i])[:, None])
 
@@ -582,49 +593,108 @@ def _integrate(fun: Callable, t0: float, y0, t_bound: float, rtol: float,
 
 
 # ---------------------------------------------------------------------------
+# roots and level crossings
+
+
+def _newton(step: Callable, x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """Roots by Newton's method from the starts x, each clipped to its [lo,
+    hi]; ``step(x, i)`` gives -f/f' at the points x of the indices i, all
+    those not yet done in one call.
+
+    A point stops once its step d predicts a next step d**2 / d_prev (d_prev
+    the step before, the bracket hi - lo at first) below ``_NEWTON_DONE``
+    of its bracket.  That estimate holds at a quadratic rate and at a linear
+    one, as where the slope is not the exact derivative (xi_b for rho on a
+    dense output), so a point stops as soon as its next step would not
+    matter.  It reads only the point's own steps: a root does not depend on
+    the other points in its batch."""
+    x = np.array(x, dtype=float)
+    todo = np.arange(x.size)
+    small = _NEWTON_DONE * (hi - lo)
+    last = hi - lo
+    for _ in range(_NEWTON_MAX):
+        if not todo.size:
+            break
+        at = x[todo]
+        new = np.minimum(np.maximum(at + step(at, todo), lo[todo]), hi[todo])
+        d = np.abs(new - at)
+        done = d * d <= small[todo] * last[todo]
+        x[todo], last[todo] = new, d
+        todo = todo[~done]
+    return x
+
+
+def _turning_points(sol, rhs: Callable, k: int):
+    """Taus of the turning points of rho on the forward steps of ``sol`` (a
+    :class:`_Solution` or one :class:`_Step`), ascending, and rho there: on
+    each step whose end states differ in the sign of xi_b (state component
+    k), its root by :func:`_newton` with the slope dxi_b/dtau of the flow's
+    right-hand side ``rhs`` at the dense state, from the chord."""
+    xi = sol.ys[:, k]
+    i = np.flatnonzero((xi[:-1] > 0.0) != (xi[1:] > 0.0))
+    if not i.size:
+        return np.empty(0), np.empty(0)
+    a, b = sol.ts[i], sol.ts[i + 1]
+
+    def step(tau, j):
+        x = sol.batch(tau)
+        return -x[:, k] / np.array([rhs(0.0, s)[k] for s in x[:, :2 * k]])
+
+    tau = _newton(step, a + (b - a) * xi[i] / (xi[i] - xi[i + 1]), a, b)
+    return tau, sol.batch(tau)[:, 0]
+
+
+def _crossings(sol, levels, k: int = 2, turns=None):
+    """The levels rho crosses on the steps of ``sol`` (a :class:`_Solution`
+    or one :class:`_Step`), and the tau of each crossing, level by level
+    and in the run's order: a root of rho - level on a piece whose ends
+    straddle it, by :func:`_newton` with the slope xi_b (state component k),
+    from the chord.  The pieces are the steps, cut at the turning points
+    ``turns`` of a forward run (taus and rho, from :func:`_turning_points`)
+    when given.  Their ends find every crossing where rho is monotone on
+    each piece, as it is between turning points."""
+    ts, rho = sol.ts, sol.ys[:, 0]
+    if turns is not None and turns[0].size:
+        j = np.searchsorted(ts, turns[0])
+        ts, rho = np.insert(ts, j, turns[0]), np.insert(rho, j, turns[1])
+    levels = np.asarray(levels, dtype=float)
+    d = rho - levels[:, None]
+    m, i = np.nonzero(d[:, :-1] * d[:, 1:] <= 0.0)
+    d0, d1, a, b = d[m, i], d[m, i + 1], ts[i], ts[i + 1]
+
+    def step(tau, j):
+        x = sol.batch(tau)
+        return (levels[m[j]] - x[:, 0]) / x[:, k]
+
+    return levels[m], _newton(step, a + (b - a) * d0 / (d0 - d1),
+                              np.minimum(a, b), np.maximum(a, b))
+
+
+# ---------------------------------------------------------------------------
 # arclength quadrature
 
 
-def _level_crossings(taus: np.ndarray, rho: np.ndarray, levels) -> np.ndarray:
-    """Sorted taus where sampled rho crosses one of the levels.
+def _arc_panels(sol, turns, k: int):
+    """Gated arclength of the forward steps of ``sol`` (a :class:`_Solution`
+    or one :class:`_Step`), panel by panel.
 
-    ``taus`` and ``rho`` have shape (rows, m), each row the samples of one
-    step; crossings between consecutive samples of a row are located by
-    linear interpolation.
+    ``turns`` are its turning points and k the state component of xi_b
+    (:func:`_turning_points`).  Panel edges sit at the step ends and where
+    rho crosses a gate edge or a level of the doubling ladder
+    ``RHO_GATE_HI * 2**j`` (:func:`_crossings`): the C2 corners of the gate
+    thus lie on panel edges, and 1/rho changes by at most a factor two
+    across a panel, which keeps the pole of 1/rho far outside each Gauss
+    rule.  Returns (right panel edges, arclength of each panel).
     """
-    d = rho - np.asarray(levels, dtype=float)[:, None, None]
-    k, r, i = np.nonzero(d[..., :-1] * d[..., 1:] < 0.0)
-    d0, d1 = d[k, r, i], d[k, r, i + 1]
-    t0, t1 = taus[r, i], taus[r, i + 1]
-    return np.sort(t0 + (t1 - t0) * d0 / (d0 - d1))
-
-
-def _rho_samples(st: _Step):
-    """rho at the ``_ARC_GRID`` points of one step: (taus, rho)."""
-    grid = st.t_old + st.h * _ARC_GRID
-    return grid, _step_rho(st, grid)
-
-
-def _arc_panels(st: _Step, grid, rho):
-    """Gated arclength of one step, integrated panel by panel.
-
-    ``grid`` and ``rho`` are the step's :func:`_rho_samples`.  Panel edges
-    sit where rho crosses a gate edge or a level of the doubling ladder
-    ``RHO_GATE_HI * 2**k``: the C2 corners of the gate thus lie on panel
-    edges, and 1/rho changes by at most about a factor two across a panel,
-    which keeps the pole of 1/rho far outside each Gauss rule.  Returns
-    (right panel edges, arclength of each panel).
-    """
-    t_lo, t_hi = st.t_old, st.t
-    top = float(np.max(rho))
-    if top <= RHO_GATE_LO:
-        return np.array([t_hi]), np.zeros(1)
-    n_up = max(0, math.ceil(math.log2(top / RHO_GATE_HI)))
+    top = float(np.max(np.append(sol.ys[:, 0], turns[1])))
+    n_up = math.ceil(math.log2(top / RHO_GATE_HI)) if top > RHO_GATE_HI \
+        else 0
     levels = np.append(RHO_GATE_LO, RHO_GATE_HI * 2.0 ** np.arange(n_up))
-    cuts = _level_crossings(grid[None], rho[None], levels)
-    edges = np.concatenate(([t_lo], cuts, [t_hi]))
+    edges = np.sort(np.concatenate(
+        (sol.ts, _crossings(sol, levels, k, turns)[1])))
     nodes, w = panel_gauss(edges[:-1], edges[1:], ARC_NODES)
-    vals = _gate_over_rho(_step_rho(st, nodes.ravel())).reshape(nodes.shape)
+    vals = _gate_over_rho(sol.batch(nodes.ravel())[:, 0]).reshape(nodes.shape)
     return edges[1:], np.sum(w * vals, axis=1)
 
 
@@ -679,9 +749,9 @@ class TraceStats:
     the check that stopped a failed trace: "t_max", "collar", "step_limit",
     "integrator", "cosphere" (a step still left the unit cosphere by more
     than ``COSPHERE_SLACK`` after ``COSPHERE_RETAKES`` retakes, or the
-    arrival end did) or "half_space" (the
-    arrival search found no rho > 0 on an overshooting step); it is None
-    for a trace that arrived.
+    arrival step or its end did) or "half_space" (on the step where rho
+    falls to 0, rho is <= 0 at the start and at the turning point too); it
+    is None for a trace that arrived.
     """
 
     n_accepted: int
@@ -705,9 +775,11 @@ class GeodesicTrajectory:
     :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected) and
     :meth:`eval_many` (a batch of taus) read the solution's dense output.
     The gated hyperbolic arclength from tau = 0 is :meth:`arclength_at`;
-    ``t_acc`` is its value at tau_plus.  A trace that never reads the
-    arclength panels or per-step rho samples, e.g. one whose transforms cut
-    at no rho level, never builds them.
+    ``t_acc`` is its value at tau_plus.  The turning points of rho, which
+    :meth:`rho_peak`, the arclength panels and the ``rho_breaks`` cuts of
+    :meth:`quad_nodes` read, and the panels themselves are built on first
+    read: a trace whose transforms cut at no rho level and whose arclength
+    is never read builds neither.
     """
 
     def __init__(self, fam, sol: _Solution, end: BPhasePoint, stats,
@@ -728,19 +800,17 @@ class GeodesicTrajectory:
                 for st in self._sol.steps] + [(self.tau_plus, self.end)]
 
     @cached_property
-    def _rho_table(self):
-        """rho sampled at the _ARC_GRID points of each step, and those taus,
-        both of shape (steps, len(_ARC_GRID))."""
-        taus, rho = zip(*map(_rho_samples, self._sol.steps))
-        return np.array(taus), np.array(rho)
+    def _turns(self):
+        """Taus and rho of the trajectory's turning points, ascending
+        (:func:`_turning_points`)."""
+        return _turning_points(self._sol, _make_rhs(self.family), 1 + self.n)
 
     @cached_property
     def _arc_table(self):
         """Right edges of every arclength panel, and the arclength
         accumulated up to each edge."""
-        taus, rho = self._rho_table
-        edges, incr = zip(*map(_arc_panels, self._sol.steps, taus, rho))
-        return np.concatenate(edges), np.cumsum(np.concatenate(incr))
+        edges, incr = _arc_panels(self._sol, self._turns, 1 + self.n)
+        return edges, np.cumsum(incr)
 
     @property
     def t_acc(self) -> float:
@@ -779,7 +849,8 @@ class GeodesicTrajectory:
         cuts = np.append(b_[:-1, None] + np.diff(b_)[:, None]
                          * (np.arange(QUAD_PANELS) / QUAD_PANELS), b_[-1])
         if len(rho_breaks):
-            cross = _level_crossings(*self._rho_table, rho_breaks)
+            cross = _crossings(self._sol, rho_breaks, 1 + self.n,
+                               self._turns)[1]
             cuts = np.sort(np.concatenate((cuts, cross)))
         return composite_gauss(cuts, a, b, npts)
 
@@ -805,17 +876,13 @@ class GeodesicTrajectory:
         return out.reshape(taus.shape) if taus.ndim else float(out[0])
 
     def rho_peak(self):
-        """(tau, rho) where rho peaks: the Brent root of xi_b = drho/dtau on
-        the one step where xi_b changes sign, or the first step start with
-        xi_b <= 0 (the start itself when rho only falls).  The arrival step
-        ends with xi_b < 0."""
-        k = 1 + self.n
-        for st in self._sol.steps:
-            if st.y_old[k] <= 0.0:
-                return st.t_old, float(st.y_old[0])
-            if _horner(st.F[:, k], st.y_old[k], 1.0) < 0.0:
-                tau = _step_root(st, k, st.t_old, st.t)
-                return tau, float(_step_rho(st, tau))
+        """(tau, rho) where rho peaks: the first turning point, or the start
+        when xi_b <= 0 there (rho only falls from it)."""
+        start = self._sol.steps[0]
+        if start.y_old[1 + self.n] <= 0.0:
+            return start.t_old, float(start.y_old[0])
+        tau, rho = self._turns
+        return float(tau[0]), float(rho[0])
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +915,10 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     covector was not resolved, although the step controller passed it: it
     is retaken from its start at ``RETAKE_FACTOR`` of its size, counted as
     a rejection, up to ``COSPHERE_RETAKES`` times in a row before the trace
-    raises :class:`FlowError`; an arrival end that leaves the cosphere
-    raises at once.  Every :class:`FlowError` raised here carries
+    raises :class:`FlowError`.  The arrival step, whose dense output the
+    arrival is found on, is not retaken: when its end, or the end of its
+    retake to the arrival time, leaves the cosphere, the trace raises at
+    once.  Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  One
     :class:`_Dop853` runs the whole trace: at arrival it is rewound to the
     start of the arrival step and retakes it to the located arrival time,
@@ -913,19 +982,27 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         steps.append(st)
         rho_new = solver.y[0]
 
+        if rho_new >= rho_limit:
+            raise fail(CollarExitError(
+                f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
+                "collar")
+        proj, vals, jump, resolved = project(solver.y)
+        if not resolved:
+            if retakes == COSPHERE_RETAKES or rho_new <= 0.0:
+                raise off_cosphere(jump, solver.t)
+            retakes += 1
+            steps.pop()
+            solver.retake(RETAKE_FACTOR)
+            continue
+        retakes = 0
         if rho_new <= 0.0:
-            lo = t_lo
-            if rho_prev <= 0.0:
-                # overshoot of a whole arc within one step: bracket the
-                # decreasing part from the interior maximum of rho
-                grid = np.linspace(t_lo, t_hi, 65)
-                rg = _step_rho(st, grid)
-                imax = int(np.argmax(rg))
-                if rg[imax] <= 0.0:
-                    raise fail(FlowError(
-                        "trajectory left the rho > 0 half-space"), "half_space")
-                lo = float(grid[imax])
-            tau_star = _step_root(st, 0, lo, t_hi)
+            # rho = 0 past the step's turning point, if it has one: the
+            # first step from the boundary may overshoot the whole arc
+            turns = _turning_points(st, rhs, 1 + n)
+            if max([st.y_old[0], *turns[1].tolist()]) <= 0.0:
+                raise fail(FlowError(
+                    "trajectory left the rho > 0 half-space"), "half_space")
+            tau_star = float(_crossings(st, [0.0], 1 + n, turns)[1][-1])
             end = st.y_old
             if tau_star > t_lo:
                 # retake the arrival step exactly to tau_star: the dense
@@ -946,8 +1023,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 tau_star = solver.t
                 end = solver.y
             if abs(end[1 + n]) > 1e-8:
-                # one Newton polish using drho/dtau = xi_b; the arclength
-                # panels of this step end at st.t, not at the polished time
+                # one Newton polish using drho/dtau = xi_b
                 tau_star -= float(end[0] / end[1 + n])
                 end = _horner(st.F, st.y_old, (tau_star - st.t_old) / st.h)
             vec, _, jump, resolved = project(end)
@@ -962,24 +1038,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                    if s0.size > m else None)
             return GeodesicTrajectory(fam, sol, out, stats(), tan)
 
-        if rho_new >= rho_limit:
-            raise fail(CollarExitError(
-                f"rho reached the domain edge {rho_limit:.6g} at tau={solver.t:.6g}"),
-                "collar")
-        proj, vals, jump, resolved = project(solver.y)
-        if not resolved:
-            if retakes == COSPHERE_RETAKES:
-                raise off_cosphere(jump, solver.t)
-            retakes += 1
-            steps.pop()
-            solver.retake(RETAKE_FACTOR)
-            continue
-        retakes = 0
         bound += _arc_bound(rho_prev, rho_new, t_hi - t_lo)
         if bound > t_max:
             for done in steps[n_exact:]:
-                t_acc += float(np.sum(
-                    _arc_panels(done, *_rho_samples(done))[1]))
+                t_acc += float(np.sum(_arc_panels(
+                    done, _turning_points(done, rhs, 1 + n), 1 + n)[1]))
             n_exact = len(steps)
             if t_acc > t_max:
                 raise fail(TrappedOrSlowError(

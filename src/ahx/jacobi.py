@@ -13,7 +13,8 @@ crosses a level of the family's ``breaks``, where the flow is not smooth.
 The run carries w = |t| + log rho, and a read at a given t finds its tau
 by Newton's method on rho = e^{w - |t|} and takes rho from w, so rho keeps
 its relative precision as it falls.  Every root of the layer is found by
-:func:`_newton`, with one read per iteration for all its brackets.
+the flow's batched Newton's method (:func:`ahx.flow._newton`), with one
+read per iteration for all its brackets.
 
 The Jacobi equation ydd + K y = 0 is tabulated once along the orbit.  Its
 grid has an edge at each step start of the run, and so at each break
@@ -35,13 +36,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .metric import BoundaryMetricFamily, gauss_curvature
-from .flow import (DEFAULT_TOL, FlowError, GeodesicTrajectory, _integrate,
-                   _make_rhs, _Solution, trace_geodesic)
+from .flow import (DEFAULT_TOL, FlowError, GeodesicTrajectory, _crossings,
+                   _integrate, _make_rhs, _newton, _Solution, trace_geodesic)
 
 __all__ = [
     "JacobiSystem", "jacobi_system", "jacobi_solve",
@@ -66,10 +67,6 @@ PIECES = 8
 # 0.06 and 0.05 e^{|t|/7} left 4.5e-12, 9.4e-13 and 3.7e-13
 _PIECE = 0.05
 _PIECE_GROWTH = 7.0
-# Newton stops after a step below this: the iteration converges
-# quadratically, so the next step would be below about 1e-16
-_NEWTON_DONE = 1e-8
-_NEWTON_MAX = 10
 # the 3 Gauss-Legendre nodes on [0, 1], 1/2 -+ sqrt(15)/10, and sqrt(15)/3
 _GAUSS = (0.1127016653792583, 0.5, 0.8872983346207417)
 _SQRT15_3 = 1.2909944487358056
@@ -123,43 +120,6 @@ def _transfer(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     sh = np.divide(np.where(grow, np.sinh(w), np.sin(w)), w,
                    out=np.ones_like(w), where=w > 0.0)
     return np.stack((ch + sh * p, sh * q, sh * r, ch - sh * p), axis=1)
-
-
-def _newton(step: Callable, x: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-    """Roots by Newton's method from the starts x, each clipped to its [lo,
-    hi]; ``step(x, i)`` gives -f/f' at the points x of the indices i, all
-    those not yet done in one call.  A point stops after its own step falls
-    below ``_NEWTON_DONE``, so its root does not depend on the others."""
-    x = np.array(x, dtype=float)
-    todo = np.arange(x.size)
-    for _ in range(_NEWTON_MAX):
-        if not todo.size:
-            break
-        new = np.clip(x[todo] + step(x[todo], todo), lo[todo], hi[todo])
-        done = np.abs(new - x[todo]) <= _NEWTON_DONE
-        x[todo] = new
-        todo = todo[~done]
-    return x
-
-
-def _crossings(sol: _Solution, levels) -> Tuple[np.ndarray, np.ndarray]:
-    """The levels rho crosses on the steps of ``sol``, and the tau of each
-    crossing: a root of rho - level on a step whose ends straddle it, by
-    :func:`_newton` with the slope xi_b, from the chord.  The step ends
-    find every crossing where rho is monotone across a step, as it is on
-    each side of a geodesic that turns once."""
-    levels = np.asarray(levels, dtype=float)
-    d = sol.ys[:, 0] - levels[:, None]
-    k, i = np.nonzero(d[:, :-1] * d[:, 1:] <= 0.0)
-    d0, d1, a, b = d[k, i], d[k, i + 1], sol.ts[i], sol.ts[i + 1]
-
-    def step(tau, j):
-        x = sol.batch(tau)
-        return (levels[k[j]] - x[:, 0]) / x[:, 2]
-
-    return levels[k], _newton(step, a + (b - a) * d0 / (d0 - d1),
-                              np.minimum(a, b), np.maximum(a, b))
 
 
 class _Side:

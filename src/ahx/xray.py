@@ -17,7 +17,10 @@ converges whenever the declared weight satisfies w >= 1 - m.
 Also here: the symmetrized covariant derivative and its gauge-reduction
 inverse near the boundary, invariant-measure quadrature comparing interior
 and boundary pictures of the transform, and the zero-energy resolvents of
-the rescaled generator.
+the rescaled generator.  The boundary quadrature cuts its eta panels where
+geodesics graze the edges of a support; :func:`grazing_eta` reads that
+|eta| in closed form from the turning condition at frozen y, with no root
+search.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._brent import brentq
 from .flow import (DEFAULT_TOL, BoundaryCovector, BPhasePoint,
                    GeodesicTrajectory, flip_state, trace_from_state,
                    trace_geodesic)
@@ -325,22 +327,21 @@ class SantaloResult:
 def grazing_eta(fam: BoundaryMetricFamily, rho_lo: float) -> float:
     """Largest |eta| whose geodesic turning point still reaches depth rho_lo.
 
-    Raises ValueError when no |eta| in [1e-3, 1e3] brackets that depth.
+    With y frozen at one of 16 boundary positions, a geodesic of covector
+    eta turns where rho |eta| = sqrt(h(rho, y)), so it reaches rho_lo for
+    |eta| up to sqrt(h(rho_lo, y)) / rho_lo; the result is the largest of
+    these over the 16 y.  Raises ValueError when rho_lo is not in (0,
+    min(0.999 rho_max, 1e3)], or when no |eta| in [1e-3, 1e3] reaches that
+    depth.
     """
-    hi = min(fam.rho_max * 0.999, 1e3)
+    if not 0.0 < rho_lo <= min(fam.rho_max * 0.999, 1e3):
+        raise ValueError(f"depth {rho_lo} is outside the collar")
     h_of = fam.profiles[0]
-
-    def graze(eta):
-        # deepest turning point over boundary positions, minus the target
-        best = -1e9
-        for yv in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            def fn(rr):
-                return rr * abs(eta) - math.sqrt(h_of(rr, yv)[0])
-            r = hi if fn(hi) <= 0.0 else brentq(fn, 1e-12, hi)
-            best = max(best, r - rho_lo)
-        return best
-
-    return brentq(graze, 1e-3, 1e3)
+    eta = max(math.sqrt(h_of(rho_lo, yv)[0]) for yv in
+              np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)) / rho_lo
+    if not 1e-3 <= eta <= 1e3:
+        raise ValueError(f"no |eta| in [1e-3, 1e3] reaches depth {rho_lo}")
+    return eta
 
 
 def _boundary_quad_grid(fam, rho_supp, eta_hi, ny, n_panel):

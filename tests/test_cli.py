@@ -107,6 +107,29 @@ def test_trace_floats_round_trip_exactly(tmp_path, halfplane):
         assert float(rows[k]["xi_b"]) == state.xi_b
 
 
+def test_trace_rows_are_state_at_bit_for_bit(tmp_path, perturbed):
+    # the rows come from one batched read of the dense output, each row
+    # projected onto the cosphere: the same doubles as state_at one tau at
+    # a time
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "perturbed",
+                   "params": {"a_cos": [0.0, 0.1], "b_cos": [0.02],
+                              "b_sin": [0.0, 0.03]}},
+        "z": {"y": 1.0, "eta": 3.0},
+        "samples": 200,
+    })
+    assert run("trace", cfg, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "trace.csv")
+    traj = trace_geodesic(perturbed, (1.0, 3.0), tol=DEFAULT_TOL,
+                          t_max=DEFAULT_T_MAX)
+    taus = np.linspace(0.0, traj.tau_plus, 200)
+    assert len(rows) == 200
+    for tau, row in zip(taus.tolist(), rows):
+        p = traj.state_at(tau)
+        assert [float(row[k]) for k in ("tau", "rho", "y0", "xi_b", "eta0")] \
+            == [tau, p.rho, float(p.y[0]), p.xi_b, float(p.eta[0])]
+
+
 # ---------------------------------------------------------------------------
 # scatter
 

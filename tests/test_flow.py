@@ -323,7 +323,6 @@ def _lockstep(fam, ours, ref):
         want = dense(taus).T
         x = (taus - st.t_old) / st.h
         assert _same_bits(flow._horner(st.F, st.y_old, x[:, None]), want)
-        assert _same_bits(flow._step_rho(st, taus), want[:, 0])
         for xi, row in zip(x.tolist(), want):
             assert _same_bits([flow._horner(f, y0, xi) for f, y0
                                in zip(st.F.T.tolist(), st.y_old.tolist())],
@@ -460,6 +459,13 @@ def test_stepper_keeps_scipy_tolerance_checks(disc, tol):
 # failure modes
 
 
+def _step_arclength(fam, st):
+    """Exact gated arclength of one step alone, as the t_max guard sums
+    it."""
+    turns = flow._turning_points(st, flow._make_rhs(fam), 1 + fam.n)
+    return float(np.sum(flow._arc_panels(st, turns, 1 + fam.n)[1]))
+
+
 def test_slow_geodesic_reports_trapping(halfplane):
     with pytest.raises(TrappedOrSlowError):
         trace_geodesic(halfplane, (0.0, 0.01), t_max=5.0)
@@ -480,8 +486,7 @@ def test_t_max_guard_fires_on_the_step_the_arclength_passes_it(halfplane):
     # the guard sums the exact arclength step by step
     running = 0.0
     for st in traj._sol.steps[:i]:
-        running += float(np.sum(
-            flow._arc_panels(st, *flow._rho_samples(st))[1]))
+        running += _step_arclength(halfplane, st)
     assert running == exc.t_acc
 
 
@@ -491,12 +496,32 @@ def test_step_bound_exceeds_exact_arclength(disc, halfplane, tol):
     assert np.max(flow._gate_over_rho(grid)) <= flow._GATE_SUP
     for fam, eta in ((disc, 0.05), (disc, 1.3), (halfplane, -0.4)):
         traj = trace_geodesic(fam, (0.2, eta), tol=tol)
-        exact = [flow._arc_panels(st, *flow._rho_samples(st))
-                 for st in traj._sol.steps]
+        exact = [_step_arclength(fam, st) for st in traj._sol.steps]
         # every step but the retaken arrival step, which the guard skips
-        for (t0, p0), (t1, p1), (_, incr) in zip(traj.samples[:-2],
-                                                 traj.samples[1:-1], exact):
-            assert flow._arc_bound(p0.rho, p1.rho, t1 - t0) > np.sum(incr)
+        for (t0, p0), (t1, p1), incr in zip(traj.samples[:-2],
+                                            traj.samples[1:-1], exact):
+            assert flow._arc_bound(p0.rho, p1.rho, t1 - t0) > incr
+
+
+def test_quad_nodes_cut_where_the_apex_barely_passes_a_break(disc,
+                                                            monkeypatch):
+    # rho peaks 5e-6 above the break 0.6, so both crossings of 0.6 lie
+    # near the apex, where rho is nearly flat; cut at the turning point,
+    # rho is monotone on each piece, and two pieces straddle 0.6
+    traj = trace_geodesic(disc, (0.3, 0.99999 * 0.91 / 0.6))
+    assert traj.rho_peak()[1] - 0.6 == pytest.approx(5e-6, rel=0.01)
+    rules = []
+    gauss = flow.composite_gauss
+
+    def recorded(cuts, a, b, n):
+        rules.append(np.asarray(cuts))
+        return gauss(cuts, a, b, n)
+
+    monkeypatch.setattr(flow, "composite_gauss", recorded)
+    traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=(0.1, 0.6))
+    rho = traj.eval_many(rules[0])[:, 0]
+    for level in (0.1, 0.6):
+        assert np.sum(np.abs(rho - level) < 1e-12) == 2
 
 
 def test_arclength_is_built_only_when_read(disc):
@@ -504,17 +529,17 @@ def test_arclength_is_built_only_when_read(disc):
     field = SymmetricTensorField(rank=0, weight=1,
                                  components=lambda rho, y: rho * np.exp(-rho))
     xray_transform(field, traj)
-    assert "_rho_table" not in vars(traj) and "_arc_table" not in vars(traj)
+    assert "_turns" not in vars(traj) and "_arc_table" not in vars(traj)
     xray_transform(SymmetricTensorField(rank=0, weight=1,
                                         components=field.components,
                                         breaks=(0.2,)), traj)
-    assert "_rho_table" in vars(traj)
-    assert len(traj._rho_table[0]) == len(traj._sol.steps)
+    # the cuts at rho = 0.2 read the turning points: a disc geodesic has one
+    assert "_turns" in vars(traj) and traj._turns[0].size == 1
     assert "_arc_table" not in vars(traj)
     assert traj.t_acc > 0.0
-    # panels end at every step's end
+    # panels end at every step's end, the arrival time last
     edges = traj._arc_table[0]
-    assert np.isin([st.t for st in traj._sol.steps], edges).all()
+    assert np.isin(traj._sol.ts[1:], edges).all()
 
 
 def test_guard_panels_leave_the_trace_unchanged(disc):
@@ -526,7 +551,7 @@ def test_guard_panels_leave_the_trace_unchanged(disc):
     ends = traj.samples[:-1]    # the guard runs on every step but the last
     bound = sum(flow._arc_bound(p0.rho, p1.rho, t1 - t0)
                 for (t0, p0), (t1, p1) in zip(ends, ends[1:]))
-    exact = sum(float(np.sum(flow._arc_panels(st, *flow._rho_samples(st))[1]))
+    exact = sum(_step_arclength(disc, st)
                 for st in traj._sol.steps[:len(ends) - 1])
     assert exact < t_max < bound
     # the guard skips the arrival step, past which t_acc exceeds t_max
