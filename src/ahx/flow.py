@@ -52,9 +52,9 @@ eta_in) of its state, which the flow's one right-hand side
 (:func:`_make_rhs`) integrates with it through the variational equation
 (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), whose Jacobian the
 profiles give in closed form.  One such trace gives
-:func:`scattering_jacobian`, and one gives each Newton step of the
-boundary-distance shooting in :mod:`ahx.renorm`; neither differences
-traces.
+:func:`scattering_jacobian`, and one that carries the n columns
+d/d(eta_in) alone gives each Newton step of the boundary-distance shooting
+in :mod:`ahx.renorm`; neither differences traces.
 
 The tolerance is the stepper's ``rtol = atol`` on [rho, y, xi_b, eta]; it
 does not cover the arclength.  The dense output between steps is an
@@ -63,9 +63,12 @@ to the start of the arrival step and retakes it exactly to the located
 arrival time, and the outgoing covector carries the accuracy of an
 integration step.  A step or arrival end that the projection moves by more
 than ``COSPHERE_SLACK`` of its covector was not resolved, although the
-error estimate passed it: the trace retakes such a step at a tenth of its
-size, and fails rather than go on from it after ``COSPHERE_RETAKES``
-retakes, or at once from such an arrival step or arrival end.
+error estimate passed it: the trace retakes such a step, the arrival step
+included, at a tenth of its size, and fails rather than go on from it after
+``COSPHERE_RETAKES`` retakes, or at once from such an arrival end.
+The collar guard checks rho at each step end and, on a step whose bound
+on rho could reach the edge, at its turning point too, so an apex between
+step ends does not pass the edge unseen.
 """
 
 from __future__ import annotations
@@ -742,14 +745,19 @@ class TraceStats:
     rejected, the arrival step and its exact retake both included, a step
     retaken because it left the cosphere counted as rejected, and its
     right-hand-side calls (``nfev``), to which :func:`_drive` adds the slope
-    it refreshes after each projection that moves the state.
+    it refreshes after each projection that moves the state and the calls
+    of its turning-point searches on the arrival step and for the collar
+    guard's apex check (those of the ``t_max`` guard's panels are not
+    counted).
     ``max_constraint_drift`` is the largest |proj - y| that the cosphere
     projection removed from the state after an accepted step or from the
     arrival end state.  ``guard`` names
-    the check that stopped a failed trace: "t_max", "collar", "step_limit",
-    "integrator", "cosphere" (a step still left the unit cosphere by more
-    than ``COSPHERE_SLACK`` after ``COSPHERE_RETAKES`` retakes, or the
-    arrival step or its end did) or "half_space" (on the step where rho
+    the check that stopped a failed trace: "t_max", "collar" (rho reached
+    the family's domain edge at a step end or at a turning point between
+    step ends), "step_limit", "integrator", "cosphere" (a step still left
+    the unit cosphere by more than ``COSPHERE_SLACK`` after
+    ``COSPHERE_RETAKES`` retakes, or the end of the arrival retake did) or
+    "half_space" (on the step where rho
     falls to 0, rho is <= 0 at the start and at the turning point too); it
     is None for a trace that arrived.
     """
@@ -770,7 +778,8 @@ class GeodesicTrajectory:
     the rest is derived, ``z_out`` at once and every table on first read.
     A trace made with its tangent (:func:`_trace_tangent`) holds the
     tangent columns after each state of its solution and the derivative
-    d(y_out, eta_out)/d(y_in, eta_in) as ``tangent``; for any other trace
+    d(y_out, eta_out)/d(y_in, eta_in), or d(y_out, eta_out)/d(eta_in)
+    alone, as ``tangent``; for any other trace
     ``tangent`` is None.
     :meth:`eval_raw` (one tau), :meth:`state_at` (one tau, projected) and
     :meth:`eval_many` (a batch of taus) read the solution's dense output.
@@ -910,15 +919,22 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     yet integrated is added to a running exact sum, which raises
     :class:`TrappedOrSlowError` above ``t_max``; a trace whose bound stays
     below ``t_max`` computes no panel.  The guard skips the arrival step:
-    a geodesic that arrives is not trapped.  An interior step whose end the
-    cosphere projection would move by more than ``COSPHERE_SLACK`` of its
-    covector was not resolved, although the step controller passed it: it
-    is retaken from its start at ``RETAKE_FACTOR`` of its size, counted as
-    a rejection, up to ``COSPHERE_RETAKES`` times in a row before the trace
-    raises :class:`FlowError`.  The arrival step, whose dense output the
-    arrival is found on, is not retaken: when its end, or the end of its
-    retake to the arrival time, leaves the cosphere, the trace raises at
-    once.  Every :class:`FlowError` raised here carries
+    a geodesic that arrives is not trapped.  A step whose end the cosphere
+    projection would move by more than ``COSPHERE_SLACK`` of its covector
+    was not resolved, although the step controller passed it: it is
+    retaken from its start at ``RETAKE_FACTOR`` of its size, counted as a
+    rejection, up to ``COSPHERE_RETAKES`` times in a row before the trace
+    raises :class:`FlowError`.  This holds for a step that reaches rho <= 0
+    too, before the arrival is searched on its dense output; only the end
+    of the retake to the arrival time raises at once when it leaves the
+    cosphere.  The collar guard raises :class:`CollarExitError` when rho
+    reaches ``rho_limit`` at a step end, or at the turning point of a
+    resolved step whose ends differ in the sign of xi_b
+    (:func:`_turning_points`), so an apex between step ends cannot pass
+    the edge unseen.  It searches for that turning point only where the
+    tent bound (rho_a + rho_b + ``_RHO_SLOPE`` h) / 2 of rho over the step
+    reaches the edge, and the search's RHS calls count in ``n_rhs``.
+    Every :class:`FlowError` raised here carries
     the trace's :class:`TraceStats` so far as ``stats``.  One
     :class:`_Dop853` runs the whole trace: at arrival it is rewound to the
     start of the arrival step and retakes it to the located arrival time,
@@ -962,6 +978,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         scale = max(map(abs, y[1 + n:m].tolist()))
         return proj, vals, jump, jump <= COSPHERE_SLACK * scale
 
+    def slope(tau, y):
+        """The RHS for the root finders, counted with the stepper's."""
+        solver.nfev += 1
+        return rhs(tau, y)
+
     def off_cosphere(jump, tau):
         nonlocal drift
         drift = max(drift, jump)
@@ -988,17 +1009,27 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                 "collar")
         proj, vals, jump, resolved = project(solver.y)
         if not resolved:
-            if retakes == COSPHERE_RETAKES or rho_new <= 0.0:
+            if retakes == COSPHERE_RETAKES:
                 raise off_cosphere(jump, solver.t)
             retakes += 1
             steps.pop()
             solver.retake(RETAKE_FACTOR)
             continue
         retakes = 0
+        turns = None
+        if rho_prev + rho_new + _RHO_SLOPE * (t_hi - t_lo) >= 2.0 * rho_limit:
+            # the tent bound of rho on the step reaches the edge: its apex,
+            # if it has one, may pass the edge between the step's ends
+            turns = _turning_points(st, slope, 1 + n)
+            if turns[1].size and turns[1].max() >= rho_limit:
+                raise fail(CollarExitError(
+                    f"rho reached the domain edge {rho_limit:.6g} at "
+                    f"tau={turns[0][0]:.6g}, between step ends"), "collar")
         if rho_new <= 0.0:
             # rho = 0 past the step's turning point, if it has one: the
             # first step from the boundary may overshoot the whole arc
-            turns = _turning_points(st, rhs, 1 + n)
+            if turns is None:
+                turns = _turning_points(st, slope, 1 + n)
             if max([st.y_old[0], *turns[1].tolist()]) <= 0.0:
                 raise fail(FlowError(
                     "trajectory left the rho > 0 half-space"), "half_space")
@@ -1083,17 +1114,20 @@ def trace_geodesic(fam: BoundaryMetricFamily, z, tol: float = DEFAULT_TOL,
     return _drive(fam, _start_state(fam, z), tol=tol, t_max=t_max)
 
 
-def _trace_tangent(fam: BoundaryMetricFamily, z,
-                   tol: float) -> GeodesicTrajectory:
+def _trace_tangent(fam: BoundaryMetricFamily, z, tol: float,
+                   eta_only: bool = False) -> GeodesicTrajectory:
     """:func:`trace_geodesic` with its tangent: the trace carries the 2n
     columns d/d(y_in, eta_in) of its state, and its ``tangent`` is the
     derivative d(y_out, eta_out)/d(y_in, eta_in) of the scattering map
-    (unwrapped), accurate to the tolerance.  The step control runs over the
-    columns too, so the trace takes other steps than a plain one."""
+    (unwrapped), accurate to the tolerance.  With ``eta_only`` it carries
+    the n columns d/d(eta_in) alone, and ``tangent`` is the 2n x n
+    d(y_out, eta_out)/d(eta_in).  The step control runs over the columns
+    too, so the trace takes other steps than a plain one."""
     s0 = _start_state(fam, z)
     n, m = fam.n, s0.size
-    cols = np.zeros((2 * n, m))
-    cols[np.arange(2 * n), np.r_[1:1 + n, 2 + n:m]] = 1.0
+    wrt = np.arange(2 + n, m) if eta_only else np.r_[1:1 + n, 2 + n:m]
+    cols = np.zeros((wrt.size, m))
+    cols[np.arange(wrt.size), wrt] = 1.0
     return _drive(fam, np.concatenate((s0, cols.ravel())), tol=tol,
                   t_max=DEFAULT_T_MAX)
 

@@ -15,6 +15,14 @@ Both use fixed rules (12 Gauss nodes per panel of
 Mellin integrals, ``DEFAULT_LAMBDA_GRID``) and want traces at tol <= 1e-12,
 the ``flow.DEFAULT_TOL`` of every length here; the limiting error is then
 the uncertainty of tau_plus entering the endpoint factors.
+
+The boundary distance (:func:`boundary_distance`) is the renormalized
+length of the geodesic that connects two boundary points, found by inexact
+Newton shooting on the incoming covector.  Its shots carry only the
+columns d/d(eta_in) and run at a tolerance that follows the miss they
+reduce, from ``_SHOOT_TOL_MAX`` down to ``SHOOT_TOL``; chord steps traced
+plain at ``DEFAULT_TOL`` finish it, and the first whose miss is within the
+endpoint tolerance is the trajectory whose length is reported.
 """
 
 from __future__ import annotations
@@ -181,8 +189,19 @@ def conformal_shift(traj: GeodesicTrajectory, omega: Callable) -> float:
 
 @dataclass(frozen=True)
 class BoundaryDistanceResult:
-    """``residual`` is the endpoint miss max |y_out - y_plus| (chart-wrapped)
-    of ``trajectory``, the connecting geodesic traced at ``DEFAULT_TOL``."""
+    """Result of :func:`boundary_distance`.
+
+    ``trajectory`` is the connecting geodesic: the plain trace at
+    ``DEFAULT_TOL`` whose endpoint miss passed the check against ``tol``
+    (or the trace at the snapped covector of the ``ETA_SNAP`` branch), and
+    ``residual`` is that miss, max |y_out - y_plus| (chart-wrapped).
+    ``value`` is the renormalized length of ``trajectory`` carried from
+    y_out to y_plus by its outgoing covector, the distance's gradient in
+    y_plus, so it is off by O(residual^2) rather than O(residual).
+    ``iterations`` counts the Newton steps (each one shot, or more when
+    its trial step is halved) and chord steps (each one plain trace) after
+    the first guess.
+    """
 
     value: float
     eta: np.ndarray
@@ -199,12 +218,20 @@ class BoundaryDistanceResult:
 # intermediate steps.
 ETA_SNAP = 1e-6
 ETA_FLOOR = 1e-8
-# Shooting traces run one order below the default endpoint tolerance
-# ENDPOINT_TOL of boundary_distance; only the converged geodesic, whose
-# length is reported, is traced again at DEFAULT_TOL.
+# Default endpoint tolerance of boundary_distance, and the tightest shooting
+# tolerance.  A Newton step from a miss r leaves a miss of order |r|^2, so a
+# shot needs no more accuracy than that: it runs at _SHOOT_GAIN |r|^2,
+# clipped to [SHOOT_TOL, _SHOOT_TOL_MAX] (inexact Newton; Dembo, Eisenstat
+# and Steihaug, SIAM J. Numer. Anal. 19 (1982)).  Once that reaches
+# SHOOT_TOL, chord steps with the last Jacobian are traced at DEFAULT_TOL;
+# one that shrinks the miss less than _CHORD_RATE-fold is followed by a
+# shot at SHOOT_TOL.
 ENDPOINT_TOL = 1e-9
 SHOOT_TOL = 1e-10
-# Newton iterations before shooting counts as stalled
+_SHOOT_TOL_MAX = 1e-4
+_SHOOT_GAIN = 0.1
+_CHORD_RATE = 0.1
+# Newton and chord steps before shooting counts as stalled
 MAX_SHOOT_ITER = 50
 
 
@@ -213,19 +240,28 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
                       ) -> BoundaryDistanceResult:
     """Renormalized distance between distinct boundary points by shooting.
 
-    Newton iteration on the incoming covector with step halving; each
-    shooting trace carries its tangent (:func:`ahx.flow._trace_tangent`),
-    so one trace gives both the endpoint miss and its Jacobian in eta.  The
-    first guess is the
+    Inexact Newton iteration on the incoming covector with step halving.
+    Each shot is a trace that carries the n tangent columns d/d(eta_in)
+    (:func:`ahx.flow._trace_tangent`), so one trace gives both the endpoint
+    miss r and its Jacobian in eta.  A shot runs at the tolerance
+    ``_SHOOT_GAIN`` |r|^2 of the miss r it reduces, clipped to
+    [``SHOOT_TOL``, ``_SHOOT_TOL_MAX``]; the first runs at
+    ``_SHOOT_TOL_MAX``.  Once that tolerance reaches ``SHOOT_TOL``, or the
+    miss is within ``tol``, the iteration takes chord steps with the last
+    Jacobian, each a plain trace at ``DEFAULT_TOL``.  The first of them
+    whose miss is within ``tol`` is the returned trajectory, and its
+    renormalized length, carried from its end to y_plus by its outgoing
+    covector, is the distance (:class:`BoundaryDistanceResult`); a chord step
+    that shrinks the miss less than ``_CHORD_RATE``-fold (or fails) is
+    followed by a shot at ``SHOOT_TOL``.  The first guess is the
     exact-hyperbolic covector 2 (h_0 dy) / |dy|^2_{h_0} for the separation
     vector dy.  A first guess whose trace raises :class:`FlowError` is
     doubled, up to eight times, since a larger |eta| is a shallower
-    geodesic; a trial step whose trace raises it is halved.
+    geodesic; a trial step of a shot whose trace raises it is halved.
     ``ShootingError`` is raised when every first guess fails, when all
-    eight trials of one iteration fail, or when ``MAX_SHOOT_ITER``
-    iterations do not converge.
-    Shooting traces run at ``SHOOT_TOL``; the converged geodesic is traced
-    again at ``DEFAULT_TOL`` for its length.
+    eight trials of one shot fail, or when ``MAX_SHOOT_ITER`` Newton and
+    chord steps do not converge.  ``iterations`` counts those steps, not
+    the first guess.
     """
     ym = np.atleast_1d(np.asarray(y_minus, dtype=float))
     yp = np.atleast_1d(np.asarray(y_plus, dtype=float))
@@ -248,16 +284,17 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
         """Endpoint miss of a traced geodesic from y_plus."""
         return fam.chart.wrapped_diff(traj.end.y, yp)
 
-    def shoot(e):
+    def shoot(e, shot_tol):
         """Endpoint miss of the geodesic entering at (ym, e), and its
         derivative in e."""
-        traj = _trace_tangent(fam, BoundaryCovector.make(ym, e), SHOOT_TOL)
-        return miss(traj), traj.tangent[:fam.n, fam.n:]
+        traj = _trace_tangent(fam, BoundaryCovector.make(ym, e), shot_tol,
+                              eta_only=True)
+        return miss(traj), traj.tangent[:fam.n]
 
     eta = clamp(eta)
     for _ in range(9):
         try:
-            r, J = shoot(eta)
+            r, J = shoot(eta, _SHOOT_TOL_MAX)
         except FlowError as exc:
             failed = exc
             eta = 2.0 * eta
@@ -266,7 +303,9 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
     else:
         raise ShootingError("no first guess reached the boundary") from failed
     it = 0
-    while np.max(np.abs(r)) > tol:
+    traj = None         # the DEFAULT_TOL trace at eta, after a chord step
+    refresh = False     # a chord step fell short: shoot at SHOOT_TOL next
+    while traj is None or np.max(np.abs(r)) > tol:
         it += 1
         if it > MAX_SHOOT_ITER:
             raise ShootingError(
@@ -282,12 +321,32 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             # distance by O(ETA_SNAP^2)
             d = eta_pred / nrm if nrm > 0 else dy / np.linalg.norm(dy)
             eta = ETA_SNAP * d
+            traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
             break
+        err = float(np.max(np.abs(r)))
+        shot_tol = min(max(_SHOOT_GAIN * err * err, SHOOT_TOL),
+                       _SHOOT_TOL_MAX)
+        if refresh:
+            shot_tol, refresh = SHOOT_TOL, False
+        elif shot_tol == SHOOT_TOL or err <= tol:
+            # chord step: the last Jacobian, checked by a plain trace
+            eta_new = clamp(eta_pred)
+            try:
+                chord = trace_geodesic(fam, BoundaryCovector.make(ym, eta_new))
+            except FlowError:
+                refresh = True
+                continue
+            r_new = miss(chord)
+            err_new = np.max(np.abs(r_new))
+            if err_new < err or err_new <= tol:
+                eta, r, traj = eta_new, r_new, chord
+            refresh = err_new > max(tol, _CHORD_RATE * err)
+            continue
         lam, traced = 1.0, None
         for _ in range(8):
             eta_new = clamp(eta - lam * step)
             try:
-                r_new, J_new = shoot(eta_new)
+                r_new, J_new = shoot(eta_new, shot_tol)
             except FlowError as exc:
                 failed = exc    # the trial left the collar or the chart
             else:
@@ -299,11 +358,14 @@ def boundary_distance(fam: BoundaryMetricFamily, y_minus, y_plus,
             raise ShootingError("no damped shooting trial reached the "
                                 "boundary") from failed
         eta, r, J = traced
-    traj = trace_geodesic(fam, BoundaryCovector.make(ym, eta))
-    value = renormalized_length(traj).value
+        traj = None
+    # the distance's gradient in y_plus is the outgoing covector, which
+    # carries the length of the trajectory from its end to y_plus
+    r = miss(traj)
+    value = renormalized_length(traj).value - float(traj.end.eta @ r)
     return BoundaryDistanceResult(value=value, eta=eta, iterations=it,
                                   trajectory=traj,
-                                  residual=float(np.max(np.abs(miss(traj)))))
+                                  residual=float(np.max(np.abs(r))))
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,26 @@ def test_tangent_rhs_is_the_jacobian_of_the_flow_rhs(request, name):
             assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("name, z", [("disc", (0.4, 1.1)),
+                                     ("perturbed", (1.0, 3.0)),
+                                     ("perturbed", (0.7, -2.4)),
+                                     ("halfplane", (0.3, 1.5)),
+                                     ("halfplane", (-1.0, -0.8))])
+def test_eta_columns_are_the_eta_block_of_the_full_tangent(request, name, z):
+    # the n columns d/d(eta_in) alone, as boundary-distance shooting
+    # carries them, give the eta block of the 2n-column tangent
+    fam = request.getfixturevalue(name)
+    full = flow._trace_tangent(fam, z, flow.DEFAULT_TOL)
+    eta = flow._trace_tangent(fam, z, flow.DEFAULT_TOL, eta_only=True)
+    assert eta.tangent.shape == (2, 1)
+    assert np.max(np.abs(eta.tangent - full.tangent[:, 1:])) <= 1e-9
+    if name == "halfplane":
+        # y_out = y + 2/eta and eta_out = eta
+        assert eta.tangent[0, 0] == pytest.approx(-2.0 / z[1] ** 2,
+                                                  abs=1e-9)
+        assert eta.tangent[1, 0] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_tangent_trace_follows_the_plain_geodesic(disc):
     # the base covector of a tangent trace is that of a plain trace up to
     # the tolerance, and a plain trace carries no tangent
@@ -636,15 +656,32 @@ def test_non_finite_error_norm_rejects_the_step(bad):
     assert np.all(np.isfinite(st.F)) and np.isfinite(solver.y).all()
 
 
-def test_arrival_end_that_leaves_the_cosphere_raises(halfplane):
-    # at tol 1e-3 the retaken arrival step ends on a covector that the
-    # projection would move by 89%; unchecked, the trace returns tau_plus
-    # 7.84e-6 for pi/|eta| = 2.07e-6
-    with pytest.raises(FlowError) as info:
-        trace_geodesic(halfplane, (4.268920944706548, 1520019.0558717083),
-                       tol=1e-3)
-    assert info.value.stats.guard == "cosphere"
-    assert info.value.stats.max_constraint_drift > 0.5 * 1520019.0558717083
+def test_arrival_step_that_leaves_the_cosphere_is_retaken(halfplane):
+    # at tol 1e-3 the arrival step ends on a covector that the projection
+    # would move by 89%; it is retaken at a tenth of its size, like an
+    # interior step, and the trace arrives (measured 6.3e-6 relative in
+    # tau_plus and 1.2e-11 in y_out)
+    y, eta = 4.268920944706548, 1520019.0558717083
+    traj = trace_geodesic(halfplane, (y, eta), tol=1e-3)
+    assert traj.stats.guard is None and traj.stats.n_rejected > 0
+    assert traj.tau_plus == pytest.approx(math.pi / eta, rel=1e-5)
+    assert traj.end.y[0] == pytest.approx(y + 2.0 / eta, abs=1e-10)
+
+
+def test_apex_between_step_ends_leaves_the_collar(perturbed):
+    # at tol 1e-6 the step ends of this geodesic stay below rho_max 0.5
+    # (0.490 at most), but it peaks at 0.526 between them; at tol 1e-8 a
+    # step end passes the edge
+    for tol, between in ((1e-6, True), (1e-8, False)):
+        with pytest.raises(CollarExitError) as info:
+            trace_geodesic(perturbed, (0.6, 2.0), tol=tol)
+        assert info.value.stats.guard == "collar"
+        assert ("between step ends" in str(info.value)) is between
+    # the apex check reads the turning point, not the tent bound: this
+    # geodesic peaks at 0.4786 and arrives
+    traj = trace_geodesic(perturbed, (math.pi, 2.0), tol=1e-10)
+    assert traj.stats.guard is None
+    assert 0.47 < traj.rho_peak()[1] < perturbed.rho_max
 
 
 def test_samples_are_the_step_starts_and_the_end(disc):

@@ -134,8 +134,10 @@ def test_shooting_raises_when_every_trial_step_fails(disc, monkeypatch):
 
 def test_shooting_doubles_a_first_guess_that_leaves_the_collar(perturbed,
                                                               monkeypatch):
-    # the exact-hyperbolic first guess, eta near 2, leaves the collar (rho_max
-    # 0.5); the doubled one is shallower and arrives
+    # the exact-hyperbolic first guess, eta near 2.04, leaves the collar
+    # (rho_max 0.5); the doubled one is shallower and arrives.  The
+    # connecting geodesic peaks at rho 0.490; the value is that of a solve
+    # at tol 1e-12
     exits = []
 
     def recording(*args, **kwargs):
@@ -146,11 +148,49 @@ def test_shooting_doubles_a_first_guess_that_leaves_the_collar(perturbed,
             raise
 
     monkeypatch.setattr(renorm, "_trace_tangent", recording)
-    res = boundary_distance(perturbed, 0.6, 1.6)
-    assert exits[0] == pytest.approx(2.0, abs=1e-3)
+    res = boundary_distance(perturbed, 0.6, 1.58)
+    assert exits[0] == pytest.approx(2.0408, abs=1e-3)
     assert res.residual <= 1e-9
-    assert res.eta[0] == pytest.approx(2.09749839, abs=1e-6)
-    assert res.value == pytest.approx(0.0507260103, abs=1e-9)
+    assert res.trajectory.rho_peak()[1] < perturbed.rho_max
+    assert res.eta[0] == pytest.approx(2.1375845, abs=1e-6)
+    assert res.value == pytest.approx(0.0096680182, abs=1e-9)
+
+
+def test_shooting_a_pair_whose_geodesic_leaves_the_collar_raises(perturbed):
+    # the geodesic from 0.6 to 1.6 peaks above rho_max 0.5 between the
+    # step ends of its traces, so no shot that would connect the pair
+    # arrives
+    with pytest.raises(ShootingError):
+        boundary_distance(perturbed, 0.6, 1.6)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_shooting_returns_the_default_tol_trace_it_checked(disc, monkeypatch,
+                                                           theta):
+    # the shots carry the eta columns alone, at most one of them runs at
+    # SHOOT_TOL, and the returned trajectory is the last plain trace, at
+    # DEFAULT_TOL, whose miss is within tol
+    shots, plain = [], []
+
+    def recording_shot(*args, **kwargs):
+        traj = _trace_tangent(*args, **kwargs)
+        shots.append((args[2], traj.tangent.shape))
+        return traj
+
+    def recording_plain(*args, **kwargs):
+        assert len(args) == 2 and not kwargs
+        plain.append(trace_geodesic(*args))
+        return plain[-1]
+
+    monkeypatch.setattr(renorm, "_trace_tangent", recording_shot)
+    monkeypatch.setattr(renorm, "trace_geodesic", recording_plain)
+    res = boundary_distance(disc, 0.0, theta)
+    assert res.residual <= 1e-9
+    assert res.trajectory is plain[-1]
+    assert res.value == pytest.approx(disc_distance(theta), abs=1e-9)
+    assert all(shape == (2, 1) for _, shape in shots)
+    assert sum(tol <= renorm.SHOOT_TOL for tol, _ in shots) <= 1
+    assert res.iterations == len(shots) - 1 + len(plain)
 
 
 def test_shooting_raises_when_every_first_guess_fails(disc, monkeypatch):
