@@ -1,8 +1,10 @@
 """Configuration-driven command line front end.
 
 Usage: ``ahx <command> --config <file> [--out <dir>] [--jobs N]``.
-``--jobs N`` evaluates rows in up to N forked worker processes, and never
-in more than the machine's CPUs (``os.cpu_count()``) or the rows.
+``--jobs N`` evaluates rows in this process and at most N - 1 forked
+children, never in more processes than the machine's CPUs
+(``os.cpu_count()``) or the rows, with output byte-identical to a serial
+run; if forking fails, this process evaluates the rows left.
 
 Configs are JSON documents with a ``metric`` spec (see
 :func:`ahx.metric.make_family`: its ``params`` are the family
@@ -17,9 +19,10 @@ Every number in a config must be a finite JSON number.  Each command's
 endpoint tolerance of ``distance`` (``renorm.ENDPOINT_TOL``, 1e-9).
 
 Exit codes: 0 success, 1 flow or metric failure (e.g. a geodesic leaving
-the collar), 2 trapped/slow geodesic, 3 configuration error (including a
-key at any level that the command does not read, such as a metric or
-field parameter its constructor does not take, a config with both
+the collar) or a ``--jobs`` child that ended without returning its rows
+(killed by a signal, say), 2 trapped/slow geodesic, 3 configuration error
+(including a key at any level that the command does not read, such as a
+metric or field parameter its constructor does not take, a config with both
 ``points`` and ``grid``, a metric whose boundary is not
 1-dimensional, a covector with eta = 0, a negative ``seed``, a ``T_asym``
 too small for the curvature to settle or so large that its seed
@@ -32,14 +35,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import io
 import itertools
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
@@ -59,8 +65,8 @@ from .quadrature import poly_bump
 from .recover import (DELTA_GRID, RecoveryError, recover_first_jet,
                       recover_jet_fit, synthesize_samples)
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_hash",
-           "read_csv", "main"]
+__all__ = ["ConfigError", "WorkerExitError", "ExperimentConfig",
+           "load_config", "config_hash", "read_csv", "main"]
 
 
 class ConfigError(ValueError):
@@ -267,27 +273,119 @@ def write_svg(path: Path, xs: Sequence[float], ys: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing (fork-based so families need not be pickled)
-
-_POOL_WORKER: Optional[Callable] = None
+# row map over forked processes (fork, so families need not be pickled)
 
 
-def _pool_call(row):
-    return _POOL_WORKER(row)
+class WorkerExitError(RuntimeError):
+    """A forked worker process ended without returning its rows."""
+
+
+def _next_row(counter: int, n_rows: int, stop: bool = False) -> int:
+    """The index of the next row not yet taken, from the 8-byte ``counter``
+    file that the processes of a map share (``n_rows`` once every row is
+    taken); ``stop`` marks every row taken.  A POSIX record lock, released
+    by the kernel if its holder dies, serializes the processes."""
+    fcntl.lockf(counter, fcntl.LOCK_EX)
+    try:
+        i = int.from_bytes(os.pread(counter, 8, 0), "little")
+        nxt = n_rows if stop else min(i + 1, n_rows)
+        os.pwrite(counter, nxt.to_bytes(8, "little"), 0)
+        return i
+    finally:
+        fcntl.lockf(counter, fcntl.LOCK_UN)
+
+
+def _take_rows(worker: Callable, rows: Sequence, counter: int) -> List:
+    """(index, ok, result or exception) of each row this process takes
+    from ``counter``, one at a time; a row that raises stops every process
+    after its current row."""
+    done = []
+    while (i := _next_row(counter, len(rows))) < len(rows):
+        try:
+            done.append((i, True, worker(rows[i])))
+        except Exception as exc:
+            done.append((i, False, exc))
+            _next_row(counter, len(rows), stop=True)
+            break
+    return done
+
+
+def _child(worker: Callable, rows: Sequence, counter: int, pipe: int,
+           siblings: dict) -> None:
+    """Body of a forked child: take rows, pickle them into ``pipe`` and
+    leave with ``os._exit``, so that none of the parent's exit handlers or
+    buffered output runs twice."""
+    status = 1
+    try:
+        for reader in siblings.values():
+            reader.close()
+        payload = pickle.dumps(_take_rows(worker, rows, counter))
+        with open(pipe, "wb") as out:
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _map_rows(worker: Callable, rows: Sequence, jobs: int) -> List:
-    global _POOL_WORKER
-    if jobs <= 1 or len(rows) <= 1:
+    """``[worker(r) for r in rows]`` in this process and at most ``jobs - 1``
+    forked children, never in more processes than the machine's CPUs
+    (``os.cpu_count()``) or the rows.
+
+    Every process takes rows one at a time, in index order, from a shared
+    counter, so a slow row holds up only the process that runs it.  Each
+    child pickles its ``(index, ok, result or exception)`` list into one
+    pipe; the results come back in row order.  When rows raise, the
+    exception of the lowest-index one is raised, as the serial map raises
+    it: a raising row stops every process after its current row, and rows
+    are taken in order, so every lower row has run.  If ``os.fork`` fails
+    the map forks no more, and the processes it has (this one at least)
+    take the rows left.  A child that ends without returning its rows (a
+    signal, ``os._exit`` in a worker) is a :class:`WorkerExitError` naming
+    its exit status.  Every child is reaped before this returns or raises.
+    """
+    jobs = min(jobs, len(rows), os.cpu_count() or 1)
+    if jobs <= 1:
         return [worker(r) for r in rows]
-    _POOL_WORKER = worker
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(rows),
-                                    os.cpu_count() or 1)) as pool:
-            return pool.map(_pool_call, rows)
-    finally:
-        _POOL_WORKER = None
+    children = {}                   # pid -> read end of the child's pipe
+    with tempfile.TemporaryFile() as counter_file:
+        counter = counter_file.fileno()
+        try:
+            for _ in range(jobs - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    os.close(r)
+                    _child(worker, rows, counter, w, children)
+                os.close(w)
+                children[pid] = open(r, "rb")
+            done = _take_rows(worker, rows, counter)
+            for pid, reader in list(children.items()):
+                payload = reader.read()
+                reader.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if code != 0 or not payload:
+                    how = (f"was killed by {signal.Signals(-code).name}"
+                           if code < 0 else f"exited with status {code}")
+                    raise WorkerExitError(f"worker process {pid} {how} "
+                                          "before returning its rows")
+                done += pickle.loads(payload)
+        finally:
+            for pid, reader in children.items():
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    done.sort()                     # by row index: no two are equal
+    for _, ok, value in done:
+        if not ok:
+            raise value
+    return [value for _, _, value in done]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrappedOrSlowError as exc:
         print(f"ahx: trapped or slow geodesic: {exc}", file=sys.stderr)
         return 2
-    except (FlowError, MetricError) as exc:
+    except (FlowError, MetricError, WorkerExitError) as exc:
         print(f"ahx: {exc}", file=sys.stderr)
         return 1
 

@@ -5,12 +5,13 @@ into tmp_path, and outputs are checked against the same closed-form model
 values the library tests use (half-circle scattering y + 2/eta, lengths
 2 log(2/eta), disc distances 2 log(2 sin(theta/2))).
 """
+import errno
 import json
 import math
-import multiprocessing
 import os
+import signal
 import warnings
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ from ahx.quadrature import poly_bump
 from ahx.xray import SymmetricTensorField
 
 HEX = set("0123456789abcdef")
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts"
+                  / "configs").glob("*.json"))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every map reaps its forked workers, whether it returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_config(tmp_path, name, payload):
@@ -296,30 +307,91 @@ def test_diagnose_with_every_trace_failed_writes_null_fits(tmp_path):
 
 
 def test_jobs_never_fork_more_workers_than_cpus(monkeypatch):
-    # a fake pool records its size and maps in this process, so no process
-    # starts: --jobs 64 on 49 rows of a 2-CPU machine gets 2 workers
-    sizes = []
+    # os.fork records each call and fails as on a machine out of process
+    # ids, so no process starts: --jobs 64 on 49 rows of a 2-CPU machine
+    # makes one attempt, 1 row none, and the parent evaluates every row
+    calls = []
 
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def fork():
+        calls.append(len(calls))
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, rows):
-            return [fn(r) for r in rows]
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rows = list(range(49))
     assert cli._map_rows(lambda r: r * r, rows, 64) == [r * r for r in rows]
-    assert cli._map_rows(lambda r: -r, rows[:1] * 2, 64) == [0, 0]
-    assert sizes == [2, 2]
+    assert len(calls) == 1
+    assert cli._map_rows(lambda r: -r, rows[1:2], 64) == [-1]
+    assert len(calls) == 1
+
+
+def test_lowest_failing_row_is_raised():
+    # rows 13 and 5 raise; every process finishes its current row, so the
+    # map raises row 5's error, as a serial run would
+    def worker(r):
+        if r in (5, 13):
+            raise ValueError(f"row {r}")
+        return r
+
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="^row 5$"):
+            cli._map_rows(worker, list(range(20)), jobs)
+
+
+@pytest.fixture
+def deadline():
+    """A TimeoutError in a test still running after 60 s, where a map that
+    waits for a dead child would hang."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def dying_in_the_child(fn, die):
+    """``fn`` in this process, once the forked child has ended: the child
+    calls ``die`` on the first row it takes, so it takes one whatever the
+    scheduling."""
+    parent = os.getpid()
+
+    def worker(*args, **kwargs):
+        if os.getpid() != parent:
+            die()
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return fn(*args, **kwargs)
+
+    return worker
+
+
+@pytest.mark.parametrize("die, status", [
+    (lambda: os._exit(7), "exited with status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL")],
+    ids=["exit", "signal"])
+def test_worker_that_dies_raises_with_its_exit_status(deadline, monkeypatch,
+                                                      die, status):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(cli.WorkerExitError, match=status):
+        cli._map_rows(dying_in_the_child(lambda r: r, die), list(range(6)),
+                      2)
+
+
+def test_worker_that_dies_exits_1(deadline, tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "half-plane"},
+        "points": [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+    })
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "diagnose_covector", dying_in_the_child(
+        cli.diagnose_covector, lambda: os._exit(9)))
+    assert run("diagnose", cfg, tmp_path, "--jobs", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ahx: worker process ")
+    assert "exited with status 9" in err and "Traceback" not in err
+    assert not (tmp_path / "diagnose.json").exists()
 
 
 def test_diagnose_parallel_determinism(tmp_path):
@@ -381,6 +453,37 @@ def test_recover_rejected_in_a_worker_exits_3(tmp_path, capsys):
     assert run("recover", cfg, tmp_path, "--jobs", "2") == 3
     assert "safe scale" in capsys.readouterr().err
     assert not (tmp_path / "recover.csv").exists()
+
+
+def test_recover_error_at_jobs_2_is_the_serial_error(tmp_path, capsys):
+    # on this family the safe scale depends on y0 (0.133 at y0 = 0, 0.147
+    # at y0 = 1) and both lie below the default largest delta 0.2: both
+    # rows raise, and every --jobs reports the first row's error
+    for y0s in ([0.0, 1.0], [1.0, 0.0]):
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"family": "perturbed",
+                       "params": {"a_cos": [4.0, 1.0]}},
+            "y0s": y0s,
+        })
+        errs = []
+        for jobs in ("1", "2"):
+            assert run("recover", cfg, tmp_path, "--jobs", jobs) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        scale = {0.0: "0.133333", 1.0: "0.146833"}[y0s[0]]
+        assert f"safe scale {scale} " in errs[0]
+        assert not (tmp_path / "recover.csv").exists()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_jobs_2_writes_the_serial_bytes(tmp_path, config):
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run(config.stem.split("_")[0], str(config), out, "--jobs",
+                   jobs) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] and trees[0] == trees[1]
 
 
 # ---------------------------------------------------------------------------
