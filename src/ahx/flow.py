@@ -294,23 +294,32 @@ def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
     ``vals`` are the profile values at s (:func:`_profile_values`) when the
     caller already has them; the projection keeps rho and y, so they also
     hold at the projected state.  Entries after the state, such as tangent
-    columns, are kept.
+    columns, are kept.  The state is read once into Python floats, which
+    are cheaper than numpy scalars on so few values, and projected by the
+    IEEE operations of the array form in its order, so the bits are the
+    same.  The result is a new array when the projection moves an entry,
+    and ``s`` itself when it moves none (each rescaled entry equals its
+    input, or the norm is not positive); no caller writes into it.
     """
     if vals is None:
         vals = _profile_values(fam, s)
-    rho = s[0]
-    xi = s[1 + n]
-    eta = s[2 + n:2 + 2 * n]
+    x = s.tolist()
+    rho, xi = x[0], x[1 + n]
     e2 = 0.0
     for k, v in enumerate(vals):
-        e2 += eta[k] * eta[k] / v[0]
-    norm2 = xi * xi + rho * rho * float(e2)
+        eta = x[2 + n + k]
+        e2 += eta * eta / v[0]
+    norm2 = xi * xi + rho * rho * e2
     if norm2 <= 0.0:
         return s
     c = 1.0 / math.sqrt(norm2)
+    cov = x[1 + n:2 + 2 * n]
+    moved = [v * c for v in cov]
+    # list == compares entry by entry; as c > 0, an equal entry has its bits
+    if moved == cov:
+        return s
     out = s.copy()
-    out[1 + n] = xi * c
-    out[2 + n:2 + 2 * n] = eta * c
+    out[1 + n:2 + 2 * n] = moved
     return out
 
 
@@ -371,14 +380,18 @@ def _horner(F, y_old, x):
     that broadcast together: one state component, one state, or many.  The
     sum is built from the inside out and reads F[6] first and F[0] last,
     one row at a time, so F may gather its rows on demand (:class:`_Rows`).
+    From x (F6 + 0.0) on, which has the result's shape, it is formed in
+    place, each product and sum with its operands swapped, which IEEE
+    arithmetic rounds alike: a read of many states holds the sum and one
+    gathered row.
     """
     xc = 1.0 - x
-    acc = F[5] + x * (F[6] + 0.0)
-    acc = F[4] + xc * acc
-    acc = F[3] + x * acc
-    acc = F[2] + xc * acc
-    acc = F[1] + x * acc
-    return y_old + x * (F[0] + xc * acc)
+    acc = x * (F[6] + 0.0)
+    for k, w in ((5, xc), (4, x), (3, xc), (2, x), (1, xc), (0, x)):
+        acc += F[k]
+        acc *= w
+    acc += y_old
+    return acc
 
 
 class _Rows:
@@ -409,11 +422,14 @@ class _Dop853:
     """Explicit Runge-Kutta pair 8(5,3) of Dormand and Prince, toward t_bound.
 
     Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6, with the tableau
-    of :mod:`ahx._dop853_tableau`, scipy's to the bit.  Every numpy
+    of :mod:`ahx._dop853_tableau`, scipy's to the bit.  Every floating-point
     operation of scipy's ``DOP853`` is repeated in the same order (initial
     step guess, stage sums, error norm from the 5th- and 3rd-order
     estimates, step controller, 7-row dense output), forward or backward in
     t, so the steps, rejections and RHS calls are scipy's to the last bit.
+    Fewer temporaries carry them: the stage sums are formed in place, and
+    t, h and the controller's scalars are Python floats, which round as
+    numpy scalars do at a fraction of their cost.
     As in scipy, rtol is raised to 100 eps with a warning, and a negative
     atol raises ValueError.
     ``nfev``, ``n_accepted`` and ``n_rejected`` count RHS calls and step
@@ -462,13 +478,30 @@ class _Dop853:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return min(100 * h0, h1, interval)
+        return float(min(100 * h0, h1, interval))
+
+    def _stages(self, t: float, h: float, y: np.ndarray, first: int,
+                stop: int) -> None:
+        """K[s] = f(t + c_s h, y + (K[:s]^T a_s) h) for first <= s < stop.
+        Each stage state is formed in place in the array of its dot
+        product, as ((K[:s]^T a_s) * h) + y: scipy's dot, multiply and add,
+        since IEEE addition commutes exactly, with two arrays fewer."""
+        fun, K, KT = self.fun, self.K, self._KT
+        for s in range(first, stop):
+            a, c = _STAGE[s]
+            dy = KT[s].dot(a)
+            dy *= h
+            dy += y
+            K[s] = fun(t + c * h, dy)
 
     def step(self) -> _Step | None:
         """Take one accepted step and return its dense output, or None when
         the step size falls below ten ulps of t (``_TOO_SMALL_STEP``) or is
         NaN, as from an initial step guess at a zero atol and a zero state
-        component."""
+        component.  The stage states (:meth:`_stages`) and the new state
+        are formed in place, and the error norm is a Python float once its
+        squared norms are formed, so the step makes fewer arrays and numpy
+        scalars than scipy's for the same bits."""
         fun, K, KT = self.fun, self.K, self._KT
         t, y, f, d = self.t, self.y, self.f, self.direction
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
@@ -481,10 +514,10 @@ class _Dop853:
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s in range(1, _N_STAGES):
-                a, c = _STAGE[s]
-                K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
-            y_new = y + h * KT[_N_STAGES].dot(_dop.B)
+            self._stages(t, h, y, 1, _N_STAGES)
+            y_new = KT[_N_STAGES].dot(_dop.B)
+            y_new *= h
+            y_new += y
             f_new = fun(t + h, y_new)
             K[_N_STAGES] = f_new
             self.nfev += _N_STAGES
@@ -496,8 +529,8 @@ class _Dop853:
             if err5_2 == 0 and err3_2 == 0:
                 err = 0.0
             else:
-                err = h_abs * err5_2 / np.sqrt(
-                    (err5_2 + 0.01 * err3_2) * len(scale))
+                err = float(h_abs * err5_2 / math.sqrt(
+                    (err5_2 + 0.01 * err3_2) * len(scale)))
             if err < 1:
                 self.n_accepted += 1
                 factor = (_MAX_FACTOR if err == 0 else
@@ -510,9 +543,7 @@ class _Dop853:
         self.t_old, self.y_old = t, y
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         # the three extra stages of the dense output
-        for s in range(_N_STAGES + 1, _N_EXTENDED):
-            a, c = _STAGE[s]
-            K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+        self._stages(t, h, y, _N_STAGES + 1, _N_EXTENDED)
         self.nfev += _N_EXTENDED - _N_STAGES - 1
         F = np.empty((_dop.INTERPOLATOR_POWER, y.size))
         f_old = K[0]
@@ -942,6 +973,10 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     a retake (a retake of size 0 has no dense output).
     The :class:`_Step` rows are the one list kept; the trajectory is their
     :class:`_Solution`.
+    The projection (:func:`_project_vec`) returns the state itself when it
+    moves no entry, and only a projection that moved one replaces the
+    stepper's state and refreshes its slope; the move and the covector's
+    scale that the slack compares are read from the same Python floats.
     Floating-point overflow, invalid and divide warnings are off for the
     whole trace: a step too long for the covector's scale may overflow in
     its stages, and its non-finite error norm rejects it.
@@ -952,7 +987,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
     rho_limit = min(fam.rho_max, RHO_CEILING)
     solver = _Dop853(rhs, 0.0, s0, math.inf, tol, tol)
     steps = []
-    rho_prev = s0[0]
+    rho_prev = float(s0[0])
     bound = 0.0     # running upper bound of the arclength
     t_acc = 0.0     # exact arclength of steps[:n_exact]
     n_exact = 0
@@ -969,13 +1004,16 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
         return exc
 
     def project(y):
-        """(y projected onto the cosphere, tangent columns kept; the profile
-        values there; the largest move of the projection; whether that move
-        is within ``COSPHERE_SLACK`` of the covector)."""
+        """(y projected onto the cosphere, tangent columns kept, or y itself
+        when nothing moves; the profile values there; the largest move of
+        the projection, over xi_b and eta, the entries it rescales; whether
+        that move is within ``COSPHERE_SLACK`` of the covector)."""
         vals = _profile_values(fam, y)
         proj = _project_vec(fam, y, n, vals)
-        jump = float(np.max(np.abs(proj - y)))
-        scale = max(map(abs, y[1 + n:m].tolist()))
+        cov = y[1 + n:m].tolist()
+        scale = max(map(abs, cov))
+        jump = 0.0 if proj is y else max(
+            abs(a - b) for a, b in zip(proj[1 + n:m].tolist(), cov))
         return proj, vals, jump, jump <= COSPHERE_SLACK * scale
 
     def slope(tau, y):
@@ -1001,7 +1039,7 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                        "integrator")
         t_lo, t_hi = st.t_old, st.t
         steps.append(st)
-        rho_new = solver.y[0]
+        rho_new = float(solver.y[0])
 
         if rho_new >= rho_limit:
             raise fail(CollarExitError(
@@ -1081,11 +1119,11 @@ def _drive(fam: BoundaryMetricFamily, s0: np.ndarray, *, tol: float,
                     " (trapped or nearly trapped trajectory)",
                     tau=float(solver.t), t_acc=t_acc), "t_max")
         drift = max(drift, jump)
-        if not np.array_equal(proj, solver.y):
+        if proj is not solver.y:
             solver.y = proj
             solver.f = rhs(solver.t, proj, vals)
             solver.nfev += 1
-        rho_prev = proj[0]
+        rho_prev = float(proj[0])
 
 
 def _start_state(fam: BoundaryMetricFamily, z) -> np.ndarray:

@@ -186,17 +186,22 @@ class TrigPoly:
             (k, c, s_) for k, (c, s_)
             in enumerate(zip_longest(self.c, self.s, fillvalue=0.0))
             if k and (c or s_)]
+        self._c0 = self.c[0] if self.c else 0.0
 
     def jet(self, y):
         """(value, d/dy, d2/dy2) at y, with one cos and one sin per
-        harmonic; a float y gives floats."""
-        val = self.c[0] if self.c else 0.0
-        der = der2 = 0.0
+        harmonic.  An array y takes numpy's cos and sin; a scalar y (a
+        float, an int or a numpy scalar) takes ``math``'s and gives Python
+        floats, several times cheaper per operation than numpy scalars.
+        The tests pin the two paths to the same bits.  A constant
+        polynomial returns its floats at once."""
+        val, der, der2 = self._c0, 0.0, 0.0
+        if not self._harmonics:
+            return val, der, der2
+        cos_f, sin_f = (np.cos, np.sin) if isinstance(y, np.ndarray) \
+            else (math.cos, math.sin)
         for k, c, s_ in self._harmonics:
-            cos, sin = np.cos(k * y), np.sin(k * y)
-            if isinstance(cos, float):
-                # a numpy scalar costs several times a float per operation
-                cos, sin = float(cos), float(sin)
+            cos, sin = cos_f(k * y), sin_f(k * y)
             val = val + c * cos + s_ * sin
             der = der + k * (s_ * cos - c * sin)
             der2 = der2 - k * k * (c * cos + s_ * sin)

@@ -79,22 +79,28 @@ def renormalized_length(traj: GeodesicTrajectory) -> RenormLength:
     + 2 log tau+, grouping the pole subtraction with 1/rho on the near half
     so each piece is a smooth integrand.  The value uses 12 Gauss nodes per
     quadrature panel; ``err_est`` is its difference from the 8-node rule.
+    One read of the dense output serves both rules on both halves.
     """
     tp = traj.tau_plus
     mid = 0.5 * tp
+    # (near, far) half rules of each order; the read of all their nodes
+    # gives each node's bits, as the dense output reads each on its own
+    rules = [(traj.quad_nodes(0.0, mid, npts), traj.quad_nodes(mid, tp, npts))
+             for npts in (12, 8)]
+    nodes = [t for halves in rules for t, _ in halves]
+    rho = np.split(traj.eval_many(np.concatenate(nodes))[:, 0],
+                   np.cumsum([t.size for t in nodes])[:-1])
 
-    def half_value(npts_):
-        tl, wl = traj.quad_nodes(0.0, mid, npts_)
-        rl = traj.eval_many(tl)[:, 0]
+    def half_value(i):
+        (tl, wl), (tr, wr) = rules[i]
+        rl, rr = rho[2 * i], rho[2 * i + 1]
         fl = (tl - rl) / (rl * tl) - 1.0 / (tp - tl)
-        tr, wr = traj.quad_nodes(mid, tp, npts_)
-        rr = traj.eval_many(tr)[:, 0]
         sig = tp - tr
         fr = (sig - rr) / (rr * sig) - 1.0 / tr
         return float(wl @ fl + wr @ fr)
 
-    main = half_value(12)
-    coarse = half_value(8)
+    main = half_value(0)
+    coarse = half_value(1)
     value = main + 2.0 * math.log(tp)
     return RenormLength(value=value, err_est=abs(main - coarse))
 

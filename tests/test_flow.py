@@ -1,4 +1,5 @@
 """Geodesic flow: exact half-plane/disc oracles, invariants, error modes."""
+import itertools
 import math
 from bisect import bisect_left
 
@@ -129,6 +130,60 @@ def test_constraint_preserved_along_flow(y0, eta, flip):
         p = traj.state_at(float(tau))
         e2 = fam.eta_normsq(p.rho, p.y, p.eta)
         assert abs(p.xi_b ** 2 + p.rho ** 2 * e2 - 1.0) < 1e-9
+
+
+def _project_reference(fam, s, n):
+    """The cosphere projection in its numpy form: numpy scalars and a
+    slice product, always a copy unless the norm is not positive."""
+    vals = [prof(s[0], s[1 + k]) for k, prof in enumerate(fam.profiles)]
+    rho, xi, eta = s[0], s[1 + n], s[2 + n:2 + 2 * n]
+    e2 = 0.0
+    for k, v in enumerate(vals):
+        e2 += eta[k] * eta[k] / v[0]
+    norm2 = xi * xi + rho * rho * float(e2)
+    if norm2 <= 0.0:
+        return s
+    c = 1.0 / math.sqrt(norm2)
+    out = s.copy()
+    out[1 + n] = xi * c
+    out[2 + n:2 + 2 * n] = eta * c
+    return out
+
+
+def test_projection_on_floats_matches_its_numpy_form(disc, halfplane,
+                                                     perturbed, bump_family):
+    # seeded states with 0, 1 and 2 tangent columns, among them eta = 0,
+    # xi_b = eta = 0 (norm 0) and states on the cosphere to the bit: the
+    # float projection gives the numpy form's bits, never writes into its
+    # input, and returns the input itself exactly when it moves nothing
+    rng = np.random.default_rng(35)
+    kept = 0
+    for fam in (disc, perturbed, bump_family,
+                product_family(halfplane, halfplane)):
+        n = fam.n
+        m = 2 * n + 2
+        for cols, i in itertools.product(range(3), range(30)):
+            s = rng.uniform(-1.0, 1.0, m * (1 + cols))
+            s[0] = rng.uniform(0.0, 0.95 * min(fam.rho_max, 1.5))
+            s[1:1 + n] = rng.uniform(0.0, 2.0 * math.pi, n)
+            s[2 + n:m] *= 4.0
+            if i == 0:
+                s[2 + n:m] = 0.0
+            elif i == 1:
+                s[1 + n:m] = 0.0
+            elif i == 2:
+                s[0], s[1 + n] = 0.0, -1.0
+            for state in (s, _project_reference(fam, s, n)):
+                before = state.copy()
+                want = _project_reference(fam, state, n)
+                got = flow._project_vec(fam, state, n)
+                assert got.tobytes() == want.tobytes()
+                assert state.tobytes() == before.tobytes()
+                assert (got is state) == (want.tobytes() == state.tobytes())
+                kept += got is state
+    # at least the norm-0 state, the state on the cosphere and their
+    # projections, for each family and number of columns
+    assert kept >= 4 * 4 * 3
 
 
 def test_time_reversal_of_scattering(perturbed):
@@ -354,11 +409,23 @@ def _lockstep(fam, ours, ref):
         ours.f = ref.f = rhs(ours.t, proj)
 
 
+def _with_columns(s0, wrt):
+    """s0 followed by the unit tangent columns d/d(s0[k]) for k in wrt."""
+    cols = np.zeros((len(wrt), s0.size))
+    cols[np.arange(len(wrt)), wrt] = 1.0
+    return np.concatenate((s0, cols.ravel()))
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 def test_stepper_matches_scipy_dop853(disc, halfplane, perturbed, tol):
-    for fam, (y, eta) in ((disc, (0.3, 1.1)), (halfplane, (0.0, -0.7)),
-                          (perturbed, (1.0, 3.0))):
-        s0 = np.array([0.0, y, 1.0, eta])
+    # bare states, and the 4 + 4k states (k = 1, 2) of the tangent traces:
+    # the column d/d(eta_in) of the distance shooting and the columns
+    # d/d(y_in, eta_in) of the scattering Jacobian, since BLAS may take
+    # another kernel at another size
+    for (fam, (y, eta)), wrt in itertools.product(
+            ((disc, (0.3, 1.1)), (halfplane, (0.0, -0.7)),
+             (perturbed, (1.0, 3.0))), ((), (3,), (1, 3))):
+        s0 = _with_columns(np.array([0.0, y, 1.0, eta]), wrt)
         ours = _step_side_by_side(fam, 0.0, s0, math.inf, tol)
         assert ours.n_accepted > 5 and ours.y[0] < 0.0
         # the arrival retake: the stepper rewound to the start of its last

@@ -478,3 +478,19 @@ def test_trigpoly_eval_and_derivative(y):
     # arrays give the floats' values, bit for bit
     arr = p.jet(np.array([y, y]))
     assert all(np.all(a == v) for a, v in zip(arr, (val, der, der2)))
+
+
+def test_trigpoly_scalar_jet_is_the_array_jet_bitwise():
+    # a scalar y takes math's cos and sin, an array numpy's: the same bits
+    # on 10^4 seeded y, with cos and sin harmonics 1 to 3
+    p = TrigPoly(cos_coeffs=[0.3, -0.7, 0.2, 0.05],
+                 sin_coeffs=[0.0, 0.4, -0.15, 0.3])
+    ys = np.random.default_rng(35).uniform(-50.0, 50.0, 10_000)
+    want = np.array(p.jet(ys))
+    got = np.array([p.jet(y) for y in ys.tolist()]).T
+    assert got.tobytes() == want.tobytes()
+    # a float, an int or a numpy scalar gives Python floats
+    for y in (1.25, 3, np.float64(1.25), np.int64(3)):
+        jet = p.jet(y)
+        assert all(type(v) is float for v in jet)
+        assert np.array(jet).tobytes() == np.array(p.jet(float(y))).tobytes()

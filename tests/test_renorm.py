@@ -56,6 +56,35 @@ def test_pole_coefficient_is_universal(disc, perturbed):
         assert mellin_length(traj).residue == pytest.approx(2.0, abs=1e-4)
 
 
+def _length_by_four_reads(traj):
+    """renormalized_length with one dense-output read per half and rule,
+    the reference for its single read."""
+    tp = traj.tau_plus
+    mid = 0.5 * tp
+
+    def half_value(npts):
+        tl, wl = traj.quad_nodes(0.0, mid, npts)
+        rl = traj.eval_many(tl)[:, 0]
+        fl = (tl - rl) / (rl * tl) - 1.0 / (tp - tl)
+        tr, wr = traj.quad_nodes(mid, tp, npts)
+        rr = traj.eval_many(tr)[:, 0]
+        sig = tp - tr
+        fr = (sig - rr) / (rr * sig) - 1.0 / tr
+        return float(wl @ fl + wr @ fr)
+
+    main, coarse = half_value(12), half_value(8)
+    return main + 2.0 * math.log(tp), abs(main - coarse)
+
+
+def test_length_reads_the_dense_output_once_with_the_same_bits(
+        halfplane, disc, perturbed):
+    for fam, z in ((halfplane, (0.0, 0.7)), (disc, (1.0, 0.3)),
+                   (perturbed, (0.7, 3.0)), (perturbed, (4.0, -2.6))):
+        traj = trace_geodesic(fam, z, tol=1e-12)
+        res = renormalized_length(traj)
+        assert (res.value, res.err_est) == _length_by_four_reads(traj)
+
+
 def test_length_even_in_eta(halfplane):
     tp = trace_geodesic(halfplane, (0.0, 1.5), tol=1e-12)
     tm = trace_geodesic(halfplane, (0.0, -1.5), tol=1e-12)
