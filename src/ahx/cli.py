@@ -6,6 +6,17 @@ children, never in more processes than the machine's CPUs
 (``os.cpu_count()``) or the rows, with output byte-identical to a serial
 run; if forking fails, this process evaluates the rows left.
 
+On a y-invariant family (:attr:`ahx.metric.BoundaryMetricFamily.y_invariant`)
+the geodesic entering at (y, eta) is the one entering at (y_a, eta) moved
+by y - y_a, so ``scatter``, ``length`` and ``xray`` group their rows by
+eta: each group is traced once, at its first row's y_a, and every row
+reads the trace shifted by its y - y_a (``y_out`` moved and wrapped by the
+chart, the same length, the field read at the shifted points).  The first
+row of each eta keeps the bits of its own trace, and the other rows agree
+with theirs to the trace tolerance.  On any other family each (y, eta) is
+its own group.  A group that raises a FlowError gives its status to each
+of its rows.
+
 Configs are JSON documents with a ``metric`` spec (see
 :func:`ahx.metric.make_family`: its ``params`` are the family
 constructor's keywords), command-specific parameters, and an optional
@@ -54,11 +65,10 @@ import numpy as np
 
 from .metric import BoundaryMetricFamily, MetricError, make_family
 from .flow import (DEFAULT_T_MAX, DEFAULT_TOL, FlowError,
-                   TrappedOrSlowError, _project_vec, scattering_map,
-                   trace_geodesic)
+                   TrappedOrSlowError, _project_vec, trace_geodesic)
 from .renorm import (ENDPOINT_TOL, boundary_distance, mellin_length,
                      renormalized_length)
-from .xray import SymmetricTensorField, xray_transform
+from .xray import SymmetricTensorField, _shifted_transforms
 from .jacobi import (T_ASYM, T_SCAN, AsymptoteError, diagnose_covector,
                      simplicity_report)
 from .quadrature import poly_bump
@@ -410,26 +420,55 @@ def _covector_rows(cfg: ExperimentConfig) -> List[tuple]:
 
 def _run_rows(cfg: ExperimentConfig, out: Path, jobs: int, name: str,
               inputs: Sequence[str], outputs: Sequence[str], rows: Sequence,
-              compute: Callable) -> int:
+              key: Callable, compute: Callable) -> int:
     """Write ``<name>.csv`` with one line per row: the row's ``inputs``,
-    the ``outputs`` columns that ``compute(*row)`` returns as a dict, and a
-    ``status``, "ok" or the type name of the FlowError the row raised (its
-    outputs then left empty).  A parameter of ``cfg`` that the command has
-    not read by now is a ConfigError."""
+    the ``outputs`` columns that ``compute`` returns for it as a dict, and
+    a ``status``, "ok" or the type name of the FlowError its group raised
+    (its outputs then left empty).
+
+    Rows with the same ``key(row)`` form a group, taken in the order of
+    its first row; ``compute(group)`` gets the group's rows, first row
+    first, and returns one dict per row, so a group is computed once in one
+    process and its rows share its status.  The lines are written in row
+    order.  A parameter of ``cfg`` that the command has not read by now is
+    a ConfigError."""
     cfg.refuse_unread()
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(key(row), []).append(i)
 
-    def worker(row):
-        line = dict(zip(inputs, row))
+    def worker(idx):
+        group = [rows[i] for i in idx]
         try:
-            line.update(compute(*row))
-            line["status"] = "ok"
+            cols, status = compute(group), "ok"
         except FlowError as exc:
-            line["status"] = type(exc).__name__
-        return line
+            cols, status = [{}] * len(group), type(exc).__name__
+        return [{**dict(zip(inputs, row)), **c, "status": status}
+                for row, c in zip(group, cols)]
 
-    write_csv(out / f"{name}.csv", [*inputs, *outputs, "status"],
-              _map_rows(worker, rows, jobs), config_hash(cfg))
+    lines = [None] * len(rows)
+    for idx, done in zip(groups.values(),
+                         _map_rows(worker, list(groups.values()), jobs)):
+        for i, line in zip(idx, done):
+            lines[i] = line
+    write_csv(out / f"{name}.csv", [*inputs, *outputs, "status"], lines,
+              config_hash(cfg))
     return 0
+
+
+def _covector_key(fam: BoundaryMetricFamily) -> Callable:
+    """The group key of a (y, eta) row: eta on a y-invariant family, whose
+    geodesic entering at (y, eta) is the one entering at (y_a, eta) moved
+    by y - y_a, and the whole row otherwise."""
+    return (lambda row: row[1]) if fam.y_invariant else (lambda row: row)
+
+
+def _anchored(fam: BoundaryMetricFamily, tol: float, group: list):
+    """The trace of a group's first covector (y_a, eta), and the shift
+    y - y_a of each of its rows."""
+    y_a, eta = group[0]
+    return (trace_geodesic(fam, (y_a, eta), tol=tol),
+            [y - y_a for y, _ in group])
 
 
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
@@ -468,12 +507,15 @@ def cmd_scatter(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     fam = cfg.family()
     tol = cfg.tolerance("tol", DEFAULT_TOL)
 
-    def compute(y, eta):
-        res = scattering_map(fam, (y, eta), tol=tol)
-        return {"y_out": float(res.y[0]), "eta_out": float(res.eta[0])}
+    def compute(group):
+        traj, dys = _anchored(fam, tol, group)
+        end = traj.end
+        return [{"y_out": float(fam.chart.wrap(end.y[0] + dy)),
+                 "eta_out": float(end.eta[0])} for dy in dys]
 
     return _run_rows(cfg, out, jobs, "scatter", ["y", "eta"],
-                     ["y_out", "eta_out"], _covector_rows(cfg), compute)
+                     ["y_out", "eta_out"], _covector_rows(cfg),
+                     _covector_key(fam), compute)
 
 
 def cmd_length(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
@@ -482,8 +524,8 @@ def cmd_length(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     method = cfg.value("method", _one_of("regularized", "mellin", "both"),
                        "both")
 
-    def compute(y, eta):
-        traj = trace_geodesic(fam, (y, eta), tol=tol)
+    def compute(group):
+        traj, dys = _anchored(fam, tol, group)
         cols = {}
         if method in ("regularized", "both"):
             reg = renormalized_length(traj)
@@ -491,11 +533,11 @@ def cmd_length(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         if method in ("mellin", "both"):
             mel = mellin_length(traj)
             cols.update(length_mellin=mel.value, residue=mel.residue)
-        return cols
+        return [cols] * len(dys)
 
     return _run_rows(cfg, out, jobs, "length", ["y", "eta"],
                      ["length_reg", "err_est", "length_mellin", "residue"],
-                     _covector_rows(cfg), compute)
+                     _covector_rows(cfg), _covector_key(fam), compute)
 
 
 def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
@@ -506,14 +548,14 @@ def cmd_distance(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         if abs(fam.chart.wrapped_diff(yp, ym)) < 1e-12:
             raise ConfigError(f"distance pair {[ym, yp]} has equal endpoints")
 
-    def compute(ym, yp):
-        res = boundary_distance(fam, ym, yp, tol=tol)
-        return {"distance": res.value, "eta_incoming": float(res.eta[0]),
-                "iterations": res.iterations}
+    def compute(group):
+        res = boundary_distance(fam, *group[0], tol=tol)
+        return [{"distance": res.value, "eta_incoming": float(res.eta[0]),
+                 "iterations": res.iterations}] * len(group)
 
     return _run_rows(cfg, out, jobs, "distance", ["y_minus", "y_plus"],
                      ["distance", "eta_incoming", "iterations"], pairs,
-                     compute)
+                     lambda pair: pair, compute)
 
 
 def _bump_field(amplitude=1.0, rho_lo=0.1, rho_hi=0.4, cos_amp=0.0,
@@ -554,12 +596,13 @@ def cmd_xray(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     tol = cfg.tolerance("tol", DEFAULT_TOL)
     fld = cfg.value("field", _field_from_spec)
 
-    def compute(y, eta):
-        traj = trace_geodesic(fam, (y, eta), tol=tol)
-        return {"integral": xray_transform(fld, traj)}
+    def compute(group):
+        traj, dys = _anchored(fam, tol, group)
+        return [{"integral": v} for v in
+                _shifted_transforms(fld, traj, np.array(dys)[:, None])]
 
     return _run_rows(cfg, out, jobs, "xray", ["y", "eta"], ["integral"],
-                     _covector_rows(cfg), compute)
+                     _covector_rows(cfg), _covector_key(fam), compute)
 
 
 def cmd_recover(cfg: ExperimentConfig, out: Path, jobs: int) -> int:

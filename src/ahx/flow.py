@@ -283,8 +283,11 @@ def barX_eval(fam: BoundaryMetricFamily, state: BPhasePoint):
 
 def _profile_values(fam: BoundaryMetricFamily, s: np.ndarray) -> list:
     """The six profile entries of each coordinate at the (rho, y) of the
-    state s."""
-    return [prof(s[0], s[1 + k]) for k, prof in enumerate(fam.profiles)]
+    state s, read into Python floats, on which a profile runs faster than
+    on numpy scalars.  A float division by h = 0 raises where numpy's
+    gives inf, so no state may have h = 0 (see :func:`trace_from_state`)."""
+    x = s[:1 + fam.n].tolist()
+    return [prof(x[0], x[1 + k]) for k, prof in enumerate(fam.profiles)]
 
 
 def _project_vec(fam: BoundaryMetricFamily, s: np.ndarray, n: int,
@@ -364,10 +367,13 @@ class _Step(NamedTuple):
     def ys(self) -> np.ndarray:
         return np.array((self.y_old, self.y_old + self.F[0]))
 
-    def batch(self, ts) -> np.ndarray:
-        """States at many t, shape (len(ts), dim)."""
+    def batch(self, ts, k=None) -> np.ndarray:
+        """States at many t, shape (len(ts), dim), or their component k
+        alone, shape (len(ts),), with the same bits."""
         x = (np.asarray(ts, dtype=float).ravel() - self.t_old) / self.h
-        return _horner(self.F, self.y_old, x[:, None])
+        if k is None:
+            return _horner(self.F, self.y_old, x[:, None])
+        return _horner(self.F[:, k], self.y_old[k], x)
 
 
 def _horner(F, y_old, x):
@@ -600,13 +606,17 @@ class _Solution:
                 np.array([s.h for s in st]), np.array([s.y_old for s in st]),
                 np.stack([s.F for s in st], axis=1))
 
-    def batch(self, ts) -> np.ndarray:
-        """States at many t, shape (len(ts), dim)."""
+    def batch(self, ts, k=None) -> np.ndarray:
+        """States at many t, shape (len(ts), dim), or their component k
+        alone, shape (len(ts),), with the same bits; a read of one
+        component gathers none of the others."""
         ts = np.asarray(ts, dtype=float).ravel()
         starts, t_old, h, y_old, F = self._rows
         i = np.maximum(np.searchsorted(starts, self._sign * ts), 1) - 1
-        return _horner(_Rows(F, i), y_old[i],
-                       ((ts - t_old[i]) / h[i])[:, None])
+        x = (ts - t_old[i]) / h[i]
+        if k is None:
+            return _horner(_Rows(F, i), y_old[i], x[:, None])
+        return _horner(_Rows(F[:, :, k], i), y_old[i, k], x)
 
 
 def _integrate(fun: Callable, t0: float, y0, t_bound: float, rtol: float,
@@ -728,7 +738,7 @@ def _arc_panels(sol, turns, k: int):
     edges = np.sort(np.concatenate(
         (sol.ts, _crossings(sol, levels, k, turns)[1])))
     nodes, w = panel_gauss(edges[:-1], edges[1:], ARC_NODES)
-    vals = _gate_over_rho(sol.batch(nodes.ravel())[:, 0]).reshape(nodes.shape)
+    vals = _gate_over_rho(sol.batch(nodes.ravel(), 0)).reshape(nodes.shape)
     return edges[1:], np.sum(w * vals, axis=1)
 
 
@@ -785,7 +795,8 @@ class TraceStats:
     arrival end state.  ``guard`` names
     the check that stopped a failed trace: "t_max", "collar" (rho reached
     the family's domain edge at a step end or at a turning point between
-    step ends), "step_limit", "integrator", "cosphere" (a step still left
+    step ends, or :func:`trace_from_state` got a state outside the
+    domain), "step_limit", "integrator", "cosphere" (a step still left
     the unit cosphere by more than ``COSPHERE_SLACK`` after
     ``COSPHERE_RETAKES`` retakes, or the end of the arrival retake did) or
     "half_space" (on the step where rho
@@ -867,13 +878,14 @@ class GeodesicTrajectory:
         return _split_vec(self.n, _project_vec(self.family,
                                                self.eval_raw(tau), self.n))
 
-    def eval_many(self, taus: np.ndarray) -> np.ndarray:
-        """Dense states at the given taus, shape (len(taus), dim).
+    def eval_many(self, taus: np.ndarray, k=None) -> np.ndarray:
+        """Dense states at the given taus, shape (len(taus), dim), or their
+        state component k alone, shape (len(taus),), with the same bits.
 
         Raw dense output; constraint drift stays below the projection
         tolerance because every accepted step was re-projected.
         """
-        return self._sol.batch(taus)
+        return self._sol.batch(taus, k)
 
     def quad_nodes(self, a: float, b: float, npts: int = 12, rho_breaks=()):
         """Composite Gauss nodes/weights on [a, b].
@@ -911,7 +923,7 @@ class GeodesicTrajectory:
         cum = np.concatenate(([0.0], arc_cum))[j]
         # the piece [edge_j, tau] lies inside one arclength panel
         nodes, w = panel_gauss(edges[j], flat, ARC_NODES)
-        rho = self.eval_many(nodes.ravel())[:, 0].reshape(nodes.shape)
+        rho = self.eval_many(nodes.ravel(), 0).reshape(nodes.shape)
         out = cum + np.sum(w * _gate_over_rho(rho), axis=1)
         return out.reshape(taus.shape) if taus.ndim else float(out[0])
 
@@ -1172,7 +1184,18 @@ def _trace_tangent(fam: BoundaryMetricFamily, z, tol: float,
 
 def trace_from_state(fam: BoundaryMetricFamily, state: BPhasePoint,
                      tol: float = DEFAULT_TOL) -> GeodesicTrajectory:
-    """Trace the forward orbit of an interior phase point to the boundary."""
+    """Trace the forward orbit of an interior phase point to the boundary.
+
+    A state outside 0 <= rho < min(rho_max, ``RHO_CEILING``), such as the
+    disc's centre, where h = 0, raises :class:`CollarExitError` at once,
+    with the guard "collar"."""
+    rho_limit = min(fam.rho_max, RHO_CEILING)
+    if not 0.0 <= state.rho < rho_limit:
+        exc = CollarExitError(f"start rho={state.rho:.6g} is outside the "
+                              f"domain [0, {rho_limit:.6g})")
+        exc.stats = TraceStats(n_accepted=0, n_rejected=0, n_rhs=0,
+                               max_constraint_drift=0.0, guard="collar")
+        raise exc
     s0 = _project_vec(fam, state.as_vector(), fam.n)
     return _drive(fam, s0, tol=tol, t_max=DEFAULT_T_MAX)
 

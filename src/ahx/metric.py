@@ -38,6 +38,16 @@ away from the boundary, for gauge-insensitivity experiments.  h_rr has a
 corner at the bump's edges, so they are the family's ``breaks``, the rho
 levels where it is not smooth; the Jacobi layer cuts its Magnus grid there
 (:func:`ahx.jacobi.jacobi_system`).  Every other family has none.
+
+A family whose profiles do not depend on y is ``y_invariant``: every
+translation of y is an isometry, so a geodesic entering at (y, eta) is the
+one entering at (y_a, eta) moved by y - y_a, and the transform tables of
+:mod:`ahx.xray` and the rows of the CLI trace it once per eta.  Like
+``breaks``, it is read from the constructor's parameters and never
+sampled: the half-plane, the disc, radial-power and taylor1d are
+invariant, ``perturbed`` is when a and b have no nonconstant harmonic (a
+bump is a function of rho alone), and ``product`` is when both factors
+are.
 """
 
 from __future__ import annotations
@@ -131,6 +141,16 @@ class BoundaryMetricFamily:
         bump = self.params.get("bump")
         return (float(bump["rho_lo"]), float(bump["rho_hi"])) if bump else ()
 
+    @property
+    def y_invariant(self) -> bool:
+        """Whether no profile depends on y, so that every translation of y
+        is an isometry; read from the constructor's parameters, as
+        ``breaks`` is.  True for the half-plane, the disc, radial-power and
+        taylor1d, for a perturbed family whose a and b have no nonconstant
+        harmonic (an interior bump is a function of rho alone), and for a
+        product of two such families."""
+        return _y_invariant(self.spec())
+
     def spec(self) -> dict:
         """JSON-serializable document that reconstructs this family."""
         return {"family": self.name, "params": dict(self.params)}
@@ -210,6 +230,18 @@ class TrigPoly:
 
 # ---------------------------------------------------------------------------
 # family constructors
+
+
+def _y_invariant(spec: dict) -> bool:
+    """:attr:`BoundaryMetricFamily.y_invariant` of a family's spec."""
+    name, params = spec["family"], spec["params"]
+    if name == "product":
+        return all(map(_y_invariant, params["factors"]))
+    if name == "perturbed":
+        # index 0 of each list is the constant term (sin 0 = 0)
+        return not any(any(params[k][1:])
+                       for k in ("a_cos", "a_sin", "b_cos", "b_sin"))
+    return name in ("half-plane", "disc-normal", "radial-power", "taylor1d")
 
 
 def _family(profiles, chart: Chart, rho_max: float, name: str,

@@ -79,7 +79,8 @@ def renormalized_length(traj: GeodesicTrajectory) -> RenormLength:
     + 2 log tau+, grouping the pole subtraction with 1/rho on the near half
     so each piece is a smooth integrand.  The value uses 12 Gauss nodes per
     quadrature panel; ``err_est`` is its difference from the 8-node rule.
-    One read of the dense output serves both rules on both halves.
+    One read of rho alone from the dense output serves both rules on both
+    halves.
     """
     tp = traj.tau_plus
     mid = 0.5 * tp
@@ -88,7 +89,7 @@ def renormalized_length(traj: GeodesicTrajectory) -> RenormLength:
     rules = [(traj.quad_nodes(0.0, mid, npts), traj.quad_nodes(mid, tp, npts))
              for npts in (12, 8)]
     nodes = [t for halves in rules for t, _ in halves]
-    rho = np.split(traj.eval_many(np.concatenate(nodes))[:, 0],
+    rho = np.split(traj.eval_many(np.concatenate(nodes), 0),
                    np.cumsum([t.size for t in nodes])[:-1])
 
     def half_value(i):

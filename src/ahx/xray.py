@@ -17,10 +17,19 @@ converges whenever the declared weight satisfies w >= 1 - m.
 Also here: the symmetrized covariant derivative and its gauge-reduction
 inverse near the boundary, invariant-measure quadrature comparing interior
 and boundary pictures of the transform, and the zero-energy resolvents of
-the rescaled generator.  The boundary quadrature cuts its eta panels where
-geodesics graze the edges of a support; :func:`grazing_eta` reads that
-|eta| in closed form from the turning condition at frozen y, with no root
-search.
+the rescaled generator.  On a y-invariant family
+(:attr:`ahx.metric.BoundaryMetricFamily.y_invariant`) the geodesic entering
+at (y, eta) is the one entering at (y_a, eta) moved by y - y_a, so the
+transform of f along it is the transform along the traced one of f read at
+the moved points: the boundary tables of the measure checks trace each eta
+once and read the field at every shifted y on that trace's nodes in one
+call, and the bundle side of :func:`adjointness_check` traces each (rho,
+angle) once and moves its endpoint.  Such a shifted value agrees with a
+trace of its own to the trace tolerance, not bit for bit, as the step
+control's error scale holds |y|.  The boundary quadrature cuts its eta
+panels where geodesics graze the edges of a support; :func:`grazing_eta`
+reads that |eta| in closed form from the turning condition at frozen y,
+with no root search.
 """
 
 from __future__ import annotations
@@ -125,6 +134,24 @@ def _lift(field: SymmetricTensorField, rho, y, V) -> np.ndarray:
     return c
 
 
+def _integrand(field: SymmetricTensorField, traj: GeodesicTrajectory):
+    """The weights of the rule of :func:`xray_transform` at its nodes
+    inside rho > 0 (with weight + rank >= 1 the integrand vanishes at the
+    boundary), and rho, y and the unit tangent there."""
+    if field.weight < 1 - field.rank:
+        raise ValueError(
+            f"rank-{field.rank} transform needs weight >= {1 - field.rank}, "
+            f"got {field.weight}")
+    n = traj.n
+    taus, w = traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=field.breaks)
+    rows = traj.eval_many(taus)
+    inside = rows[:, 0] > 0.0
+    rows = rows[inside]
+    rho, ys = rows[:, 0], rows[:, 1:1 + n]
+    V = _unit_tangent(traj.family, rho, ys, rows[:, 1 + n], rows[:, 2 + n:])
+    return w[inside], rho, ys, V
+
+
 def xray_transform(field: SymmetricTensorField,
                    traj: GeodesicTrajectory) -> float:
     """Arclength integral of the lifted field along the trajectory.
@@ -133,19 +160,29 @@ def xray_transform(field: SymmetricTensorField,
     nodes per panel, also cut where the trajectory crosses the field's
     ``breaks``.
     """
-    if field.weight < 1 - field.rank:
-        raise ValueError(
-            f"rank-{field.rank} transform needs weight >= {1 - field.rank}, "
-            f"got {field.weight}")
-    n = traj.n
-    taus, w = traj.quad_nodes(0.0, traj.tau_plus, rho_breaks=field.breaks)
-    rows = traj.eval_many(taus)
-    # with weight + rank >= 1 the integrand vanishes at the boundary
-    inside = rows[:, 0] > 0.0
-    rows = rows[inside]
-    rho, ys = rows[:, 0], rows[:, 1:1 + n]
-    V = _unit_tangent(traj.family, rho, ys, rows[:, 1 + n], rows[:, 2 + n:])
-    return float(w[inside] @ (_lift(field, rho, ys, V) / rho))
+    w, rho, ys, V = _integrand(field, traj)
+    return float(w @ (_lift(field, rho, ys, V) / rho))
+
+
+def _shifted_transforms(field: SymmetricTensorField,
+                        traj: GeodesicTrajectory, dys) -> list:
+    """Transforms of the field along the trajectory moved by each y shift,
+    one per row of ``dys`` (shape (k, n)).
+
+    The trajectory moved by dy is the geodesic entering dy further along
+    the boundary only where the family is y-invariant; there the unit
+    tangent is the trajectory's own, and only the field is read at the
+    shifted points, at every node and shift in one call on k blocks of
+    nodes.  Each shift's weighted sum is its own 1-D product, so a zero
+    shift gives the bits of :func:`xray_transform`.
+    """
+    w, rho, ys, V = _integrand(field, traj)
+    dys = np.asarray(dys, dtype=float)
+    k = len(dys)
+    rho_k = np.tile(rho, k)
+    vals = _lift(field, rho_k, (ys + dys[:, None, :]).reshape(-1, traj.n),
+                 np.tile(V, (k, 1))) / rho_k
+    return [float(w @ v) for v in vals.reshape(k, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +406,18 @@ def _boundary_quad_grid(fam, rho_supp, eta_hi, ny, n_panel):
 
 def _transform_table(fam, f, ys, etas, trace_tol):
     """Transforms of f along the geodesics entering at each covector of the
-    grid ys x etas, shape (len(ys), len(etas))."""
-    return np.array([[xray_transform(f, trace_geodesic(fam, (yv, eta),
-                                                       tol=trace_tol))
-                      for eta in etas] for yv in ys])
+    grid ys x etas, shape (len(ys), len(etas)).
+
+    On a y-invariant family each eta is traced once, at ys[0], and the
+    other rows are that trace shifted (:func:`_shifted_transforms`);
+    otherwise every covector is traced."""
+    ys = np.asarray(ys, dtype=float)
+    runs = [ys] if fam.y_invariant else ys[:, None]
+    return np.array([np.concatenate([
+        _shifted_transforms(f, trace_geodesic(fam, (run[0], eta),
+                                              tol=trace_tol),
+                            (run - run[0])[:, None])
+        for run in runs]) for eta in etas]).T
 
 
 def _interior_density(fam, f, rhos, ys):
@@ -392,8 +437,9 @@ def santalo_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     rhs: int (transform of f)(y, eta) d y d eta over the incoming boundary,
     each transform cut at ``f.breaks``, on three refined meshes of 12 / 24 /
     48 y nodes and 4 / 8 / 16 Gauss nodes per eta panel, each geodesic
-    traced at tol 1e-8.  Convergence orders are log2 ratios of successive
-    errors against the lhs reference.
+    traced at tol 1e-8 (on a y-invariant family once per eta, see
+    :func:`_transform_table`).  Convergence orders are log2 ratios of
+    successive errors against the lhs reference.
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
@@ -435,11 +481,15 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     nodes in rho, 12 y nodes and 32 fiber angles, the backward endpoint
     found by tracing each fiber direction to the incoming boundary.  Every
     geodesic is traced at tol 1e-9, and each transform is cut at
-    ``f.breaks``.  The eta panels are cut where geodesics graze an edge of
-    the support (see :func:`_boundary_quad_grid`), with 10 Gauss nodes on
-    each.  On the disc with a C2 bump, 4 / 6 / 8 / 10 nodes
-    per panel give 8.4e-4 / 2.8e-5 / 7.3e-8 / 5e-10 relative against a
-    converged bundle side; tracing at tol 1e-9 adds ~1e-9.
+    ``f.breaks``.  On a y-invariant family the y nodes share traces: the
+    transforms trace each eta once (:func:`_transform_table`), and the
+    bundle side each (rho, angle) once, at its first y node, moving the
+    endpoint by each y node's shift.  The eta panels are cut where
+    geodesics graze an edge of the support (see
+    :func:`_boundary_quad_grid`), with 10 Gauss nodes on each.  On the
+    disc with a C2 bump, 4 / 6 / 8 / 10 nodes per panel give 8.4e-4 /
+    2.8e-5 / 7.3e-8 / 5e-10 relative against a converged bundle side;
+    tracing at tol 1e-9 adds ~1e-9.
     """
     if fam.n != 1:
         raise NotImplementedError("measure check implemented for n = 1")
@@ -458,13 +508,23 @@ def adjointness_check(fam: BoundaryMetricFamily, f: SymmetricTensorField,
     wth = 2.0 * math.pi / 32
     thetas = (np.arange(32) + 0.5) * wth
     dens = _interior_density(fam, f, xr, ys)
+    # (y where traced, incoming covector) of the backward orbits by key:
+    # on a y-invariant family the orbit from (rho, y, theta) is the one
+    # from (rho, y_a, theta) moved by y - y_a, so it is traced once
+    anchors = {}
+    invariant = fam.y_invariant
     rhs = 0.0
     for i, j in zip(*np.nonzero(dens)):
-        for th in thetas:
-            state = _fiber_state(fam, xr[i], ys[j], th)
-            zin = backward_boundary_point(fam, state, tol=1e-9)
+        for k, th in enumerate(thetas):
+            key = (i, k) if invariant else (i, j, k)
+            if key not in anchors:
+                state = _fiber_state(fam, xr[i], ys[j], th)
+                anchors[key] = (ys[j], backward_boundary_point(fam, state,
+                                                               tol=1e-9))
+            y_a, zin = anchors[key]
+            y_in = fam.chart.wrap(zin.y[0] + (ys[j] - y_a))
             rhs += wr[i] * wy * wth * dens[i, j] * omega(
-                float(zin.y[0]), float(zin.eta[0]))
+                float(y_in), float(zin.eta[0]))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return AdjointnessResult(rel_error=rel)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahx import cli, trace_geodesic, xray_transform
+from ahx import cli, renormalized_length, trace_geodesic, xray_transform
 from ahx.cli import config_hash, load_config, main, read_csv
 from ahx.flow import DEFAULT_T_MAX, DEFAULT_TOL
 from ahx.quadrature import poly_bump
@@ -186,6 +186,91 @@ def test_scatter_records_per_row_failures(tmp_path):
     assert rows[0]["status"] == "CollarExitError"
     assert rows[0]["y_out"] == ""
     assert rows[1]["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# rows grouped by eta on y-invariant families
+
+
+GROUPED = [
+    ("scatter", {"metric": {"family": "half-plane"}, "tol": 1e-10,
+                 "grid": {"y": [1.0, -2.0, 0.25], "eta": [0.5, -1.0, 2.0]}}),
+    ("scatter", {"metric": {"family": "disc-normal"}, "tol": 1e-10,
+                 "points": [[5.5, 1.0], [0.5, -2.0], [2.0, 1.0], [6.0, -2.0],
+                            [3.0, 1.0]]}),
+    ("length", {"metric": {"family": "half-plane"}, "tol": 1e-10,
+                "method": "regularized",
+                "points": [[0.0, 0.5], [2.0, 0.5], [-1.0, 1.0]]}),
+    # not y-invariant: every row is traced
+    ("scatter", {"metric": {"family": "perturbed",
+                            "params": {"a_cos": [0.0, 0.1]}}, "tol": 1e-10,
+                 "grid": {"y": [0.0, 2.0], "eta": [3.0, -4.0]}}),
+    ("xray", {"metric": {"family": "disc-normal"}, "tol": 1e-10, "field": {
+        "kind": "bump", "params": {"rho_lo": 0.1, "rho_hi": 0.6,
+                                   "cos_amp": 0.4}},
+        "grid": {"y": [0.0, 1.5, 3.0, 4.5], "eta": [0.5, 2.0]}}),
+]
+
+
+def traced_rows(command, payload, rows):
+    """Each row's outputs from its own trace, as the commands computed them
+    before they grouped rows by eta."""
+    fam = cli.ExperimentConfig(payload["metric"], {}).family()
+    fld = (cli._field_from_spec(payload["field"]) if "field" in payload
+           else None)
+    out = []
+    for row in rows:
+        traj = trace_geodesic(fam, (float(row["y"]), float(row["eta"])),
+                              tol=payload["tol"])
+        out.append({"scatter": lambda: [float(traj.z_out.y[0]),
+                                        float(traj.z_out.eta[0])],
+                    "length": lambda: [renormalized_length(traj).value],
+                    "xray": lambda: [xray_transform(fld, traj)]}[command]())
+    return out
+
+
+@pytest.mark.parametrize("command, payload", GROUPED,
+                         ids=[f"{c}-{p['metric']['family']}"
+                              for c, p in GROUPED])
+def test_grouped_rows_match_their_own_traces(tmp_path, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    trees = []
+    for jobs in ("1", "2", "4"):
+        assert run(command, cfg, tmp_path / jobs, "--jobs", jobs) == 0
+        trees.append((tmp_path / jobs / f"{command}.csv").read_bytes())
+    assert trees[0] == trees[1] == trees[2]
+    _, rows = read_csv(tmp_path / "1" / f"{command}.csv")
+    cols = {"scatter": ["y_out", "eta_out"], "length": ["length_reg"],
+            "xray": ["integral"]}[command]
+    invariant = cli.ExperimentConfig(payload["metric"], {}).family() \
+        .y_invariant
+    seen = set()
+    for row, want in zip(rows, traced_rows(command, payload, rows)):
+        assert row["status"] == "ok"
+        got = [float(row[c]) for c in cols]
+        if row["eta"] not in seen or not invariant:
+            # a traced row, such as the first of an eta: its trace's bits
+            assert got == want
+        else:
+            # on the shipped grids at tol 1e-10: 2.9e-12 absolute
+            # (scatter), 4.8e-10 relative (xray)
+            assert got == pytest.approx(want, rel=5e-9, abs=5e-11)
+        seen.add(row["eta"])
+    assert len(seen) < len(rows)
+
+
+def test_group_that_fails_gives_its_status_to_every_row(tmp_path):
+    # y-invariant, so each eta is traced once; eta = 1 turns around
+    # outside the collar rho < 0.5
+    cfg = write_config(tmp_path, "c.json", {
+        "metric": {"family": "perturbed",
+                   "params": {"a_cos": [0.1], "b_cos": [0.02]}},
+        "grid": {"y": [0.0, 1.0, 2.5], "eta": [1.0, 3.0]},
+    })
+    assert run("scatter", cfg, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "scatter.csv")
+    assert [r["status"] for r in rows] == ["CollarExitError", "ok"] * 3
+    assert all(r["y_out"] == "" for r in rows[::2])
 
 
 # ---------------------------------------------------------------------------

@@ -777,6 +777,26 @@ def test_trace_from_state_starts_its_samples_at_its_start(disc):
     assert first.as_vector().tobytes() == start.tobytes()
 
 
+@pytest.mark.parametrize("rho", [2.0, 2.5, -0.5])
+def test_trace_from_state_outside_the_domain_raises_at_once(disc, rho):
+    # rho = 2 is the disc's centre, where h = 0
+    with pytest.raises(CollarExitError) as err:
+        trace_from_state(disc, BPhasePoint.make(rho, 0.3, 0.2, 0.5))
+    assert err.value.stats.guard == "collar"
+    assert err.value.stats.n_rhs == 0
+
+
+def test_a_read_of_one_component_has_the_bits_of_the_full_read(disc):
+    traj = trace_geodesic(disc, (0.3, 1.1), tol=1e-10)
+    taus = np.linspace(0.0, traj.tau_plus, 41)
+    full = traj.eval_many(taus)
+    for k in range(4):
+        assert traj.eval_many(taus, k).tobytes() == full[:, k].tobytes()
+    st = traj._sol.steps[3]
+    ts = np.linspace(st.t_old, st.t, 5)
+    assert st.batch(ts, 0).tobytes() == st.batch(ts)[:, 0].tobytes()
+
+
 def test_trace_stats_count_the_integration(disc):
     traj = trace_geodesic(disc, (0.3, 1.1))
     st = traj.stats

@@ -156,6 +156,52 @@ def test_breaks_are_the_bump_edges(halfplane, disc, perturbed, bump_family):
         assert fam.breaks == ()
 
 
+_HARMONIC = {"a_cos": [0.0, 0.1], "a_sin": [0.0, 0.1],
+             "b_cos": [0.02, 0.0, 0.03], "b_sin": [0.0, 0.0, 0.0, 0.02]}
+
+
+@pytest.mark.parametrize("build, invariant", [
+    (halfplane_family, True),
+    (disc_family, True),
+    (lambda: radial_power_family(0.3, 3), True),
+    (lambda: taylor1d_family(1.0, 0.2, -0.1), True),
+    (lambda: perturbed_family(a_cos=[0.1], a_sin=[0.7], b_cos=[0.02]), True),
+    (lambda: perturbed_family(a_cos=[0.1], b_cos=[0.02, 0.0], rho_max=0.7,
+                              bump={"amplitude": 1.0, "rho_lo": 0.3,
+                                    "rho_hi": 0.45}), True),
+    *[(lambda k=k: perturbed_family(**{k: _HARMONIC[k]}), False)
+      for k in _HARMONIC],
+    (lambda: perturbed_family(a_cos=[0.0, 0.1], bump={
+        "amplitude": 1.0, "rho_lo": 0.3, "rho_hi": 0.45}), False),
+    (lambda: product_family(halfplane_family(), radial_power_family(0.3, 2)),
+     True),
+    (lambda: product_family(disc_family(), perturbed_family(a_cos=[0.1])),
+     True),
+    (lambda: product_family(disc_family(), perturbed_family(a_cos=[0, 0.1])),
+     False),
+    (lambda: product_family(perturbed_family(b_sin=[0, 0.1]), disc_family()),
+     False),
+], ids=lambda v: "" if callable(v) else str(v))
+def test_y_invariant_matches_the_sampled_profiles(build, invariant):
+    fam = build()
+    assert fam.y_invariant is invariant
+    assert make_family(fam.spec()).y_invariant is invariant
+    # sampled here only: the family reads its parameters
+    rho = np.linspace(0.0, min(fam.rho_max, 2.0) * 0.99, 7)[:, None]
+    y = np.linspace(-3.0, 3.0, 11)
+    sampled = all(np.all(np.asarray(v) == np.asarray(v0))
+                  for prof in fam.profiles
+                  for v, v0 in zip(np.broadcast_arrays(*prof(rho, y)),
+                                   np.broadcast_arrays(*prof(rho, 0.0 * y))))
+    assert sampled is invariant
+
+
+def test_a_family_built_without_a_constructor_is_not_y_invariant():
+    fam = _family([lambda rho, y: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+                  halfplane_family().chart, math.inf, "", {})
+    assert not fam.y_invariant
+
+
 def test_bump_raises_curvature_inside_band(bump_family):
     base = perturbed_family(rho_max=0.7)
     inside = gauss_curvature(bump_family, 0.375, 0.0)

@@ -78,9 +78,12 @@ def _length_by_four_reads(traj):
 
 def test_length_reads_the_dense_output_once_with_the_same_bits(
         halfplane, disc, perturbed):
-    for fam, z in ((halfplane, (0.0, 0.7)), (disc, (1.0, 0.3)),
-                   (perturbed, (0.7, 3.0)), (perturbed, (4.0, -2.6))):
-        traj = trace_geodesic(fam, z, tol=1e-12)
+    # it reads rho alone, in one read; the reference reads full states
+    trajs = [trace_geodesic(fam, z, tol=1e-12) for fam, z in (
+        (halfplane, (0.0, 0.7)), (disc, (1.0, 0.3)), (perturbed, (0.7, 3.0)),
+        (perturbed, (4.0, -2.6)))]
+    trajs.append(boundary_distance(disc, 0.0, math.pi).trajectory)
+    for traj in trajs:
         res = renormalized_length(traj)
         assert (res.value, res.err_est) == _length_by_four_reads(traj)
 

@@ -252,6 +252,74 @@ def test_boundary_points_invert_each_other(disc):
     assert fwd.y[0] == pytest.approx(float(out.y[0]), abs=1e-7)
 
 
+@pytest.mark.parametrize("rho, theta", [(0.31, 0.3), (0.4, 2.0), (0.44, 4.4)])
+def test_shifted_backward_endpoints_match_direct_traces(disc, rho, theta):
+    # the adjointness check traces at the first y node and shifts the end
+    y_a = 0.0
+    zin_a = backward_boundary_point(disc, xray._fiber_state(disc, rho, y_a,
+                                                            theta), tol=1e-9)
+    for yv in (0.5, 2.0, 5.2):
+        want = backward_boundary_point(
+            disc, xray._fiber_state(disc, rho, yv, theta), tol=1e-9)
+        moved = disc.chart.wrap(zin_a.y[0] + (yv - y_a))
+        # measured at most 6e-12 apart, in y and relative in eta
+        assert abs(disc.chart.wrapped_diff(moved, want.y[0])) < 1e-9
+        assert zin_a.eta[0] == pytest.approx(want.eta[0], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# transform tables
+
+
+def santalo_field():
+    """The Gaussian bump of the acceptance criteria 6 and 7."""
+    lo, hi = 0.3, 0.45
+
+    def comp(rho, y):
+        gauss = np.exp(-((rho - 0.375) / 0.06) ** 2)
+        return gauss * poly_bump((rho - lo) / (hi - lo)) \
+            * (1.0 + 0.3 * np.cos(y[..., 0]))
+
+    return SymmetricTensorField(rank=0, weight=1, components=comp,
+                                breaks=(lo, hi))
+
+
+def test_reduced_santalo_table_matches_per_covector_traces(disc):
+    # the coarsest santalo level: 12 y x 24 eta, traced at tol 1e-8
+    f = santalo_field()
+    ys, _, etas, _ = xray._boundary_quad_grid(
+        disc, f.breaks, xray.grazing_eta(disc, f.breaks[0]), 12, 4)
+    table = xray._transform_table(disc, f, ys, etas, 1e-8)
+    direct = np.array([[xray_transform(f, trace_geodesic(disc, (yv, eta),
+                                                         tol=1e-8))
+                        for eta in etas] for yv in ys])
+    assert table.shape == (12, 24)
+    # the traced row is the per-covector row, bit for bit
+    assert table[0].tobytes() == direct[0].tobytes()
+    # a trace at y != 0 is not the bitwise translate of the one at 0: the
+    # step control's error scale holds |y|.  Measured 6.3e-8 of the largest
+    # entry on every santalo level
+    assert np.max(np.abs(table - direct)) < 2e-7 * np.max(np.abs(direct))
+
+
+def test_table_of_a_family_that_is_not_y_invariant_traces_every_covector(
+        perturbed):
+    f = santalo_field()
+    ys, etas = np.array([0.0, 1.0, 4.0]), np.array([-6.0, 5.0])
+    table = xray._transform_table(perturbed, f, ys, etas, 1e-9)
+    direct = np.array([[xray_transform(f, trace_geodesic(perturbed,
+                                                         (yv, eta), tol=1e-9))
+                        for eta in etas] for yv in ys])
+    assert table.tobytes() == direct.tobytes()
+
+
+def test_zero_shift_is_the_transform_bit_for_bit(disc):
+    traj = trace_geodesic(disc, (1.0, 1.3), tol=1e-10)
+    for f in (santalo_field(), one_form_potential(),
+              sym_derivative(one_form_potential(), disc)):
+        got = xray._shifted_transforms(f, traj, np.array([[0.7], [0.0]]))
+        assert got[1] == xray_transform(f, traj)
+
 
 # ---------------------------------------------------------------------------
 # zero-energy resolvent
